@@ -141,6 +141,13 @@ def _complement_weights(grid: Grid, rho: float) -> np.ndarray:
     return w
 
 
+def _check_period_grid(grid: Grid, sigma: float) -> None:
+    span_tol = 1e-9 * max(1.0, sigma)
+    if abs(grid.start + sigma) > span_tol or abs(grid.stop - sigma) > span_tol:
+        raise InvalidGridError(
+            f"base grid [{grid.start}, {grid.stop}] must span [-sigma, sigma]")
+
+
 def _seam_extrapolate(values: np.ndarray) -> np.ndarray:
     """Replace the two period-boundary samples by interior quadratic
     extrapolation.
@@ -185,20 +192,27 @@ def coeffs_from_zeta(zeta: ZetaFunction, j_range: int) -> ShiftExpansion:
     Composite Simpson over one full period annihilates e^{i l pi y/sigma}
     exactly for 0 < |l| < (count-1)/2, so round trips with trigonometric
     polynomials are exact at the default resolution.
+
+    The grid must span one period [-sigma, sigma].  There
+    ``e^{i j pi y_k / sigma} = (-1)^j e^{2 pi i j k / (count-1)}``, so with
+    the last node folded onto the first (same phase) the quadrature sum is
+    one length-(count-1) inverse DFT.
     """
     grid = zeta.grid
+    _check_period_grid(grid, zeta.sigma)
     nodes_per_period = 2.0 * zeta.sigma / (max(j_range, 1) * grid.step)
     if nodes_per_period < 8.0:
         raise ResolutionError(
             f"grid step {grid.step:.3g} cannot resolve shift index "
             f"{j_range} (needs >= 8 nodes per oscillation period, "
             f"has {nodes_per_period:.2f})")
-    w = _band_weights(grid, zeta.rho)
-    weighted = w * zeta.values
-    y = grid.nodes()
-    js = np.arange(-j_range, j_range + 1).astype(float)
-    phases = np.exp((1j * np.pi / zeta.sigma) * np.outer(js, y))
-    coeffs = (phases * weighted).sum(axis=1) / (2.0 * zeta.sigma)
+    weighted = _band_weights(grid, zeta.rho) * zeta.values
+    period = grid.count - 1
+    folded = weighted[:-1].copy()
+    folded[0] += weighted[-1]
+    dft = np.fft.ifft(folded) * period
+    js = np.arange(-j_range, j_range + 1)
+    coeffs = (1 - 2 * (js % 2)) * dft[js % period] / (2.0 * zeta.sigma)
     defect = _vanishing_defect(zeta.sigma, zeta.rho, coeffs, grid)
     return ShiftExpansion(sigma=zeta.sigma, rho=zeta.rho, coeffs=coeffs,
                           vanishing_defect=defect)
@@ -249,10 +263,7 @@ class _FoldResult:
 
 def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
           tol: float) -> _FoldResult:
-    span_tol = 1e-9 * max(1.0, sigma)
-    if abs(grid.start + sigma) > span_tol or abs(grid.stop - sigma) > span_tol:
-        raise InvalidGridError(
-            f"base grid [{grid.start}, {grid.stop}] must span [-sigma, sigma]")
+    _check_period_grid(grid, sigma)
     n = grid.count
     step = grid.step
     cover = max(abs(f_spec.grid.start), abs(f_spec.grid.stop))
@@ -291,6 +302,26 @@ def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
     return _FoldResult(grid=grid, bracket=bracket, energy=energy,
                        density=density, density_reg=_regularized_density(density),
                        windows=windows)
+
+
+def _captured_energy(fold: _FoldResult, weights: np.ndarray,
+                     active: np.ndarray) -> float:
+    """``integral |bracket|^2 / D`` over the active nodes with ``weights``.
+
+    Cauchy-Schwarz bounds the integrand node-wise by the energy.  Inside
+    the period that holds structurally.  The two seam nodes are one-sided
+    limits at the same point of the period, extrapolated separately for
+    bracket, energy and D, so the bound is imposed on their joint mass.
+    """
+    mass = weights * np.where(
+        active, np.abs(fold.bracket) ** 2 / np.where(active, fold.density_reg, 1.0),
+        0.0)
+    seam = [0, -1]
+    seam_mass = mass[seam].sum()
+    seam_energy = (weights[seam] * fold.energy[seam]).sum()
+    if seam_mass > seam_energy:
+        mass[seam] *= seam_energy / seam_mass
+    return float(mass.sum())
 
 
 def zeta_transform(f_spec: SampledSpectrum, gen: Generator, sigma: float,
@@ -376,10 +407,7 @@ def project(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
     band = _rho_mask(grid, rho)
     live = fold.density_reg > EPSILON_D
     active = band & live
-    captured_density = np.where(
-        active, np.abs(fold.bracket) ** 2 / np.where(active, fold.density_reg, 1.0),
-        0.0)
-    projection_norm_sq = float(max(TWO_PI * (wb * captured_density).sum(), 0.0))
+    projection_norm_sq = max(TWO_PI * _captured_energy(fold, wb, active), 0.0)
     total_energy = float(TWO_PI * (w * fold.energy).sum())
     error_sq = max(total_energy - projection_norm_sq, 0.0)
     guarded = band & ~live
@@ -418,8 +446,5 @@ def best_approx_error_sq(f_spec: SampledSpectrum, gen: Generator, sigma: float,
     w = quadrature_weights(grid)
     wb = _band_weights(grid, rho)
     active = _rho_mask(grid, rho) & (fold.density_reg > EPSILON_D)
-    captured = np.where(
-        active, np.abs(fold.bracket) ** 2 / np.where(active, fold.density_reg, 1.0),
-        0.0)
     total = (w * fold.energy).sum()
-    return float(max(TWO_PI * (total - (wb * captured).sum()), 0.0))
+    return float(max(TWO_PI * (total - _captured_energy(fold, wb, active)), 0.0))

@@ -196,6 +196,34 @@ def time_norm_sq(f: SampledFunction) -> float:
     return float((w * np.abs(f.values) ** 2).sum().real)
 
 
+def direct_fourier_sum(f: SampledFunction, freq: Grid,
+                       rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """The quadrature transform as a dense phase-matrix sum.
+
+    Reference for the chirp-z route of `fourier_transform_sampled`:
+    ``(1/2pi) sum_j w_j f(x_j) exp(-i x_j y)`` at the ``freq`` nodes picked
+    by ``rows`` (all of them by default), in chunks of modest memory.
+    """
+    x = f.grid.nodes()
+    weighted = quadrature_weights(f.grid) * f.values / (2.0 * np.pi)
+    y = freq.nodes() if rows is None else freq.nodes()[rows]
+    out = np.empty(y.size, dtype=np.complex128)
+    chunk = max(1, 4_000_000 // x.size)
+    for lo in range(0, y.size, chunk):
+        phase = np.exp(np.outer(y[lo:lo + chunk], x) * (-1j))
+        out[lo:lo + chunk] = (phase * weighted).sum(axis=1)
+    return out
+
+
+def direct_coeffs(weighted: np.ndarray, grid: Grid, sigma: float,
+                  j_range: int) -> np.ndarray:
+    """``(1/2 sigma) sum_k weighted_k e^{i j pi y_k / sigma}``, |j| <= j_range,
+    as a dense sum: the reference for the DFT route of `coeffs_from_zeta`."""
+    js = np.arange(-j_range, j_range + 1).astype(float)
+    phases = np.exp((1j * np.pi / sigma) * np.outer(js, grid.nodes()))
+    return (phases * weighted).sum(axis=1) / (2.0 * sigma)
+
+
 def run_cli(argv) -> Tuple[int, str]:
     buf = io.StringIO()
     with redirect_stdout(buf):

@@ -19,6 +19,8 @@ from shiftapprox.numerics import (
     write_samples_csv,
 )
 
+from helpers import direct_fourier_sum
+
 
 def test_grid_nodes_hit_endpoints_exactly():
     g = make_uniform_grid(-1.5, 2.5, 1001)
@@ -130,6 +132,42 @@ def test_fourier_transform_is_deterministic():
     a = fourier_transform_sampled(f, freq).values
     b = fourier_transform_sampled(f, freq).values
     assert np.array_equal(a, b)
+
+
+# (time grid, frequency grid, frequency rows checked against the direct sum)
+_CHIRP_CASES = {
+    # compare shape: 513 samples onto more than 1e5 nodes, every node checked
+    "compare": ((-8.6, 8.6, 513), (-33.0, 33.0, 135_169), None),
+    # two frequency blocks; the direct sum at every node would take a minute
+    "long": ((-16.0, 16.0, 32_769), (-9.0, 9.0, 36_865),
+             np.r_[0:36_865:61, 32_760:32_780, 36_864]),
+    # even count: Simpson plus the trapezoid tail panel
+    "even": ((-6.0, 6.0, 1_000), (-12.0, 12.0, 4_001), None),
+    "two-node": ((-1.5, 2.0, 2), (-40.0, 40.0, 97), None),
+    # x0 != 0 with an asymmetric frequency grid
+    "offset": ((2.0, 7.0, 301), (-3.0, 11.0, 5_000), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHIRP_CASES))
+def test_chirp_transform_matches_direct_sum(case):
+    (x0, x1, n), (y0, y1, m), rows = _CHIRP_CASES[case]
+    g = make_uniform_grid(x0, x1, n)
+    x = g.nodes()
+    rng = np.random.default_rng(n)
+    vals = (np.exp(-0.5 * x * x) * (1.0 + 0.3j * np.sin(3.0 * x))
+            + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    f = SampledFunction(grid=g, values=vals)
+    freq = make_uniform_grid(y0, y1, m)
+    fast = fourier_transform_sampled(f, freq).values
+    assert fast.shape == (m,)
+    idx = np.arange(m) if rows is None else rows
+    ref = direct_fourier_sum(f, freq, idx)
+    # the direct sum's own phase rounding: eps * |x y| on every term
+    mass = np.sum(np.abs(quadrature_weights(g) * vals)) / (2.0 * math.pi)
+    envelope = (np.finfo(float).eps * np.max(np.abs(x))
+                * np.max(np.abs(freq.nodes())) * mass)
+    assert np.max(np.abs(fast[idx] - ref)) <= envelope
 
 
 def test_csv_round_trip_is_exact():

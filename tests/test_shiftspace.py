@@ -19,14 +19,16 @@ from shiftapprox.numerics import Grid, SampledFunction, SampledSpectrum, \
     make_uniform_grid
 from shiftapprox.oracle import _shift_inner_products
 from shiftapprox.shiftspace import (ShiftExpansion, ZetaFunction,
-                                    best_approx_error_sq, coeffs_from_zeta,
+                                    _band_weights, best_approx_error_sq,
+                                    coeffs_from_zeta,
                                     plancherel_inner, plancherel_norm_sq,
                                     project, synthesize, zeta_of_coeffs,
                                     zeta_transform)
 from shiftapprox.spectral import periodize
 
 from helpers import (analytic_gaussian_spectrum, band_member_spectrum,
-                     bump_spectrum_signal, expansion_time_products,
+                     bump_spectrum_signal, direct_coeffs,
+                     expansion_time_products,
                      random_expansion, sinc_gen, spectrum_norm_sq, spline)
 
 PERIOD_GRID = Grid(start=-1.0, stop=1.0, count=4097)
@@ -80,6 +82,37 @@ def test_coefficient_recovery_needs_resolution():
                         values=np.ones(65, dtype=complex))
     with pytest.raises(ResolutionError):
         coeffs_from_zeta(zeta, 16)
+
+
+@pytest.mark.parametrize("sigma,count,rho,j_range", [
+    (1.0, 4097, 1.0, 64),
+    (1.0, 4097, 0.37, 64),
+    (2.0, 1001, 2.0, 100),     # period length 1000: not a power of two
+    (0.5, 65, 0.5, 8),
+])
+def test_coefficient_dft_matches_direct_sum(sigma, count, rho, j_range):
+    grid = Grid(start=-sigma, stop=sigma, count=count)
+    rng = np.random.default_rng(count)
+    raw = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    outside = np.abs(grid.nodes()) > rho * (1.0 + 1e-12)
+    zeta = ZetaFunction(sigma=sigma, rho=rho, grid=grid,
+                        values=np.where(outside, 0.0, raw),
+                        zero_set_enforced=True)
+    fast = coeffs_from_zeta(zeta, j_range).coeffs
+    weighted = _band_weights(grid, rho) * zeta.values
+    ref = direct_coeffs(weighted, grid, sigma, j_range)
+    # the direct sum's phase rounding at the largest |j pi y / sigma|
+    envelope = (np.finfo(float).eps * math.pi * j_range
+                * np.sum(np.abs(weighted)) / (2.0 * sigma))
+    assert np.max(np.abs(fast - ref)) <= envelope
+
+
+def test_coefficient_recovery_needs_a_period_grid():
+    grid = Grid(start=-0.5, stop=1.0, count=257)
+    zeta = ZetaFunction(sigma=1.0, rho=1.0, grid=grid,
+                        values=np.ones(257, dtype=complex))
+    with pytest.raises(InvalidGridError):
+        coeffs_from_zeta(zeta, 4)
 
 
 def test_vanishing_defect_on_a_proper_band():
@@ -193,6 +226,21 @@ def test_projection_recovers_member():
     assert np.max(np.abs(res.coeffs.coeffs[13:])) < 1e-8 * scale
     assert res.error_sq <= 1e-8 * norm_sq
     assert res.guard_mass == 0.0
+
+
+def test_projection_keeps_exact_sinc_members_in_the_space():
+    # the seam nodes y = +-sigma extrapolate bracket, energy and D
+    # separately; their captured mass must still not exceed their energy
+    # (seeds 141 and 160 used to raise "captured energy exceeds input")
+    gen = sinc_gen(1.0)
+    grid = Grid(start=-1.0, stop=1.0, count=1025)
+    y = grid.nodes()
+    for seed in range(140, 162):
+        exp = random_expansion(np.random.default_rng(seed), 1.0, 3)
+        fs = SampledSpectrum(grid=grid, values=zeta_of_coeffs(exp, grid).values
+                             * gen.spectrum(y))
+        res = project(fs, gen, 1.0, rho=1.0, grid=grid, j_range=16)
+        assert res.error_sq <= 1e-8 * spectrum_norm_sq(fs)
 
 
 def test_projection_recovers_bandlimited_member():
