@@ -50,7 +50,6 @@ from .spectral import (
     EPSILON_D,
     PeriodizedSpectrum,
     RieszReport,
-    bracket,
     periodize,
     riesz_bounds,
 )

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ShiftSpaceError
 from .generator import Generator, parse_generator_spec
 from .numerics import (Grid, SampledFunction, SampledSpectrum,
-                       read_samples_csv)
+                       covering_windows, period_extension, read_samples_csv)
 from .shiftspace import best_approx_error_sq, project
 from .spectral import periodize, riesz_bounds
 from .oracle import compare
@@ -132,8 +132,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 def _signal_freq_extent(gen_f: Generator, sigma: float, dgrid: int) -> Grid:
     """Aligned frequency grid wide enough to hold essentially all of f-hat."""
     if gen_f.spectral_support is not None:
-        windows = max(0, int(np.ceil(
-            (gen_f.spectral_support - sigma) / (2.0 * sigma) - 1e-12)))
+        windows = covering_windows(gen_f.spectral_support, sigma)
     else:
         c, p = gen_f.decay_constant, gen_f.decay_exponent
         windows = 1
@@ -143,8 +142,7 @@ def _signal_freq_extent(gen_f: Generator, sigma: float, dgrid: int) -> Grid:
             if bound <= 1e-12:
                 break
             windows *= 2
-    edge = (2.0 * windows + 1.0) * sigma
-    return Grid(start=-edge, stop=edge, count=(dgrid - 1) * (2 * windows + 1) + 1)
+    return period_extension(sigma, dgrid, windows)
 
 
 def _load_signal(text: str, sigma: float, dgrid: int,
@@ -159,7 +157,13 @@ def _load_signal(text: str, sigma: float, dgrid: int,
     """
     if text.startswith("file:"):
         return read_samples_csv(text[len("file:"):])
-    gen_f = parse_generator_spec(text, default_sigma=sigma)
+    return _sample_signal(parse_generator_spec(text, default_sigma=sigma),
+                          sigma, dgrid, prefer_time)
+
+
+def _sample_signal(gen_f: Generator, sigma: float, dgrid: int,
+                   prefer_time: bool
+                   ) -> Union[SampledFunction, SampledSpectrum]:
     time_ready = gen_f.time_domain is not None and (
         gen_f.support is not None or gen_f.time_tail_radius is not None)
     slow_spectrum = gen_f.spectral_support is None and gen_f.decay_exponent <= 1.5
@@ -175,17 +179,12 @@ def _load_signal(text: str, sigma: float, dgrid: int,
         return SampledFunction(grid=grid,
                                values=np.asarray(gen_f.time_domain(grid.nodes()),
                                                  dtype=np.complex128))
-    freq = _signal_freq_extent(gen_f, sigma, dgrid)
-    return SampledSpectrum(grid=freq,
-                           values=np.asarray(gen_f.spectrum(freq.nodes()),
-                                             dtype=np.complex128))
+    return _analytic_spectrum(gen_f, sigma, dgrid)
 
 
-def _analytic_spectrum(text: str, sigma: float, dgrid: int
-                       ) -> Optional[SampledSpectrum]:
-    if text.startswith("file:"):
-        return None
-    gen_f = parse_generator_spec(text, default_sigma=sigma)
+def _analytic_spectrum(gen_f: Generator, sigma: float,
+                       dgrid: int) -> SampledSpectrum:
+    """f-hat sampled on the aligned extension of the period grid."""
     freq = _signal_freq_extent(gen_f, sigma, dgrid)
     return SampledSpectrum(grid=freq,
                            values=np.asarray(gen_f.spectrum(freq.nodes()),
@@ -244,34 +243,31 @@ def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
 
 
 def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
-    lines = ["param,error_sq"]
-    if cfg.sweep is None:
-        sweep_name, values = "rho", (cfg.rho,)
+    # one fold per sigma; the param column is rho (a sigma sweep sets rho)
+    name, values = cfg.sweep or ("rho", (cfg.rho,))
+    if name == "sigma":
+        runs = [(v, (v,)) for v in values]
     else:
-        sweep_name, values = cfg.sweep
-    for v in values:
-        if sweep_name == "sigma":
-            sigma, rho = v, v
-        else:
-            sigma, rho = cfg.sigma, v
-        if not 0 < rho <= sigma * (1.0 + 1e-12):
-            raise ShiftSpaceError(f"swept rho {rho} outside (0, sigma={sigma}]")
+        runs = [(cfg.sigma, values)]
+    lines = ["param,error_sq"]
+    for sigma, rhos in runs:
         gen = parse_generator_spec(cfg.generator_spec, default_sigma=sigma)
         signal = _load_signal(cfg.f_spec, sigma, cfg.dgrid)
         grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
-        if isinstance(signal, SampledSpectrum):
-            err = best_approx_error_sq(signal, gen, sigma, rho,
-                                       tol=cfg.tol, grid=grid)
-        else:
-            err = project(signal, gen, sigma, rho, tol=cfg.tol,
-                          grid=grid, j_range=cfg.j_range).error_sq
-        lines.append(f"{v:.17g},{err:.17g}")
+        errors = best_approx_error_sq(signal, gen, sigma, rhos,
+                                      tol=cfg.tol, grid=grid)
+        lines.extend(f"{rho:.17g},{err:.17g}" for rho, err in zip(rhos, errors))
     return lines, 0
 
 
 def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
-    signal = _load_signal(cfg.f_spec, cfg.sigma, cfg.dgrid, prefer_time=True)
+    gen_f = None
+    if cfg.f_spec.startswith("file:"):
+        signal = read_samples_csv(cfg.f_spec[len("file:"):])
+    else:
+        gen_f = parse_generator_spec(cfg.f_spec, default_sigma=cfg.sigma)
+        signal = _sample_signal(gen_f, cfg.sigma, cfg.dgrid, prefer_time=True)
     if not isinstance(signal, SampledFunction):
         raise ShiftSpaceError(
             "compare needs time-domain samples of f (the oracle integrates "
@@ -281,7 +277,8 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
         ranges = [int(v) for v in cfg.sweep[1]]
     else:
         ranges = list(_DEFAULT_COMPARE_RANGES)
-    spectrum = _analytic_spectrum(cfg.f_spec, cfg.sigma, cfg.dgrid)
+    spectrum = (None if gen_f is None
+                else _analytic_spectrum(gen_f, cfg.sigma, cfg.dgrid))
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
                      f_spectrum=spectrum)
     lines = ["j_range,oracle_residual,formula_error,gap"]

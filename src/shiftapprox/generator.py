@@ -377,26 +377,7 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
     if gen.autocorrelation is not None:
         return np.array([gen.autocorrelation(d) for d in range(max_lag + 1)],
                         dtype=np.complex128)
-    if gen.support is not None:
-        a, b = gen.support
-        length = b - a
-        step = _autocorr_step(gen, sigma)
-        q = max(2, int(math.ceil(h / step / 2.0)) * 2)  # even: knots on panel edges
-        step = h / q
-        count = int(round(length / step)) + 1
-        count += (count + 1) % 2
-        grid = make_uniform_grid(a, a + (count - 1) * step, count)
-        base = gen.time_domain(grid.nodes())
-        for d in range(max_lag + 1):
-            lag = d * q
-            if lag >= count - 1:
-                break
-            # B(t) on nodes[lag:], B(t - d h) equals base[:-lag]
-            seg = base[lag:] * np.conj(base[:count - lag])
-            sub = make_uniform_grid(grid.start + lag * step, grid.stop, count - lag)
-            out[d] = integrate_values(seg, sub)
-        return out
-    if gen.spectral_support is not None:
+    if gen.support is None and gen.spectral_support is not None:
         s_edge = gen.spectral_support * (1.0 - 1e-12)
         count = max(4097, 64 * max_lag + 1)
         count += (count + 1) % 2
@@ -407,24 +388,32 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
         for d in range(max_lag + 1):
             out[d] = TWO_PI * np.sum(w * energy * np.exp(1j * d * np.pi * y / sigma))
         return out
-    if gen.time_domain is None:
+    if gen.support is None and gen.time_domain is None:
         raise TruncationError("autocorrelation needs a time domain or a compact spectrum")
-    if gen.time_tail_radius is not None:
-        # step divides h exactly so every lag is a whole number of nodes
+    if gen.support is not None or gen.time_tail_radius is not None:
+        # window [a, a + (count-1) step] whose step divides h exactly, so
+        # every lag is a whole number of nodes and (for a compact support)
+        # the knots fall on panel edges
         step = _autocorr_step(gen, sigma)
         q = max(2, int(math.ceil(h / step / 2.0)) * 2)
         step = h / q
-        radius = gen.time_tail_radius(tol * 1e-2) + max_lag * h
-        half = int(math.ceil(radius / step))
-        count = 2 * half + 1
-        grid = make_uniform_grid(-half * step, half * step, count)
+        if gen.support is not None:
+            a, b = gen.support
+            count = int(round((b - a) / step)) + 1
+            count += (count + 1) % 2
+        else:
+            radius = gen.time_tail_radius(tol * 1e-2) + max_lag * h
+            half = int(math.ceil(radius / step))
+            a, count = -half * step, 2 * half + 1
+        grid = make_uniform_grid(a, a + (count - 1) * step, count)
         base = gen.time_domain(grid.nodes())
         for d in range(max_lag + 1):
-            shift_n = d * q
-            if shift_n >= count - 1:
+            lag = d * q
+            if lag >= count - 1:
                 break
-            seg = base[shift_n:] * np.conj(base[:count - shift_n])
-            sub = make_uniform_grid(grid.start + shift_n * step, grid.stop, count - shift_n)
+            # B(t) on nodes[lag:], B(t - d h) equals base[:-lag]
+            seg = base[lag:] * np.conj(base[:count - lag])
+            sub = make_uniform_grid(grid.start + lag * step, grid.stop, count - lag)
             out[d] = integrate_values(seg, sub)
         return out
     # slow polynomial time decay: windowed quadrature with one Richardson step

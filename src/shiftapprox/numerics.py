@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import TextIO, Union
+from typing import List, TextIO, Union
 
 import numpy as np
 
@@ -73,6 +73,26 @@ class Grid:
 def make_uniform_grid(start: float, stop: float, count: int) -> Grid:
     """Validated `Grid` constructor; raises `InvalidGridError` on bad input."""
     return Grid(float(start), float(stop), count)
+
+
+def covering_windows(radius: float, sigma: float) -> int:
+    """Fewest ``K >= 0`` with ``[-radius, radius]`` in ``[-(2K+1), 2K+1] sigma``."""
+    return max(0, int(np.ceil((radius - sigma) / (2.0 * sigma) - 1e-12)))
+
+
+def period_extension(sigma: float, count: int, windows: int) -> Grid:
+    """The period grid ``[-sigma, sigma]`` of ``count`` nodes continued over
+    ``2*windows + 1`` periods, so that every period is a slice of it."""
+    edge = (2.0 * windows + 1.0) * sigma
+    return Grid(start=-edge, stop=edge,
+                count=(count - 1) * (2 * windows + 1) + 1)
+
+
+def chunk_slices(total: int, points: int) -> List[slice]:
+    """Blocks of ``range(total)`` sized so that one block evaluated at
+    ``points`` nodes holds at most 4e6 values (one index at least)."""
+    size = max(1, int(4_000_000 // max(points, 1)))
+    return [slice(lo, lo + size) for lo in range(0, total, size)]
 
 
 def _check_samples(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -33,15 +33,13 @@ class GramSystem:
     """Normal equations data for the truncated shift system.
 
     ``gram[j, k] = <B(. - k h), B(. - j h)>`` with h = pi/sigma and rows
-    and columns indexed j, k = -j_range .. j_range.  ``rhs`` holds
-    ``<f, B(. - j h)>`` when a right-hand side has been attached.
+    and columns indexed j, k = -j_range .. j_range.
     """
 
     sigma: float
     j_range: int
     gram: np.ndarray
     condition_estimate: float
-    rhs: Optional[np.ndarray] = None
 
 
 def gram_matrix(gen: Generator, sigma: float, j_range: int) -> GramSystem:
@@ -147,7 +145,7 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
 
     j_top = ranges[-1]
     system_top = gram_matrix(gen, sigma, j_top)
-    acorr = shift_autocorrelation(gen, sigma, 2 * j_top)
+    acorr = system_top.gram[:, 0]
     rhs_top = _shift_inner_products(f, gen, sigma, j_top)
     norm_sq = l2_norm_sq(f)
 

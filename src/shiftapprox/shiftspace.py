@@ -22,16 +22,19 @@ rather than accidents of quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import (GridMismatchError, InvalidGridError,
                      MissingTimeDomainError, ResolutionError, ShiftSpaceError)
-from .generator import Generator
+from .generator import Generator, _interp_complex
 from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
-                       fourier_transform_sampled, quadrature_weights)
-from .spectral import EPSILON_D, PeriodizedSpectrum, periodize
+                       chunk_slices, covering_windows,
+                       fourier_transform_sampled, period_extension,
+                       quadrature_weights)
+from .spectral import (EPSILON_D, PeriodizedSpectrum, periodize,
+                       require_period_grid)
 
 _RHO_RTOL = 1e-12
 
@@ -105,6 +108,16 @@ def _rho_mask(grid: Grid, rho: float) -> np.ndarray:
     return np.abs(grid.nodes()) <= rho * (1.0 + _RHO_RTOL)
 
 
+def _piece_weights(grid: Grid, lo: int, hi: int) -> np.ndarray:
+    """Simpson weights of the contiguous sub-grid of nodes lo..hi, zero
+    elsewhere."""
+    w = np.zeros(grid.count)
+    nodes = grid.nodes()
+    sub = Grid(start=float(nodes[lo]), stop=float(nodes[hi]), count=hi - lo + 1)
+    w[lo:hi + 1] = quadrature_weights(sub)
+    return w
+
+
 def _band_weights(grid: Grid, rho: float) -> np.ndarray:
     """Simpson weights for the sub-band |y| <= rho, zero outside.
 
@@ -112,15 +125,10 @@ def _band_weights(grid: Grid, rho: float) -> np.ndarray:
     interval, so the cut at +-rho carries no O(step) boundary error.  At
     rho = sigma this reduces to the plain full-interval weights.
     """
-    w = np.zeros(grid.count)
     idx = np.nonzero(_rho_mask(grid, rho))[0]
     if idx.size < 2:
-        return w
-    lo, hi = int(idx[0]), int(idx[-1])
-    nodes = grid.nodes()
-    sub = Grid(start=float(nodes[lo]), stop=float(nodes[hi]), count=hi - lo + 1)
-    w[lo:hi + 1] = quadrature_weights(sub)
-    return w
+        return np.zeros(grid.count)
+    return _piece_weights(grid, int(idx[0]), int(idx[-1]))
 
 
 def _complement_weights(grid: Grid, rho: float) -> np.ndarray:
@@ -130,22 +138,11 @@ def _complement_weights(grid: Grid, rho: float) -> np.ndarray:
         return quadrature_weights(grid)
     w = np.zeros(grid.count)
     lo, hi = int(idx[0]), int(idx[-1])
-    nodes = grid.nodes()
     if lo >= 1:
-        sub = Grid(start=float(nodes[0]), stop=float(nodes[lo]), count=lo + 1)
-        w[:lo + 1] += quadrature_weights(sub)
+        w += _piece_weights(grid, 0, lo)
     if hi <= grid.count - 2:
-        sub = Grid(start=float(nodes[hi]), stop=float(nodes[-1]),
-                   count=grid.count - hi)
-        w[hi:] += quadrature_weights(sub)
+        w += _piece_weights(grid, hi, grid.count - 1)
     return w
-
-
-def _check_period_grid(grid: Grid, sigma: float) -> None:
-    span_tol = 1e-9 * max(1.0, sigma)
-    if abs(grid.start + sigma) > span_tol or abs(grid.stop - sigma) > span_tol:
-        raise InvalidGridError(
-            f"base grid [{grid.start}, {grid.stop}] must span [-sigma, sigma]")
 
 
 def _seam_extrapolate(values: np.ndarray) -> np.ndarray:
@@ -199,7 +196,7 @@ def coeffs_from_zeta(zeta: ZetaFunction, j_range: int) -> ShiftExpansion:
     one length-(count-1) inverse DFT.
     """
     grid = zeta.grid
-    _check_period_grid(grid, zeta.sigma)
+    require_period_grid(grid, zeta.sigma)
     nodes_per_period = 2.0 * zeta.sigma / (max(j_range, 1) * grid.step)
     if nodes_per_period < 8.0:
         raise ResolutionError(
@@ -237,11 +234,9 @@ def synthesize(exp: ShiftExpansion, gen: Generator, x_grid: Grid) -> SampledFunc
     h = np.pi / exp.sigma
     js = exp.indices().astype(float)
     values = np.zeros(x.size, dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(x.size, 1)))
-    for lo in range(0, js.size, chunk):
-        jc = js[lo:lo + chunk]
-        values += (gen.time_domain(x[:, np.newaxis] - jc * h)
-                   * exp.coeffs[lo:lo + chunk]).sum(axis=1)
+    for sl in chunk_slices(js.size, x.size):
+        values += (gen.time_domain(x[:, np.newaxis] - js[sl] * h)
+                   * exp.coeffs[sl]).sum(axis=1)
     return SampledFunction(grid=x_grid, values=values)
 
 
@@ -249,31 +244,34 @@ def synthesize(exp: ShiftExpansion, gen: Generator, x_grid: Grid) -> SampledFunc
 class _FoldResult:
     """Shared per-node arrays of the folded pipeline on the base grid.
 
-    bracket, energy, and density_reg carry seam-extrapolated values at the
-    two period-boundary nodes; density holds the raw periodization.
+    bracket and energy carry seam-extrapolated values at the two
+    period-boundary nodes; density holds the raw periodization.  The
+    division by the endpoint-regularized D is done once, at the live nodes
+    (D above the guard), for the transform and the captured energy.
     """
 
     grid: Grid
     bracket: np.ndarray       # sum_k conj(B^)(y+2ks) fhat(y+2ks)
     energy: np.ndarray        # sum_k |fhat(y+2ks)|^2
     density: PeriodizedSpectrum
-    density_reg: np.ndarray   # endpoint-regularized D
-    windows: int              # K: one-sided window count of the f cover
+    live: np.ndarray          # regularized D > EPSILON_D
+    zeta: np.ndarray          # bracket / D at live nodes, 0 elsewhere
+    captured: np.ndarray      # |bracket|^2 / D at live nodes
 
 
 def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
           tol: float) -> _FoldResult:
-    _check_period_grid(grid, sigma)
+    require_period_grid(grid, sigma)
     n = grid.count
     step = grid.step
     cover = max(abs(f_spec.grid.start), abs(f_spec.grid.stop))
-    windows = max(0, int(np.ceil((cover - sigma) / (2.0 * sigma) - 1e-12)))
-    m = (n - 1) * (2 * windows + 1) + 1
-    edge = (2.0 * windows + 1.0) * sigma
-    y_full = np.linspace(-edge, edge, m)
+    windows = covering_windows(cover, sigma)
+    full = period_extension(sigma, n, windows)
+    m = full.count
+    y_full = full.nodes()
 
     fg = f_spec.grid
-    offset = (fg.start - y_full[0]) / step
+    offset = (fg.start - full.start) / step
     aligned = (abs(fg.step - step) <= 1e-9 * step
                and abs(offset - round(offset)) <= 1e-6)
     fvals = np.zeros(m, dtype=np.complex128)
@@ -284,10 +282,7 @@ def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
         if src_hi > src_lo:
             fvals[i0 + src_lo:i0 + src_hi] = f_spec.values[src_lo:src_hi]
     else:
-        nodes = fg.nodes()
-        fvals = (np.interp(y_full, nodes, f_spec.values.real, left=0.0, right=0.0)
-                 + 1j * np.interp(y_full, nodes, f_spec.values.imag,
-                                  left=0.0, right=0.0))
+        fvals = _interp_complex(fg.nodes(), f_spec.values)(y_full)
 
     spec_full = np.conj(gen.spectrum(y_full))
     bracket = np.zeros(n, dtype=np.complex128)
@@ -299,29 +294,73 @@ def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
     bracket = _seam_extrapolate(bracket)
     energy = np.maximum(_seam_extrapolate(energy), 0.0)
     density = periodize(gen, sigma, grid, tol=tol, min_terms=windows)
+    density_reg = _regularized_density(density)
+    live = density_reg > EPSILON_D
+    safe = np.where(live, density_reg, 1.0)
     return _FoldResult(grid=grid, bracket=bracket, energy=energy,
-                       density=density, density_reg=_regularized_density(density),
-                       windows=windows)
+                       density=density, live=live,
+                       zeta=np.where(live, bracket / safe, 0.0),
+                       captured=np.abs(bracket) ** 2 / safe)
 
 
-def _captured_energy(fold: _FoldResult, weights: np.ndarray,
-                     active: np.ndarray) -> float:
-    """``integral |bracket|^2 / D`` over the active nodes with ``weights``.
+@dataclass(frozen=True)
+class _EnergySplit:
+    """Energy of f on either side of the rho-band shift space."""
 
-    Cauchy-Schwarz bounds the integrand node-wise by the energy.  Inside
-    the period that holds structurally.  The two seam nodes are one-sided
-    limits at the same point of the period, extrapolated separately for
-    bracket, energy and D, so the bound is imposed on their joint mass.
+    active: np.ndarray        # |y| <= rho and D above the division guard
+    projection_norm_sq: float
+    error_sq: float
+    guard_mass: float         # bracket mass discarded by the guard in band
+
+
+def _energy_split(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
+                  sigma: float, rhos: Sequence[float], tol: float,
+                  grid: Optional[Grid]
+                  ) -> Tuple[_FoldResult, List[_EnergySplit]]:
+    """Fold f once and split its energy at every band radius in ``rhos``.
+
+    ``projection_norm_sq = 2 pi integral_{-rho}^{rho} |bracket|^2 / D`` and
+    ``error_sq = 2 pi integral |fhat|^2 - projection_norm_sq``, each clamped
+    at zero, with both integrals on the same nodes.  Time samples are first
+    transformed onto aligned extensions of the base grid.
+
+    Cauchy-Schwarz bounds the captured integrand node-wise by the energy.
+    Inside the period that holds structurally.  The two seam nodes are
+    one-sided limits at the same point of the period, extrapolated
+    separately for bracket, energy and D, so the bound is imposed on their
+    joint mass.
     """
-    mass = weights * np.where(
-        active, np.abs(fold.bracket) ** 2 / np.where(active, fold.density_reg, 1.0),
-        0.0)
+    for rho in rhos:
+        if not 0 < rho <= sigma * (1.0 + _RHO_RTOL):
+            raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
+    if grid is None:
+        grid = Grid(start=-sigma, stop=sigma, count=4097)
+    if isinstance(f, SampledFunction):
+        f = _spectrum_of(f, sigma, grid)
+    fold = _fold(f, gen, sigma, grid, tol)
+    total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
     seam = [0, -1]
-    seam_mass = mass[seam].sum()
-    seam_energy = (weights[seam] * fold.energy[seam]).sum()
-    if seam_mass > seam_energy:
-        mass[seam] *= seam_energy / seam_mass
-    return float(mass.sum())
+    splits = []
+    for rho in rhos:
+        weights = _band_weights(grid, rho)
+        band = _rho_mask(grid, rho)
+        active = band & fold.live
+        mass = weights * np.where(active, fold.captured, 0.0)
+        seam_mass = mass[seam].sum()
+        seam_cap = (weights[seam] * fold.energy[seam]).sum()
+        if seam_mass > seam_cap:
+            mass[seam] *= seam_cap / seam_mass
+        projection_norm_sq = max(TWO_PI * float(mass.sum()), 0.0)
+        if projection_norm_sq > total_energy * (1.0 + 1e-9) + tol:
+            raise ShiftSpaceError(
+                f"captured energy {projection_norm_sq} exceeds input energy "
+                f"{total_energy}: quadrature inconsistency")
+        guarded = band & ~fold.live
+        splits.append(_EnergySplit(
+            active=active, projection_norm_sq=projection_norm_sq,
+            error_sq=max(total_energy - projection_norm_sq, 0.0),
+            guard_mass=float((np.abs(fold.bracket[guarded]) ** 2).sum())))
+    return fold, splits
 
 
 def zeta_transform(f_spec: SampledSpectrum, gen: Generator, sigma: float,
@@ -331,11 +370,9 @@ def zeta_transform(f_spec: SampledSpectrum, gen: Generator, sigma: float,
     Nodes where D is at or below the division guard contribute zero; their
     discarded bracket mass is visible through ``project``.
     """
-    fold = _fold(f_spec, gen, sigma, grid, tol)
-    live = fold.density_reg > EPSILON_D
-    values = np.where(live, fold.bracket / np.where(live, fold.density_reg, 1.0), 0.0)
+    fold, _ = _energy_split(f_spec, gen, sigma, (), tol, grid)
     return ZetaFunction(sigma=float(sigma), rho=float(sigma), grid=grid,
-                        values=values, zero_set_enforced=False)
+                        values=fold.zeta, zero_set_enforced=False)
 
 
 def plancherel_norm_sq(zeta: ZetaFunction, dv: PeriodizedSpectrum) -> float:
@@ -371,12 +408,10 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid,
     n = grid.count
     windows = 1
     while True:
-        m = (n - 1) * (2 * windows + 1) + 1
-        edge = (2.0 * windows + 1.0) * sigma
-        freq = Grid(start=-edge, stop=edge, count=m)
+        freq = period_extension(sigma, n, windows)
         spec = fourier_transform_sampled(f, freq)
         power = np.abs(spec.values) ** 2
-        outer = power[:n - 1].sum() + power[m - n + 1:].sum()
+        outer = power[:n - 1].sum() + power[freq.count - n + 1:].sum()
         total = power.sum()
         if outer <= mass_tol * max(total, 1e-300) or windows >= 16:
             return spec
@@ -392,59 +427,36 @@ def project(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
     recovered shift coefficients, the captured energy, the exact-formula
     squared error, and the bracket mass discarded by the division guard.
     """
-    if not 0 < rho <= sigma * (1.0 + _RHO_RTOL):
-        raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
-    if grid is None:
-        grid = Grid(start=-sigma, stop=sigma, count=4097)
-    if isinstance(f, SampledFunction):
-        f_spec = _spectrum_of(f, sigma, grid)
-    else:
-        f_spec = f
-    fold = _fold(f_spec, gen, sigma, grid, tol)
-
-    w = quadrature_weights(grid)
-    wb = _band_weights(grid, rho)
-    band = _rho_mask(grid, rho)
-    live = fold.density_reg > EPSILON_D
-    active = band & live
-    projection_norm_sq = max(TWO_PI * _captured_energy(fold, wb, active), 0.0)
-    total_energy = float(TWO_PI * (w * fold.energy).sum())
-    error_sq = max(total_energy - projection_norm_sq, 0.0)
-    guarded = band & ~live
-    guard_mass = float((np.abs(fold.bracket[guarded]) ** 2).sum())
-
-    if projection_norm_sq > total_energy * (1.0 + 1e-9) + tol:
-        raise ShiftSpaceError(
-            f"captured energy {projection_norm_sq} exceeds input energy "
-            f"{total_energy}: quadrature inconsistency")
-
-    zeta_vals = np.where(active,
-                         fold.bracket / np.where(active, fold.density_reg, 1.0),
-                         0.0)
-    zeta = ZetaFunction(sigma=float(sigma), rho=float(rho), grid=grid,
-                        values=zeta_vals, zero_set_enforced=True)
+    fold, (split,) = _energy_split(f, gen, sigma, (rho,), tol, grid)
+    zeta = ZetaFunction(sigma=float(sigma), rho=float(rho), grid=fold.grid,
+                        values=np.where(split.active, fold.zeta, 0.0),
+                        zero_set_enforced=True)
     coeffs = coeffs_from_zeta(zeta, j_range)
     return ProjectionResult(zeta=zeta, coeffs=coeffs,
-                            projection_norm_sq=projection_norm_sq,
-                            error_sq=error_sq, guard_mass=guard_mass)
+                            projection_norm_sq=split.projection_norm_sq,
+                            error_sq=split.error_sq,
+                            guard_mass=split.guard_mass)
 
 
-def best_approx_error_sq(f_spec: SampledSpectrum, gen: Generator, sigma: float,
-                         rho: float, tol: float = 1e-8,
-                         grid: Optional[Grid] = None) -> float:
+def best_approx_error_sq(f: Union[SampledFunction, SampledSpectrum],
+                         gen: Generator, sigma: float,
+                         rho: Union[float, Sequence[float]], tol: float = 1e-8,
+                         grid: Optional[Grid] = None
+                         ) -> Union[float, np.ndarray]:
     """Exact-formula squared distance of f from the rho-band shift space.
 
     Computed as ``2 pi (integral |fhat|^2 - integral_{-rho}^{rho}
     |bracket|^2 / D)`` with both integrals on the same nodes; clamped at
-    zero.  Use ``project`` when the discarded guard mass is of interest.
+    zero.  ``rho`` may be one radius (a float is returned) or a 1-d
+    sequence of radii (an array is returned); f is folded once for all of
+    them.  Use ``project`` for the coefficients and the discarded guard
+    mass.
     """
-    if not 0 < rho <= sigma * (1.0 + _RHO_RTOL):
-        raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
-    if grid is None:
-        grid = Grid(start=-sigma, stop=sigma, count=4097)
-    fold = _fold(f_spec, gen, sigma, grid, tol)
-    w = quadrature_weights(grid)
-    wb = _band_weights(grid, rho)
-    active = _rho_mask(grid, rho) & (fold.density_reg > EPSILON_D)
-    total = (w * fold.energy).sum()
-    return float(max(TWO_PI * (total - _captured_energy(fold, wb, active)), 0.0))
+    rhos = np.asarray(rho, dtype=float)
+    if rhos.ndim > 1:
+        raise ValueError(f"rho must be a number or a 1-d sequence, "
+                         f"got shape {rhos.shape}")
+    _, splits = _energy_split(f, gen, sigma, [float(r) for r in rhos.ravel()],
+                              tol, grid)
+    errors = np.array([split.error_sq for split in splits])
+    return float(errors[0]) if rhos.ndim == 0 else errors

@@ -1,4 +1,4 @@
-"""Periodization of the spectral energy and bracket sums over the 2*sigma lattice.
+"""Periodization of the spectral energy over the 2*sigma lattice.
 
 The central object is ``D(y) = sum_nu |spectrum(y + 2 nu sigma)|^2``, the
 2*sigma-periodic energy density whose essential bounds are the frame bounds
@@ -8,18 +8,20 @@ power-law tail estimate calibrated on the boundary terms is added, which
 brings slowly decaying spectra (p close to 1/2) within desk tolerances at a
 few hundred terms.  The recorded ``tail_bound`` is the rigorous envelope
 bound on the omitted mass; the calibrated correction is never larger.
+`lattice_order` is the one truncation rule for lattice sums of
+``|spectrum|**p``: D here (p = 2), the spectral Phi sum in `zak` (p = 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidGridError, TruncationError
 from .generator import Generator
-from .numerics import Grid, SampledSpectrum
+from .numerics import Grid, chunk_slices
 
 #: nodes where D falls at or below this threshold are treated as a vanishing
 #: periodization (guarded in downstream divisions)
@@ -46,7 +48,8 @@ class RieszReport:
     classification: str  # "riesz" | "bessel_only" | "degenerate"
 
 
-def _require_full_span(grid: Grid, sigma: float) -> None:
+def require_period_grid(grid: Grid, sigma: float) -> None:
+    """Raise unless ``grid`` spans exactly one period ``[-sigma, sigma]``."""
     tol = _SPAN_RTOL * max(1.0, sigma)
     if abs(grid.start + sigma) > tol or abs(grid.stop - sigma) > tol:
         raise InvalidGridError(
@@ -87,6 +90,22 @@ def lattice_truncation(coef: float, q: float, sigma: float, tol: float,
         f"lattice truncation above {cap} terms still exceeds tol={tol:.3g}")
 
 
+def lattice_order(gen: Generator, sigma: float, tol: float,
+                  power: int) -> Tuple[int, float]:
+    """Order and tail bound of the lattice sum of ``|spectrum|**power``.
+
+    The sum is ``sum_nu |spectrum(y + 2 nu sigma)|**power``.  A declared
+    compact spectral support gives the exact finite order and a zero tail;
+    otherwise the decay contract ``|spectrum(u)| <= C (1+|u|)**(-p)`` gives
+    the envelope ``C**power (1+|u|)**(-power*p)`` for `lattice_truncation`.
+    """
+    if gen.spectral_support is not None:
+        n_exact = int(np.ceil((gen.spectral_support + sigma) / (2.0 * sigma))) + 1
+        return n_exact, 0.0
+    return lattice_truncation(gen.decay_constant ** power,
+                              power * gen.decay_exponent, sigma, tol)
+
+
 def _power_tail_correction(boundary: np.ndarray, u_edge: np.ndarray,
                            u_half: np.ndarray, q: float, sigma: float) -> np.ndarray:
     """Tail of ``sum c/u^q`` calibrated so the boundary term is reproduced.
@@ -111,32 +130,22 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
     y = np.asarray(y, dtype=float)
     exact = gen.spectral_support is not None
-    if exact:
-        n_trunc = int(np.ceil((gen.spectral_support + sigma) / (2.0 * sigma))) + 1
-        tail_bound = 0.0
-    else:
-        n_trunc, tail_bound = lattice_truncation(
-            gen.decay_constant ** 2, 2.0 * gen.decay_exponent, sigma, tol)
+    n_trunc, tail_bound = lattice_order(gen, sigma, tol, 2)
     if min_terms:
         n_trunc = max(n_trunc, int(min_terms))
 
     values = np.zeros(y.shape)
     offsets = np.arange(-n_trunc, n_trunc + 1)
-    chunk = max(1, int(4_000_000 // max(y.size, 1)))
-    for lo in range(0, offsets.size, chunk):
-        block = offsets[lo:lo + chunk, np.newaxis] * (2.0 * sigma) + y[np.newaxis, :]
+    for sl in chunk_slices(offsets.size, y.size):
+        block = offsets[sl, np.newaxis] * (2.0 * sigma) + y[np.newaxis, :]
         values += (np.abs(gen.spectrum(block)) ** 2).sum(axis=0)
 
     if not exact:
         q = 2.0 * gen.decay_exponent
-        u_plus = y + 2.0 * sigma * n_trunc
-        u_minus = 2.0 * sigma * n_trunc - y
-        g_plus = np.abs(gen.spectrum(u_plus)) ** 2
-        g_minus = np.abs(gen.spectrum(-u_minus)) ** 2
-        values = values + _power_tail_correction(
-            g_plus, u_plus, u_plus + sigma, q, sigma)
-        values = values + _power_tail_correction(
-            g_minus, u_minus, u_minus + sigma, q, sigma)
+        for sign, u in ((1.0, y + 2.0 * sigma * n_trunc),
+                        (-1.0, 2.0 * sigma * n_trunc - y)):
+            edge = np.abs(gen.spectrum(sign * u)) ** 2
+            values = values + _power_tail_correction(edge, u, u + sigma, q, sigma)
     return values, n_trunc, tail_bound
 
 
@@ -162,75 +171,11 @@ def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
         If the decay exponent is <= 1/2 and the spectrum has no declared
         compact support.
     """
-    _require_full_span(grid, sigma)
+    require_period_grid(grid, sigma)
     values, n_trunc, tail_bound = lattice_energy(
         gen, sigma, grid.nodes(), tol=tol, min_terms=min_terms)
     return PeriodizedSpectrum(sigma=float(sigma), grid=grid, values=values,
                               truncation_order=n_trunc, tail_bound=tail_bound)
-
-
-class _Provider:
-    """Uniform evaluation interface over Generator / SampledSpectrum."""
-
-    def __init__(self, source: Union[Generator, SampledSpectrum]):
-        if isinstance(source, Generator):
-            self.evaluate = source.spectrum
-            self.cover = source.spectral_support
-            self.decay = (source.decay_constant, source.decay_exponent)
-        elif isinstance(source, SampledSpectrum):
-            nodes = source.grid.nodes()
-            re, im = source.values.real.copy(), source.values.imag.copy()
-
-            def evaluate(ys: np.ndarray) -> np.ndarray:
-                ys = np.asarray(ys, dtype=float)
-                return (np.interp(ys, nodes, re, left=0.0, right=0.0)
-                        + 1j * np.interp(ys, nodes, im, left=0.0, right=0.0))
-
-            self.evaluate = evaluate
-            self.cover = max(abs(source.grid.start), abs(source.grid.stop))
-            self.decay = None
-        else:
-            raise TypeError(f"cannot interpret {type(source).__name__} as a spectrum")
-
-
-def bracket(gen_a: Generator, spec_b: Union[Generator, SampledSpectrum],
-            sigma: float, y: float, tol: float = 1e-8) -> complex:
-    """Lattice cross sum ``sum_k conj(A(y+2k sigma)) * F(y+2k sigma)``.
-
-    When either factor has declared compact spectral support the sum is
-    finite and exact; otherwise the truncation order comes from the joint
-    decay contract (combined exponent must exceed 1), plus a calibrated
-    power-law tail correction when the boundary terms have a stable phase.
-    """
-    if not sigma > 0:
-        raise InvalidGridError(f"sigma must be > 0, got {sigma}")
-    prov_b = _Provider(spec_b)
-    covers = [c for c in (gen_a.spectral_support, prov_b.cover) if c is not None]
-    if covers:
-        n_trunc = int(np.ceil((min(covers) + sigma) / (2.0 * sigma))) + 1
-        corrected = False
-    else:
-        coef = gen_a.decay_constant * prov_b.decay[0]
-        q = gen_a.decay_exponent + prov_b.decay[1]
-        n_trunc, _ = lattice_truncation(coef, q, sigma, tol)
-        corrected = True
-
-    lattice = float(y) + 2.0 * sigma * np.arange(-n_trunc, n_trunc + 1)
-    terms = np.conj(gen_a.spectrum(lattice)) * prov_b.evaluate(lattice)
-    total = complex(np.sum(terms))
-    if corrected:
-        q = gen_a.decay_exponent + prov_b.decay[1]
-        for edge_terms, u_edge in ((terms[-3:], lattice[-1]), (terms[:3][::-1], -lattice[0])):
-            t_n, t_n1, t_n2 = edge_terms[-1], edge_terms[-2], edge_terms[-3]
-            if abs(t_n) == 0.0:
-                continue
-            stable = (abs(np.angle(t_n / t_n1)) < 0.2 if abs(t_n1) > 0 else False) and \
-                     (abs(np.angle(t_n1 / t_n2)) < 0.2 if abs(t_n2) > 0 else False)
-            if stable:
-                total += complex(_power_tail_correction(
-                    np.asarray(t_n), np.asarray(u_edge), np.asarray(u_edge + sigma),
-                    q, sigma))
-    return total
 
 
 def riesz_bounds(dperiod: PeriodizedSpectrum, epsilon: float = EPSILON_D) -> RieszReport:

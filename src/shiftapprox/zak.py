@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import MissingTimeDomainError, TruncationError
 from .generator import Generator, generator_l2_norm_sq, shift_autocorrelation
-from .numerics import Grid, quadrature_weights
-from .spectral import lattice_energy, lattice_truncation
+from .numerics import Grid, chunk_slices, quadrature_weights
+from .spectral import _power_tail_correction, lattice_energy, lattice_order
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,8 @@ def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
     jmin, jmax, tail = _time_window(gen, sigma, float(np.min(x)), float(np.max(x)), tol)
     js = np.arange(jmin, jmax + 1)
     acc = np.zeros(x.shape, dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(x.size, 1)))
-    for lo in range(0, js.size, chunk):
-        jc = js[lo:lo + chunk].astype(float)
+    for sl in chunk_slices(js.size, x.size):
+        jc = js[sl].astype(float)
         shifts = x[..., np.newaxis] - jc * h
         phases = np.exp((1j * np.pi / sigma) * y[..., np.newaxis] * jc)
         acc += (gen.time_domain(shifts) * phases).sum(axis=-1)
@@ -133,9 +132,7 @@ def _freq_tail_correction(t_edge: np.ndarray, t_prev: np.ndarray,
     angle = np.abs(np.angle(np.where(active, ratio, 1.0)))
     power = active & (angle < 0.1)
     out = np.where(
-        power,
-        t_edge * (u_edge / (u_edge + sigma)) ** q * (u_edge + sigma)
-        / (2.0 * sigma * (q - 1.0)),
+        power, _power_tail_correction(t_edge, u_edge, u_edge + sigma, q, sigma),
         out)
     rot = np.where(active, np.exp(1j * np.angle(np.where(active, ratio, 1.0))), 0.0)
     geo_ratio = (u_edge / (u_edge + 2.0 * sigma)) ** q * rot
@@ -150,22 +147,16 @@ def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     exact = gen.spectral_support is not None
-    if exact:
-        n_trunc = int(np.ceil((gen.spectral_support + sigma) / (2.0 * sigma))) + 1
-        tail = 0.0
-    else:
-        if not gen.decay_exponent > 1.0:
-            raise TruncationError(
-                f"generator {gen.label!r} has spectral decay exponent "
-                f"{gen.decay_exponent:.3g} <= 1: the lattice sum converges "
-                "only in mean square, pointwise evaluation refused")
-        n_trunc, tail = lattice_truncation(
-            gen.decay_constant, gen.decay_exponent, sigma, tol)
+    if not exact and not gen.decay_exponent > 1.0:
+        raise TruncationError(
+            f"generator {gen.label!r} has spectral decay exponent "
+            f"{gen.decay_exponent:.3g} <= 1: the lattice sum converges "
+            "only in mean square, pointwise evaluation refused")
+    n_trunc, tail = lattice_order(gen, sigma, tol, 1)
     offsets = np.arange(-n_trunc, n_trunc + 1)
     acc = np.zeros(x.shape, dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(x.size, 1)))
-    for lo in range(0, offsets.size, chunk):
-        u = y[..., np.newaxis] + (2.0 * sigma) * offsets[lo:lo + chunk].astype(float)
+    for sl in chunk_slices(offsets.size, x.size):
+        u = y[..., np.newaxis] + (2.0 * sigma) * offsets[sl].astype(float)
         acc += (gen.spectrum(u) * np.exp(1j * u * x[..., np.newaxis])).sum(axis=-1)
     if not exact:
         q = gen.decay_exponent
@@ -272,6 +263,16 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
 
     norm_sq = generator_l2_norm_sq(gen, sigma)
     scale = max(1.0, norm_sq / (2.0 * sigma))
+
+    def graded(name: str, residual: float, budget: float) -> PropertyCheck:
+        ok = residual <= max(budget, tol * scale)
+        return PropertyCheck(name=name, residual=residual, budget=budget,
+                             status="ok" if ok else "fail")
+
+    def skipped(name: str, detail: str) -> PropertyCheck:
+        return PropertyCheck(name=name, residual=float("nan"), budget=0.0,
+                             status="skipped", detail=detail)
+
     h = np.pi / sigma
     hy = 2.0 * sigma / (resolution - 1)
     y_mid = -sigma + hy * (np.arange(resolution - 1) + 0.5)
@@ -284,13 +285,9 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         quad_budget = abs(cell - half) * 1.1
         residual = abs(cell - norm_sq / (2.0 * sigma))
         budget = quad_budget + 2.0 * tol * scale + 1e-10
-        checks.append(PropertyCheck(
-            name="phi1_norm", residual=residual, budget=budget,
-            status="ok" if residual <= max(budget, tol * scale) else "fail"))
+        checks.append(graded("phi1_norm", residual, budget))
     else:
-        checks.append(PropertyCheck(
-            name="phi1_norm", residual=float("nan"), budget=0.0,
-            status="skipped", detail="no convergent representation"))
+        checks.append(skipped("phi1_norm", "no convergent representation"))
 
     # Phi2: structural symmetries on a probe mesh (interior in y)
     if use_time or use_freq:
@@ -302,29 +299,20 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         shifted_x, _, _ = fn(gen, sigma, xs + h, ys, tol)
         sym_budget = 2.0 * tail_b + 1e-10
         res_period = float(np.max(np.abs(shifted_y - base)))
-        checks.append(PropertyCheck(
-            name="phi2_periodic", residual=res_period, budget=sym_budget,
-            status="ok" if res_period <= max(sym_budget, tol * scale) else "fail"))
+        checks.append(graded("phi2_periodic", res_period, sym_budget))
         quasi = np.exp(1j * np.pi * ys / sigma) * base
         res_quasi = float(np.max(np.abs(shifted_x - quasi)))
-        checks.append(PropertyCheck(
-            name="phi2_quasiperiodic", residual=res_quasi, budget=sym_budget,
-            status="ok" if res_quasi <= max(sym_budget, tol * scale) else "fail"))
+        checks.append(graded("phi2_quasiperiodic", res_quasi, sym_budget))
         if gen.real_valued:
             mirrored, _, _ = fn(gen, sigma, xs, -ys, tol)
             res_conj = float(np.max(np.abs(np.conj(base) - mirrored)))
-            checks.append(PropertyCheck(
-                name="phi2_conjugation", residual=res_conj, budget=sym_budget,
-                status="ok" if res_conj <= max(sym_budget, tol * scale) else "fail"))
+            checks.append(graded("phi2_conjugation", res_conj, sym_budget))
         else:
-            checks.append(PropertyCheck(
-                name="phi2_conjugation", residual=float("nan"), budget=0.0,
-                status="skipped", detail="generator not declared real-valued"))
+            checks.append(skipped("phi2_conjugation",
+                                  "generator not declared real-valued"))
     else:
         for name in ("phi2_periodic", "phi2_quasiperiodic", "phi2_conjugation"):
-            checks.append(PropertyCheck(
-                name=name, residual=float("nan"), budget=0.0,
-                status="skipped", detail="no convergent representation"))
+            checks.append(skipped(name, "no convergent representation"))
 
     # Phi3: the two representations agree pointwise
     if use_time and use_freq:
@@ -334,15 +322,11 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         f_vals, _, tail_f = _phi_freq_array(gen, sigma, xs, ys, tol * 1e-2)
         res3 = float(np.max(np.abs(t_vals - f_vals)))
         budget3 = tail_t + tail_f + 1e-10
-        checks.append(PropertyCheck(
-            name="phi3_representations", residual=res3, budget=budget3,
-            status="ok" if res3 <= max(budget3, tol * scale) else "fail"))
+        checks.append(graded("phi3_representations", res3, budget3))
     else:
         missing = "time" if not use_time else "frequency"
-        checks.append(PropertyCheck(
-            name="phi3_representations", residual=float("nan"), budget=0.0,
-            status="skipped",
-            detail=f"{missing} representation not pointwise convergent"))
+        checks.append(skipped("phi3_representations", f"{missing} "
+                              "representation not pointwise convergent"))
 
     # Phi4: generator pairing resummed through the shift autocorrelation
     try:
@@ -358,13 +342,9 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         res4 = float(np.sqrt(diff_sq.sum() * hy))
         budget4 = (2.0 * np.pi * np.sqrt(2.0 * sigma) * d_tail
                    + 1e-8 * scale + 1e-10)
-        checks.append(PropertyCheck(
-            name="phi4_pairing", residual=res4, budget=budget4,
-            status="ok" if res4 <= max(budget4, tol * scale) else "fail"))
+        checks.append(graded("phi4_pairing", res4, budget4))
     except TruncationError as exc:
-        checks.append(PropertyCheck(
-            name="phi4_pairing", residual=float("nan"), budget=0.0,
-            status="skipped", detail=str(exc)))
+        checks.append(skipped("phi4_pairing", str(exc)))
 
     return PropertyReport(sigma=float(sigma), resolution=resolution,
                           checks=tuple(checks))

@@ -15,6 +15,11 @@ from typing import List, Tuple
 
 import pytest
 
+from shiftapprox.cli import _load_signal
+from shiftapprox.generator import parse_generator_spec
+from shiftapprox.numerics import Grid, SampledFunction
+from shiftapprox.shiftspace import project
+
 from helpers import run_cli
 
 SQRT_PI = math.sqrt(math.pi)
@@ -245,6 +250,35 @@ def test_besterr_sigma_sweep():
     assert [r[0] for r in rows] == [1.0, 2.0]
     for sigma, err in rows:
         assert abs(err - SQRT_PI * math.erfc(sigma)) <= 1e-6 * SQRT_PI
+
+
+@pytest.mark.parametrize("f_spec", ["gauss:width=1", "bspline:m=0"])
+def test_besterr_rho_sweep_rows_equal_single_runs(f_spec):
+    # the sweep folds f once; each row must still be the single-rho answer
+    base = ["besterr", "--gen", "bspline:m=1", "--f", f_spec, "--dgrid", "257"]
+    rc, out = run_cli(base + ["--sweep", "rho=0.25,0.5,1.0"])
+    assert rc == 0
+    singles = []
+    for rho in ("0.25", "0.5", "1.0"):
+        rc_one, one = run_cli(base + ["--rho", rho])
+        assert rc_one == 0
+        assert _rows(one)[0] == "param,error_sq"
+        singles.extend(_rows(one)[1:])
+    assert _rows(out) == ["param,error_sq"] + singles
+
+
+def test_besterr_on_time_samples_recovers_no_coefficients():
+    # the box spline's slow spectrum makes the CLI sample f in time; the
+    # 257-node grid cannot resolve the default --jrange 64, which besterr
+    # never needs because it prints no coefficients
+    rc, out = run_cli(["besterr", "--gen", "bspline:m=1", "--f", "bspline:m=0",
+                       "--dgrid", "257", "--rho", "0.5"])
+    assert rc == 0
+    signal = _load_signal("bspline:m=0", 1.0, 257)
+    assert isinstance(signal, SampledFunction)
+    want = project(signal, parse_generator_spec("bspline:m=1"), 1.0, 0.5,
+                   grid=Grid(start=-1.0, stop=1.0, count=257), j_range=8)
+    assert _rows(out) == ["param,error_sq", f"0.5,{want.error_sq:.17g}"]
 
 
 def test_besterr_swept_rho_out_of_range_exits_1(capsys):

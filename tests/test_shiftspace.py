@@ -16,10 +16,11 @@ from shiftapprox.errors import (GridMismatchError, InvalidGridError,
 from shiftapprox.generator import (Generator, gaussian_generator,
                                    generator_l2_norm_sq, spectrum_generator)
 from shiftapprox.numerics import Grid, SampledFunction, SampledSpectrum, \
-    make_uniform_grid
+    make_uniform_grid, period_extension
 from shiftapprox.oracle import _shift_inner_products
 from shiftapprox.shiftspace import (ShiftExpansion, ZetaFunction,
-                                    _band_weights, best_approx_error_sq,
+                                    _band_weights, _fold,
+                                    best_approx_error_sq,
                                     coeffs_from_zeta,
                                     plancherel_inner, plancherel_norm_sq,
                                     project, synthesize, zeta_of_coeffs,
@@ -333,14 +334,68 @@ def test_error_is_monotone_in_the_band_radius():
 
 
 def test_best_error_agrees_with_projection():
+    # one energy split serves both, for a spectrum and for time samples,
+    # for one radius and for a sweep of radii
     rng = np.random.default_rng(53)
     sigma = 1.0
     gen = spline(2, sigma)
     fs = bump_spectrum_signal(rng, sigma)
-    for rho in (0.5, 1.0):
-        direct = best_approx_error_sq(fs, gen, sigma, rho)
-        via = project(fs, gen, sigma, rho=rho, j_range=8).error_sq
-        assert direct == pytest.approx(via, rel=1e-12, abs=1e-14)
+    grid = make_uniform_grid(-8.0, 8.0, 513)
+    x = grid.nodes()
+    ft = SampledFunction(grid=grid, values=np.exp(-0.5 * (x - 0.3) ** 2)
+                         * np.exp(0.7j * x))
+    for f in (fs, ft):
+        direct = [best_approx_error_sq(f, gen, sigma, rho) for rho in (0.5, 1.0)]
+        via = [project(f, gen, sigma, rho=rho, j_range=8).error_sq
+               for rho in (0.5, 1.0)]
+        assert all(type(err) is float for err in direct)
+        assert direct == via
+        swept = best_approx_error_sq(f, gen, sigma, [0.5, 1.0])
+        assert isinstance(swept, np.ndarray) and swept.shape == (2,)
+        assert swept.tolist() == direct
+
+
+def test_fold_of_the_generator_with_itself_is_the_periodization():
+    # bracket(B, B) = sum_k |B^(y + 2 k sigma)|^2 = D: folding B's own
+    # aligned spectrum over D's truncation order gives the direct lattice
+    # sum, and D exceeds it only by its tail correction, which the
+    # envelope tail bound dominates
+    sigma = 1.0
+    grid = Grid(start=-sigma, stop=sigma, count=257)
+    y = grid.nodes()[1:-1]
+    for gen in (spline(2, sigma), sinc_gen(sigma)):
+        order = periodize(gen, sigma, grid).truncation_order
+        full = period_extension(sigma, grid.count, order)
+        fs = SampledSpectrum(grid=full, values=gen.spectrum(full.nodes()))
+        fold = _fold(fs, gen, sigma, grid, tol=1e-8)
+        assert fold.density.truncation_order == order
+        direct = sum(np.abs(gen.spectrum(y + 2.0 * sigma * k)) ** 2
+                     for k in range(-order, order + 1))
+        b = fold.bracket[1:-1]
+        scale = np.max(direct)
+        assert np.max(np.abs(b.imag)) <= 1e-15 * scale
+        assert np.max(np.abs(b.real - direct)) <= 1e-14 * scale, gen.label
+        correction = fold.density.values[1:-1] - b.real
+        assert np.min(correction) >= -1e-14 * scale
+        assert np.max(correction) <= fold.density.tail_bound + 1e-14 * scale
+        if gen.spectral_support is not None:
+            assert fold.density.tail_bound == 0.0
+
+
+def test_folded_bracket_is_cauchy_schwarz_dominated():
+    # |sum_k conj(B^) fhat|^2 <= sum_k |B^|^2 * sum_k |fhat|^2 <= D * energy
+    # node by node, aligned (2049 nodes) or interpolated (257 nodes)
+    rng = np.random.default_rng(61)
+    sigma = 1.0
+    for gen in (spline(1, sigma), gaussian_generator(0.7)):
+        fs = bump_spectrum_signal(rng, sigma)
+        for count in (2049, 257):
+            grid = Grid(start=-sigma, stop=sigma, count=count)
+            fold = _fold(fs, gen, sigma, grid, tol=1e-8)
+            cross = np.abs(fold.bracket[1:-1]) ** 2
+            bound = fold.density.values[1:-1] * fold.energy[1:-1]
+            assert np.all(cross <= bound * (1.0 + 1e-12)), (gen.label, count)
+            assert np.max(cross) > 1e-3 * np.max(bound)
 
 
 def test_closed_form_error_for_bandlimited_generator():
@@ -385,6 +440,8 @@ def test_band_radius_validation():
             project(fs, gen, 1.0, rho=rho)
         with pytest.raises(InvalidGridError):
             best_approx_error_sq(fs, gen, 1.0, rho)
+        with pytest.raises(InvalidGridError):
+            best_approx_error_sq(fs, gen, 1.0, [0.5, rho])
 
 
 def test_base_grid_must_span_the_period():

@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import Generator, gaussian_generator
-from shiftapprox.numerics import SampledSpectrum, make_uniform_grid
+from shiftapprox.numerics import make_uniform_grid
 from shiftapprox.spectral import (
     EPSILON_D,
-    bracket,
     lattice_energy,
     lattice_truncation,
     periodize,
@@ -141,58 +138,6 @@ def test_tiny_positive_floor_is_bessel_only():
     rep = riesz_bounds(dv)
     assert 0.0 < rep.lower <= EPSILON_D
     assert rep.classification == "bessel_only"
-
-
-def test_bracket_of_generator_with_itself_is_the_periodization():
-    sigma = 1.0
-    gen = spline(2, sigma)
-    ys = np.array([-0.9, -0.3, 0.0, 0.4, 1.0])
-    dvals, _, _ = lattice_energy(gen, sigma, ys)
-    for y, d in zip(ys, dvals):
-        b = bracket(gen, gen, sigma, float(y))
-        assert b.imag == pytest.approx(0.0, abs=1e-12)
-        assert b.real == pytest.approx(float(d), rel=1e-8)
-
-
-def test_bracket_against_direct_sum_for_sampled_spectrum():
-    sigma = 1.0
-    gen = spline(1, sigma)
-    grid = make_uniform_grid(-9.0, 9.0, 9 * 2048 + 1)
-    y_all = grid.nodes()
-    fvals = np.exp(-0.5 * (y_all - 0.7) ** 2) * np.exp(0.3j * y_all)
-    fs = SampledSpectrum(grid=grid, values=fvals)
-    y0 = 0.25  # grid-aligned: 2 sigma steps shift nodes onto nodes
-    ref = 0.0 + 0.0j
-    for k in range(-4, 5):
-        u = y0 + 2.0 * sigma * k
-        idx = int(round((u - grid.start) / grid.step))
-        ref += np.conj(gen.spectrum(np.array([u]))[0]) * fvals[idx]
-    got = bracket(gen, fs, sigma, y0)
-    assert got == pytest.approx(ref, rel=1e-7)
-
-
-def test_bracket_with_joint_decay_truncation():
-    # no compact spectral support on either side: gaussian pair
-    sigma = 1.0
-    a, b = gaussian_generator(1.0), gaussian_generator(0.7)
-    y0 = 0.4
-    ref = 0.0 + 0.0j
-    for k in range(-40, 41):
-        u = np.array([y0 + 2.0 * sigma * k])
-        ref += complex(np.conj(a.spectrum(u))[0] * b.spectrum(u)[0])
-    got = bracket(a, b, sigma, y0)
-    assert got == pytest.approx(ref, rel=1e-10)
-
-
-def test_bracket_is_cauchy_schwarz_dominated():
-    sigma = 1.0
-    a, b = spline(1, sigma), spline(2, sigma)
-    ys = np.linspace(-sigma, sigma, 17)
-    da, _, _ = lattice_energy(a, sigma, ys)
-    db, _, _ = lattice_energy(b, sigma, ys)
-    for y, va, vb in zip(ys, da, db):
-        cross = abs(bracket(a, b, sigma, float(y))) ** 2
-        assert cross <= va * vb * (1.0 + 1e-8) + 1e-12
 
 
 def test_lattice_energy_values_are_nonnegative():
