@@ -28,7 +28,7 @@ from .errors import ShiftSpaceError
 from .generator import Generator, parse_generator_spec
 from .numerics import (Grid, SampledFunction, SampledSpectrum,
                        covering_windows, period_extension, read_samples_csv)
-from .shiftspace import best_approx_error_sq, project
+from .shiftspace import DEFAULT_GRID_COUNT, best_approx_error_sq, project
 from .spectral import periodize, riesz_bounds
 from .oracle import compare
 from .zak import phi_field, verify_phi_properties
@@ -53,6 +53,13 @@ class RunConfig:
 
 def _fmt(value: float) -> str:
     return "" if not np.isfinite(value) else f"{value:.17g}"
+
+
+def _csv_rows(*columns: Sequence[float]) -> List[str]:
+    """``%.17g`` CSV lines of equal-length columns of Python numbers
+    (``ndarray.tolist()``: numpy scalars format several times slower)."""
+    line = ",".join(["{:.17g}"] * len(columns))
+    return [line.format(*row) for row in zip(*columns)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +108,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         parser.error(f"--tol must be > 0, got {ns.tol}")
     dgrid = ns.dgrid
     if dgrid is None:
-        dgrid = {"zak": 129, "validate": 257}.get(ns.command, 4097)
+        dgrid = {"zak": 129, "validate": 257}.get(ns.command, DEFAULT_GRID_COUNT)
     if dgrid < 9:
         parser.error(f"--dgrid must be >= 9, got {dgrid}")
     if ns.command in ("zak", "validate") and dgrid % 2 == 0:
@@ -145,25 +152,24 @@ def _signal_freq_extent(gen_f: Generator, sigma: float, dgrid: int) -> Grid:
     return period_extension(sigma, dgrid, windows)
 
 
-def _load_signal(text: str, sigma: float, dgrid: int,
-                 prefer_time: bool = False
+def _load_signal(text: str, sigma: float, dgrid: int
                  ) -> Union[SampledFunction, SampledSpectrum]:
-    """Signal from a file or a generator-style spec.
-
-    Generator specs are sampled in whichever domain is numerically safest:
-    the time domain when a compact support or fast time decay is declared
-    and either the caller insists or the spectrum decays too slowly to
-    cover, otherwise the spectrum on a grid aligned with the period grid.
-    """
+    """Signal from a file or a generator-style spec."""
     if text.startswith("file:"):
         return read_samples_csv(text[len("file:"):])
     return _sample_signal(parse_generator_spec(text, default_sigma=sigma),
-                          sigma, dgrid, prefer_time)
+                          sigma, dgrid, prefer_time=False)
 
 
 def _sample_signal(gen_f: Generator, sigma: float, dgrid: int,
                    prefer_time: bool
                    ) -> Union[SampledFunction, SampledSpectrum]:
+    """A generator-style signal, sampled where it is numerically safest.
+
+    That is the time domain when f declares a compact support or fast time
+    decay and either the caller insists or the spectrum decays too slowly
+    to cover, otherwise the spectrum on a grid aligned with the period grid.
+    """
     time_ready = gen_f.time_domain is not None and (
         gen_f.support is not None or gen_f.time_tail_radius is not None)
     slow_spectrum = gen_f.spectral_support is None and gen_f.decay_exponent <= 1.5
@@ -195,10 +201,7 @@ def _run_dfun(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     dv = periodize(gen, cfg.sigma, grid, tol=cfg.tol)
-    lines = ["y,D"]
-    for y, d in zip(grid.nodes(), dv.values):
-        lines.append(f"{y:.17g},{d:.17g}")
-    return lines, 0
+    return ["y,D"] + _csv_rows(grid.nodes().tolist(), dv.values.tolist()), 0
 
 
 def _run_riesz(cfg: RunConfig) -> Tuple[List[str], int]:
@@ -214,14 +217,11 @@ def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
     x_grid = Grid(start=0.0, stop=np.pi / cfg.sigma, count=cfg.dgrid)
     y_grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     field = phi_field(gen, cfg.sigma, x_grid, y_grid, tol=cfg.tol)
-    lines = ["x,y,re,im"]
-    xs, ys = x_grid.nodes(), y_grid.nodes()
-    for i in range(x_grid.count):
-        for k in range(y_grid.count):
-            v = field.values[i, k]
-            lines.append(f"{xs[i]:.17g},{ys[k]:.17g},"
-                         f"{v.real:.17g},{v.imag:.17g}")
-    return lines, 0
+    values = field.values.ravel()  # row-major: x outer, y inner
+    return ["x,y,re,im"] + _csv_rows(
+        np.repeat(x_grid.nodes(), y_grid.count).tolist(),
+        np.tile(y_grid.nodes(), x_grid.count).tolist(),
+        values.real.tolist(), values.imag.tolist()), 0
 
 
 def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
@@ -230,12 +230,13 @@ def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
     grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     result = project(signal, gen, cfg.sigma, cfg.rho, tol=cfg.tol,
                      grid=grid, j_range=cfg.j_range)
+    coeffs, zeta = result.coeffs.coeffs, result.zeta.values
     lines = ["j,re,im"]
-    for j, c in zip(result.coeffs.indices(), result.coeffs.coeffs):
-        lines.append(f"{j},{c.real:.17g},{c.imag:.17g}")
+    lines += _csv_rows(result.coeffs.indices().tolist(),
+                       coeffs.real.tolist(), coeffs.imag.tolist())
     lines.append("y,re,im")
-    for y, v in zip(grid.nodes(), result.zeta.values):
-        lines.append(f"{y:.17g},{v.real:.17g},{v.imag:.17g}")
+    lines += _csv_rows(grid.nodes().tolist(),
+                       zeta.real.tolist(), zeta.imag.tolist())
     lines.append(f"norm_sq={result.projection_norm_sq:.17g} "
                  f"error_sq={result.error_sq:.17g} "
                  f"guard_mass={result.guard_mass:.17g}")
@@ -256,7 +257,7 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
         grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,
                                       tol=cfg.tol, grid=grid)
-        lines.extend(f"{rho:.17g},{err:.17g}" for rho, err in zip(rhos, errors))
+        lines += _csv_rows(rhos, errors.tolist())
     return lines, 0
 
 
@@ -267,7 +268,7 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
         signal = read_samples_csv(cfg.f_spec[len("file:"):])
     else:
         gen_f = parse_generator_spec(cfg.f_spec, default_sigma=cfg.sigma)
-        signal = _sample_signal(gen_f, cfg.sigma, cfg.dgrid, prefer_time=True)
+        signal = _sample_signal(gen_f, cfg.sigma, DEFAULT_GRID_COUNT, prefer_time=True)
     if not isinstance(signal, SampledFunction):
         raise ShiftSpaceError(
             "compare needs time-domain samples of f (the oracle integrates "
@@ -277,14 +278,16 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
         ranges = [int(v) for v in cfg.sweep[1]]
     else:
         ranges = list(_DEFAULT_COMPARE_RANGES)
+    # compare folds on the default period grid (not --dgrid); sampling f-hat
+    # on its aligned extension keeps the fold from interpolating
     spectrum = (None if gen_f is None
-                else _analytic_spectrum(gen_f, cfg.sigma, cfg.dgrid))
+                else _analytic_spectrum(gen_f, cfg.sigma, DEFAULT_GRID_COUNT))
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
                      f_spectrum=spectrum)
-    lines = ["j_range,oracle_residual,formula_error,gap"]
-    for row in report.rows:
-        lines.append(f"{row.j_range},{row.oracle_residual:.17g},"
-                     f"{row.formula_error:.17g},{row.gap:.17g}")
+    rows = report.rows
+    lines = ["j_range,oracle_residual,formula_error,gap"] + _csv_rows(
+        [r.j_range for r in rows], [r.oracle_residual for r in rows],
+        [r.formula_error for r in rows], [r.gap for r in rows])
     if not report.consistent:
         print("comparison inconsistent: oracle residual fell below the "
               "exact formula error", file=sys.stderr)

@@ -79,6 +79,20 @@ def _shift_inner_products(f: SampledFunction, gen: Generator, sigma: float,
     return rhs
 
 
+def _solve(system: GramSystem, rhs: np.ndarray,
+           norm_sq: float) -> Tuple[np.ndarray, float]:
+    """Condition-checked Hermitian solve: the coefficients and the squared
+    residual ``norm_sq - Re <coeffs, rhs>``, clamped at zero."""
+    condition = system.condition_estimate
+    if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
+        raise SingularGramError(
+            f"Gram matrix condition {condition:.3g} at j_range="
+            f"{system.j_range} exceeds {_CONDITION_LIMIT:.0e}; truncated "
+            "shift system is numerically singular")
+    coeffs = scipy.linalg.solve(system.gram, rhs, assume_a="her")
+    return coeffs, max(norm_sq - float(np.real(np.vdot(coeffs, rhs))), 0.0)
+
+
 def ls_project(f: SampledFunction, gen: Generator, sigma: float,
                j_range: int) -> Tuple[np.ndarray, float]:
     """Least-squares coefficients over |j| <= j_range and the residual.
@@ -92,17 +106,8 @@ def ls_project(f: SampledFunction, gen: Generator, sigma: float,
         If the Gram condition estimate exceeds 1e12 (the truncated system
         is numerically rank-deficient, e.g. for a degenerate generator).
     """
-    system = gram_matrix(gen, sigma, j_range)
-    if not np.isfinite(system.condition_estimate) \
-            or system.condition_estimate > _CONDITION_LIMIT:
-        raise SingularGramError(
-            f"Gram matrix condition {system.condition_estimate:.3g} exceeds "
-            f"{_CONDITION_LIMIT:.0e}; truncated shift system is numerically "
-            "singular")
-    rhs = _shift_inner_products(f, gen, sigma, j_range)
-    coeffs = scipy.linalg.solve(system.gram, rhs, assume_a="her")
-    residual = l2_norm_sq(f) - float(np.real(np.vdot(coeffs, rhs)))
-    return coeffs, max(residual, 0.0)
+    return _solve(gram_matrix(gen, sigma, j_range),
+                  _shift_inner_products(f, gen, sigma, j_range), l2_norm_sq(f))
 
 
 @dataclass(frozen=True)
@@ -144,26 +149,16 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
         formula = project(f, gen, sigma, rho=sigma, tol=tol).error_sq
 
     j_top = ranges[-1]
-    system_top = gram_matrix(gen, sigma, j_top)
-    acorr = system_top.gram[:, 0]
+    acorr = gram_matrix(gen, sigma, j_top).gram[:, 0]
     rhs_top = _shift_inner_products(f, gen, sigma, j_top)
     norm_sq = l2_norm_sq(f)
 
     rows = []
     for j in ranges:
-        if j == j_top:
-            gram = system_top.gram
-        else:
-            gram = scipy.linalg.toeplitz(acorr[:2 * j + 1],
-                                         np.conj(acorr[:2 * j + 1]))
-        condition = float(np.linalg.cond(gram))
-        if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
-            raise SingularGramError(
-                f"Gram matrix condition {condition:.3g} at j_range={j} "
-                f"exceeds {_CONDITION_LIMIT:.0e}")
-        rhs = rhs_top[j_top - j:j_top + j + 1]
-        coeffs = scipy.linalg.solve(gram, rhs, assume_a="her")
-        residual = max(norm_sq - float(np.real(np.vdot(coeffs, rhs))), 0.0)
+        row = acorr[:2 * j + 1]
+        gram = scipy.linalg.toeplitz(row, np.conj(row))
+        system = GramSystem(float(sigma), j, gram, float(np.linalg.cond(gram)))
+        _, residual = _solve(system, rhs_top[j_top - j:j_top + j + 1], norm_sq)
         rows.append(ComparisonRow(j_range=j, oracle_residual=residual,
                                   formula_error=formula,
                                   gap=residual - formula))

@@ -37,6 +37,8 @@ from .spectral import (EPSILON_D, PeriodizedSpectrum, periodize,
                        require_period_grid)
 
 _RHO_RTOL = 1e-12
+#: period-grid nodes of ``project`` and ``best_approx_error_sq`` by default
+DEFAULT_GRID_COUNT = 4097
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,7 @@ def _energy_split(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
         if not 0 < rho <= sigma * (1.0 + _RHO_RTOL):
             raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
     if grid is None:
-        grid = Grid(start=-sigma, stop=sigma, count=4097)
+        grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)
     if isinstance(f, SampledFunction):
         f = _spectrum_of(f, sigma, grid)
     fold = _fold(f, gen, sigma, grid, tol)

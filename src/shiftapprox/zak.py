@@ -18,7 +18,7 @@ worse than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -196,48 +196,45 @@ def _freq_available(gen: Generator) -> bool:
     return gen.spectral_support is not None or gen.decay_exponent > 1.0
 
 
-def phi_field(gen: Generator, sigma: float, x_grid: Grid, y_grid: Grid,
-              tol: float = 1e-8, representation: str = "auto") -> PhiField:
-    """Phi on a full mesh, choosing the cheaper exact representation.
+def _phi_array(gen: Generator) -> Tuple[str, Callable]:
+    """The time sum when it is finite, the spectral sum otherwise."""
+    if _time_available(gen):
+        return "time_sum", _phi_time_array
+    return "freq_sum", _phi_freq_array
 
-    ``auto`` prefers the time sum (finite and exact for compact support)
-    and falls back to the spectral sum; either can be forced.
+
+def phi_field(gen: Generator, sigma: float, x_grid: Grid, y_grid: Grid,
+              tol: float = 1e-8) -> PhiField:
+    """Phi on a full mesh.
+
+    The time sum is finite (exact for compact support) whenever the
+    generator declares a support or a time tail radius; otherwise the
+    spectral sum runs.  ``PhiField.representation`` names the one used.
     """
-    if representation == "auto":
-        representation = "time_sum" if _time_available(gen) else "freq_sum"
+    representation, fn = _phi_array(gen)
     xs = x_grid.nodes()[:, np.newaxis]
     ys = y_grid.nodes()[np.newaxis, :]
-    if representation == "time_sum":
-        values, order, tail = _phi_time_array(gen, sigma, xs, ys, tol)
-    elif representation == "freq_sum":
-        values, order, tail = _phi_freq_array(gen, sigma, xs, ys, tol)
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
+    values, order, tail = fn(gen, sigma, xs, ys, tol)
     return PhiField(sigma=float(sigma), x_grid=x_grid, y_grid=y_grid,
                     values=values, representation=representation,
                     truncation_order=order, tail_bound=tail)
 
 
-def _cell_quadrature(gen: Generator, sigma: float, resolution: int,
-                     tol: float, use_time: bool) -> float:
-    """Integral of |Phi|^2 over [0, pi/sigma] x [-sigma, sigma].
+def _cell_mesh(sigma: float, count: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Quadrature mesh of the cell [0, pi/sigma] x [-sigma, sigma].
 
-    Simpson in x; midpoint in y.  The y-integrand is 2*sigma-periodic (for
-    lattice-sum representations it is a trigonometric polynomial of low
-    degree), so the uniform midpoint rule over the full period is
-    spectrally accurate and, crucially, never samples the measure-zero
-    split lines y = +-sigma where edge conventions of discontinuous
-    spectra would pollute the quadrature.
+    Returns count x nodes (a column) with their Simpson weights, and the
+    midpoints of count - 1 cells in y (a row) with their weight.  The
+    y-integrand is 2*sigma-periodic, so the midpoint rule is spectrally
+    accurate and never samples the split lines y = +-sigma, where edge
+    conventions of discontinuous spectra would pollute the quadrature.
     """
-    x_grid = Grid(start=0.0, stop=np.pi / sigma, count=resolution)
-    hy = 2.0 * sigma / (resolution - 1)
-    y_mid = -sigma + hy * (np.arange(resolution - 1) + 0.5)
-    xs = x_grid.nodes()[:, np.newaxis]
-    ys = y_mid[np.newaxis, :]
-    fn = _phi_time_array if use_time else _phi_freq_array
-    values, _, _ = fn(gen, sigma, xs, ys, tol)
-    wx = quadrature_weights(x_grid)
-    return float((np.abs(values) ** 2 * wx[:, np.newaxis]).sum() * hy)
+    x_grid = Grid(start=0.0, stop=np.pi / sigma, count=count)
+    hy = 2.0 * sigma / (count - 1)
+    y_mid = -sigma + hy * (np.arange(count - 1) + 0.5)
+    return (x_grid.nodes()[:, np.newaxis], y_mid[np.newaxis, :],
+            quadrature_weights(x_grid)[:, np.newaxis], hy)
 
 
 def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
@@ -245,11 +242,12 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
     """Numerical audit of the defining identities of the Phi system.
 
     Checks: the norm identity over the fundamental cell; 2*sigma
-    periodicity, quasi-periodicity in x, and conjugation symmetry on a
-    probe mesh; pointwise agreement of the two representations; and the
+    periodicity, quasi-periodicity in x, and conjugation symmetry on the
+    cell mesh; pointwise agreement of the two representations; and the
     L2[-sigma, sigma] identity pairing the generator against Phi, namely
     ``integral B(t) conj(Phi(t, y)) dt = 2 pi D(y)``, evaluated through the
-    shift autocorrelation over a finite window.
+    shift autocorrelation over a finite window.  Checks 1-3 read one
+    evaluation of Phi on the cell mesh, by the representation phi_field picks.
 
     Residuals are reported next to an honest numerical budget; a check is
     "ok" when its residual is within max(budget, tol), "fail" otherwise,
@@ -274,27 +272,24 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
                              status="skipped", detail=detail)
 
     h = np.pi / sigma
-    hy = 2.0 * sigma / (resolution - 1)
-    y_mid = -sigma + hy * (np.arange(resolution - 1) + 0.5)
-    x_nodes = np.linspace(0.0, h, resolution)
+    xs, ys, wx, hy = _cell_mesh(sigma, resolution)
+    y_mid = ys[0]
 
-    # Phi1: cell integral of |Phi|^2 against ||B||^2 / (2 sigma)
     if use_time or use_freq:
-        cell = _cell_quadrature(gen, sigma, resolution, tol, use_time)
-        half = _cell_quadrature(gen, sigma, resolution // 2 + 1, tol, use_time)
-        quad_budget = abs(cell - half) * 1.1
+        _, fn = _phi_array(gen)
+        base, _, tail_b = fn(gen, sigma, xs, ys, tol)
+
+        # Phi1: cell integral of |Phi|^2 against ||B||^2 / (2 sigma)
+        half_xs, half_ys, half_wx, half_hy = _cell_mesh(sigma, resolution // 2 + 1)
+        half, _, _ = fn(gen, sigma, half_xs, half_ys, tol)
+        cell = float((np.abs(base) ** 2 * wx).sum() * hy)
+        half_cell = float((np.abs(half) ** 2 * half_wx).sum() * half_hy)
+        quad_budget = abs(cell - half_cell) * 1.1
         residual = abs(cell - norm_sq / (2.0 * sigma))
         budget = quad_budget + 2.0 * tol * scale + 1e-10
         checks.append(graded("phi1_norm", residual, budget))
-    else:
-        checks.append(skipped("phi1_norm", "no convergent representation"))
 
-    # Phi2: structural symmetries on a probe mesh (interior in y)
-    if use_time or use_freq:
-        fn = _phi_time_array if use_time else _phi_freq_array
-        xs = x_nodes[:, np.newaxis]
-        ys = y_mid[np.newaxis, :]
-        base, _, tail_b = fn(gen, sigma, xs, ys, tol)
+        # Phi2: structural symmetries on the cell mesh (interior in y)
         shifted_y, _, _ = fn(gen, sigma, xs, ys + 2.0 * sigma, tol)
         shifted_x, _, _ = fn(gen, sigma, xs + h, ys, tol)
         sym_budget = 2.0 * tail_b + 1e-10
@@ -311,17 +306,16 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
             checks.append(skipped("phi2_conjugation",
                                   "generator not declared real-valued"))
     else:
-        for name in ("phi2_periodic", "phi2_quasiperiodic", "phi2_conjugation"):
+        for name in ("phi1_norm", "phi2_periodic", "phi2_quasiperiodic",
+                     "phi2_conjugation"):
             checks.append(skipped(name, "no convergent representation"))
 
     # Phi3: the two representations agree pointwise
     if use_time and use_freq:
-        xs = x_nodes[:, np.newaxis]
-        ys = y_mid[np.newaxis, :]
-        t_vals, _, tail_t = _phi_time_array(gen, sigma, xs, ys, tol)
+        # base is the time sum here
         f_vals, _, tail_f = _phi_freq_array(gen, sigma, xs, ys, tol * 1e-2)
-        res3 = float(np.max(np.abs(t_vals - f_vals)))
-        budget3 = tail_t + tail_f + 1e-10
+        res3 = float(np.max(np.abs(base - f_vals)))
+        budget3 = tail_b + tail_f + 1e-10
         checks.append(graded("phi3_representations", res3, budget3))
     else:
         missing = "time" if not use_time else "frequency"
@@ -359,4 +353,7 @@ def _phi4_lag_count(gen: Generator, sigma: float) -> int:
         return int(np.ceil(2.0 * gen.time_tail_radius(1e-14) / h)) + 2
     if gen.spectral_support is not None:
         return max(4, int(np.ceil(gen.spectral_support / sigma)) + 2)
-    return 32
+    raise TruncationError(
+        f"generator {gen.label!r} declares no support, time tail radius or "
+        "spectral support: the autocorrelation lags the pairing needs are "
+        "unknown")

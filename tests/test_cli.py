@@ -10,15 +10,21 @@ only used to confirm the right quantity reached the right column.
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from typing import List, Tuple
 
 import pytest
 
+import shiftapprox
 from shiftapprox.cli import _load_signal
 from shiftapprox.generator import parse_generator_spec
 from shiftapprox.numerics import Grid, SampledFunction
 from shiftapprox.shiftspace import project
+from shiftapprox.zak import phi_field
 
 from helpers import run_cli
 
@@ -131,6 +137,13 @@ def test_zak_grid_shape():
         parts = row.split(",")
         assert len(parts) == 4
         assert all(math.isfinite(float(p)) for p in parts)
+    # the column formatter against a node-by-node loop over the field
+    xg = Grid(start=0.0, stop=math.pi, count=9)
+    yg = Grid(start=-1.0, stop=1.0, count=9)
+    field = phi_field(parse_generator_spec("bspline:m=1"), 1.0, xg, yg)
+    assert lines[1:] == [f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}"
+                         for x, row in zip(xg.nodes(), field.values)
+                         for y, v in zip(yg.nodes(), row)]
 
 
 def test_validate_table_passes():
@@ -308,6 +321,20 @@ def test_compare_table_consistent(capsys):
     assert rows[0][3] >= 0 and rows[1][3] >= 0
 
 
+def test_compare_formula_error_is_the_besterr_row():
+    # compare folds on the default period grid whatever --dgrid says, so an
+    # analytic f-hat must be sampled on that grid's extension: sampled on the
+    # --dgrid extension it would be interpolated in the fold
+    rc, out = run_cli(["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
+                       "--dgrid", "257", "--sweep", "jrange=16"])
+    assert rc == 0
+    rc_best, best = run_cli(["besterr", "--gen", "bspline:m=1",
+                             "--f", "gauss:width=1", "--rho", "1"])
+    assert rc_best == 0
+    formula_error = _rows(out)[1].split(",")[2]
+    assert formula_error == _rows(best)[1].split(",")[1]
+
+
 def test_compare_rejects_spectrum_signal(tmp_path, capsys):
     path = tmp_path / "spec.csv"
     path.write_text("y,re,im\n-1,1,0\n0,1,0\n1,1,0\n", encoding="ascii")
@@ -343,3 +370,15 @@ def test_out_file_matches_stdout(tmp_path):
     rc, _ = run_cli(argv + ["--out", str(path)])
     assert rc == 0
     assert path.read_bytes() == first
+
+
+def test_module_entry_point_matches_cli_main():
+    argv = ["dfun", "--gen", "bspline:m=0", "--dgrid", "9"]
+    rc, out = run_cli(argv)
+    src = str(Path(shiftapprox.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "shiftapprox", *argv],
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == rc == 0, proc.stderr
+    assert proc.stdout == out.encode("ascii")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftapprox.errors import TruncationError
-from shiftapprox.generator import Generator, gaussian_generator
+from shiftapprox.generator import Generator, gaussian_generator, shift_autocorrelation
 from shiftapprox.numerics import make_uniform_grid
 from shiftapprox.zak import phi_field, phi_freq, phi_time, verify_phi_properties
 
@@ -79,10 +79,11 @@ def test_phi_field_auto_picks_an_available_representation():
     yg = make_uniform_grid(-0.9, 0.9, 9)
     assert phi_field(sinc_gen(1.0), 1.0, xg, yg).representation == "freq_sum"
     assert phi_field(spline(0, 1.0), 1.0, xg, yg).representation == "time_sum"
-    field = phi_field(spline(2, 1.0), 1.0, xg, yg, representation="freq_sum")
+    field = phi_field(spline(2, 1.0), 1.0, xg, yg)
+    assert field.representation == "time_sum"
     assert field.values.shape == (9, 9)
-    with pytest.raises(ValueError):
-        phi_field(spline(2, 1.0), 1.0, xg, yg, representation="mystery")
+    mesh = np.meshgrid(xg.nodes(), yg.nodes(), indexing="ij")
+    assert np.max(np.abs(field.values - phi_freq(spline(2, 1.0), 1.0, *mesh))) < 1e-8
 
 
 def _statuses(report):
@@ -142,3 +143,34 @@ def test_property_suite_catches_inconsistent_generators():
     rep = verify_phi_properties(liar, 1.0, resolution=65)
     assert not rep.ok
     assert _statuses(rep)["phi3_representations"] == "fail"
+
+
+def _cauchy() -> Generator:
+    """B(x) = 1/(1+x^2): no support, no tail radius, no spectral support."""
+    return Generator(
+        label="cauchy",
+        spectrum=lambda y: 0.5 * np.exp(-np.abs(np.asarray(y, dtype=float))) + 0.0j,
+        decay_exponent=10.0, decay_constant=6.2e5,
+        time_domain=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2) + 0.0j)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_slowly_decaying_autocorrelation_matches_closed_form(sigma):
+    # <B, B(. - d h)> = 2 pi / (4 + (d h)^2) for the Cauchy kernel; its
+    # 1/x^2 tail takes the windowed Richardson route
+    acorr = shift_autocorrelation(_cauchy(), sigma, 4)
+    d = np.arange(5)
+    exact = 2.0 * math.pi / (4.0 + (d * math.pi / sigma) ** 2)
+    assert np.max(np.abs(acorr - exact)) < 2e-12
+
+
+def test_pairing_without_a_lag_bound_is_skipped():
+    # a consistent generator that declares no time window: the pairing
+    # cannot bound the lags it would cut off, so it is skipped, not failed
+    rep = verify_phi_properties(_cauchy(), 1.0, resolution=33)
+    assert rep.ok, _statuses(rep)
+    st = _statuses(rep)
+    assert st["phi4_pairing"] == "skipped"
+    assert st["phi1_norm"] == "ok"
+    detail = next(c.detail for c in rep.checks if c.name == "phi4_pairing")
+    assert "lags" in detail
