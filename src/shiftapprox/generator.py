@@ -183,10 +183,10 @@ def gaussian_generator(width: float) -> Generator:
         eps = max(float(eps), 1e-300)
         return w * math.sqrt(2.0 * math.log(1.0 / eps)) if eps < 1.0 else 0.0
 
-    # audit the power-law constant on the range where the envelope peaks
+    # |spectrum(y)| (1+y)^p peaks where w^2 y (1+y) = p
     p = 40.0
-    probe = np.linspace(0.0, max(40.0, 4.0 * math.sqrt(p) / w), 40_001)
-    c_fit = float(np.max(np.abs(spectrum(probe)) * (1.0 + probe) ** p)) * 1.01
+    y_peak = np.float64(0.5 * (math.sqrt(1.0 + 4.0 * p / w ** 2) - 1.0))
+    c_fit = float(np.abs(spectrum(y_peak)) * (1.0 + y_peak) ** p) * 1.01
     return Generator(
         label=f"gauss:width={w:g}",
         spectrum=spectrum,

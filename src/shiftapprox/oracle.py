@@ -131,8 +131,9 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
     """Oracle residuals against the exact-formula error at rho = sigma.
 
     The formula side is evaluated once (it does not depend on j_range); the
-    oracle side reuses one autocorrelation row and one inner-product pass
-    at the largest requested range.  ``f_spectrum`` optionally supplies an
+    oracle side reuses one Gram matrix and one inner-product pass at the
+    largest requested range, and each smaller range solves with its
+    central block.  ``f_spectrum`` optionally supplies an
     analytically known spectrum of f on an aligned grid, bypassing the
     quadrature Fourier transform of the time samples.
 
@@ -149,16 +150,18 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
         formula = project(f, gen, sigma, rho=sigma, tol=tol).error_sq
 
     j_top = ranges[-1]
-    acorr = gram_matrix(gen, sigma, j_top).gram[:, 0]
+    top = gram_matrix(gen, sigma, j_top)
     rhs_top = _shift_inner_products(f, gen, sigma, j_top)
     norm_sq = l2_norm_sq(f)
 
     rows = []
     for j in ranges:
-        row = acorr[:2 * j + 1]
-        gram = scipy.linalg.toeplitz(row, np.conj(row))
-        system = GramSystem(float(sigma), j, gram, float(np.linalg.cond(gram)))
-        _, residual = _solve(system, rhs_top[j_top - j:j_top + j + 1], norm_sq)
+        # a central block of a Toeplitz matrix is the smaller range's matrix
+        keep = slice(j_top - j, j_top + j + 1)
+        gram = top.gram[keep, keep]
+        system = top if j == j_top else GramSystem(
+            float(sigma), j, gram, float(np.linalg.cond(gram)))
+        _, residual = _solve(system, rhs_top[keep], norm_sq)
         rows.append(ComparisonRow(j_range=j, oracle_residual=residual,
                                   formula_error=formula,
                                   gap=residual - formula))

@@ -1,21 +1,21 @@
-"""Periodization of the spectral energy over the 2*sigma lattice.
+"""Lattice sums over the 2*sigma lattice, and the periodization D.
 
-The central object is ``D(y) = sum_nu |spectrum(y + 2 nu sigma)|^2``, the
-2*sigma-periodic energy density whose essential bounds are the frame bounds
-of the shift system.  Truncation of the lattice sum is driven by the
-generator's audited decay contract; after the truncated sum an asymptotic
-power-law tail estimate calibrated on the boundary terms is added, which
-brings slowly decaying spectra (p close to 1/2) within desk tolerances at a
-few hundred terms.  The recorded ``tail_bound`` is the rigorous envelope
-bound on the omitted mass; the calibrated correction is never larger.
-`lattice_order` is the one truncation rule for lattice sums of
-``|spectrum|**p``: D here (p = 2), the spectral Phi sum in `zak` (p = 1).
+``D(y) = sum_nu |spectrum(y + 2 nu sigma)|^2`` is the 2*sigma-periodic
+energy density whose essential bounds are the frame bounds of the shift
+system.  `lattice_sum` is the one lattice sum of the package: D sums
+``|spectrum(u)|^2`` with it, and the spectral form of Phi in `zak` sums
+``spectrum(u) e^{iux}``.  `lattice_order` truncates it by the generator's
+audited decay contract; an asymptotic power-law tail estimate calibrated
+on the boundary terms is then added, which brings slowly decaying spectra
+(p close to 1/2) within desk tolerances at a few hundred terms.  The
+recorded ``tail_bound`` is the rigorous envelope bound on the omitted
+mass; the calibrated correction is never larger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -106,15 +106,62 @@ def lattice_order(gen: Generator, sigma: float, tol: float,
                               power * gen.decay_exponent, sigma, tol)
 
 
-def _power_tail_correction(boundary: np.ndarray, u_edge: np.ndarray,
-                           u_half: np.ndarray, q: float, sigma: float) -> np.ndarray:
-    """Tail of ``sum c/u^q`` calibrated so the boundary term is reproduced.
+def _tail_correction(t_edge: np.ndarray, t_prev: np.ndarray,
+                     u_edge: np.ndarray, q: float, sigma: float) -> np.ndarray:
+    """Tail of one side of a lattice sum from its last two terms.
 
-    Uses the midpoint form ``sum_{nu > N} ~ integral_{N+1/2}`` which is exact
-    to ``O(1/N^2)`` relative for true power laws.  Written with the ratio
-    ``(u_edge/u_half)**q`` so large exponents cannot overflow.
+    Monotone tails (phase drift < 0.1 rad between the two terms, as for any
+    nonnegative summand) get the power-law tail calibrated on the boundary
+    term, in the midpoint form ``sum_{nu > N} ~ integral_{N+1/2}`` (exact
+    to ``O(1/N^2)`` relative; the ratio ``(u_edge/u_half)**q`` cannot
+    overflow).  Rotating tails get a geometric model with the modulus ratio
+    pinned to the power law.  Points where neither model is safe are left
+    uncorrected (the envelope bound covers them).  Real terms give a real
+    correction.
     """
-    return boundary * (u_edge / u_half) ** q * u_half / (2.0 * sigma * (q - 1.0))
+    active = (np.abs(t_edge) > 0) & (np.abs(t_prev) > 0)
+    phase = np.angle(np.where(active, t_edge / np.where(active, t_prev, 1.0), 1.0))
+    power = active & (np.abs(phase) < 0.1)
+    u_half = u_edge + sigma
+    out = np.where(power, t_edge * (u_edge / u_half) ** q * u_half
+                   / (2.0 * sigma * (q - 1.0)), 0.0)
+    rotating = active & ~power
+    if rotating.any():
+        geo_ratio = (u_edge / (u_edge + 2.0 * sigma)) ** q * np.exp(1j * phase)
+        osc = rotating & (np.abs(1.0 - geo_ratio) > 0.05)
+        out = np.where(osc, t_edge * geo_ratio / np.where(osc, 1.0 - geo_ratio, 1.0), out)
+    return out if np.iscomplexobj(t_edge) else out.real
+
+
+def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
+                summand: Callable[[np.ndarray], np.ndarray], power: int,
+                tol: float, shape: Tuple[int, ...],
+                min_terms: Optional[int] = None) -> Tuple[np.ndarray, int, float]:
+    """``sum_nu summand(y + 2 nu sigma)``, a sum of the given ``shape``.
+
+    ``summand`` is bounded by ``|spectrum|**power``, which sets the order
+    (`lattice_order`, at least ``min_terms``); it receives ``nu`` on a new
+    leading axis of ``u`` and broadcasts ``u`` against its own inputs.  One
+    block of ``nu`` holds at most 4e6 terms.  Returns
+    ``(values, truncation_order, tail_bound)``.
+    """
+    if not sigma > 0:
+        raise InvalidGridError(f"sigma must be > 0, got {sigma}")
+    n_trunc, tail_bound = lattice_order(gen, sigma, tol, power)
+    if min_terms:
+        n_trunc = max(n_trunc, int(min_terms))
+    offsets = np.arange(-n_trunc, n_trunc + 1).reshape((-1,) + (1,) * len(shape))
+    values = 0.0
+    for sl in chunk_slices(offsets.shape[0], int(np.prod(shape))):
+        values = values + summand(offsets[sl] * (2.0 * sigma) + y).sum(axis=0)
+    if gen.spectral_support is None:
+        for sign in (1.0, -1.0):
+            u_edge = y + (2.0 * sigma) * (sign * n_trunc)
+            u_prev = y + (2.0 * sigma) * (sign * (n_trunc - 1))
+            values = values + _tail_correction(
+                summand(u_edge), summand(u_prev), np.abs(u_edge),
+                power * gen.decay_exponent, sigma)
+    return values, n_trunc, tail_bound
 
 
 def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
@@ -126,27 +173,9 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
     property checks evaluate it at cell midpoints.  Returns
     ``(values, truncation_order, tail_bound)``.
     """
-    if not sigma > 0:
-        raise InvalidGridError(f"sigma must be > 0, got {sigma}")
     y = np.asarray(y, dtype=float)
-    exact = gen.spectral_support is not None
-    n_trunc, tail_bound = lattice_order(gen, sigma, tol, 2)
-    if min_terms:
-        n_trunc = max(n_trunc, int(min_terms))
-
-    values = np.zeros(y.shape)
-    offsets = np.arange(-n_trunc, n_trunc + 1)
-    for sl in chunk_slices(offsets.size, y.size):
-        block = offsets[sl, np.newaxis] * (2.0 * sigma) + y[np.newaxis, :]
-        values += (np.abs(gen.spectrum(block)) ** 2).sum(axis=0)
-
-    if not exact:
-        q = 2.0 * gen.decay_exponent
-        for sign, u in ((1.0, y + 2.0 * sigma * n_trunc),
-                        (-1.0, 2.0 * sigma * n_trunc - y)):
-            edge = np.abs(gen.spectrum(sign * u)) ** 2
-            values = values + _power_tail_correction(edge, u, u + sigma, q, sigma)
-    return values, n_trunc, tail_bound
+    return lattice_sum(gen, sigma, y, lambda u: np.abs(gen.spectrum(u)) ** 2,
+                       2, tol, y.shape, min_terms)
 
 
 def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,

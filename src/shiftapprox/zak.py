@@ -2,7 +2,10 @@
 
 ``Phi(x, y) = (1/2 sigma) sum_j B(x - j pi/sigma) e^{i j pi y / sigma}``
 is computed either by that time-domain sum or by the equivalent spectral
-lattice sum ``sum_nu spectrum(y + 2 nu sigma) e^{i (y + 2 nu sigma) x}``.
+lattice sum ``sum_nu spectrum(y + 2 nu sigma) e^{i (y + 2 nu sigma) x}``
+(`spectral.lattice_sum`, which also sums D).  On an x-by-y mesh the time
+domain is evaluated on x times j and the spectrum on y times nu; only
+phases and products fill the mesh.
 Both formulas are exactly 2*sigma-periodic in y and exactly quasi-periodic
 in x term by term, so those structural identities hold to rounding; the
 interesting checks are the norm identity over the fundamental cell, the
@@ -22,10 +25,10 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import MissingTimeDomainError, TruncationError
+from .errors import InvalidGridError, MissingTimeDomainError, TruncationError
 from .generator import Generator, generator_l2_norm_sq, shift_autocorrelation
 from .numerics import Grid, chunk_slices, quadrature_weights
-from .spectral import _power_tail_correction, lattice_energy, lattice_order
+from .spectral import lattice_energy, lattice_sum
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,18 @@ def _time_window(gen: Generator, sigma: float, xmin: float, xmax: float,
 
 def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
                     tol: float) -> Tuple[np.ndarray, int, float]:
+    if not sigma > 0:
+        raise InvalidGridError(f"sigma must be > 0, got {sigma}")
     if gen.time_domain is None:
         raise MissingTimeDomainError(
             f"generator {gen.label!r} has no time-domain evaluator")
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(x.shape, y.shape)
     h = np.pi / sigma
     jmin, jmax, tail = _time_window(gen, sigma, float(np.min(x)), float(np.max(x)), tol)
     js = np.arange(jmin, jmax + 1)
-    acc = np.zeros(x.shape, dtype=np.complex128)
-    for sl in chunk_slices(js.size, x.size):
+    acc = np.zeros(shape, dtype=np.complex128)
+    for sl in chunk_slices(js.size, int(np.prod(shape))):
         jc = js[sl].astype(float)
         shifts = x[..., np.newaxis] - jc * h
         phases = np.exp((1j * np.pi / sigma) * y[..., np.newaxis] * jc)
@@ -116,60 +121,17 @@ def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
     return acc / (2.0 * sigma), max(abs(jmin), abs(jmax)), tail
 
 
-def _freq_tail_correction(t_edge: np.ndarray, t_prev: np.ndarray,
-                          u_edge: np.ndarray, q: float, sigma: float) -> np.ndarray:
-    """Per-point tail estimate for an oscillatory power-law lattice sum.
-
-    Monotone tails (boundary phase drift < 0.1 rad) get the integral-
-    calibrated power correction; rotating tails get a geometric model with
-    the modulus ratio pinned to the power law.  Points where neither model
-    is safe are left uncorrected (their truncation error is covered by the
-    envelope bound).
-    """
-    out = np.zeros_like(t_edge)
-    active = (np.abs(t_edge) > 0) & (np.abs(t_prev) > 0)
-    ratio = np.where(active, t_edge / np.where(np.abs(t_prev) > 0, t_prev, 1.0), 0.0)
-    angle = np.abs(np.angle(np.where(active, ratio, 1.0)))
-    power = active & (angle < 0.1)
-    out = np.where(
-        power, _power_tail_correction(t_edge, u_edge, u_edge + sigma, q, sigma),
-        out)
-    rot = np.where(active, np.exp(1j * np.angle(np.where(active, ratio, 1.0))), 0.0)
-    geo_ratio = (u_edge / (u_edge + 2.0 * sigma)) ** q * rot
-    osc = active & ~power & (np.abs(1.0 - geo_ratio) > 0.05)
-    denom = np.where(osc, 1.0 - geo_ratio, 1.0)
-    out = np.where(osc, t_edge * geo_ratio / denom, out)
-    return out
-
-
 def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
                     tol: float) -> Tuple[np.ndarray, int, float]:
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-    exact = gen.spectral_support is not None
-    if not exact and not gen.decay_exponent > 1.0:
+    if not _freq_available(gen):
         raise TruncationError(
             f"generator {gen.label!r} has spectral decay exponent "
             f"{gen.decay_exponent:.3g} <= 1: the lattice sum converges "
             "only in mean square, pointwise evaluation refused")
-    n_trunc, tail = lattice_order(gen, sigma, tol, 1)
-    offsets = np.arange(-n_trunc, n_trunc + 1)
-    acc = np.zeros(x.shape, dtype=np.complex128)
-    for sl in chunk_slices(offsets.size, x.size):
-        u = y[..., np.newaxis] + (2.0 * sigma) * offsets[sl].astype(float)
-        acc += (gen.spectrum(u) * np.exp(1j * u * x[..., np.newaxis])).sum(axis=-1)
-    if not exact:
-        q = gen.decay_exponent
-
-        def term(nu: float) -> Tuple[np.ndarray, np.ndarray]:
-            u = y + 2.0 * sigma * nu
-            return gen.spectrum(u) * np.exp(1j * u * x), u
-
-        for sign in (1.0, -1.0):
-            t_edge, u_edge = term(sign * n_trunc)
-            t_prev, _ = term(sign * (n_trunc - 1))
-            acc += _freq_tail_correction(t_edge, t_prev, np.abs(u_edge), q, sigma)
-    return acc, n_trunc, tail
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return lattice_sum(gen, sigma, y,
+                       lambda u: gen.spectrum(u) * np.exp(1j * u * x), 1, tol,
+                       np.broadcast_shapes(x.shape, y.shape))
 
 
 def phi_time(gen: Generator, sigma: float, x, y, tol: float = 1e-8):
@@ -250,8 +212,10 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
     evaluation of Phi on the cell mesh, by the representation phi_field picks.
 
     Residuals are reported next to an honest numerical budget; a check is
-    "ok" when its residual is within max(budget, tol), "fail" otherwise,
-    and "skipped" when a representation refuses to evaluate.
+    "ok" when its residual is within max(budget, tol * scale), where
+    scale = max(1, ||B||^2 / (2 sigma)) is the size of the cell integral,
+    "fail" otherwise, and "skipped" when a representation refuses to
+    evaluate.
     """
     if resolution < 9 or resolution % 2 == 0:
         raise ValueError(f"resolution must be odd and >= 9, got {resolution}")

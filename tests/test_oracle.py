@@ -173,6 +173,9 @@ def test_comparison_converges_for_a_gaussian():
     for row in report.rows:
         assert row.gap >= -slack
         assert row.formula_error == report.rows[0].formula_error
+        # each range solves with the central block of the top Gram matrix,
+        # which is the matrix the range builds on its own
+        assert row.oracle_residual == ls_project(f, gen, 1.0, row.j_range)[1]
 
 
 def test_comparison_flags_an_inconsistent_formula():

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from shiftapprox.errors import TruncationError
+from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import Generator, gaussian_generator, shift_autocorrelation
 from shiftapprox.numerics import make_uniform_grid
-from shiftapprox.zak import phi_field, phi_freq, phi_time, verify_phi_properties
+from shiftapprox.spectral import lattice_order
+from shiftapprox.zak import (_time_window, phi_field, phi_freq, phi_time,
+                             verify_phi_properties)
 
 from helpers import sinc_gen, spline
 
@@ -84,6 +87,61 @@ def test_phi_field_auto_picks_an_available_representation():
     assert field.values.shape == (9, 9)
     mesh = np.meshgrid(xg.nodes(), yg.nodes(), indexing="ij")
     assert np.max(np.abs(field.values - phi_freq(spline(2, 1.0), 1.0, *mesh))) < 1e-8
+
+
+def _counting(gen, counts):
+    """``gen`` with its spectrum and time domain counting the points."""
+    spectrum, time_domain = gen.spectrum, gen.time_domain
+
+    def counted_spectrum(y):
+        counts["spectrum"] += np.size(y)
+        return spectrum(y)
+
+    def counted_time(x):
+        counts["time"] += np.size(x)
+        return time_domain(x)
+
+    return dataclasses.replace(gen, spectrum=counted_spectrum,
+                               time_domain=counted_time)
+
+
+@pytest.mark.parametrize("gen", [spline(2, 1.0), gaussian_generator(1.0)],
+                         ids=["bspline_m2", "gauss"])
+def test_mesh_sums_evaluate_the_generator_on_one_axis(gen):
+    sigma, tol = 1.0, 1e-8
+    x = np.linspace(-0.3, math.pi + 0.2, 7)[:, np.newaxis]
+    y = np.linspace(-0.95, 0.9, 5)[np.newaxis, :]
+    counts = {"spectrum": 0, "time": 0}
+    counted = _counting(gen, counts)
+
+    t_mesh = phi_time(counted, sigma, x, y, tol)
+    jmin, jmax, _ = _time_window(gen, sigma, float(x.min()), float(x.max()), tol)
+    assert counts == {"spectrum": 0, "time": x.size * (jmax - jmin + 1)}
+
+    counts["time"] = 0
+    f_mesh = phi_freq(counted, sigma, x, y, tol)
+    order, _ = lattice_order(gen, sigma, tol, 1)
+    # the truncated sum, then the last two terms of each side for the tail
+    assert counts == {"spectrum": y.size * (2 * order + 1) + 4 * y.size,
+                      "time": 0}
+
+    # the mesh agrees with pointwise evaluation at the paired nodes
+    xs, ys = (a.ravel() for a in np.meshgrid(x[:, 0], y[0], indexing="ij"))
+    shape = (x.size, y.size)
+    assert np.max(np.abs(t_mesh - phi_time(gen, sigma, xs, ys, tol).reshape(shape))) < 1e-14
+    assert np.max(np.abs(f_mesh - phi_freq(gen, sigma, xs, ys, tol).reshape(shape))) < 1e-14
+    assert np.max(np.abs(t_mesh - f_mesh)) < 1e-8
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_phi_rejects_a_nonpositive_sigma(sigma):
+    for gen in (spline(2, 1.0), gaussian_generator(1.0)):
+        with pytest.raises(InvalidGridError):
+            phi_time(gen, sigma, 0.3, 0.2)
+        with pytest.raises(InvalidGridError):
+            phi_freq(gen, sigma, 0.3, 0.2)
+    with pytest.raises(InvalidGridError):
+        phi_freq(sinc_gen(1.0), sigma, 0.3, 0.2)
 
 
 def _statuses(report):
