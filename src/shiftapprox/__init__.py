@@ -45,6 +45,7 @@ from .generator import (
     parse_generator_spec,
     sampled_generator,
     spectrum_generator,
+    time_extent,
 )
 from .spectral import (
     EPSILON_D,

@@ -25,13 +25,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ShiftSpaceError
-from .generator import Generator, parse_generator_spec
+from .generator import Generator, parse_generator_spec, time_extent
 from .numerics import (Grid, SampledFunction, SampledSpectrum,
                        covering_windows, period_extension, read_samples_csv)
 from .shiftspace import DEFAULT_GRID_COUNT, best_approx_error_sq, project
 from .spectral import periodize, riesz_bounds
 from .oracle import compare
-from .zak import phi_field, verify_phi_properties
+from .zak import _time_available, phi_field, verify_phi_properties
 
 _SWEEPABLE = {"besterr": ("sigma", "rho"), "compare": ("jrange",)}
 _DEFAULT_COMPARE_RANGES = (8, 16, 32, 64)
@@ -170,15 +170,9 @@ def _sample_signal(gen_f: Generator, sigma: float, dgrid: int,
     decay and either the caller insists or the spectrum decays too slowly
     to cover, otherwise the spectrum on a grid aligned with the period grid.
     """
-    time_ready = gen_f.time_domain is not None and (
-        gen_f.support is not None or gen_f.time_tail_radius is not None)
     slow_spectrum = gen_f.spectral_support is None and gen_f.decay_exponent <= 1.5
-    if time_ready and (prefer_time or slow_spectrum):
-        if gen_f.support is not None:
-            lo, hi = gen_f.support
-        else:
-            radius = gen_f.time_tail_radius(1e-16)
-            lo, hi = -radius, radius
+    if _time_available(gen_f) and (prefer_time or slow_spectrum):
+        lo, hi, _ = time_extent(gen_f, 1e-16)
         step = gen_f.time_step_hint / 4.0 if gen_f.time_step_hint else (hi - lo) / 4096.0
         count = max(int(np.ceil((hi - lo) / step)) + 1, 257)
         grid = Grid(start=lo, stop=hi, count=count)

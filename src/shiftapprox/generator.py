@@ -1,8 +1,9 @@
 """Generators: the single function whose shifts span the approximation space.
 
 A `Generator` bundles an analytic (vectorized) spectrum, an optional time
-domain form, and an audited decay contract ``|spectrum(y)| <= C/(1+|y|)^p``
-that downstream lattice sums rely on for truncation.  Built-in families:
+domain form, and a declared decay contract ``|spectrum(y)| <= C/(1+|y|)^p``
+that downstream lattice sums rely on for truncation.  `time_extent` is the
+one reading of where a generator lives in time.  Built-in families:
 
 ``bspline``
     ``spectrum(y) = ((exp(i pi y/sigma) - 1)/(i pi y/sigma))**(m+1)``,
@@ -17,8 +18,8 @@ that downstream lattice sums rely on for truncation.  Built-in families:
     Spectrum is the indicator of ``[-sigma, sigma]`` (value 1/2 on the edge),
     time domain ``2*sin(sigma*x)/x`` with value ``2*sigma`` at 0.
 ``file`` / sampled
-    Spectrum obtained by transforming compactly supported samples, linearly
-    interpolated inside its grid and zero outside.
+    Tabulated spectrum (a CSV, or the transform of time samples), linearly
+    interpolated inside its grid, whose radius is its spectral support.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ from .numerics import (
     make_uniform_grid,
     quadrature_weights,
     read_samples_csv,
+    resolved_band,
 )
 
 #: points per audit decade and span used by `decay_audit_max_ratio`
 _AUDIT_POINTS = 10_000
 _AUDIT_SPAN = 1e3
+#: decay exponent of tabulated spectra (any p is exact under their support)
+_TABULATED_DECAY = 2.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class Generator:
     spectrum : callable
         Vectorized map ``y -> complex``; must accept numpy arrays.
     decay_exponent : float
-        ``p`` in the audited bound ``|spectrum(y)| <= C / (1+|y|)^p``.
+        ``p`` in the declared bound ``|spectrum(y)| <= C / (1+|y|)^p``.
     decay_constant : float
         ``C`` in the same bound, strictly positive.
     time_domain : callable, optional
@@ -68,7 +72,7 @@ class Generator:
         Closed interval outside which ``time_domain`` vanishes.
     time_tail_radius : callable, optional
         ``eps -> R`` with ``|time_domain(x)| <= eps`` for ``|x| >= R``.
-        Only meaningful when ``support`` is None.
+        Only meaningful when ``support`` is None (see `time_extent`).
     spectral_support : float, optional
         Radius beyond which the spectrum is identically zero; lattice sums
         over such a spectrum truncate exactly.
@@ -100,6 +104,22 @@ class Generator:
             raise InvalidGridError("decay_exponent must be >= 0")
         if not self.decay_constant > 0:
             raise InvalidGridError("decay_constant must be > 0")
+
+
+def time_extent(gen: Generator, eps: float) -> Tuple[float, float, bool]:
+    """``(lo, hi, exact)``: the declared support (exact, B vanishes outside),
+    else ``[-R, R]`` with ``R = time_tail_radius(eps)`` (``|B| <= eps``
+    outside).  Raises `TruncationError` when the generator declares neither.
+    """
+    if gen.support is not None:
+        lo, hi = gen.support
+        return lo, hi, True
+    if gen.time_tail_radius is not None:
+        radius = gen.time_tail_radius(eps)
+        return -radius, radius, False
+    raise TruncationError(
+        f"generator {gen.label!r} declares neither compact support nor a "
+        "time tail radius: its shifts cannot be cut off in time")
 
 
 @dataclass(frozen=True)
@@ -235,40 +255,31 @@ def _interp_complex(nodes: np.ndarray, values: np.ndarray) -> Callable[[np.ndarr
     return evaluate
 
 
-def _fit_decay(freq: Grid, values: np.ndarray) -> Tuple[float, float]:
-    """Envelope fit on the outer 10% of the frequency grid."""
-    y = np.abs(freq.nodes())
-    mag = np.abs(values)
-    edge = 0.9 * max(abs(freq.start), abs(freq.stop))
-    outer = y >= edge
-    if np.count_nonzero(outer) < 4 or np.max(mag[outer]) < 1e-280:
-        p = 50.0
-    else:
-        logs = np.log(np.maximum(mag[outer], 1e-300))
-        slope = np.polyfit(np.log1p(y[outer]), logs, 1)[0]
-        p = float(np.clip(-slope, 0.0, 50.0))
-    c = float(np.max(mag * (1.0 + y) ** p)) * 1.01
-    return p, max(c, 1e-30)
-
-
 def spectrum_generator(spec: SampledSpectrum, label: str = "spectrum-file",
                        time_domain: Optional[Callable] = None,
                        support: Optional[Tuple[float, float]] = None,
                        time_step_hint: Optional[float] = None) -> Generator:
-    """Generator backed by tabulated spectrum values (zero outside the grid)."""
-    nodes = spec.grid.nodes()
-    p, c = _fit_decay(spec.grid, spec.values)
-    hermitian = bool(np.allclose(spec.values, np.conj(spec.values[::-1]), atol=1e-9))
+    """Generator backed by tabulated spectrum values (zero outside the grid).
+
+    The grid's radius Y is the declared spectral support, under which the
+    contract p = 2, ``C = max|values| (1+Y)^2`` is exact, not fitted.  The
+    time domain is real only on a grid symmetric about 0 with Hermitian
+    values.
+    """
+    grid, values = spec.grid, spec.values
+    radius = max(abs(grid.start), abs(grid.stop))
+    symmetric = abs(grid.start + grid.stop) <= 1e-9 * grid.span()
     return Generator(
         label=label,
-        spectrum=_interp_complex(nodes, spec.values),
-        decay_exponent=p,
-        decay_constant=c,
+        spectrum=_interp_complex(grid.nodes(), values),
+        decay_exponent=_TABULATED_DECAY,
+        decay_constant=max(float(np.max(np.abs(values)))
+                           * (1.0 + radius) ** _TABULATED_DECAY, 1e-30),
         time_domain=time_domain,
         support=support,
-        spectral_support=max(abs(spec.grid.start), abs(spec.grid.stop)),
+        spectral_support=radius,
         time_step_hint=time_step_hint,
-        real_valued=hermitian,
+        real_valued=symmetric and np.allclose(values, np.conj(values[::-1]), atol=1e-9),
     )
 
 
@@ -276,8 +287,9 @@ def sampled_generator(samples: SampledFunction, freq: Grid) -> Generator:
     """Generator from compactly supported time samples.
 
     The spectrum is `fourier_transform_sampled` of the samples on ``freq``,
-    linearly interpolated inside and zero outside; decay metadata is
-    estimated from the outer 10% of ``freq``.
+    tabulated as by `spectrum_generator` (so ``freq`` bounds its support),
+    and the time domain is the linear interpolant of the samples on their
+    grid, its declared support.
     """
     spec = fourier_transform_sampled(samples, freq)
     return spectrum_generator(
@@ -290,8 +302,8 @@ def sampled_generator(samples: SampledFunction, freq: Grid) -> Generator:
 
 
 def default_freq_grid(samples: SampledFunction, count: int = 4097) -> Grid:
-    """Frequency grid resolving everything the time grid itself can carry."""
-    ymax = 0.45 * np.pi / samples.grid.step
+    """Frequency grid over the band the time grid resolves (`resolved_band`)."""
+    ymax = resolved_band(samples.grid.step)
     return make_uniform_grid(-ymax, ymax, count)
 
 
@@ -345,13 +357,6 @@ def decay_audit_max_ratio(gen: Generator, sigma: float) -> float:
     return float(np.max(ratio) / gen.decay_constant)
 
 
-def _autocorr_step(gen: Generator, sigma: float) -> float:
-    step = np.pi / sigma / 128.0
-    if gen.time_step_hint is not None:
-        step = min(step, gen.time_step_hint / 2.0)
-    return step
-
-
 def _window_integral(values: np.ndarray, start: float, step: float, lo: float, hi: float) -> complex:
     """Integrate pre-tabulated samples over the sub-window [lo, hi]."""
     i0 = max(0, int(math.ceil((lo - start) / step - 1e-9)))
@@ -366,11 +371,14 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
                           tol: float = 1e-10) -> np.ndarray:
     """Inner products ``a_d = <B, B(. - d*pi/sigma)>`` for ``d = 0..max_lag``.
 
-    Compactly supported generators integrate over the exact overlap on a
-    knot-aligned grid.  Decaying generators use the window where the tail
-    bound falls below ``tol`` times scale.  Spectra with compact support but
-    slowly decaying time domains (the bandlimited family) use Parseval:
-    ``a_d = 2*pi * integral |spectrum|^2 exp(i d pi y / sigma) dy``.
+    Generators with a time extent (`time_extent` at ``tol * 1e-2``)
+    integrate on a window whose step divides the shift: the exact overlap
+    on a knot-aligned grid for a compact support, the tail radius plus the
+    largest lag otherwise.  Spectra with compact support but slowly
+    decaying time domains (the bandlimited family) use Parseval:
+    ``a_d = 2*pi * integral |spectrum|^2 exp(i d pi y / sigma) dy``.  A
+    time domain with neither takes a wide window and one Richardson step in
+    its size: ``I(T) ~ I - c/T``, so ``I ~ 2 I(T) - I(T/2)``.
     """
     h = np.pi / sigma
     out = np.zeros(max_lag + 1, dtype=np.complex128)
@@ -388,55 +396,45 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
         for d in range(max_lag + 1):
             out[d] = TWO_PI * np.sum(w * energy * np.exp(1j * d * np.pi * y / sigma))
         return out
-    if gen.support is None and gen.time_domain is None:
+    if gen.time_domain is None:
         raise TruncationError("autocorrelation needs a time domain or a compact spectrum")
-    if gen.support is not None or gen.time_tail_radius is not None:
-        # window [a, a + (count-1) step] whose step divides h exactly, so
-        # every lag is a whole number of nodes and (for a compact support)
-        # the knots fall on panel edges
-        step = _autocorr_step(gen, sigma)
+    # window [a, a + (count-1) step] whose step divides h exactly, so every
+    # lag is a whole number of nodes and (for a compact support) the knots
+    # fall on panel edges
+    try:
+        lo, hi, exact = time_extent(gen, tol * 1e-2)
+    except TruncationError:
+        exact, richardson = False, True
+        q = max(1, int(round(h / min(0.05 * min(1.0, h / np.pi), h / 64.0))))
+        radius = 4.0e4 * max(1.0, h / np.pi)
+    else:
+        richardson = False
+        step = h / 128.0
+        if gen.time_step_hint is not None:
+            step = min(step, gen.time_step_hint / 2.0)
         q = max(2, int(math.ceil(h / step / 2.0)) * 2)
-        step = h / q
-        if gen.support is not None:
-            a, b = gen.support
-            count = int(round((b - a) / step)) + 1
-            count += (count + 1) % 2
-        else:
-            radius = gen.time_tail_radius(tol * 1e-2) + max_lag * h
-            half = int(math.ceil(radius / step))
-            a, count = -half * step, 2 * half + 1
-        grid = make_uniform_grid(a, a + (count - 1) * step, count)
-        base = gen.time_domain(grid.nodes())
-        for d in range(max_lag + 1):
-            lag = d * q
-            if lag >= count - 1:
-                break
-            # B(t) on nodes[lag:], B(t - d h) equals base[:-lag]
-            seg = base[lag:] * np.conj(base[:count - lag])
-            sub = make_uniform_grid(grid.start + lag * step, grid.stop, count - lag)
-            out[d] = integrate_values(seg, sub)
-        return out
-    # slow polynomial time decay: windowed quadrature with one Richardson step
-    # in the window size, I(T) ~ I - c/T  =>  I ~ 2*I(2T') - I(T')
-    t2 = 4.0e4 * max(1.0, h / np.pi)
-    step = min(0.05 * min(1.0, h / np.pi), h / 64.0)
-    q = max(1, int(round(h / step)))
+        radius = hi + max_lag * h
     step = h / q
-    count = 2 * int(math.ceil(t2 / step)) + 1
-    grid = make_uniform_grid(-(count // 2) * step, (count // 2) * step, count)
+    if exact:
+        a, count = lo, int(round((hi - lo) / step)) + 1
+        count += (count + 1) % 2
+    else:
+        half = int(math.ceil(radius / step))
+        a, count = -half * step, 2 * half + 1
+    grid = make_uniform_grid(a, a + (count - 1) * step, count)
     base = gen.time_domain(grid.nodes())
     for d in range(max_lag + 1):
         lag = d * q
         if lag >= count - 1:
             break
+        # B(t) on nodes[lag:], B(t - d h) equals base[:-lag]
         seg = base[lag:] * np.conj(base[:count - lag])
-        start = grid.start + lag * step
-        stop = grid.stop
-        mid_lo = start + (stop - start) / 4.0
-        mid_hi = stop - (stop - start) / 4.0
-        inner = _window_integral(seg, start, step, mid_lo, mid_hi)
-        outer = _window_integral(seg, start, step, start, stop)
-        out[d] = 2.0 * outer - inner
+        sub = make_uniform_grid(grid.start + lag * step, grid.stop, count - lag)
+        out[d] = integrate_values(seg, sub)
+        if richardson:
+            quarter = sub.span() / 4.0
+            out[d] = 2.0 * out[d] - _window_integral(
+                seg, sub.start, step, sub.start + quarter, sub.stop - quarter)
     return out
 
 

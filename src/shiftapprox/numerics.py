@@ -80,6 +80,13 @@ def covering_windows(radius: float, sigma: float) -> int:
     return max(0, int(np.ceil((radius - sigma) / (2.0 * sigma) - 1e-12)))
 
 
+def resolved_band(step: float) -> float:
+    """Radius ``0.45 pi / step`` of the band a grid of this step resolves,
+    short of ``pi / step``, where Simpson's weights alias a third-amplitude
+    copy of the spectrum."""
+    return 0.45 * np.pi / step
+
+
 def period_extension(sigma: float, count: int, windows: int) -> Grid:
     """The period grid ``[-sigma, sigma]`` of ``count`` nodes continued over
     ``2*windows + 1`` periods, so that every period is a slice of it."""

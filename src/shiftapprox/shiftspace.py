@@ -32,11 +32,13 @@ from .generator import Generator, _interp_complex
 from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
                        chunk_slices, covering_windows,
                        fourier_transform_sampled, period_extension,
-                       quadrature_weights)
+                       quadrature_weights, resolved_band)
 from .spectral import (EPSILON_D, PeriodizedSpectrum, periodize,
                        require_period_grid)
 
 _RHO_RTOL = 1e-12
+#: outer-window energy share at which `_spectrum_of` stops doubling
+_MASS_TOL = 1e-12
 #: period-grid nodes of ``project`` and ``best_approx_error_sq`` by default
 DEFAULT_GRID_COUNT = 4097
 
@@ -399,25 +401,26 @@ def plancherel_inner(zeta_s: ZetaFunction, zeta_t: ZetaFunction,
     return complex(TWO_PI * total)
 
 
-def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid,
-                 mass_tol: float = 1e-12) -> SampledSpectrum:
+def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectrum:
     """Spectrum of time samples on aligned extensions of the base grid.
 
     The frequency extent doubles until the outermost period windows hold a
-    negligible share of the captured energy, so the folded sums see all of
-    the spectrum that matters.
+    negligible share of the energy, up to the most windows that stay inside
+    the band the samples resolve (`resolved_band`), and at most 16: beyond
+    that band the quadrature transform returns aliased copies of the
+    spectrum, not the spectrum.
     """
     n = grid.count
+    limit = min(16, int((resolved_band(f.grid.step) / sigma - 1.0) // 2.0))
     windows = 1
     while True:
         freq = period_extension(sigma, n, windows)
         spec = fourier_transform_sampled(f, freq)
         power = np.abs(spec.values) ** 2
         outer = power[:n - 1].sum() + power[freq.count - n + 1:].sum()
-        total = power.sum()
-        if outer <= mass_tol * max(total, 1e-300) or windows >= 16:
+        if outer <= _MASS_TOL * max(power.sum(), 1e-300) or windows >= limit:
             return spec
-        windows *= 2
+        windows = min(2 * windows, limit)
 
 
 def project(f: Union[SampledFunction, SampledSpectrum], gen: Generator,

@@ -26,7 +26,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import InvalidGridError, MissingTimeDomainError, TruncationError
-from .generator import Generator, generator_l2_norm_sq, shift_autocorrelation
+from .generator import (Generator, generator_l2_norm_sq, shift_autocorrelation,
+                        time_extent)
 from .numerics import Grid, chunk_slices, quadrature_weights
 from .spectral import lattice_energy, lattice_sum
 
@@ -82,22 +83,15 @@ def _time_window(gen: Generator, sigma: float, xmin: float, xmax: float,
                  tol: float) -> Tuple[int, int, float]:
     """Index range of shifts contributing above tol on [xmin, xmax]."""
     h = np.pi / sigma
-    if gen.support is not None:
-        lo, hi = gen.support
-        jmin = int(np.floor((xmin - hi) / h)) - 1
-        jmax = int(np.ceil((xmax - lo) / h)) + 1
-        return jmin, jmax, 0.0
-    if gen.time_tail_radius is not None:
-        # |B| <= eps outside radius(eps); omitted shifts decay faster than
-        # geometrically for the families that declare a radius
-        eps = tol * 1e-3 * 2.0 * sigma
-        radius = gen.time_tail_radius(eps) + 2.0 * h
-        jmin = int(np.floor((xmin - radius) / h))
-        jmax = int(np.ceil((xmax + radius) / h))
-        return jmin, jmax, tol * 1e-2
-    raise TruncationError(
-        f"generator {gen.label!r} declares neither compact support nor a "
-        "time tail radius; the shift sum is only mean-square convergent")
+    lo, hi, exact = time_extent(gen, tol * 1e-3 * 2.0 * sigma)
+    if exact:
+        return (int(np.floor((xmin - hi) / h)) - 1,
+                int(np.ceil((xmax - lo) / h)) + 1, 0.0)
+    # |B| <= eps outside the radius; omitted shifts decay faster than
+    # geometrically for the families that declare a radius
+    radius = hi + 2.0 * h
+    return (int(np.floor((xmin - radius) / h)),
+            int(np.ceil((xmax + radius) / h)), tol * 1e-2)
 
 
 def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
@@ -150,8 +144,12 @@ def phi_freq(gen: Generator, sigma: float, x, y, tol: float = 1e-8):
 
 
 def _time_available(gen: Generator) -> bool:
-    return gen.time_domain is not None and (
-        gen.support is not None or gen.time_tail_radius is not None)
+    """Whether the time sum is finite: a time domain and a `time_extent`."""
+    try:
+        time_extent(gen, 1.0)
+    except TruncationError:
+        return False
+    return gen.time_domain is not None
 
 
 def _freq_available(gen: Generator) -> bool:
@@ -309,15 +307,12 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
 
 
 def _phi4_lag_count(gen: Generator, sigma: float) -> int:
-    h = np.pi / sigma
-    if gen.support is not None:
-        lo, hi = gen.support
-        return int(np.ceil((hi - lo) / h)) + 1
-    if gen.time_tail_radius is not None:
-        return int(np.ceil(2.0 * gen.time_tail_radius(1e-14) / h)) + 2
-    if gen.spectral_support is not None:
+    try:
+        lo, hi, exact = time_extent(gen, 1e-14)
+    except TruncationError as exc:
+        if gen.spectral_support is None:
+            raise TruncationError(
+                f"{exc}; with no spectral support either, the autocorrelation "
+                "lags the pairing needs are unknown") from exc
         return max(4, int(np.ceil(gen.spectral_support / sigma)) + 2)
-    raise TruncationError(
-        f"generator {gen.label!r} declares no support, time tail radius or "
-        "spectral support: the autocorrelation lags the pairing needs are "
-        "unknown")
+    return int(np.ceil((hi - lo) / (np.pi / sigma))) + (1 if exact else 2)

@@ -17,12 +17,14 @@ import sys
 from pathlib import Path
 from typing import List, Tuple
 
+import numpy as np
 import pytest
 
 import shiftapprox
 from shiftapprox.cli import _load_signal
 from shiftapprox.generator import parse_generator_spec
-from shiftapprox.numerics import Grid, SampledFunction
+from shiftapprox.numerics import (Grid, SampledFunction, SampledSpectrum,
+                                  write_samples_csv)
 from shiftapprox.shiftspace import project
 from shiftapprox.zak import phi_field
 
@@ -160,6 +162,20 @@ def test_validate_table_passes():
         for field in (residual, budget):
             if field:
                 assert math.isfinite(float(field))
+
+
+def test_validate_skips_conjugation_for_an_off_centre_spectrum(tmp_path):
+    # a real spectrum on [0, 4] is not Hermitian (y -> -y leaves the grid):
+    # the conjugation symmetry does not apply, so it is skipped, not failed
+    grid = Grid(start=0.0, stop=4.0, count=401)
+    y = grid.nodes()
+    path = tmp_path / "offcentre.csv"
+    write_samples_csv(str(path), SampledSpectrum(
+        grid=grid, values=np.exp(-4.0 * (y - 2.0) ** 2) + 0.0j))
+    _, out = run_cli(["validate", "--gen", f"file:{path}", "--dgrid", "33"])
+    status = {row.split(",")[0]: row.split(",")[3] for row in _rows(out)[1:]}
+    assert status["phi2_conjugation"] == "skipped"
+    assert status["phi2_periodic"] == "ok"
 
 
 def test_project_output_blocks_and_energy_split():

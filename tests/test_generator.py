@@ -1,22 +1,27 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
+from shiftapprox import cli, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (
+    Generator,
     SplineParams,
     _cardinal_bspline,
     bandlimited_generator,
     bspline_generator,
     decay_audit_max_ratio,
+    default_freq_grid,
     gaussian_generator,
     generator_l2_norm_sq,
     parse_generator_spec,
     sampled_generator,
     shift_autocorrelation,
     spectrum_generator,
+    time_extent,
 )
 from shiftapprox.numerics import (
     SampledFunction,
@@ -202,3 +207,86 @@ def test_sampled_generator_round_trips_through_transform():
     probe = np.linspace(-3.0, 3.0, 13)
     ref = gaussian_generator(width).spectrum(probe)
     assert np.max(np.abs(gen.spectrum(probe) - ref)) < 1e-8
+
+
+def test_tabulated_spectrum_is_real_only_on_a_symmetric_grid():
+    # e^{-4(y-2)^2} on [0, 4] mirrors onto itself about y = 2, not y = 0:
+    # the time domain is complex, and only y -> -y tests Hermitian symmetry
+    def tabulated(lo, hi, centre):
+        grid = make_uniform_grid(lo, hi, 401)
+        values = np.exp(-4.0 * (grid.nodes() - centre) ** 2) + 0.0j
+        return spectrum_generator(SampledSpectrum(grid=grid, values=values))
+
+    off = tabulated(0.0, 4.0, 2.0)
+    assert not off.real_valued
+    assert off.spectral_support == 4.0
+    assert tabulated(-2.0, 2.0, 0.0).real_valued
+
+
+def _cauchy_time_only() -> Generator:
+    return Generator(
+        label="cauchy", decay_exponent=10.0, decay_constant=1.0,
+        spectrum=lambda y: 0.5 * np.exp(-np.abs(np.asarray(y, dtype=float))) + 0.0j,
+        time_domain=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2) + 0.0j)
+
+
+def test_time_extent_reads_the_support_then_the_tail_radius():
+    assert time_extent(spline(1, 1.0), 1e-3) == (-2.0 * math.pi, 0.0, True)
+    gauss = gaussian_generator(0.8)
+    radius = gauss.time_tail_radius(1e-12)
+    assert time_extent(gauss, 1e-12) == (-radius, radius, False)
+    with pytest.raises(TruncationError, match="neither compact support"):
+        time_extent(_cauchy_time_only(), 1e-12)
+    with pytest.raises(TruncationError):
+        time_extent(bandlimited_generator(1.0), 1e-12)
+
+
+def _sampled_gaussian() -> Generator:
+    tg = make_uniform_grid(-8.0, 8.0, 513)
+    x = tg.nodes()
+    samples = SampledFunction(grid=tg, values=np.exp(-0.5 * x * x) + 0.0j)
+    return sampled_generator(samples, default_freq_grid(samples))
+
+
+# Every reader of a generator's time extent, as the separate support /
+# tail-radius ladders computed them: the shift range of the Phi time sum on
+# [0, pi/sigma] at tol 1e-8, the Phi4 lag count, the autocorrelation's
+# quadrature nodes (count, first, last) for lags 0..3, and the grid of a
+# signal sampled in time (start, stop, count).
+_EXTENT_PINS = {
+    ("spline", 1.0): ((-1, 5, 0.0), 4, (385, -9.42477796076938, 0.0),
+                      (-9.42477796076938, 0.0, 4097)),
+    ("spline", 2.0): ((-1, 8, 0.0), 7, (769, -9.42477796076938, 0.0),
+                      (-9.42477796076938, 0.0, 4097)),
+    ("gauss", 1.0): ((-4, 5, 1e-10), 7,
+                     (1255, -15.388895264068752, 15.388895264068752),
+                     (-6.8670912841259115, 6.8670912841259115, 1100)),
+    ("gauss", 2.0): ((-6, 7, 1e-10), 11,
+                     (1739, -10.664234437380978, 10.664234437380978),
+                     (-6.8670912841259115, 6.8670912841259115, 1100)),
+    ("sampled", 1.0): ((-4, 5, 0.0), 7, (1031, -8.0, 8.019012045532111),
+                       (-8.0, 8.0, 2049)),
+    ("sampled", 2.0): ((-7, 8, 0.0), 12, (1305, -8.0, 8.002487579223008),
+                       (-8.0, 8.0, 2049)),
+}
+
+
+@pytest.mark.parametrize("name,sigma", sorted(_EXTENT_PINS))
+def test_extent_readers_keep_their_windows(name, sigma):
+    gen = {"spline": lambda: spline(2, 1.0),
+           "gauss": lambda: gaussian_generator(0.8),
+           "sampled": _sampled_gaussian}[name]()
+    window, lags, nodes, signal_grid = _EXTENT_PINS[(name, sigma)]
+    assert zak._time_window(gen, sigma, 0.0, math.pi / sigma, 1e-8) == window
+    assert zak._phi4_lag_count(gen, sigma) == lags
+    seen = []
+
+    def recorded(x, evaluate=gen.time_domain):
+        seen.append((x.size, float(x[0]), float(x[-1])))
+        return evaluate(x)
+
+    shift_autocorrelation(dataclasses.replace(gen, time_domain=recorded,
+                                              autocorrelation=None), sigma, 3)
+    assert seen == [nodes]
+    grid = cli._sample_signal(gen, sigma, 257, prefer_time=True).grid
+    assert (grid.start, grid.stop, grid.count) == signal_grid

@@ -30,7 +30,8 @@ from shiftapprox.spectral import periodize
 from helpers import (analytic_gaussian_spectrum, band_member_spectrum,
                      bump_spectrum_signal, direct_coeffs,
                      expansion_time_products,
-                     random_expansion, sinc_gen, spectrum_norm_sq, spline)
+                     random_expansion, sinc_gen, spectrum_norm_sq, spline,
+                     time_norm_sq)
 
 PERIOD_GRID = Grid(start=-1.0, stop=1.0, count=4097)
 
@@ -227,6 +228,28 @@ def test_projection_recovers_member():
     assert np.max(np.abs(res.coeffs.coeffs[13:])) < 1e-8 * scale
     assert res.error_sq <= 1e-8 * norm_sq
     assert res.guard_mass == 0.0
+
+
+@pytest.mark.parametrize("m,q", [(2, 32), (3, 16)])
+def test_projection_recovers_knot_aligned_time_sampled_members(m, q):
+    # a member sampled at step h/q resolves the band 0.45 pi q/h only: the
+    # transform's Simpson copy at +-pi q/h and its full alias at +-2 pi q/h
+    # must stay out of the fold, or they read as energy outside the space
+    sigma, h = 1.0, math.pi
+    gen = spline(m, sigma)
+    beta = random_expansion(np.random.default_rng(31 + m), sigma, 3).coeffs
+    lo, hi = -(3 + m + 2) * h, 4 * h
+    tg = make_uniform_grid(lo, hi, int(round((hi - lo) / h)) * q + 1)
+    f = synthesize(ShiftExpansion(sigma=sigma, rho=sigma, coeffs=beta), gen, tg)
+    norm_sq = time_norm_sq(f)
+    res = project(f, gen, sigma, rho=sigma, grid=Grid(-sigma, sigma, 129),
+                  j_range=8)
+    assert res.error_sq <= 1e-5 * norm_sq
+    # Simpson on the sample grid and the 129-node fold leave ~1e-5 relative
+    scale = np.max(np.abs(beta))
+    coeffs = res.coeffs.coeffs
+    assert np.max(np.abs(coeffs[5:12] - beta)) <= 1e-4 * scale
+    assert np.max(np.abs(np.r_[coeffs[:5], coeffs[12:]])) <= 1e-4 * scale
 
 
 def test_projection_keeps_exact_sinc_members_in_the_space():
