@@ -82,9 +82,12 @@ class Generator:
     real_valued : bool
         Whether the time-domain function is real (spectrum Hermitian).
     autocorrelation : callable, optional
-        Exact ``d -> <B, B(. - d*pi/sigma)>`` for the sigma the generator
-        was built with.  Families with a closed form set this so the Gram
-        oracle does not inherit quadrature error from jump discontinuities.
+        Exact ``tau -> <B, B(. - tau)>`` at any real time lag ``tau``; a
+        lattice of half-period sigma reads it at ``tau = d*pi/sigma``
+        (`shift_autocorrelation`).  Families with a closed form set this,
+        so the Gram oracle does not inherit quadrature error from jump
+        discontinuities, and with a declared support it makes the
+        periodization D an exact finite sum (`spectral.periodize`).
     """
 
     label: str
@@ -97,7 +100,7 @@ class Generator:
     spectral_support: Optional[float] = None
     time_step_hint: Optional[float] = None
     real_valued: bool = True
-    autocorrelation: Optional[Callable[[int], complex]] = None
+    autocorrelation: Optional[Callable[[float], complex]] = None
 
     def __post_init__(self) -> None:
         if self.decay_exponent < 0:
@@ -169,11 +172,16 @@ def bspline_generator(params: SplineParams) -> Generator:
         t = np.asarray(x, dtype=float) / h + (m + 1)
         return (2.0 * sigma) * _cardinal_bspline(m + 1, t) + 0.0j
 
-    def autocorrelation(d: int) -> complex:
-        # <N_p(.), N_p(. - d)> = N_{2p}(p + d); the amplitude 2*sigma and
-        # the substitution x = (t - p) h contribute (2*sigma)^2 * h = 4*pi*sigma
-        val = float(_cardinal_bspline(2 * (m + 1), np.array(m + 1 + abs(d), dtype=float)))
-        return complex(4.0 * np.pi * sigma * val)
+    def autocorrelation(tau: float) -> complex:
+        # <N_p(.), N_p(. - s)> = N_{2p}(p + s) with s = tau/h in the spline's
+        # own knot spacing; the amplitude 2*sigma and the substitution
+        # x = (t - p) h contribute (2*sigma)^2 * h = 4*pi*sigma.  N_{2p} is
+        # read at the mirrored argument p - |s|: on the far half the
+        # truncated powers cancel (absolute error 2e-7 at m = 10), on the near
+        # half they do not, and lags of a whole support or more give t <= 0,
+        # where every truncated power is exactly 0
+        t = m + 1 - abs(tau) / h
+        return complex(4.0 * np.pi * sigma * float(_cardinal_bspline(2 * (m + 1), np.array(t))))
 
     return Generator(
         label=f"bspline:m={m},sigma={sigma:g}",
@@ -371,7 +379,9 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
                           tol: float = 1e-10) -> np.ndarray:
     """Inner products ``a_d = <B, B(. - d*pi/sigma)>`` for ``d = 0..max_lag``.
 
-    Generators with a time extent (`time_extent` at ``tol * 1e-2``)
+    A closed-form ``gen.autocorrelation`` is read at the lags
+    ``d*pi/sigma``, whatever sigma the generator was built with.
+    Otherwise, generators with a time extent (`time_extent` at ``tol * 1e-2``)
     integrate on a window whose step divides the shift: the exact overlap
     on a knot-aligned grid for a compact support, the tail radius plus the
     largest lag otherwise.  Spectra with compact support but slowly
@@ -383,7 +393,7 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
     h = np.pi / sigma
     out = np.zeros(max_lag + 1, dtype=np.complex128)
     if gen.autocorrelation is not None:
-        return np.array([gen.autocorrelation(d) for d in range(max_lag + 1)],
+        return np.array([gen.autocorrelation(d * h) for d in range(max_lag + 1)],
                         dtype=np.complex128)
     if gen.support is None and gen.spectral_support is not None:
         s_edge = gen.spectral_support * (1.0 - 1e-12)

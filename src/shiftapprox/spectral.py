@@ -2,14 +2,24 @@
 
 ``D(y) = sum_nu |spectrum(y + 2 nu sigma)|^2`` is the 2*sigma-periodic
 energy density whose essential bounds are the frame bounds of the shift
-system.  `lattice_sum` is the one lattice sum of the package: D sums
-``|spectrum(u)|^2`` with it, and the spectral form of Phi in `zak` sums
-``spectrum(u) e^{iux}``.  `lattice_order` truncates it by the generator's
-audited decay contract; an asymptotic power-law tail estimate calibrated
-on the boundary terms is then added, which brings slowly decaying spectra
-(p close to 1/2) within desk tolerances at a few hundred terms.  The
-recorded ``tail_bound`` is the rigorous envelope bound on the omitted
-mass; the calibrated correction is never larger.
+system.  `periodize` evaluates it by one of two routes:
+
+* Poisson duality, for a generator with a closed-form ``autocorrelation``
+  and a declared (exact) time support: ``D(y) = (1/(4 pi sigma))
+  sum_{|d|<=L} a_d e^{-i d pi y/sigma}`` with ``a_d = <B, B(. - d pi/sigma)>``,
+  a finite sum because the shifts by ``d pi/sigma >= hi - lo`` do not
+  overlap (de Boor, DeVore & Ron 1994; Blu & Unser 1999).  It is exact:
+  ``truncation_order`` is L and ``tail_bound`` is 0.
+* otherwise `lattice_sum`, the one lattice sum of the package: D sums
+  ``|spectrum(u)|^2`` with it (`lattice_energy`, the explicit sum for
+  every generator: the Phi4 audit's other side and the tests' reference
+  for the Poisson form), and the spectral form of Phi in `zak` sums
+  ``spectrum(u) e^{iux}``.  `lattice_order` truncates it
+  by the generator's audited decay contract; an asymptotic power-law tail
+  estimate calibrated on the boundary terms is then added, which brings
+  slowly decaying spectra (p close to 1/2) within desk tolerances at a few
+  hundred terms.  The recorded ``tail_bound`` is the rigorous envelope
+  bound on the omitted mass; the calibrated correction is never larger.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidGridError, TruncationError
-from .generator import Generator
+from .generator import Generator, shift_autocorrelation, time_extent
 from .numerics import Grid, chunk_slices
 
 #: nodes where D falls at or below this threshold are treated as a vanishing
@@ -169,18 +179,38 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
                    min_terms: Optional[int] = None) -> Tuple[np.ndarray, int, float]:
     """``sum_nu |spectrum(y + 2 nu sigma)|^2`` at arbitrary nodes.
 
-    Shared evaluation core: the [-sigma, sigma] periodization wraps it, and
-    property checks evaluate it at cell midpoints.  Returns
-    ``(values, truncation_order, tail_bound)``.
+    The explicit lattice sum for every generator: `periodize` wraps it
+    where D has no exact Poisson form, and the Phi4 audit evaluates it at
+    cell midpoints as the other side of the autocorrelation pairing.
+    Returns ``(values, truncation_order, tail_bound)``.
     """
     y = np.asarray(y, dtype=float)
     return lattice_sum(gen, sigma, y, lambda u: np.abs(gen.spectrum(u)) ** 2,
                        2, tol, y.shape, min_terms)
 
 
+def _poisson_order(gen: Generator, sigma: float, tol: float) -> Optional[int]:
+    """Largest lag L with ``L*pi/sigma < hi - lo``, or None when D has no
+    exact finite Poisson form (no closed-form autocorrelation, or no
+    declared support).  A span within rounding of a whole number k of
+    shifts gives k - 1: the lag k overlaps B on a null set.
+    """
+    if gen.autocorrelation is None or gen.support is None:
+        return None
+    lo, hi, _ = time_extent(gen, tol)
+    return max(0, int(np.ceil((hi - lo) * sigma / np.pi - 1e-9)) - 1)
+
+
 def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
               min_terms: Optional[int] = None) -> PeriodizedSpectrum:
-    """Truncated lattice sum ``D(y) = sum |spectrum(y + 2 nu sigma)|^2``.
+    """``D(y) = sum |spectrum(y + 2 nu sigma)|^2`` on one period.
+
+    A generator with a closed-form ``autocorrelation`` and a declared
+    support takes the exact Poisson form (see the module docstring):
+    ``truncation_order`` is its largest lag L and ``tail_bound`` is 0.
+    Any other generator takes the truncated lattice sum: ``truncation_order``
+    is its order N and ``tail_bound`` the envelope bound on the mass
+    beyond it.
 
     Parameters
     ----------
@@ -191,8 +221,9 @@ def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
     tol : float
         Target bound for the omitted tail (after correction).
     min_terms : int, optional
-        Force at least this truncation order (used when a bracket sum over
-        more lattice cells must stay dominated by ``D``).
+        Force at least this truncation order of the lattice sum (used when
+        a bracket sum over more lattice cells must stay dominated by
+        ``D``).  The exact Poisson form dominates every partial sum.
 
     Raises
     ------
@@ -201,10 +232,20 @@ def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
         compact support.
     """
     require_period_grid(grid, sigma)
-    values, n_trunc, tail_bound = lattice_energy(
-        gen, sigma, grid.nodes(), tol=tol, min_terms=min_terms)
+    y = grid.nodes()
+    order = _poisson_order(gen, sigma, tol)
+    if order is None:
+        values, order, tail_bound = lattice_energy(
+            gen, sigma, y, tol=tol, min_terms=min_terms)
+    else:
+        acorr = shift_autocorrelation(gen, sigma, order)
+        values = np.full(y.shape, acorr[0].real)
+        for d in range(1, order + 1):
+            values += 2.0 * (acorr[d] * np.exp((-1j * d * np.pi / sigma) * y)).real
+        values /= 4.0 * np.pi * sigma
+        tail_bound = 0.0
     return PeriodizedSpectrum(sigma=float(sigma), grid=grid, values=values,
-                              truncation_order=n_trunc, tail_bound=tail_bound)
+                              truncation_order=order, tail_bound=tail_bound)
 
 
 def riesz_bounds(dperiod: PeriodizedSpectrum, epsilon: float = EPSILON_D) -> RieszReport:
@@ -214,7 +255,8 @@ def riesz_bounds(dperiod: PeriodizedSpectrum, epsilon: float = EPSILON_D) -> Rie
     ``[-sigma, sigma]`` describe the same point of the period and can carry
     split-point values (half the one-sided limit) for spectra supported up
     to exactly the lattice edge, which would misreport the essential bounds.
-    The envelope ``tail_bound`` widens the interval on both sides.
+    The envelope ``tail_bound`` widens the interval on both sides; an exact
+    D (Poisson form or compact spectral support) has none.
     """
     interior = dperiod.values[1:-1] if dperiod.grid.count > 4 else dperiod.values
     lower = float(np.min(interior)) - dperiod.tail_bound

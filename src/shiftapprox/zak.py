@@ -3,7 +3,7 @@
 ``Phi(x, y) = (1/2 sigma) sum_j B(x - j pi/sigma) e^{i j pi y / sigma}``
 is computed either by that time-domain sum or by the equivalent spectral
 lattice sum ``sum_nu spectrum(y + 2 nu sigma) e^{i (y + 2 nu sigma) x}``
-(`spectral.lattice_sum`, which also sums D).  On an x-by-y mesh the time
+(`spectral.lattice_sum`, which also sums `lattice_energy`).  On an x-by-y mesh the time
 domain is evaluated on x times j and the spectrum on y times nu; only
 phases and products fill the mesh.
 Both formulas are exactly 2*sigma-periodic in y and exactly quasi-periodic

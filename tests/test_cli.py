@@ -119,10 +119,18 @@ def test_riesz_line_hat():
     lower, upper = float(m.group(1)), float(m.group(2))
     # extrema come from interior nodes, so the lower bound sits a grid
     # step's curvature above the true minimum 1/3 at the period edge;
-    # both bounds are widened by the lattice-tail envelope (~1e-6 here)
+    # D is exact (Poisson form), so neither bound is widened by a tail
     assert 1.0 / 3.0 - 1e-5 <= lower <= 1.0 / 3.0 + 1e-3
     assert abs(upper - 1.0) <= 1e-5
     assert m.group(3) == "riesz"
+
+
+def test_riesz_line_box_is_exact():
+    # the box's D is 1 by Poisson duality, with no tail to widen the bounds
+    rc, out = run_cli(["riesz", "--gen", "bspline:m=0", "--tol", "1e-12",
+                       "--dgrid", "257"])
+    assert rc == 0
+    assert out == "A=1 B=1 class=riesz\n"
 
 
 def test_zak_grid_shape():

@@ -115,6 +115,19 @@ def test_spline_autocorrelation_closed_form_vs_quadrature(m):
     assert abs(got[m + 1]) == 0.0  # disjoint supports beyond m lags
 
 
+@pytest.mark.parametrize("sigma_b", [2.0, 0.5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_spline_autocorrelation_reads_the_lattice_lag(m, sigma_b):
+    # a spline built at sigma_B on the sigma = 1 lattice: the closed form at
+    # the lags d pi against the knot-aligned time quadrature of the overlap
+    gen = spline(m, sigma_b)
+    lags = 2 * m + 3
+    got = shift_autocorrelation(gen, 1.0, lags)
+    ref = shift_autocorrelation(dataclasses.replace(gen, autocorrelation=None),
+                                1.0, lags)
+    assert np.max(np.abs(got - ref)) <= 1e-6 * got[0].real
+
+
 def test_spline_autocorrelation_known_ratios():
     a1 = shift_autocorrelation(spline(1, 1.0), 1.0, 1)
     assert a1[0].real == pytest.approx(4.0 * math.pi * (2.0 / 3.0), rel=1e-14)

@@ -121,10 +121,12 @@ def _box_comb_generator() -> Generator:
         y = np.asarray(y, dtype=float)
         return box.spectrum(y) * (1.0 + np.exp(-1j * math.pi * y)) ** 4
 
-    def autocorrelation(d: int) -> complex:
-        if abs(d) > 4:
-            return 0.0 + 0.0j
-        return complex(4.0 * math.pi * math.comb(8, 4 + abs(d)))
+    def autocorrelation(tau: float) -> complex:
+        # the weights correlate to comb(8, 4 + j) at shift j pi, each times
+        # the box's triangle 4 pi (1 - |tau/pi - j|)_+
+        d = tau / math.pi
+        return complex(4.0 * math.pi * sum(
+            math.comb(8, 4 + j) * max(0.0, 1.0 - abs(d - j)) for j in range(-4, 5)))
 
     return Generator(label="box-comb", spectrum=spectrum,
                      decay_exponent=box.decay_exponent,
@@ -176,6 +178,16 @@ def test_comparison_converges_for_a_gaussian():
         # each range solves with the central block of the top Gram matrix,
         # which is the matrix the range builds on its own
         assert row.oracle_residual == ls_project(f, gen, 1.0, row.j_range)[1]
+
+
+def test_comparison_holds_when_the_spline_and_lattice_sigma_differ():
+    # a hat built at sigma_B = 2 on the sigma = 1 lattice: the Gram matrix
+    # reads the closed-form autocorrelation at the lattice's lags pi d
+    f, fs = knot_aligned_gaussian(2.0)
+    report = compare(f, spline(1, 2.0), 1.0, [8, 16], f_spectrum=fs)
+    assert report.consistent
+    for row in report.rows:
+        assert abs(row.gap) <= 1e-8 * row.formula_error
 
 
 def test_comparison_flags_an_inconsistent_formula():

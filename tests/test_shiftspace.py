@@ -25,7 +25,7 @@ from shiftapprox.shiftspace import (ShiftExpansion, ZetaFunction,
                                     plancherel_inner, plancherel_norm_sq,
                                     project, synthesize, zeta_of_coeffs,
                                     zeta_transform)
-from shiftapprox.spectral import periodize
+from shiftapprox.spectral import lattice_order, periodize
 
 from helpers import (analytic_gaussian_spectrum, band_member_spectrum,
                      bump_spectrum_signal, direct_coeffs,
@@ -380,18 +380,18 @@ def test_best_error_agrees_with_projection():
 
 def test_fold_of_the_generator_with_itself_is_the_periodization():
     # bracket(B, B) = sum_k |B^(y + 2 k sigma)|^2 = D: folding B's own
-    # aligned spectrum over D's truncation order gives the direct lattice
-    # sum, and D exceeds it only by its tail correction, which the
-    # envelope tail bound dominates
+    # aligned spectrum over the lattice order gives the direct lattice
+    # sum, and D exceeds it only by the omitted tail, which the envelope
+    # bound of that order dominates.  Both D here are exact (the spline's
+    # by Poisson duality, the sinc's by its compact spectrum)
     sigma = 1.0
     grid = Grid(start=-sigma, stop=sigma, count=257)
     y = grid.nodes()[1:-1]
     for gen in (spline(2, sigma), sinc_gen(sigma)):
-        order = periodize(gen, sigma, grid).truncation_order
+        order, bound = lattice_order(gen, sigma, 1e-8, 2)
         full = period_extension(sigma, grid.count, order)
         fs = SampledSpectrum(grid=full, values=gen.spectrum(full.nodes()))
         fold = _fold(fs, gen, sigma, grid, tol=1e-8)
-        assert fold.density.truncation_order == order
         direct = sum(np.abs(gen.spectrum(y + 2.0 * sigma * k)) ** 2
                      for k in range(-order, order + 1))
         b = fold.bracket[1:-1]
@@ -400,9 +400,8 @@ def test_fold_of_the_generator_with_itself_is_the_periodization():
         assert np.max(np.abs(b.real - direct)) <= 1e-14 * scale, gen.label
         correction = fold.density.values[1:-1] - b.real
         assert np.min(correction) >= -1e-14 * scale
-        assert np.max(correction) <= fold.density.tail_bound + 1e-14 * scale
-        if gen.spectral_support is not None:
-            assert fold.density.tail_bound == 0.0
+        assert np.max(correction) <= bound + 1e-14 * scale
+        assert fold.density.tail_bound == 0.0
 
 
 def test_folded_bracket_is_cauchy_schwarz_dominated():

@@ -49,10 +49,49 @@ def test_truncation_cap_is_enforced():
 
 
 def test_box_periodization_is_flat():
+    # the Poisson form is exact: D = a_0 / (4 pi sigma) = 1 with no tail;
+    # the lattice sum behind it needs a tail bound and many terms
     dv = periodize(spline(0, 1.0), 1.0, band_grid(1.0))
-    assert np.max(np.abs(dv.values - 1.0)) <= 1e-6
-    assert dv.tail_bound > 0.0
-    assert dv.truncation_order >= 8
+    assert dv.tail_bound == 0.0
+    assert np.max(np.abs(dv.values - 1.0)) <= 1e-14
+    _, order, tail = lattice_energy(spline(0, 1.0), 1.0, band_grid(1.0, 65).nodes())
+    assert tail > 0.0
+    assert order >= 8
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("m,count", [(m, count) for m in (0, 1, 2, 3)
+                                     for count in (65, 257, 4097)]
+                         + [(7, 65), (10, 65)])
+def test_poisson_periodization_matches_the_lattice_sum(m, sigma, count):
+    # the exact Poisson D against the explicit lattice sum at tol 1e-12;
+    # on 4097 nodes every 16th node and the three at either seam are
+    # checked (the m = 0 lattice sum runs to order 16384 there).  Degrees
+    # 7 and 10 pin the closed-form a_d where N_{2m+2}'s truncated powers
+    # would cancel if read on the far half of its support
+    gen = spline(m, sigma)
+    grid = band_grid(sigma, count)
+    dv = periodize(gen, sigma, grid, tol=1e-12)
+    assert dv.truncation_order == m and dv.tail_bound == 0.0
+    step = max(1, (count - 1) // 256)
+    idx = np.unique(np.r_[0:3, 0:count:step, count - 3:count])
+    ref, _, _ = lattice_energy(gen, sigma, grid.nodes()[idx], tol=1e-12)
+    assert np.max(np.abs(dv.values[idx] - ref)) <= 1e-12 * np.max(dv.values)
+
+
+def test_poisson_periodization_reads_the_lattice_lags():
+    # a hat built at sigma_B = 2 on the sigma = 1 lattice: its support pi
+    # spans no whole shift pi, so D = a_0 / (4 pi) = 4/3 is flat.  The
+    # truncated lattice sum's tail estimate, calibrated on a power law,
+    # misses this spectrum's zeros at every other lattice step (4e-10 off
+    # at tol 1e-12), so the reference is a brute sum of 40001 terms
+    gen = spline(1, 2.0)
+    grid = band_grid(1.0, 65)
+    dv = periodize(gen, 1.0, grid, tol=1e-12)
+    assert dv.truncation_order == 0 and dv.tail_bound == 0.0
+    assert np.max(np.abs(dv.values - 4.0 / 3.0)) <= 1e-14
+    ref = brute_lattice_energy(gen, 1.0, grid.nodes(), order=20_000)
+    assert np.max(np.abs(dv.values - ref)) <= 1e-12 * np.max(dv.values)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
