@@ -2,19 +2,15 @@
 
 ``D(y) = sum_nu |spectrum(y + 2 nu sigma)|^2`` is the 2*sigma-periodic
 energy density whose essential bounds are the frame bounds of the shift
-system.  `periodize` evaluates it by one of two routes:
+system.  It has two forms, which the Phi4 audit in `zak` compares:
 
-* Poisson duality, for a generator with a closed-form ``autocorrelation``
-  and a declared (exact) time support: ``D(y) = (1/(4 pi sigma))
-  sum_{|d|<=L} a_d e^{-i d pi y/sigma}`` with ``a_d = <B, B(. - d pi/sigma)>``,
-  a finite sum because the shifts by ``d pi/sigma >= hi - lo`` do not
-  overlap (de Boor, DeVore & Ron 1994; Blu & Unser 1999).  It is exact:
-  ``truncation_order`` is L and ``tail_bound`` is 0.
-* otherwise `lattice_sum`, the one lattice sum of the package: D sums
-  ``|spectrum(u)|^2`` with it (`lattice_energy`, the explicit sum for
-  every generator: the Phi4 audit's other side and the tests' reference
-  for the Poisson form), and the spectral form of Phi in `zak` sums
-  ``spectrum(u) e^{iux}``.  `lattice_order` truncates it
+* the Poisson form `poisson_energy`, ``(1/(4 pi sigma)) sum_{|d|<=L} a_d
+  e^{-i d pi y/sigma}`` with ``a_d = <B, B(. - d pi/sigma)>`` over the lags
+  of `poisson_lags` (de Boor, DeVore & Ron 1994; Blu & Unser 1999), exact
+  under a declared support: shifts by ``d pi/sigma >= hi - lo`` do not overlap.
+* the lattice form `lattice_energy`, through `lattice_sum`, the one lattice
+  sum of the package (the spectral form of Phi in `zak` sums
+  ``spectrum(u) e^{iux}`` with it).  `lattice_order` truncates it
   by the generator's audited decay contract; an asymptotic power-law tail
   estimate calibrated on the boundary terms is then added, which brings
   slowly decaying spectra (p close to 1/2) within desk tolerances at a few
@@ -120,18 +116,19 @@ def _tail_correction(t_edge: np.ndarray, t_prev: np.ndarray,
                      u_edge: np.ndarray, q: float, sigma: float) -> np.ndarray:
     """Tail of one side of a lattice sum from its last two terms.
 
-    Monotone tails (phase drift < 0.1 rad between the two terms, as for any
-    nonnegative summand) get the power-law tail calibrated on the boundary
-    term, in the midpoint form ``sum_{nu > N} ~ integral_{N+1/2}`` (exact
-    to ``O(1/N^2)`` relative; the ratio ``(u_edge/u_half)**q`` cannot
-    overflow).  Rotating tails get a geometric model with the modulus ratio
-    pinned to the power law.  Points where neither model is safe are left
+    Tails that do not rotate (phase drift at rounding level between the two
+    terms, as for any nonnegative summand) get the power-law tail calibrated
+    on the boundary term, in the midpoint form ``sum_{nu > N} ~
+    integral_{N+1/2}`` (exact to ``O(1/N^2)`` relative; the ratio
+    ``(u_edge/u_half)**q`` cannot overflow).  Rotating tails get a geometric
+    model with the modulus ratio pinned to the power law.  Points where
+    neither model is safe (a drift below about 0.05 rad far out) are left
     uncorrected (the envelope bound covers them).  Real terms give a real
     correction.
     """
     active = (np.abs(t_edge) > 0) & (np.abs(t_prev) > 0)
     phase = np.angle(np.where(active, t_edge / np.where(active, t_prev, 1.0), 1.0))
-    power = active & (np.abs(phase) < 0.1)
+    power = active & (np.abs(phase) < 1e-9)
     u_half = u_edge + sigma
     out = np.where(power, t_edge * (u_edge / u_half) ** q * u_half
                    / (2.0 * sigma * (q - 1.0)), 0.0)
@@ -179,9 +176,8 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
                    min_terms: Optional[int] = None) -> Tuple[np.ndarray, int, float]:
     """``sum_nu |spectrum(y + 2 nu sigma)|^2`` at arbitrary nodes.
 
-    The explicit lattice sum for every generator: `periodize` wraps it
-    where D has no exact Poisson form, and the Phi4 audit evaluates it at
-    cell midpoints as the other side of the autocorrelation pairing.
+    The lattice form of D for every generator: `periodize`'s route where D
+    has no exact Poisson form, and the Phi4 audit's reference for that form.
     Returns ``(values, truncation_order, tail_bound)``.
     """
     y = np.asarray(y, dtype=float)
@@ -189,16 +185,39 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
                        2, tol, y.shape, min_terms)
 
 
-def _poisson_order(gen: Generator, sigma: float, tol: float) -> Optional[int]:
-    """Largest lag L with ``L*pi/sigma < hi - lo``, or None when D has no
-    exact finite Poisson form (no closed-form autocorrelation, or no
-    declared support).  A span within rounding of a whole number k of
-    shifts gives k - 1: the lag k overlaps B on a null set.
+def poisson_lags(gen: Generator, sigma: float) -> Tuple[int, bool]:
+    """``(L, exact)``: the autocorrelation lags of the Poisson form of D.
+
+    A declared support gives the exact L, the largest d with
+    ``d*pi/sigma < hi - lo`` (a span within rounding of k shifts gives
+    k - 1: the lag k overlaps B on a null set).  A time tail radius at
+    1e-14 gives its shift count plus 2.  A spectral support Y alone gives
+    ``max(4, ceil(Y/sigma) + 2)``, a guess: it cuts off the images near
+    ``d = 2 sigma/s`` in the autocorrelation of a spectrum interpolated
+    linearly at step s.  Raises `TruncationError` when the generator
+    declares none of these.
     """
-    if gen.autocorrelation is None or gen.support is None:
-        return None
-    lo, hi, _ = time_extent(gen, tol)
-    return max(0, int(np.ceil((hi - lo) * sigma / np.pi - 1e-9)) - 1)
+    try:
+        lo, hi, exact = time_extent(gen, 1e-14)
+    except TruncationError as exc:
+        if gen.spectral_support is None:
+            raise TruncationError(
+                f"{exc}; with no spectral support either, the autocorrelation "
+                "lags the pairing needs are unknown") from exc
+        return max(4, int(np.ceil(gen.spectral_support / sigma)) + 2), False
+    shifts = (hi - lo) * sigma / np.pi
+    if exact:
+        return max(0, int(np.ceil(shifts - 1e-9)) - 1), True
+    return int(np.ceil(shifts)) + 2, False
+
+
+def poisson_energy(acorr: np.ndarray, sigma: float, y: np.ndarray) -> np.ndarray:
+    """The Poisson form of D from the row ``a_0..a_L`` of
+    `shift_autocorrelation`; real, as ``a_{-d} = conj(a_d)``."""
+    values = np.full(np.shape(y), acorr[0].real)
+    for d in range(1, len(acorr)):
+        values += 2.0 * (acorr[d] * np.exp((-1j * d * np.pi / sigma) * y)).real
+    return values / (4.0 * np.pi * sigma)
 
 
 def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
@@ -233,17 +252,13 @@ def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
     """
     require_period_grid(grid, sigma)
     y = grid.nodes()
-    order = _poisson_order(gen, sigma, tol)
-    if order is None:
+    if gen.autocorrelation is not None and gen.support is not None:
+        order, _ = poisson_lags(gen, sigma)
+        values = poisson_energy(shift_autocorrelation(gen, sigma, order), sigma, y)
+        tail_bound = 0.0
+    else:
         values, order, tail_bound = lattice_energy(
             gen, sigma, y, tol=tol, min_terms=min_terms)
-    else:
-        acorr = shift_autocorrelation(gen, sigma, order)
-        values = np.full(y.shape, acorr[0].real)
-        for d in range(1, order + 1):
-            values += 2.0 * (acorr[d] * np.exp((-1j * d * np.pi / sigma) * y)).real
-        values /= 4.0 * np.pi * sigma
-        tail_bound = 0.0
     return PeriodizedSpectrum(sigma=float(sigma), grid=grid, values=values,
                               truncation_order=order, tail_bound=tail_bound)
 

@@ -10,7 +10,8 @@ Both formulas are exactly 2*sigma-periodic in y and exactly quasi-periodic
 in x term by term, so those structural identities hold to rounding; the
 interesting checks are the norm identity over the fundamental cell, the
 agreement of the two representations, and the pairing with the
-periodization D.
+periodization D: Phi4 compares D's Poisson form (`spectral.poisson_energy`
+of the shift autocorrelation) with its lattice form (`lattice_energy`).
 
 Pointwise evaluation of the spectral sum is refused when the decay
 contract only guarantees mean-square convergence (exponent <= 1 with no
@@ -28,8 +29,8 @@ import numpy as np
 from .errors import InvalidGridError, MissingTimeDomainError, TruncationError
 from .generator import (Generator, generator_l2_norm_sq, shift_autocorrelation,
                         time_extent)
-from .numerics import Grid, chunk_slices, quadrature_weights
-from .spectral import lattice_energy, lattice_sum
+from .numerics import TWO_PI, Grid, chunk_slices, quadrature_weights
+from .spectral import lattice_energy, lattice_sum, poisson_energy, poisson_lags
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,8 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
     periodicity, quasi-periodicity in x, and conjugation symmetry on the
     cell mesh; pointwise agreement of the two representations; and the
     L2[-sigma, sigma] identity pairing the generator against Phi, namely
-    ``integral B(t) conj(Phi(t, y)) dt = 2 pi D(y)``, evaluated through the
-    shift autocorrelation over a finite window.  Checks 1-3 read one
+    ``integral B(t) conj(Phi(t, y)) dt = 2 pi D(y)``, with D's Poisson form
+    on the left and its lattice form on the right.  Checks 1-3 read one
     evaluation of Phi on the cell mesh, by the representation phi_field picks.
 
     Residuals are reported next to an honest numerical budget; a check is
@@ -284,18 +285,13 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         checks.append(skipped("phi3_representations", f"{missing} "
                               "representation not pointwise convergent"))
 
-    # Phi4: generator pairing resummed through the shift autocorrelation
+    # Phi4: the pairing, 2 pi times D's Poisson form, against D's lattice form
     try:
-        lags = _phi4_lag_count(gen, sigma)
-        acorr = shift_autocorrelation(gen, sigma, lags)
-        pair = np.full(y_mid.shape, acorr[0], dtype=np.complex128)
-        for d in range(1, lags + 1):
-            pair += (acorr[d] * np.exp(-1j * d * np.pi * y_mid / sigma)
-                     + np.conj(acorr[d]) * np.exp(1j * d * np.pi * y_mid / sigma))
-        pair /= 2.0 * sigma
+        lags, _ = poisson_lags(gen, sigma)
+        pair = TWO_PI * poisson_energy(shift_autocorrelation(gen, sigma, lags),
+                                       sigma, y_mid)
         d_mid, _, d_tail = lattice_energy(gen, sigma, y_mid, tol=min(tol, 1e-9))
-        diff_sq = np.abs(pair - 2.0 * np.pi * d_mid) ** 2
-        res4 = float(np.sqrt(diff_sq.sum() * hy))
+        res4 = float(np.sqrt((np.abs(pair - TWO_PI * d_mid) ** 2).sum() * hy))
         budget4 = (2.0 * np.pi * np.sqrt(2.0 * sigma) * d_tail
                    + 1e-8 * scale + 1e-10)
         checks.append(graded("phi4_pairing", res4, budget4))
@@ -305,14 +301,3 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
     return PropertyReport(sigma=float(sigma), resolution=resolution,
                           checks=tuple(checks))
 
-
-def _phi4_lag_count(gen: Generator, sigma: float) -> int:
-    try:
-        lo, hi, exact = time_extent(gen, 1e-14)
-    except TruncationError as exc:
-        if gen.spectral_support is None:
-            raise TruncationError(
-                f"{exc}; with no spectral support either, the autocorrelation "
-                "lags the pairing needs are unknown") from exc
-        return max(4, int(np.ceil(gen.spectral_support / sigma)) + 2)
-    return int(np.ceil((hi - lo) / (np.pi / sigma))) + (1 if exact else 2)

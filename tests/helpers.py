@@ -35,9 +35,11 @@ from shiftapprox import (
     bandlimited_generator,
     bspline_generator,
     gaussian_generator,
+    sampled_generator,
     synthesize,
 )
 from shiftapprox.cli import main as cli_main
+from shiftapprox.generator import default_freq_grid
 from shiftapprox.numerics import (
     Grid,
     SampledFunction,
@@ -53,6 +55,14 @@ def spline(m: int, sigma: float = 1.0) -> Generator:
 
 def sinc_gen(sigma: float = 1.0) -> Generator:
     return bandlimited_generator(sigma)
+
+
+def sampled_gaussian() -> Generator:
+    """The transform of e^{-x^2/2} in 513 samples on [-8, 8]."""
+    tg = make_uniform_grid(-8.0, 8.0, 513)
+    x = tg.nodes()
+    samples = SampledFunction(grid=tg, values=np.exp(-0.5 * x * x) + 0.0j)
+    return sampled_generator(samples, default_freq_grid(samples))
 
 
 def random_expansion(rng: np.random.Generator, sigma: float, j_max: int,

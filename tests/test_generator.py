@@ -14,7 +14,6 @@ from shiftapprox.generator import (
     bandlimited_generator,
     bspline_generator,
     decay_audit_max_ratio,
-    default_freq_grid,
     gaussian_generator,
     generator_l2_norm_sq,
     parse_generator_spec,
@@ -31,8 +30,9 @@ from shiftapprox.numerics import (
     quadrature_weights,
     write_samples_csv,
 )
+from shiftapprox.spectral import poisson_lags
 
-from helpers import spline
+from helpers import sampled_gaussian, spline
 
 
 def test_cardinal_bspline_partition_of_unity():
@@ -254,22 +254,16 @@ def test_time_extent_reads_the_support_then_the_tail_radius():
         time_extent(bandlimited_generator(1.0), 1e-12)
 
 
-def _sampled_gaussian() -> Generator:
-    tg = make_uniform_grid(-8.0, 8.0, 513)
-    x = tg.nodes()
-    samples = SampledFunction(grid=tg, values=np.exp(-0.5 * x * x) + 0.0j)
-    return sampled_generator(samples, default_freq_grid(samples))
-
-
 # Every reader of a generator's time extent, as the separate support /
 # tail-radius ladders computed them: the shift range of the Phi time sum on
-# [0, pi/sigma] at tol 1e-8, the Phi4 lag count, the autocorrelation's
+# [0, pi/sigma] at tol 1e-8, the Poisson lag count of periodize and Phi4
+# (the exact L under a declared support), the autocorrelation's
 # quadrature nodes (count, first, last) for lags 0..3, and the grid of a
 # signal sampled in time (start, stop, count).
 _EXTENT_PINS = {
-    ("spline", 1.0): ((-1, 5, 0.0), 4, (385, -9.42477796076938, 0.0),
+    ("spline", 1.0): ((-1, 5, 0.0), 2, (385, -9.42477796076938, 0.0),
                       (-9.42477796076938, 0.0, 4097)),
-    ("spline", 2.0): ((-1, 8, 0.0), 7, (769, -9.42477796076938, 0.0),
+    ("spline", 2.0): ((-1, 8, 0.0), 5, (769, -9.42477796076938, 0.0),
                       (-9.42477796076938, 0.0, 4097)),
     ("gauss", 1.0): ((-4, 5, 1e-10), 7,
                      (1255, -15.388895264068752, 15.388895264068752),
@@ -277,9 +271,9 @@ _EXTENT_PINS = {
     ("gauss", 2.0): ((-6, 7, 1e-10), 11,
                      (1739, -10.664234437380978, 10.664234437380978),
                      (-6.8670912841259115, 6.8670912841259115, 1100)),
-    ("sampled", 1.0): ((-4, 5, 0.0), 7, (1031, -8.0, 8.019012045532111),
+    ("sampled", 1.0): ((-4, 5, 0.0), 5, (1031, -8.0, 8.019012045532111),
                        (-8.0, 8.0, 2049)),
-    ("sampled", 2.0): ((-7, 8, 0.0), 12, (1305, -8.0, 8.002487579223008),
+    ("sampled", 2.0): ((-7, 8, 0.0), 10, (1305, -8.0, 8.002487579223008),
                        (-8.0, 8.0, 2049)),
 }
 
@@ -288,10 +282,10 @@ _EXTENT_PINS = {
 def test_extent_readers_keep_their_windows(name, sigma):
     gen = {"spline": lambda: spline(2, 1.0),
            "gauss": lambda: gaussian_generator(0.8),
-           "sampled": _sampled_gaussian}[name]()
+           "sampled": sampled_gaussian}[name]()
     window, lags, nodes, signal_grid = _EXTENT_PINS[(name, sigma)]
     assert zak._time_window(gen, sigma, 0.0, math.pi / sigma, 1e-8) == window
-    assert zak._phi4_lag_count(gen, sigma) == lags
+    assert poisson_lags(gen, sigma)[0] == lags
     seen = []
 
     def recorded(x, evaluate=gen.time_domain):

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from shiftapprox.errors import InvalidGridError, TruncationError
-from shiftapprox.generator import Generator, gaussian_generator
+from shiftapprox.generator import (Generator, gaussian_generator, generator_l2_norm_sq,
+                                   shift_autocorrelation)
 from shiftapprox.numerics import make_uniform_grid
 from shiftapprox.spectral import (
     EPSILON_D,
     lattice_energy,
     lattice_truncation,
     periodize,
+    poisson_energy,
+    poisson_lags,
     riesz_bounds,
 )
 
@@ -92,6 +95,26 @@ def test_poisson_periodization_reads_the_lattice_lags():
     assert np.max(np.abs(dv.values - 4.0 / 3.0)) <= 1e-14
     ref = brute_lattice_energy(gen, 1.0, grid.nodes(), order=20_000)
     assert np.max(np.abs(dv.values - ref)) <= 1e-12 * np.max(dv.values)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("name", ["gauss", "sinc"])
+def test_poisson_energy_without_a_closed_form(name, sigma):
+    # the lags of a tail radius (Gaussian) and of a spectral support alone
+    # (sinc), over quadrature autocorrelations: the Poisson form meets the
+    # lattice form at the cell midpoints within the Phi4 pairing's budget
+    gen = gaussian_generator(0.8) if name == "gauss" else sinc_gen(sigma)
+    lags, exact = poisson_lags(gen, sigma)
+    # the Gaussian's tail radius at 1e-14 plus 2 shifts; the sinc's guess
+    assert (lags, exact) == ({("gauss", 1.0): 7, ("gauss", 2.0): 11}.get(
+        (name, sigma), 4), False)
+    hy = 2.0 * sigma / 64
+    y = -sigma + hy * (np.arange(64) + 0.5)
+    energy = poisson_energy(shift_autocorrelation(gen, sigma, lags), sigma, y)
+    ref, _, tail = lattice_energy(gen, sigma, y, tol=1e-9)
+    residual = 2.0 * np.pi * np.sqrt(np.sum((energy - ref) ** 2) * hy)
+    scale = max(1.0, generator_l2_norm_sq(gen, sigma) / (2.0 * sigma))
+    assert residual <= 2.0 * np.pi * np.sqrt(2.0 * sigma) * tail + 1e-8 * scale + 1e-10
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -4,14 +4,26 @@ import math
 import numpy as np
 import pytest
 
+from shiftapprox import spectral, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import Generator, gaussian_generator, shift_autocorrelation
 from shiftapprox.numerics import make_uniform_grid
-from shiftapprox.spectral import lattice_order
+from shiftapprox.spectral import lattice_order, periodize
 from shiftapprox.zak import (_time_window, phi_field, phi_freq, phi_time,
                              verify_phi_properties)
 
-from helpers import sinc_gen, spline
+from helpers import sampled_gaussian, sinc_gen, spline
+
+
+def test_spectral_sum_corrects_a_slowly_rotating_tail():
+    # next to a knot the lattice terms of the hat turn by 2 sigma x per
+    # step (0.098 rad here): a tail that rotates, which the power-law
+    # estimate for tails that do not rotate misread by 4.9e-5
+    gen = spline(1, 1.0)
+    y = -1.0 + (np.arange(64) + 0.5) / 32.0
+    freq = phi_freq(gen, 1.0, math.pi / 64.0, y, tol=1e-10)
+    time = phi_time(gen, 1.0, math.pi / 64.0, y, tol=1e-10)
+    assert np.max(np.abs(freq - time)) <= 1e-10
 
 
 def test_box_kernel_has_unit_amplitude():
@@ -232,3 +244,30 @@ def test_pairing_without_a_lag_bound_is_skipped():
     assert st["phi1_norm"] == "ok"
     detail = next(c.detail for c in rep.checks if c.name == "phi4_pairing")
     assert "lags" in detail
+
+
+def test_periodization_and_pairing_read_one_lag_count(monkeypatch):
+    # periodize's Poisson D and the Phi4 pairing ask the autocorrelation
+    # for the same lags: the exact count of a declared support
+    asked = []
+
+    def recorded(gen, sigma, max_lag, *args):
+        asked.append(max_lag)
+        return shift_autocorrelation(gen, sigma, max_lag, *args)
+
+    monkeypatch.setattr(spectral, "shift_autocorrelation", recorded)
+    monkeypatch.setattr(zak, "shift_autocorrelation", recorded)
+    for m in range(4):
+        for sigma in (1.0, 2.0):
+            asked.clear()
+            periodize(spline(m, 1.0), sigma, make_uniform_grid(-sigma, sigma, 9))
+            verify_phi_properties(spline(m, 1.0), sigma, resolution=9, tol=1e-6)
+            lags = math.ceil((m + 1) * sigma - 1e-9) - 1
+            assert asked == [lags, lags], (m, sigma)
+    # a sampled generator has no closed form, so only Phi4 reads its lags:
+    # the largest d with d pi / sigma shorter than its support [-8, 8]
+    for sigma in (1.0, 2.0):
+        asked.clear()
+        verify_phi_properties(sampled_gaussian(), sigma, resolution=9)
+        assert asked == [math.ceil(16.0 * sigma / math.pi) - 1]
+        assert spectral.poisson_lags(sampled_gaussian(), sigma)[1]
