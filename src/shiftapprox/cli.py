@@ -18,6 +18,7 @@ produce byte-identical output.  Exit codes: 0 success, 1 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -62,7 +63,9 @@ def _csv_rows(*columns: Sequence[float]) -> List[str]:
     return [line.format(*row) for row in zip(*columns)]
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing does not alter it."""
     parser = argparse.ArgumentParser(
         prog="shiftapprox",
         description="projections onto spaces spanned by equidistant shifts "
@@ -212,10 +215,10 @@ def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
     y_grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     field = phi_field(gen, cfg.sigma, x_grid, y_grid, tol=cfg.tol)
     values = field.values.ravel()  # row-major: x outer, y inner
-    return ["x,y,re,im"] + _csv_rows(
-        np.repeat(x_grid.nodes(), y_grid.count).tolist(),
-        np.tile(y_grid.nodes(), x_grid.count).tolist(),
-        values.real.tolist(), values.imag.tolist()), 0
+    xs, ys = ([f"{v:.17g}," for v in g.nodes().tolist()] for g in (x_grid, y_grid))
+    prefixes = [x + y for x in xs for y in ys]
+    return ["x,y,re,im"] + [p + v for p, v in zip(
+        prefixes, _csv_rows(values.real.tolist(), values.imag.tolist()))], 0
 
 
 def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:

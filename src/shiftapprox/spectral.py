@@ -141,15 +141,20 @@ def _tail_correction(t_edge: np.ndarray, t_prev: np.ndarray,
 
 
 def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
-                summand: Callable[[np.ndarray], np.ndarray], power: int,
-                tol: float, shape: Tuple[int, ...],
+                block: Callable[[np.ndarray], np.ndarray], power: int,
+                tol: float, points: int,
                 min_terms: Optional[int] = None) -> Tuple[np.ndarray, int, float]:
-    """``sum_nu summand(y + 2 nu sigma)``, a sum of the given ``shape``.
+    """``sum_nu term(y + 2 nu sigma)``, summed over blocks of ``nu``.
 
-    ``summand`` is bounded by ``|spectrum|**power``, which sets the order
-    (`lattice_order`, at least ``min_terms``); it receives ``nu`` on a new
-    leading axis of ``u`` and broadcasts ``u`` against its own inputs.  One
-    block of ``nu`` holds at most 4e6 terms.  Returns
+    ``block(shifts)`` receives a 1-D array of lattice shifts ``2 nu sigma``
+    (the terms sit at ``u = shift + y``) and returns the sum of their terms;
+    given one shift, that is the term itself, which the tail estimate reads
+    at the two outermost shifts of each side.  A term is bounded by
+    ``|spectrum(u)|**power``, which sets the order (`lattice_order`, at
+    least ``min_terms``).  ``points`` is the number of values one shift
+    adds to a block's arrays (the size of ``u`` times the other factors
+    that broadcast against it, or ``nx + ny`` for a mesh contracted by a
+    matrix product); a block holds at most 4e6 of them.  Returns
     ``(values, truncation_order, tail_bound)``.
     """
     if not sigma > 0:
@@ -157,17 +162,17 @@ def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
     n_trunc, tail_bound = lattice_order(gen, sigma, tol, power)
     if min_terms:
         n_trunc = max(n_trunc, int(min_terms))
-    offsets = np.arange(-n_trunc, n_trunc + 1).reshape((-1,) + (1,) * len(shape))
+    shifts = np.arange(-n_trunc, n_trunc + 1) * (2.0 * sigma)
     values = 0.0
-    for sl in chunk_slices(offsets.shape[0], int(np.prod(shape))):
-        values = values + summand(offsets[sl] * (2.0 * sigma) + y).sum(axis=0)
+    for sl in chunk_slices(shifts.size, points):
+        values = values + block(shifts[sl])
     if gen.spectral_support is None:
         for sign in (1.0, -1.0):
-            u_edge = y + (2.0 * sigma) * (sign * n_trunc)
-            u_prev = y + (2.0 * sigma) * (sign * (n_trunc - 1))
+            edge = (2.0 * sigma) * (sign * n_trunc)
+            prev = (2.0 * sigma) * (sign * (n_trunc - 1))
             values = values + _tail_correction(
-                summand(u_edge), summand(u_prev), np.abs(u_edge),
-                power * gen.decay_exponent, sigma)
+                block(np.array([edge])), block(np.array([prev])),
+                np.abs(y + edge), power * gen.decay_exponent, sigma)
     return values, n_trunc, tail_bound
 
 
@@ -181,8 +186,11 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
     Returns ``(values, truncation_order, tail_bound)``.
     """
     y = np.asarray(y, dtype=float)
-    return lattice_sum(gen, sigma, y, lambda u: np.abs(gen.spectrum(u)) ** 2,
-                       2, tol, y.shape, min_terms)
+
+    def energy(shifts: np.ndarray) -> np.ndarray:
+        return (np.abs(gen.spectrum(np.add.outer(shifts, y))) ** 2).sum(axis=0)
+
+    return lattice_sum(gen, sigma, y, energy, 2, tol, y.size, min_terms)
 
 
 def poisson_lags(gen: Generator, sigma: float) -> Tuple[int, bool]:

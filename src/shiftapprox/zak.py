@@ -3,9 +3,14 @@
 ``Phi(x, y) = (1/2 sigma) sum_j B(x - j pi/sigma) e^{i j pi y / sigma}``
 is computed either by that time-domain sum or by the equivalent spectral
 lattice sum ``sum_nu spectrum(y + 2 nu sigma) e^{i (y + 2 nu sigma) x}``
-(`spectral.lattice_sum`, which also sums `lattice_energy`).  On an x-by-y mesh the time
-domain is evaluated on x times j and the spectrum on y times nu; only
-phases and products fill the mesh.
+(`spectral.lattice_sum`, which also sums `lattice_energy`).  On an x-by-y
+mesh (x a column, y a row) the time domain is evaluated on x times j, and
+the spectral sum is a contraction: ``e^{i(y + 2 nu sigma)x} = e^{iyx}
+e^{2i nu sigma x}``, so each block of nu is one matrix product of
+``(x, nu)`` phases with ``(nu, y)`` spectrum values, and a block holds
+``nu`` times ``nx + ny`` values, not ``nx * ny``.  Other shapes broadcast
+x against y and sum the terms elementwise, the reference the mesh is
+tested against.
 Both formulas are exactly 2*sigma-periodic in y and exactly quasi-periodic
 in x term by term, so those structural identities hold to rounding; the
 interesting checks are the norm identity over the fundamental cell, the
@@ -124,9 +129,24 @@ def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
             f"{gen.decay_exponent:.3g} <= 1: the lattice sum converges "
             "only in mean square, pointwise evaluation refused")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return lattice_sum(gen, sigma, y,
-                       lambda u: gen.spectrum(u) * np.exp(1j * u * x), 1, tol,
-                       np.broadcast_shapes(x.shape, y.shape))
+    if x.ndim == 2 == y.ndim and x.shape[1] == 1 and y.shape[0] == 1:
+        # a mesh: e^{i(y + s)x} = e^{iyx} e^{isx}, so a block of shifts s
+        # contracts (x, s) phases with (s, y) spectrum values
+        rotation = np.exp(1j * y * x)
+
+        def block(shifts: np.ndarray) -> np.ndarray:
+            return rotation * (np.exp(1j * (x * shifts))
+                               @ gen.spectrum(shifts[:, np.newaxis] + y))
+
+        return lattice_sum(gen, sigma, y, block, 1, tol, x.size + y.size)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    lead = (-1,) + (1,) * len(shape)
+
+    def terms(shifts: np.ndarray) -> np.ndarray:
+        u = shifts.reshape(lead) + y
+        return (gen.spectrum(u) * np.exp(1j * u * x)).sum(axis=0)
+
+    return lattice_sum(gen, sigma, y, terms, 1, tol, int(np.prod(shape)))
 
 
 def phi_time(gen: Generator, sigma: float, x, y, tol: float = 1e-8):

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import shiftapprox
-from shiftapprox.cli import _load_signal
+from shiftapprox import cli
+from shiftapprox.cli import _csv_rows, _load_signal
 from shiftapprox.generator import parse_generator_spec
 from shiftapprox.numerics import (Grid, SampledFunction, SampledSpectrum,
                                   write_samples_csv)
@@ -154,6 +155,21 @@ def test_zak_grid_shape():
     assert lines[1:] == [f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}"
                          for x, row in zip(xg.nodes(), field.values)
                          for y, v in zip(yg.nodes(), row)]
+
+
+@pytest.mark.parametrize("spec", ["bspline:m=2", "sinc:sigma=1"],
+                         ids=["time_sum", "freq_sum"])
+def test_zak_rows_match_four_formatted_columns(spec):
+    # the "x,y," prefixes are formatted once per axis; the rows must equal
+    # four columns formatted node by node
+    rc, out = run_cli(["zak", "--gen", spec, "--dgrid", "17"])
+    assert rc == 0
+    xg = Grid(start=0.0, stop=math.pi, count=17)
+    yg = Grid(start=-1.0, stop=1.0, count=17)
+    values = phi_field(parse_generator_spec(spec), 1.0, xg, yg).values.ravel()
+    assert _rows(out)[1:] == _csv_rows(
+        np.repeat(xg.nodes(), 17).tolist(), np.tile(yg.nodes(), 17).tolist(),
+        values.real.tolist(), values.imag.tolist())
 
 
 def test_validate_table_passes():
@@ -379,6 +395,20 @@ def test_repeat_runs_byte_identical():
     assert rc_a == rc_b == 0
     assert out_a == out_b
     assert out_a
+
+
+def test_a_rejected_argv_leaves_the_parser_as_it_was(capsys):
+    # the parser is built once per process and reused by every call
+    valid = ["dfun", "--gen", "bspline:m=3", "--dgrid", "33"]
+    rejected = ["dfun", "--gen", "bspline:m=3", "--sigma", "0"]
+    runs = []
+    for argv in (valid, rejected, valid, rejected):
+        rc, out = run_cli(argv)
+        runs.append((rc, out, capsys.readouterr().err))
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert runs[0][0] == 0 and runs[0][1] and not runs[0][2]
+    assert runs[1][0] == 2 and not runs[1][1] and "--sigma" in runs[1][2]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_out_file_matches_stdout(tmp_path):

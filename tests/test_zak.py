@@ -119,12 +119,19 @@ def _counting(gen, counts):
 
 @pytest.mark.parametrize("gen", [spline(2, 1.0), gaussian_generator(1.0)],
                          ids=["bspline_m2", "gauss"])
-def test_mesh_sums_evaluate_the_generator_on_one_axis(gen):
+def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
     sigma, tol = 1.0, 1e-8
     x = np.linspace(-0.3, math.pi + 0.2, 7)[:, np.newaxis]
     y = np.linspace(-0.95, 0.9, 5)[np.newaxis, :]
     counts = {"spectrum": 0, "time": 0}
     counted = _counting(gen, counts)
+    points = []
+
+    def recorded(gen, sigma, y, block, power, tol, size):
+        points.append(size)
+        return spectral.lattice_sum(gen, sigma, y, block, power, tol, size)
+
+    monkeypatch.setattr(zak, "lattice_sum", recorded)
 
     t_mesh = phi_time(counted, sigma, x, y, tol)
     jmin, jmax, _ = _time_window(gen, sigma, float(x.min()), float(x.max()), tol)
@@ -136,6 +143,8 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen):
     # the truncated sum, then the last two terms of each side for the tail
     assert counts == {"spectrum": y.size * (2 * order + 1) + 4 * y.size,
                       "time": 0}
+    # a block of shifts holds an (x, nu) phase array and a (nu, y) spectrum
+    assert points == [x.size + y.size]
 
     # the mesh agrees with pointwise evaluation at the paired nodes
     xs, ys = (a.ravel() for a in np.meshgrid(x[:, 0], y[0], indexing="ij"))
@@ -143,6 +152,39 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen):
     assert np.max(np.abs(t_mesh - phi_time(gen, sigma, xs, ys, tol).reshape(shape))) < 1e-14
     assert np.max(np.abs(f_mesh - phi_freq(gen, sigma, xs, ys, tol).reshape(shape))) < 1e-14
     assert np.max(np.abs(t_mesh - f_mesh)) < 1e-8
+
+
+@pytest.mark.parametrize("gen, tol", [
+    (spline(1, 1.0), 1e-10), (spline(2, 1.0), 1e-8), (spline(3, 2.0), 1e-8),
+    (gaussian_generator(1.0), 1e-8), (sinc_gen(1.0), 1e-8),
+], ids=["bspline_m1", "bspline_m2", "bspline_m3_sigma2", "gauss", "sinc"])
+@pytest.mark.parametrize("dx, dy", [(0.0, 0.0), (math.pi, 0.0), (0.0, 2.0)],
+                         ids=["cell", "x_shifted", "y_shifted"])
+def test_mesh_product_matches_the_broadcast_sum(gen, tol, dx, dy):
+    # the mesh contracts phases with spectrum values by a matrix product;
+    # the broadcast sum at the paired nodes is the reference it replaces
+    sigma = 1.0
+    x = np.linspace(0.0, math.pi / sigma, 17)[:, np.newaxis] + dx
+    y = -sigma + (np.arange(16)[np.newaxis, :] + 0.5) * (sigma / 8.0) + dy
+    mesh, order, tail = zak._phi_freq_array(gen, sigma, x, y, tol)
+    xs, ys = (a.ravel() for a in np.meshgrid(x[:, 0], y[0], indexing="ij"))
+    pairs, order_p, tail_p = zak._phi_freq_array(gen, sigma, xs, ys, tol)
+    assert (order, tail) == (order_p, tail_p)
+    if tol == 1e-10:
+        assert order == 4096
+    scale = np.max(np.abs(mesh))
+    assert np.max(np.abs(mesh - pairs.reshape(mesh.shape))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("resolution, residual", [
+    (65, 2.4664775012178364e-13), (129, 3.591800271690786e-09),
+    (257, 3.741861426001824e-09)])
+def test_hat_phi3_residual_keeps_its_figure(resolution, residual):
+    # the figures of the broadcast sum over the cell mesh
+    rep = verify_phi_properties(spline(1, 1.0), 1.0, resolution=resolution)
+    check = next(c for c in rep.checks if c.name == "phi3_representations")
+    assert check.status == "ok"
+    assert abs(check.residual - residual) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
