@@ -10,6 +10,10 @@ besterr   best-approximation error, optionally swept        -> param,error_sq
 compare   brute-force oracle vs. exact error formula        -> comparison table
 validate  property audit of the Phi system                  -> check table
 
+A ``--f`` signal is a ``file:`` CSV (time samples or a spectrum) or a spec
+handed on as the generator itself: `shiftspace` decides how far its
+spectrum is taken; compare's oracle gets its samples over `time_extent`.
+
 Output is CSV only (plots are downstream concerns); identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 numerical failure,
 2 usage error.
@@ -21,18 +25,17 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ShiftSpaceError
+from .errors import MissingTimeDomainError, ShiftSpaceError
 from .generator import Generator, parse_generator_spec, time_extent
-from .numerics import (Grid, SampledFunction, SampledSpectrum,
-                       covering_windows, period_extension, read_samples_csv)
-from .shiftspace import DEFAULT_GRID_COUNT, best_approx_error_sq, project
+from .numerics import Grid, SampledFunction, csv_rows, read_samples_csv
+from .shiftspace import DEFAULT_GRID_COUNT, Signal, best_approx_error_sq, project
 from .spectral import periodize, riesz_bounds
 from .oracle import compare
-from .zak import _time_available, phi_field, verify_phi_properties
+from .zak import phi_field, verify_phi_properties
 
 _SWEEPABLE = {"besterr": ("sigma", "rho"), "compare": ("jrange",)}
 _DEFAULT_COMPARE_RANGES = (8, 16, 32, 64)
@@ -54,13 +57,6 @@ class RunConfig:
 
 def _fmt(value: float) -> str:
     return "" if not np.isfinite(value) else f"{value:.17g}"
-
-
-def _csv_rows(*columns: Sequence[float]) -> List[str]:
-    """``%.17g`` CSV lines of equal-length columns of Python numbers
-    (``ndarray.tolist()``: numpy scalars format several times slower)."""
-    line = ",".join(["{:.17g}"] * len(columns))
-    return [line.format(*row) for row in zip(*columns)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -139,58 +135,23 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
                      output_path=ns.output_path, sweep=sweep)
 
 
-def _signal_freq_extent(gen_f: Generator, sigma: float, dgrid: int) -> Grid:
-    """Aligned frequency grid wide enough to hold essentially all of f-hat."""
-    if gen_f.spectral_support is not None:
-        windows = covering_windows(gen_f.spectral_support, sigma)
-    else:
-        c, p = gen_f.decay_constant, gen_f.decay_exponent
-        windows = 1
-        while windows < 64:
-            edge = (2.0 * windows + 1.0) * sigma
-            bound = 2.0 * c * c * (1.0 + edge) ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
-            if bound <= 1e-12:
-                break
-            windows *= 2
-    return period_extension(sigma, dgrid, windows)
-
-
-def _load_signal(text: str, sigma: float, dgrid: int
-                 ) -> Union[SampledFunction, SampledSpectrum]:
-    """Signal from a file or a generator-style spec."""
+def _load_signal(text: str, sigma: float) -> Signal:
+    """Signal from a file (its samples) or a generator-style spec."""
     if text.startswith("file:"):
         return read_samples_csv(text[len("file:"):])
-    return _sample_signal(parse_generator_spec(text, default_sigma=sigma),
-                          sigma, dgrid, prefer_time=False)
+    return parse_generator_spec(text, default_sigma=sigma)
 
 
-def _sample_signal(gen_f: Generator, sigma: float, dgrid: int,
-                   prefer_time: bool
-                   ) -> Union[SampledFunction, SampledSpectrum]:
-    """A generator-style signal, sampled where it is numerically safest.
-
-    That is the time domain when f declares a compact support or fast time
-    decay and either the caller insists or the spectrum decays too slowly
-    to cover, otherwise the spectrum on a grid aligned with the period grid.
-    """
-    slow_spectrum = gen_f.spectral_support is None and gen_f.decay_exponent <= 1.5
-    if _time_available(gen_f) and (prefer_time or slow_spectrum):
-        lo, hi, _ = time_extent(gen_f, 1e-16)
-        step = gen_f.time_step_hint / 4.0 if gen_f.time_step_hint else (hi - lo) / 4096.0
-        count = max(int(np.ceil((hi - lo) / step)) + 1, 257)
-        grid = Grid(start=lo, stop=hi, count=count)
-        return SampledFunction(grid=grid,
-                               values=np.asarray(gen_f.time_domain(grid.nodes()),
-                                                 dtype=np.complex128))
-    return _analytic_spectrum(gen_f, sigma, dgrid)
-
-
-def _analytic_spectrum(gen_f: Generator, sigma: float,
-                       dgrid: int) -> SampledSpectrum:
-    """f-hat sampled on the aligned extension of the period grid."""
-    freq = _signal_freq_extent(gen_f, sigma, dgrid)
-    return SampledSpectrum(grid=freq,
-                           values=np.asarray(gen_f.spectrum(freq.nodes()),
+def _time_samples(gen_f: Generator) -> SampledFunction:
+    """f sampled in time over its `time_extent`, for compare's oracle."""
+    lo, hi, _ = time_extent(gen_f, 1e-16)
+    if gen_f.time_domain is None:
+        raise MissingTimeDomainError(f"signal {gen_f.label!r} has no time domain")
+    step = gen_f.time_step_hint / 4.0 if gen_f.time_step_hint else (hi - lo) / 4096.0
+    count = max(int(np.ceil((hi - lo) / step)) + 1, 257)
+    grid = Grid(start=lo, stop=hi, count=count)
+    return SampledFunction(grid=grid,
+                           values=np.asarray(gen_f.time_domain(grid.nodes()),
                                              dtype=np.complex128))
 
 
@@ -198,7 +159,7 @@ def _run_dfun(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     dv = periodize(gen, cfg.sigma, grid, tol=cfg.tol)
-    return ["y,D"] + _csv_rows(grid.nodes().tolist(), dv.values.tolist()), 0
+    return ["y,D"] + csv_rows(grid.nodes().tolist(), dv.values.tolist()), 0
 
 
 def _run_riesz(cfg: RunConfig) -> Tuple[List[str], int]:
@@ -218,21 +179,21 @@ def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
     xs, ys = ([f"{v:.17g}," for v in g.nodes().tolist()] for g in (x_grid, y_grid))
     prefixes = [x + y for x in xs for y in ys]
     return ["x,y,re,im"] + [p + v for p, v in zip(
-        prefixes, _csv_rows(values.real.tolist(), values.imag.tolist()))], 0
+        prefixes, csv_rows(values.real.tolist(), values.imag.tolist()))], 0
 
 
 def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
-    signal = _load_signal(cfg.f_spec, cfg.sigma, cfg.dgrid)
+    signal = _load_signal(cfg.f_spec, cfg.sigma)
     grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     result = project(signal, gen, cfg.sigma, cfg.rho, tol=cfg.tol,
                      grid=grid, j_range=cfg.j_range)
     coeffs, zeta = result.coeffs.coeffs, result.zeta.values
     lines = ["j,re,im"]
-    lines += _csv_rows(result.coeffs.indices().tolist(),
+    lines += csv_rows(result.coeffs.indices().tolist(),
                        coeffs.real.tolist(), coeffs.imag.tolist())
     lines.append("y,re,im")
-    lines += _csv_rows(grid.nodes().tolist(),
+    lines += csv_rows(grid.nodes().tolist(),
                        zeta.real.tolist(), zeta.imag.tolist())
     lines.append(f"norm_sq={result.projection_norm_sq:.17g} "
                  f"error_sq={result.error_sq:.17g} "
@@ -250,22 +211,21 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
     lines = ["param,error_sq"]
     for sigma, rhos in runs:
         gen = parse_generator_spec(cfg.generator_spec, default_sigma=sigma)
-        signal = _load_signal(cfg.f_spec, sigma, cfg.dgrid)
+        signal = _load_signal(cfg.f_spec, sigma)
         grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,
                                       tol=cfg.tol, grid=grid)
-        lines += _csv_rows(rhos, errors.tolist())
+        lines += csv_rows(rhos, errors.tolist())
     return lines, 0
 
 
 def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
-    gen_f = None
-    if cfg.f_spec.startswith("file:"):
-        signal = read_samples_csv(cfg.f_spec[len("file:"):])
-    else:
-        gen_f = parse_generator_spec(cfg.f_spec, default_sigma=cfg.sigma)
-        signal = _sample_signal(gen_f, cfg.sigma, DEFAULT_GRID_COUNT, prefer_time=True)
+    signal, spectrum = _load_signal(cfg.f_spec, cfg.sigma), None
+    if isinstance(signal, Generator):
+        # the oracle integrates in time; the formula side folds f-hat on
+        # the default period grid (not --dgrid), as a default besterr does
+        signal, spectrum = _time_samples(signal), signal
     if not isinstance(signal, SampledFunction):
         raise ShiftSpaceError(
             "compare needs time-domain samples of f (the oracle integrates "
@@ -275,14 +235,10 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
         ranges = [int(v) for v in cfg.sweep[1]]
     else:
         ranges = list(_DEFAULT_COMPARE_RANGES)
-    # compare folds on the default period grid (not --dgrid); sampling f-hat
-    # on its aligned extension keeps the fold from interpolating
-    spectrum = (None if gen_f is None
-                else _analytic_spectrum(gen_f, cfg.sigma, DEFAULT_GRID_COUNT))
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
                      f_spectrum=spectrum)
     rows = report.rows
-    lines = ["j_range,oracle_residual,formula_error,gap"] + _csv_rows(
+    lines = ["j_range,oracle_residual,formula_error,gap"] + csv_rows(
         [r.j_range for r in rows], [r.oracle_residual for r in rows],
         [r.formula_error for r in rows], [r.gap for r in rows])
     if not report.consistent:

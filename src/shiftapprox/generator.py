@@ -49,6 +49,10 @@ _AUDIT_POINTS = 10_000
 _AUDIT_SPAN = 1e3
 #: decay exponent of tabulated spectra (any p is exact under their support)
 _TABULATED_DECAY = 2.0
+#: frequency nodes of `default_freq_grid`
+_FREQ_COUNT = 4097
+#: level of |B| at which `shift_autocorrelation` cuts a time tail off
+_AUTOCORR_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -309,10 +313,10 @@ def sampled_generator(samples: SampledFunction, freq: Grid) -> Generator:
     )
 
 
-def default_freq_grid(samples: SampledFunction, count: int = 4097) -> Grid:
+def default_freq_grid(samples: SampledFunction) -> Grid:
     """Frequency grid over the band the time grid resolves (`resolved_band`)."""
     ymax = resolved_band(samples.grid.step)
-    return make_uniform_grid(-ymax, ymax, count)
+    return make_uniform_grid(-ymax, ymax, _FREQ_COUNT)
 
 
 def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
@@ -375,13 +379,12 @@ def _window_integral(values: np.ndarray, start: float, step: float, lo: float, h
     return integrate_values(values[i0:i1 + 1], sub)
 
 
-def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
-                          tol: float = 1e-10) -> np.ndarray:
+def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndarray:
     """Inner products ``a_d = <B, B(. - d*pi/sigma)>`` for ``d = 0..max_lag``.
 
     A closed-form ``gen.autocorrelation`` is read at the lags
     ``d*pi/sigma``, whatever sigma the generator was built with.
-    Otherwise, generators with a time extent (`time_extent` at ``tol * 1e-2``)
+    Otherwise, generators with a time extent (`time_extent` at 1e-12)
     integrate on a window whose step divides the shift: the exact overlap
     on a knot-aligned grid for a compact support, the tail radius plus the
     largest lag otherwise.  Spectra with compact support but slowly
@@ -412,7 +415,7 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
     # lag is a whole number of nodes and (for a compact support) the knots
     # fall on panel edges
     try:
-        lo, hi, exact = time_extent(gen, tol * 1e-2)
+        lo, hi, exact = time_extent(gen, _AUTOCORR_EPS)
     except TruncationError:
         exact, richardson = False, True
         q = max(1, int(round(h / min(0.05 * min(1.0, h / np.pi), h / 64.0))))
@@ -448,6 +451,6 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int,
     return out
 
 
-def generator_l2_norm_sq(gen: Generator, sigma: float = 1.0, tol: float = 1e-10) -> float:
+def generator_l2_norm_sq(gen: Generator, sigma: float = 1.0) -> float:
     """``norm(B)**2`` via the best available route (time or spectral)."""
-    return float(shift_autocorrelation(gen, sigma, 0, tol)[0].real)
+    return float(shift_autocorrelation(gen, sigma, 0)[0].real)

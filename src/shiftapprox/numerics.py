@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import List, TextIO, Union
+from typing import List, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -229,6 +229,13 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid) -> SampledSpectrum
 _HEADERS = {"x": SampledFunction, "y": SampledSpectrum}
 
 
+def csv_rows(*columns: Sequence[float]) -> List[str]:
+    """``%.17g`` CSV lines of equal-length columns of Python numbers
+    (``ndarray.tolist()``: numpy scalars format several times slower)."""
+    line = ",".join(["{:.17g}"] * len(columns))
+    return [line.format(*row) for row in zip(*columns)]
+
+
 def write_samples_csv(dest: Union[str, TextIO],
                       sampled: SampledFunction | SampledSpectrum) -> None:
     """Write samples as ``x,re,im`` (or ``y,re,im`` for spectra) CSV rows.
@@ -240,10 +247,10 @@ def write_samples_csv(dest: Union[str, TextIO],
     own = isinstance(dest, str)
     fh = open(dest, "w", encoding="ascii", newline="") if own else dest
     try:
-        fh.write(f"{label},re,im\n")
-        nodes = sampled.grid.nodes()
-        for t, v in zip(nodes, sampled.values):
-            fh.write(f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        values = sampled.values
+        rows = csv_rows(sampled.grid.nodes().tolist(), values.real.tolist(),
+                        values.imag.tolist())
+        fh.write("\n".join([f"{label},re,im"] + rows) + "\n")
     finally:
         if own:
             fh.close()

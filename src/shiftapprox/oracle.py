@@ -22,8 +22,8 @@ import scipy.linalg
 
 from .errors import MissingTimeDomainError, SingularGramError
 from .generator import Generator, shift_autocorrelation
-from .numerics import SampledFunction, SampledSpectrum, l2_norm_sq, quadrature_weights
-from .shiftspace import best_approx_error_sq, project
+from .numerics import SampledFunction, chunk_slices, l2_norm_sq, quadrature_weights
+from .shiftspace import Signal, best_approx_error_sq, project
 
 _CONDITION_LIMIT = 1e12
 
@@ -71,11 +71,10 @@ def _shift_inner_products(f: SampledFunction, gen: Generator, sigma: float,
     h = np.pi / sigma
     js = np.arange(-j_range, j_range + 1).astype(float)
     rhs = np.zeros(js.size, dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(x.size, 1)))
-    for lo in range(0, js.size, chunk):
-        shifts = x[np.newaxis, :] - js[lo:lo + chunk, np.newaxis] * h
-        rhs[lo:lo + chunk] = (np.conj(gen.time_domain(shifts))
-                              * weighted[np.newaxis, :]).sum(axis=1)
+    for sl in chunk_slices(js.size, x.size):
+        shifts = x[np.newaxis, :] - js[sl, np.newaxis] * h
+        rhs[sl] = (np.conj(gen.time_domain(shifts))
+                   * weighted[np.newaxis, :]).sum(axis=1)
     return rhs
 
 
@@ -127,15 +126,15 @@ class ComparisonReport:
 
 def compare(f: SampledFunction, gen: Generator, sigma: float,
             j_range_list: Sequence[int], tol: float = 1e-8,
-            f_spectrum: Optional[SampledSpectrum] = None) -> ComparisonReport:
+            f_spectrum: Optional[Signal] = None) -> ComparisonReport:
     """Oracle residuals against the exact-formula error at rho = sigma.
 
     The formula side is evaluated once (it does not depend on j_range); the
     oracle side reuses one Gram matrix and one inner-product pass at the
     largest requested range, and each smaller range solves with its
-    central block.  ``f_spectrum`` optionally supplies an
-    analytically known spectrum of f on an aligned grid, bypassing the
-    quadrature Fourier transform of the time samples.
+    central block.  ``f_spectrum`` optionally hands the formula side f in
+    another form, a spectrum or an analytic f as a `Generator` (see
+    `project`), in place of the quadrature transform of the time samples.
 
     A report is consistent when every gap (oracle minus formula) is
     nonnegative within rounding: the finite span is a subspace, so its

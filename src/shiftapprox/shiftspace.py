@@ -42,6 +42,9 @@ _MASS_TOL = 1e-12
 #: period-grid nodes of ``project`` and ``best_approx_error_sq`` by default
 DEFAULT_GRID_COUNT = 4097
 
+#: a signal: time samples, a spectrum, or an analytic f as a generator
+Signal = Union[SampledFunction, SampledSpectrum, Generator]
+
 
 @dataclass(frozen=True)
 class ShiftExpansion:
@@ -317,7 +320,7 @@ class _EnergySplit:
     guard_mass: float         # bracket mass discarded by the guard in band
 
 
-def _energy_split(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
+def _energy_split(f: Signal, gen: Generator,
                   sigma: float, rhos: Sequence[float], tol: float,
                   grid: Optional[Grid]
                   ) -> Tuple[_FoldResult, List[_EnergySplit]]:
@@ -326,7 +329,8 @@ def _energy_split(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
     ``projection_norm_sq = 2 pi integral_{-rho}^{rho} |bracket|^2 / D`` and
     ``error_sq = 2 pi integral |fhat|^2 - projection_norm_sq``, each clamped
     at zero, with both integrals on the same nodes.  Time samples are first
-    transformed onto aligned extensions of the base grid.
+    transformed, and an analytic f sampled, on aligned extensions of the
+    base grid.
 
     Cauchy-Schwarz bounds the captured integrand node-wise by the energy.
     Inside the period that holds structurally.  The two seam nodes are
@@ -339,7 +343,9 @@ def _energy_split(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
             raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
     if grid is None:
         grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)
-    if isinstance(f, SampledFunction):
+    if isinstance(f, Generator):
+        f = _analytic_spectrum(f, sigma, grid.count)
+    elif isinstance(f, SampledFunction):
         f = _spectrum_of(f, sigma, grid)
     fold = _fold(f, gen, sigma, grid, tol)
     total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
@@ -423,11 +429,38 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
         windows = min(2 * windows, limit)
 
 
-def project(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
-            sigma: float, rho: float, tol: float = 1e-8,
-            grid: Optional[Grid] = None, j_range: int = 64) -> ProjectionResult:
+def _signal_freq_extent(gen_f: Generator, sigma: float, dgrid: int) -> Grid:
+    """Aligned frequency grid wide enough to hold essentially all of f-hat."""
+    if gen_f.spectral_support is not None:
+        windows = covering_windows(gen_f.spectral_support, sigma)
+    else:
+        c, p = gen_f.decay_constant, gen_f.decay_exponent
+        windows = 1
+        while windows < 64:
+            edge = (2.0 * windows + 1.0) * sigma
+            bound = 2.0 * c * c * (1.0 + edge) ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
+            if bound <= 1e-12:
+                break
+            windows *= 2
+    return period_extension(sigma, dgrid, windows)
+
+
+def _analytic_spectrum(gen_f: Generator, sigma: float,
+                       dgrid: int) -> SampledSpectrum:
+    """f-hat sampled on the aligned extension of the period grid."""
+    freq = _signal_freq_extent(gen_f, sigma, dgrid)
+    return SampledSpectrum(grid=freq,
+                           values=np.asarray(gen_f.spectrum(freq.nodes()),
+                                             dtype=np.complex128))
+
+
+def project(f: Signal, gen: Generator, sigma: float, rho: float,
+            tol: float = 1e-8, grid: Optional[Grid] = None,
+            j_range: int = 64) -> ProjectionResult:
     """Orthogonal projection of f onto the rho-band shift space.
 
+    f is time samples, a spectrum, or an analytic f as a `Generator`, whose
+    spectrum is sampled over the periods its support or decay envelope needs.
     Returns the band-limited transform (zero enforced outside |y| <= rho),
     recovered shift coefficients, the captured energy, the exact-formula
     squared error, and the bracket mass discarded by the division guard.
@@ -443,8 +476,7 @@ def project(f: Union[SampledFunction, SampledSpectrum], gen: Generator,
                             guard_mass=split.guard_mass)
 
 
-def best_approx_error_sq(f: Union[SampledFunction, SampledSpectrum],
-                         gen: Generator, sigma: float,
+def best_approx_error_sq(f: Signal, gen: Generator, sigma: float,
                          rho: Union[float, Sequence[float]], tol: float = 1e-8,
                          grid: Optional[Grid] = None
                          ) -> Union[float, np.ndarray]:
@@ -452,10 +484,10 @@ def best_approx_error_sq(f: Union[SampledFunction, SampledSpectrum],
 
     Computed as ``2 pi (integral |fhat|^2 - integral_{-rho}^{rho}
     |bracket|^2 / D)`` with both integrals on the same nodes; clamped at
-    zero.  ``rho`` may be one radius (a float is returned) or a 1-d
-    sequence of radii (an array is returned); f is folded once for all of
-    them.  Use ``project`` for the coefficients and the discarded guard
-    mass.
+    zero.  f is any input `project` takes.  ``rho`` may be one radius (a
+    float is returned) or a 1-d sequence of radii (an array is returned);
+    f is folded once for all of them.  Use ``project`` for the coefficients
+    and the discarded guard mass.
     """
     rhos = np.asarray(rho, dtype=float)
     if rhos.ndim > 1:

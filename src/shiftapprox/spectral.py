@@ -34,6 +34,8 @@ from .numerics import Grid, chunk_slices
 EPSILON_D = 1e-10
 
 _SPAN_RTOL = 1e-9
+#: most terms `lattice_truncation` tries before it raises
+_LATTICE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ def _envelope_tail(coef: float, q: float, sigma: float, n: float) -> float:
     return 2.0 * coef * (1.0 + (2.0 * n - 1.0) * sigma) ** (1.0 - q) / (2.0 * sigma * (q - 1.0))
 
 
-def lattice_truncation(coef: float, q: float, sigma: float, tol: float,
-                       cap: int = 200_000) -> Tuple[int, float]:
+def lattice_truncation(coef: float, q: float, sigma: float,
+                       tol: float) -> Tuple[int, float]:
     """Truncation order for a lattice sum with envelope ``coef*(1+|u|)^-q``.
 
     Stops at the first ``N`` where either the raw envelope tail or the
@@ -87,13 +89,14 @@ def lattice_truncation(coef: float, q: float, sigma: float, tol: float,
             "truncatable (needs combined exponent > 1)")
     kappa = max(1.0, q * q / 8.0)
     n = 8
-    while n <= cap:
+    while n <= _LATTICE_CAP:
         tail = _envelope_tail(coef, q, sigma, n)
         if tail <= tol or tail * kappa / (n * n) <= tol:
             return n, tail
         n *= 2
     raise TruncationError(
-        f"lattice truncation above {cap} terms still exceeds tol={tol:.3g}")
+        f"lattice truncation above {_LATTICE_CAP} terms still exceeds "
+        f"tol={tol:.3g}")
 
 
 def lattice_order(gen: Generator, sigma: float, tol: float,
@@ -199,20 +202,18 @@ def poisson_lags(gen: Generator, sigma: float) -> Tuple[int, bool]:
     A declared support gives the exact L, the largest d with
     ``d*pi/sigma < hi - lo`` (a span within rounding of k shifts gives
     k - 1: the lag k overlaps B on a null set).  A time tail radius at
-    1e-14 gives its shift count plus 2.  A spectral support Y alone gives
-    ``max(4, ceil(Y/sigma) + 2)``, a guess: it cuts off the images near
-    ``d = 2 sigma/s`` in the autocorrelation of a spectrum interpolated
-    linearly at step s.  Raises `TruncationError` when the generator
-    declares none of these.
+    1e-14 gives its shift count plus 2.  Raises `TruncationError` when the
+    generator declares neither: a spectral support alone bounds no lag (a
+    spectrum interpolated linearly at step s has autocorrelation images
+    near ``d = 2 sigma/s``, and a spectrum with a jump has lags that decay
+    like ``1/d``).
     """
     try:
         lo, hi, exact = time_extent(gen, 1e-14)
     except TruncationError as exc:
-        if gen.spectral_support is None:
-            raise TruncationError(
-                f"{exc}; with no spectral support either, the autocorrelation "
-                "lags the pairing needs are unknown") from exc
-        return max(4, int(np.ceil(gen.spectral_support / sigma)) + 2), False
+        raise TruncationError(
+            f"{exc}; the autocorrelation lags the pairing needs are "
+            "unknown") from exc
     shifts = (hi - lo) * sigma / np.pi
     if exact:
         return max(0, int(np.ceil(shifts - 1e-9)) - 1), True
@@ -271,7 +272,7 @@ def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
                               truncation_order=order, tail_bound=tail_bound)
 
 
-def riesz_bounds(dperiod: PeriodizedSpectrum, epsilon: float = EPSILON_D) -> RieszReport:
+def riesz_bounds(dperiod: PeriodizedSpectrum) -> RieszReport:
     """Frame-bound estimates from the sampled periodization.
 
     The extrema are taken over the interior nodes: the two boundary nodes of
@@ -284,7 +285,7 @@ def riesz_bounds(dperiod: PeriodizedSpectrum, epsilon: float = EPSILON_D) -> Rie
     interior = dperiod.values[1:-1] if dperiod.grid.count > 4 else dperiod.values
     lower = float(np.min(interior)) - dperiod.tail_bound
     upper = float(np.max(interior)) + dperiod.tail_bound
-    if lower > epsilon:
+    if lower > EPSILON_D:
         kind = "riesz"
     elif lower > 0.0:
         kind = "bessel_only"

@@ -9,6 +9,7 @@ only used to confirm the right quantity reached the right column.
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import re
@@ -22,10 +23,10 @@ import pytest
 
 import shiftapprox
 from shiftapprox import cli
-from shiftapprox.cli import _csv_rows, _load_signal
+from shiftapprox.errors import ResolutionError
 from shiftapprox.generator import parse_generator_spec
-from shiftapprox.numerics import (Grid, SampledFunction, SampledSpectrum,
-                                  write_samples_csv)
+from shiftapprox.numerics import (Grid, SampledSpectrum, csv_rows,
+                                  read_samples_csv, write_samples_csv)
 from shiftapprox.shiftspace import project
 from shiftapprox.zak import phi_field
 
@@ -167,9 +168,31 @@ def test_zak_rows_match_four_formatted_columns(spec):
     xg = Grid(start=0.0, stop=math.pi, count=17)
     yg = Grid(start=-1.0, stop=1.0, count=17)
     values = phi_field(parse_generator_spec(spec), 1.0, xg, yg).values.ravel()
-    assert _rows(out)[1:] == _csv_rows(
+    assert _rows(out)[1:] == csv_rows(
         np.repeat(xg.nodes(), 17).tolist(), np.tile(yg.nodes(), 17).tolist(),
         values.real.tolist(), values.imag.tolist())
+
+
+def _tabulated_gaussian(path: Path) -> str:
+    y = np.linspace(-4.0, 4.0, 801)
+    write_samples_csv(str(path), SampledSpectrum(
+        grid=Grid(-4.0, 4.0, 801),
+        values=np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("case", ["tabulated", "sinc_on_a_finer_lattice"])
+def test_validate_skips_the_pairing_without_a_time_extent(case, tmp_path):
+    # a spectral support alone bounds no autocorrelation lag: a linearly
+    # interpolated spectrum has lag images far out, and the sinc's D on
+    # the sigma = 2 lattice has a jump, so its lags decay like 1/d
+    if case == "tabulated":
+        argv = ["--gen", _tabulated_gaussian(tmp_path / "spec.csv")]
+    else:
+        argv = ["--gen", "sinc:sigma=1", "--sigma", "2"]
+    rc, out = run_cli(["validate"] + argv)
+    assert rc == 0
+    assert "phi4_pairing,,0,skipped" in _rows(out)
 
 
 def test_validate_table_passes():
@@ -320,17 +343,20 @@ def test_besterr_rho_sweep_rows_equal_single_runs(f_spec):
     assert _rows(out) == ["param,error_sq"] + singles
 
 
-def test_besterr_on_time_samples_recovers_no_coefficients():
-    # the box spline's slow spectrum makes the CLI sample f in time; the
-    # 257-node grid cannot resolve the default --jrange 64, which besterr
-    # never needs because it prints no coefficients
-    rc, out = run_cli(["besterr", "--gen", "bspline:m=1", "--f", "bspline:m=0",
+def test_besterr_on_time_samples_recovers_no_coefficients(tmp_path):
+    # the 257-node grid cannot resolve the default --jrange 64, which
+    # besterr never needs because it prints no coefficients
+    path = tmp_path / "box.csv"
+    write_samples_csv(str(path), cli._time_samples(
+        parse_generator_spec("bspline:m=0")))
+    rc, out = run_cli(["besterr", "--gen", "bspline:m=1", "--f", f"file:{path}",
                        "--dgrid", "257", "--rho", "0.5"])
     assert rc == 0
-    signal = _load_signal("bspline:m=0", 1.0, 257)
-    assert isinstance(signal, SampledFunction)
-    want = project(signal, parse_generator_spec("bspline:m=1"), 1.0, 0.5,
-                   grid=Grid(start=-1.0, stop=1.0, count=257), j_range=8)
+    gen, grid = parse_generator_spec("bspline:m=1"), Grid(-1.0, 1.0, 257)
+    signal = read_samples_csv(str(path))
+    with pytest.raises(ResolutionError):
+        project(signal, gen, 1.0, 0.5, grid=grid)
+    want = project(signal, gen, 1.0, 0.5, grid=grid, j_range=8)
     assert _rows(out) == ["param,error_sq", f"0.5,{want.error_sq:.17g}"]
 
 
@@ -364,15 +390,19 @@ def test_compare_table_consistent(capsys):
 def test_compare_formula_error_is_the_besterr_row():
     # compare folds on the default period grid whatever --dgrid says, so an
     # analytic f-hat must be sampled on that grid's extension: sampled on the
-    # --dgrid extension it would be interpolated in the fold
-    rc, out = run_cli(["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
-                       "--dgrid", "257", "--sweep", "jrange=16"])
-    assert rc == 0
-    rc_best, best = run_cli(["besterr", "--gen", "bspline:m=1",
-                             "--f", "gauss:width=1", "--rho", "1"])
-    assert rc_best == 0
-    formula_error = _rows(out)[1].split(",")[2]
-    assert formula_error == _rows(best)[1].split(",")[1]
+    # --dgrid extension it would be interpolated in the fold.  The box
+    # spline's slow spectrum takes the same 64 windows in both
+    for f_spec in ("gauss:width=1", "bspline:m=0"):
+        rc, out = run_cli(["compare", "--gen", "bspline:m=1", "--f", f_spec,
+                           "--dgrid", "257", "--sweep", "jrange=16"])
+        assert rc == 0
+        rc_best, best = run_cli(["besterr", "--gen", "bspline:m=1",
+                                 "--f", f_spec, "--rho", "1"])
+        assert rc_best == 0
+        formula_error = _rows(out)[1].split(",")[2]
+        assert formula_error == _rows(best)[1].split(",")[1]
+        if f_spec == "bspline:m=0":
+            assert formula_error == "4.5798698614875066"
 
 
 def test_compare_rejects_spectrum_signal(tmp_path, capsys):
@@ -436,3 +466,14 @@ def test_module_entry_point_matches_cli_main():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == rc == 0, proc.stderr
     assert proc.stdout == out.encode("ascii")
+
+
+# --------------------------------------------------------------------- tooling
+
+def test_cli_imports_no_private_name_of_another_module():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("shiftapprox"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

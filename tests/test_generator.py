@@ -295,5 +295,5 @@ def test_extent_readers_keep_their_windows(name, sigma):
     shift_autocorrelation(dataclasses.replace(gen, time_domain=recorded,
                                               autocorrelation=None), sigma, 3)
     assert seen == [nodes]
-    grid = cli._sample_signal(gen, sigma, 257, prefer_time=True).grid
+    grid = cli._time_samples(gen).grid
     assert (grid.start, grid.stop, grid.count) == signal_grid

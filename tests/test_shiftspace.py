@@ -14,7 +14,8 @@ import scipy.integrate
 from shiftapprox.errors import (GridMismatchError, InvalidGridError,
                                 MissingTimeDomainError, ResolutionError)
 from shiftapprox.generator import (Generator, gaussian_generator,
-                                   generator_l2_norm_sq, spectrum_generator)
+                                   generator_l2_norm_sq, parse_generator_spec,
+                                   spectrum_generator)
 from shiftapprox.numerics import Grid, SampledFunction, SampledSpectrum, \
     make_uniform_grid, period_extension
 from shiftapprox.oracle import _shift_inner_products
@@ -376,6 +377,36 @@ def test_best_error_agrees_with_projection():
         swept = best_approx_error_sq(f, gen, sigma, [0.5, 1.0])
         assert isinstance(swept, np.ndarray) and swept.shape == (2,)
         assert swept.tolist() == direct
+
+
+#: period windows either side over which an analytic f-hat is sampled:
+#: its spectral support, or the doubling of its decay envelope's tail
+#: below 1e-12
+_ANALYTIC_WINDOWS = {("gauss:width=0.7", 1.0): 4, ("gauss:width=0.7", 2.0): 2,
+                     ("gauss:width=1", 1.0): 4, ("gauss:width=1", 2.0): 1,
+                     ("gauss:width=1.3", 1.0): 2, ("gauss:width=1.3", 2.0): 1,
+                     ("sinc", 1.0): 0, ("sinc", 2.0): 0}
+
+
+@pytest.mark.parametrize("dgrid", [257, 1025])
+@pytest.mark.parametrize("spec,sigma", sorted(_ANALYTIC_WINDOWS))
+def test_an_analytic_signal_folds_its_aligned_spectrum(spec, sigma, dgrid):
+    # f given as a generator is the same call on f-hat sampled on the
+    # aligned extension of the period grid, bit for bit
+    f = parse_generator_spec(spec, default_sigma=sigma)
+    freq = period_extension(sigma, dgrid, _ANALYTIC_WINDOWS[(spec, sigma)])
+    fs = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
+    gen = spline(1, sigma)
+    grid = Grid(start=-sigma, stop=sigma, count=dgrid)
+    got, want = (project(signal, gen, sigma, 0.5 * sigma, grid=grid, j_range=8)
+                 for signal in (f, fs))
+    assert np.array_equal(got.zeta.values, want.zeta.values)
+    assert np.array_equal(got.coeffs.coeffs, want.coeffs.coeffs)
+    assert ((got.projection_norm_sq, got.error_sq, got.guard_mass)
+            == (want.projection_norm_sq, want.error_sq, want.guard_mass))
+    rhos = [0.25 * sigma, 0.5 * sigma, sigma]
+    assert np.array_equal(best_approx_error_sq(f, gen, sigma, rhos, grid=grid),
+                          best_approx_error_sq(fs, gen, sigma, rhos, grid=grid))
 
 
 def test_fold_of_the_generator_with_itself_is_the_periodization():
