@@ -29,9 +29,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MissingTimeDomainError, ShiftSpaceError
+from .errors import MissingTimeDomainError, ShiftSpaceError, TruncationError
 from .generator import Generator, parse_generator_spec, time_extent
-from .numerics import Grid, SampledFunction, csv_rows, read_samples_csv
+from .numerics import (Grid, SampledFunction, csv_join, csv_text,
+                       read_samples_csv)
 from .shiftspace import DEFAULT_GRID_COUNT, Signal, best_approx_error_sq, project
 from .spectral import periodize, riesz_bounds
 from .oracle import compare
@@ -144,7 +145,13 @@ def _load_signal(text: str, sigma: float) -> Signal:
 
 def _time_samples(gen_f: Generator) -> SampledFunction:
     """f sampled in time over its `time_extent`, for compare's oracle."""
-    lo, hi, _ = time_extent(gen_f, 1e-16)
+    try:
+        lo, hi, _ = time_extent(gen_f, 1e-16)
+    except TruncationError as exc:
+        raise TruncationError(
+            f"signal {gen_f.label!r} has no time window to sample for the "
+            "oracle: it declares neither compact support nor a time tail "
+            "radius") from exc
     if gen_f.time_domain is None:
         raise MissingTimeDomainError(f"signal {gen_f.label!r} has no time domain")
     step = gen_f.time_step_hint / 4.0 if gen_f.time_step_hint else (hi - lo) / 4096.0
@@ -159,7 +166,7 @@ def _run_dfun(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     dv = periodize(gen, cfg.sigma, grid, tol=cfg.tol)
-    return ["y,D"] + csv_rows(grid.nodes().tolist(), dv.values.tolist()), 0
+    return ["y,D", csv_text(grid.nodes(), dv.values)], 0
 
 
 def _run_riesz(cfg: RunConfig) -> Tuple[List[str], int]:
@@ -170,16 +177,31 @@ def _run_riesz(cfg: RunConfig) -> Tuple[List[str], int]:
             f"class={report.classification}"], 0
 
 
+def _signed_17g(values: np.ndarray) -> List[str]:
+    """``%.17g`` of each value, each distinct magnitude formatted once.
+
+    The Phi mesh repeats its magnitudes: on the symmetric y grid
+    Phi(x, -y) = conj Phi(x, y).  ``'%.17g' % -v == '-' + '%.17g' % v``,
+    signed zeros included, and a nan prints without its sign, so the
+    text is exact for any values; the mirror only sets how much is saved.
+    """
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    texts = np.array(csv_text(magnitudes).split("\n"), dtype=object)[inverse]
+    negative = np.signbit(values) & ~np.isnan(values)
+    texts[negative] = "-" + texts[negative]
+    return texts.tolist()
+
+
 def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     x_grid = Grid(start=0.0, stop=np.pi / cfg.sigma, count=cfg.dgrid)
     y_grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     field = phi_field(gen, cfg.sigma, x_grid, y_grid, tol=cfg.tol)
     values = field.values.ravel()  # row-major: x outer, y inner
-    xs, ys = ([f"{v:.17g}," for v in g.nodes().tolist()] for g in (x_grid, y_grid))
-    prefixes = [x + y for x in xs for y in ys]
-    return ["x,y,re,im"] + [p + v for p, v in zip(
-        prefixes, csv_rows(values.real.tolist(), values.imag.tolist()))], 0
+    xs, ys = (csv_text(g.nodes()).split("\n") for g in (x_grid, y_grid))
+    return ["x,y,re,im", csv_join(
+        [x for x in xs for _ in ys], ys * len(xs),
+        _signed_17g(values.real), _signed_17g(values.imag))], 0
 
 
 def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
@@ -189,16 +211,12 @@ def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
     result = project(signal, gen, cfg.sigma, cfg.rho, tol=cfg.tol,
                      grid=grid, j_range=cfg.j_range)
     coeffs, zeta = result.coeffs.coeffs, result.zeta.values
-    lines = ["j,re,im"]
-    lines += csv_rows(result.coeffs.indices().tolist(),
-                       coeffs.real.tolist(), coeffs.imag.tolist())
-    lines.append("y,re,im")
-    lines += csv_rows(grid.nodes().tolist(),
-                       zeta.real.tolist(), zeta.imag.tolist())
-    lines.append(f"norm_sq={result.projection_norm_sq:.17g} "
-                 f"error_sq={result.error_sq:.17g} "
-                 f"guard_mass={result.guard_mass:.17g}")
-    return lines, 0
+    return ["j,re,im",
+            csv_text(result.coeffs.indices(), coeffs.real, coeffs.imag),
+            "y,re,im", csv_text(grid.nodes(), zeta.real, zeta.imag),
+            f"norm_sq={result.projection_norm_sq:.17g} "
+            f"error_sq={result.error_sq:.17g} "
+            f"guard_mass={result.guard_mass:.17g}"], 0
 
 
 def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
@@ -215,7 +233,7 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
         grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,
                                       tol=cfg.tol, grid=grid)
-        lines += csv_rows(rhos, errors.tolist())
+        lines.append(csv_text(rhos, errors))
     return lines, 0
 
 
@@ -238,9 +256,9 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
                      f_spectrum=spectrum)
     rows = report.rows
-    lines = ["j_range,oracle_residual,formula_error,gap"] + csv_rows(
+    lines = ["j_range,oracle_residual,formula_error,gap", csv_text(
         [r.j_range for r in rows], [r.oracle_residual for r in rows],
-        [r.formula_error for r in rows], [r.gap for r in rows])
+        [r.formula_error for r in rows], [r.gap for r in rows])]
     if not report.consistent:
         print("comparison inconsistent: oracle residual fell below the "
               "exact formula error", file=sys.stderr)

@@ -44,9 +44,6 @@ from .numerics import (
     resolved_band,
 )
 
-#: points per audit decade and span used by `decay_audit_max_ratio`
-_AUDIT_POINTS = 10_000
-_AUDIT_SPAN = 1e3
 #: decay exponent of tabulated spectra (any p is exact under their support)
 _TABULATED_DECAY = 2.0
 #: frequency nodes of `default_freq_grid`
@@ -355,18 +352,6 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
         if name in ("bspline", "gauss", "sinc") and params:
             raise ValueError(f"unknown parameters {sorted(params)} in {text!r}")
     raise ValueError(f"unknown generator family {name!r}")
-
-
-def decay_audit_max_ratio(gen: Generator, sigma: float) -> float:
-    """Worst ratio ``|spectrum| * (1+|y|)^p / C`` over the audit grid.
-
-    The audit grid is log-spaced over ``[-1e3*sigma, 1e3*sigma]`` (both
-    signs, plus zero) with ``1e4`` points.
-    """
-    half = np.geomspace(1e-3 * sigma, _AUDIT_SPAN * sigma, _AUDIT_POINTS // 2)
-    ys = np.concatenate([-half[::-1], [0.0], half])
-    ratio = np.abs(gen.spectrum(ys)) * (1.0 + np.abs(ys)) ** gen.decay_exponent
-    return float(np.max(ratio) / gen.decay_constant)
 
 
 def _window_integral(values: np.ndarray, start: float, step: float, lo: float, hi: float) -> complex:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import math
 from contextlib import redirect_stdout
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,6 +232,30 @@ def direct_coeffs(weighted: np.ndarray, grid: Grid, sigma: float,
     js = np.arange(-j_range, j_range + 1).astype(float)
     phases = np.exp((1j * np.pi / sigma) * np.outer(js, grid.nodes()))
     return (phases * weighted).sum(axis=1) / (2.0 * sigma)
+
+
+#: points and span of the log-spaced grid of `decay_audit_max_ratio`
+_AUDIT_POINTS = 10_000
+_AUDIT_SPAN = 1e3
+
+
+def decay_audit_max_ratio(gen: Generator, sigma: float) -> float:
+    """Worst ratio ``|spectrum| * (1+|y|)^p / C`` over the audit grid.
+
+    The audit grid is log-spaced over ``[-1e3*sigma, 1e3*sigma]`` (both
+    signs, plus zero) with ``1e4`` points.
+    """
+    half = np.geomspace(1e-3 * sigma, _AUDIT_SPAN * sigma, _AUDIT_POINTS // 2)
+    ys = np.concatenate([-half[::-1], [0.0], half])
+    ratio = np.abs(gen.spectrum(ys)) * (1.0 + np.abs(ys)) ** gen.decay_exponent
+    return float(np.max(ratio) / gen.decay_constant)
+
+
+def reference_csv(*columns: Sequence) -> str:
+    """``%.17g`` CSV lines formatted value by value, the reference for
+    `numerics.csv_text`: columns of Python numbers (``ndarray.tolist()``)."""
+    return "\n".join(",".join(format(v, ".17g") for v in row)
+                     for row in zip(*columns))
 
 
 def run_cli(argv) -> Tuple[int, str]:

@@ -10,12 +10,14 @@ only used to confirm the right quantity reached the right column.
 from __future__ import annotations
 
 import ast
+import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Tuple
 
 import numpy as np
@@ -25,12 +27,12 @@ import shiftapprox
 from shiftapprox import cli
 from shiftapprox.errors import ResolutionError
 from shiftapprox.generator import parse_generator_spec
-from shiftapprox.numerics import (Grid, SampledSpectrum, csv_rows,
-                                  read_samples_csv, write_samples_csv)
+from shiftapprox.numerics import (Grid, SampledSpectrum, read_samples_csv,
+                                  write_samples_csv)
 from shiftapprox.shiftspace import project
 from shiftapprox.zak import phi_field
 
-from helpers import run_cli
+from helpers import reference_csv, run_cli
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -161,16 +163,41 @@ def test_zak_grid_shape():
 @pytest.mark.parametrize("spec", ["bspline:m=2", "sinc:sigma=1"],
                          ids=["time_sum", "freq_sum"])
 def test_zak_rows_match_four_formatted_columns(spec):
-    # the "x,y," prefixes are formatted once per axis; the rows must equal
-    # four columns formatted node by node
+    # the axes are formatted once each and re, im once per distinct
+    # magnitude; the rows must equal four columns formatted value by value
     rc, out = run_cli(["zak", "--gen", spec, "--dgrid", "17"])
     assert rc == 0
     xg = Grid(start=0.0, stop=math.pi, count=17)
     yg = Grid(start=-1.0, stop=1.0, count=17)
     values = phi_field(parse_generator_spec(spec), 1.0, xg, yg).values.ravel()
-    assert _rows(out)[1:] == csv_rows(
+    assert out == "x,y,re,im\n" + reference_csv(
         np.repeat(xg.nodes(), 17).tolist(), np.tile(yg.nodes(), 17).tolist(),
-        values.real.tolist(), values.imag.tolist())
+        values.real.tolist(), values.imag.tolist()) + "\n"
+
+
+def test_zak_signs_an_unmirrored_mesh_value_by_value(monkeypatch):
+    # random values share magnitudes under both signs, but not along the
+    # y mirror; signed zeros keep their sign and a nan prints without one
+    d = 9
+    rng = np.random.default_rng(11)
+    magnitudes = rng.choice([0.0, 0.5, 1.0 / 3.0, 5e-324, 1e17, np.inf, np.nan],
+                            size=(2, d * d))
+    signs = rng.choice([-1.0, 1.0], size=(2, d * d))
+    re, im = np.copysign(magnitudes, signs)
+    values = np.empty((d, d), dtype=np.complex128)
+    values.real, values.imag = re.reshape(d, d), im.reshape(d, d)
+    assert np.any(np.signbit(values.real) & (values.real == 0))
+    assert np.any(np.signbit(values.imag) & np.isnan(values.imag))
+    assert not np.array_equal(values[:, ::-1], np.conj(values))
+    monkeypatch.setattr(cli, "phi_field",
+                        lambda *args, **kwargs: SimpleNamespace(values=values))
+    rc, out = run_cli(["zak", "--gen", "bspline:m=1", "--dgrid", str(d)])
+    assert rc == 0
+    xg = Grid(start=0.0, stop=math.pi, count=d)
+    yg = Grid(start=-1.0, stop=1.0, count=d)
+    assert out == "x,y,re,im\n" + reference_csv(
+        np.repeat(xg.nodes(), d).tolist(), np.tile(yg.nodes(), d).tolist(),
+        re.tolist(), im.tolist()) + "\n"
 
 
 def _tabulated_gaussian(path: Path) -> str:
@@ -415,6 +442,18 @@ def test_compare_rejects_spectrum_signal(tmp_path, capsys):
     assert out == ""
 
 
+def test_compare_names_the_missing_time_window_of_f(capsys):
+    # the sinc declares no time extent: the oracle has no window to sample
+    # f on, and the message says so of f rather than of a generator's shifts
+    rc, out = run_cli(["compare", "--gen", "bspline:m=1", "--f", "sinc"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: signal 'sinc:sigma=1' has no time window to sample "
+                   "for the oracle: it declares neither compact support nor "
+                   "a time tail radius\n")
+
+
 # ------------------------------------------------------------- reproducibility
 
 def test_repeat_runs_byte_identical():
@@ -425,6 +464,40 @@ def test_repeat_runs_byte_identical():
     assert rc_a == rc_b == 0
     assert out_a == out_b
     assert out_a
+
+
+# stdout SHA-256 of one small run per command, recorded with the per-row
+# str.format writer that `numerics.csv_text` replaced: a change meant to
+# leave the output alone must keep these bytes (numpy 2.4, OpenBLAS, x86-64)
+_PINNED_OUTPUT = {
+    "dfun": (["--gen", "bspline:m=2", "--dgrid", "33"],
+             "1166a66dcf740357c02c6177d4615aa554452de3622bfdf21c1c277a78b58f96"),
+    "riesz": (["--gen", "gauss:width=1", "--dgrid", "33"],
+              "f89a86c60b93172b05d6610e8e6e8bd628db7bd9c708d611288dffe322783478"),
+    "zak_time_sum": (["--gen", "bspline:m=2", "--dgrid", "17"],
+                     "31ee748b538fbabf97f98deb35d51b14d3360c1664deee0e510e4cf7c5281717"),
+    "zak_freq_sum": (["--gen", "sinc:sigma=1", "--dgrid", "17"],
+                     "feb7033d7bf44b65cfebacd1b8df1b391dfb2d5dfd0fe9545ca2b48c8544097e"),
+    "project": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
+                 "--jrange", "4"],
+                "d8dc5d34d6b35d51ac243e0faa53139e3194dcbb6c178583d3f5ed23ae19d3d7"),
+    "besterr": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
+                 "--sweep", "rho=0.5,1"],
+                "456ae78173712bf3736408bcac115eca3048cdedd317384034bec43d7e6228ca"),
+    "compare": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
+                 "--sweep", "jrange=4,8"],
+                "a2943b3fd2edd813a8f57f8a3ecb82b274ec7414e87be98af7ea072d8058664c"),
+    "validate": (["--gen", "bspline:m=1", "--dgrid", "33"],
+                 "c03b60a364eb2cdf3e878dd64e3ca8a67ae330b604de6952336768fa8d98e9c2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_OUTPUT))
+def test_output_bytes_are_pinned(case):
+    argv, digest = _PINNED_OUTPUT[case]
+    rc, out = run_cli([case.partition("_")[0]] + argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_a_rejected_argv_leaves_the_parser_as_it_was(capsys):

@@ -13,7 +13,6 @@ from shiftapprox.generator import (
     _cardinal_bspline,
     bandlimited_generator,
     bspline_generator,
-    decay_audit_max_ratio,
     gaussian_generator,
     generator_l2_norm_sq,
     parse_generator_spec,
@@ -32,7 +31,7 @@ from shiftapprox.numerics import (
 )
 from shiftapprox.spectral import poisson_lags
 
-from helpers import sampled_gaussian, spline
+from helpers import decay_audit_max_ratio, sampled_gaussian, spline
 
 
 def test_cardinal_bspline_partition_of_unity():

@@ -9,6 +9,8 @@ from shiftapprox.numerics import (
     Grid,
     SampledFunction,
     SampledSpectrum,
+    csv_join,
+    csv_text,
     fourier_transform_sampled,
     integrate,
     integrate_values,
@@ -19,7 +21,7 @@ from shiftapprox.numerics import (
     write_samples_csv,
 )
 
-from helpers import direct_fourier_sum
+from helpers import direct_fourier_sum, reference_csv
 
 
 def test_grid_nodes_hit_endpoints_exactly():
@@ -181,6 +183,37 @@ def test_csv_round_trip_is_exact():
         assert isinstance(back, cls)
         assert np.array_equal(back.values, vals)
         assert back.grid.count == 257
+
+
+def _around(x: float) -> list:
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+_CSV_CASES = {
+    "special": [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324],
+    # where %.17g switches from fixed to exponent notation
+    "around_1e16": _around(1e16) + [-v for v in _around(1e16)],
+    "around_1e17": _around(1e17) + [-v for v in _around(1e17)],
+    "random": np.random.default_rng(3).standard_normal(64) * 10.0 ** np.arange(-32, 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_csv_text_matches_per_value_format(case):
+    col = np.array(_CSV_CASES[case], dtype=float)
+    ints = np.arange(-(col.size // 2), col.size - col.size // 2)
+    columns = [ints.tolist(), col.tolist(), col[::-1].tolist()]
+    assert csv_text(ints, col, col[::-1]) == reference_csv(*columns)
+    assert csv_text(*columns) == reference_csv(*columns)
+    # single rows and single columns take the same template
+    assert csv_text(ints[:1], col[:1]) == reference_csv(ints[:1].tolist(), col[:1].tolist())
+    assert csv_text(col) == reference_csv(col.tolist())
+
+
+def test_csv_join_lays_strings_out_as_csv_text():
+    cols = [["a", "bb", "c"], ["-0", "nan", "1e+17"]]
+    assert csv_join(*cols) == "a,-0\nbb,nan\nc,1e+17"
+    assert csv_join(["only"]) == "only"
 
 
 def test_csv_header_selects_domain():
