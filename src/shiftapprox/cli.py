@@ -10,6 +10,12 @@ besterr   best-approximation error, optionally swept        -> param,error_sq
 compare   brute-force oracle vs. exact error formula        -> comparison table
 validate  property audit of the Phi system                  -> check table
 
+Every command takes ``--gen``, ``--sigma``, ``--tol``, ``--dgrid`` and
+``--out``; project, besterr and compare take ``--f``; ``--rho`` belongs to
+project and besterr, ``--jrange`` to project, and ``--sweep`` to besterr
+(sigma or rho) and compare (jrange, nonnegative integers).  compare folds
+on the default period grid whatever ``--dgrid`` says.
+
 A ``--f`` signal is a ``file:`` CSV (time samples or a spectrum) or a spec
 handed on as the generator itself: `shiftspace` decides how far its
 spectrum is taken; compare's oracle gets its samples over `time_extent`.
@@ -68,25 +74,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="projections onto spaces spanned by equidistant shifts "
                     "of a single square-integrable generator")
     sub = parser.add_subparsers(dest="command", required=True)
-    needs_f = {"project", "besterr", "compare"}
     for name in ("dfun", "riesz", "zak", "project", "besterr", "compare",
                  "validate"):
         p = sub.add_parser(name)
+        # rho and j_range are config fields of every command; the flags
+        # exist only on the commands that read them
+        p.set_defaults(rho=None, j_range=64)
         p.add_argument("--gen", required=True, dest="generator_spec",
                        help="generator spec, e.g. bspline:m=2,sigma=1 | "
                             "gauss:width=1 | sinc:sigma=2 | file:spec.csv")
-        if name in needs_f:
+        if name in ("project", "besterr", "compare"):
             p.add_argument("--f", required=True, dest="f_spec",
                            help="signal: generator-style spec or file:path "
                                 "(CSV with x,re,im or y,re,im header)")
         p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--rho", type=float, default=None,
-                       help="band radius, defaults to sigma")
+        if name in ("project", "besterr"):
+            p.add_argument("--rho", type=float,
+                           help="band radius, defaults to sigma")
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--dgrid", type=int, default=None,
-                       help="period-grid resolution (default 4097; "
-                            "129 for zak, 257 for validate)")
-        p.add_argument("--jrange", type=int, default=64, dest="j_range")
+        p.add_argument("--dgrid", type=int, default=None, help=(
+            "accepted but not read: compare folds on the default 4097-node "
+            "period grid" if name == "compare" else
+            "period-grid resolution (default 4097; 129 for zak, 257 for "
+            "validate)"))
+        if name == "project":
+            p.add_argument("--jrange", type=int, dest="j_range",
+                           help="coefficient range J (default 64)")
         p.add_argument("--out", default=None, dest="output_path")
         if name in _SWEEPABLE:
             p.add_argument("--sweep", default=None,
@@ -124,9 +137,13 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
                          f"{ns.command} (allowed: "
                          f"{', '.join(_SWEEPABLE.get(ns.command, ()))})")
         try:
-            values = tuple(float(v) for v in tail.split(","))
+            values = tuple((int if name == "jrange" else float)(v)
+                           for v in tail.split(","))
         except ValueError:
-            parser.error(f"--sweep values in {raw_sweep!r} are not numeric")
+            values = ()
+        if not values or (name == "jrange" and min(values) < 0):
+            parser.error(f"--sweep values in {raw_sweep!r} must be " + (
+                "nonnegative integers" if name == "jrange" else "numbers"))
         if name == "sigma" and ns.rho is not None:
             parser.error("--rho cannot be fixed while sweeping sigma")
         sweep = (name, values)
@@ -249,10 +266,7 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
             "compare needs time-domain samples of f (the oracle integrates "
             "against the shifts in time); provide a time-sampled CSV or a "
             "generator spec with a time-domain form")
-    if cfg.sweep is not None:
-        ranges = [int(v) for v in cfg.sweep[1]]
-    else:
-        ranges = list(_DEFAULT_COMPARE_RANGES)
+    ranges = list(cfg.sweep[1] if cfg.sweep else _DEFAULT_COMPARE_RANGES)
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
                      f_spectrum=spectrum)
     rows = report.rows

@@ -3,7 +3,9 @@
 A `Generator` bundles an analytic (vectorized) spectrum, an optional time
 domain form, and a declared decay contract ``|spectrum(y)| <= C/(1+|y|)^p``
 that downstream lattice sums rely on for truncation.  `time_extent` is the
-one reading of where a generator lives in time.  Built-in families:
+one reading of where a generator lives in time, and `shift_autocorrelation`
+the one reading of its Gram sequence ``<B, B(. - tau)>``.  Built-in
+families, with the source of that sequence:
 
 ``bspline``
     ``spectrum(y) = ((exp(i pi y/sigma) - 1)/(i pi y/sigma))**(m+1)``,
@@ -11,15 +13,20 @@ one reading of where a generator lives in time.  Built-in families:
     with ``u = pi y / sigma``.  The matching time domain is the piecewise
     polynomial ``2*sigma*N_{m+1}(sigma*x/pi + m + 1)`` supported on
     ``[-(m+1)*pi/sigma, 0]``, where ``N_k`` is the cardinal B-spline of order
-    ``k`` on ``[0, k]``.
+    ``k`` on ``[0, k]``.  Autocorrelation in closed form, ``N_{2(m+1)}``.
 ``gauss``
     ``exp(-x^2/(2 w^2))`` with spectrum ``(w/sqrt(2 pi)) exp(-w^2 y^2 / 2)``.
+    Autocorrelation in closed form, ``w sqrt(pi) exp(-tau^2/(4 w^2))``.
 ``sinc``
     Spectrum is the indicator of ``[-sigma, sigma]`` (value 1/2 on the edge),
     time domain ``2*sin(sigma*x)/x`` with value ``2*sigma`` at 0.
+    Autocorrelation in closed form, ``2 pi B(tau)``.
 ``file`` / sampled
     Tabulated spectrum (a CSV, or the transform of time samples), linearly
     interpolated inside its grid, whose radius is its spectral support.
+    Time samples declare their grid as the support, and their
+    autocorrelation is a knot-aligned quadrature over it; a spectrum file's
+    is Parseval over its spectral support.
 """
 
 from __future__ import annotations
@@ -48,8 +55,6 @@ from .numerics import (
 _TABULATED_DECAY = 2.0
 #: frequency nodes of `default_freq_grid`
 _FREQ_COUNT = 4097
-#: level of |B| at which `shift_autocorrelation` cuts a time tail off
-_AUTOCORR_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,17 +83,20 @@ class Generator:
         Radius beyond which the spectrum is identically zero; lattice sums
         over such a spectrum truncate exactly.
     time_step_hint : float, optional
-        Natural sampling step for time-domain quadrature (e.g. the width of
-        a Gaussian divided by a safety factor).
+        Natural sampling step of the time domain: the sample step of time
+        samples (their autocorrelation quadrature), or a Gaussian's width
+        over 16 (a signal sampled for the oracle).
     real_valued : bool
         Whether the time-domain function is real (spectrum Hermitian).
     autocorrelation : callable, optional
         Exact ``tau -> <B, B(. - tau)>`` at any real time lag ``tau``; a
         lattice of half-period sigma reads it at ``tau = d*pi/sigma``
-        (`shift_autocorrelation`).  Families with a closed form set this,
-        so the Gram oracle does not inherit quadrature error from jump
-        discontinuities, and with a declared support it makes the
+        (`shift_autocorrelation`).  Every analytic family (spline, Gaussian,
+        sinc) sets this, so the Gram oracle, ``||B||^2`` and the Phi4
+        pairing read exact rows; with a declared support it also makes the
         periodization D an exact finite sum (`spectral.periodize`).
+        Without it a generator must declare a support with a time domain,
+        or a spectral support.
     """
 
     label: str
@@ -224,6 +232,8 @@ def gaussian_generator(width: float) -> Generator:
         time_domain=time_domain,
         time_tail_radius=tail_radius,
         time_step_hint=w / 16.0,
+        autocorrelation=lambda tau: complex(
+            w * math.sqrt(math.pi) * math.exp(-tau * tau / (4.0 * w * w))),
     )
 
 
@@ -251,7 +261,8 @@ def bandlimited_generator(sigma: float) -> Generator:
         decay_constant=(1.0 + s) ** 1.5,
         time_domain=time_domain,
         spectral_support=s,
-        time_step_hint=0.2 / s,
+        # Parseval: 2 pi * integral_{-s}^{s} e^{i tau y} dy = 2 pi B(tau)
+        autocorrelation=lambda tau: complex(TWO_PI * time_domain(np.array(tau))),
     )
 
 
@@ -354,88 +365,60 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
     raise ValueError(f"unknown generator family {name!r}")
 
 
-def _window_integral(values: np.ndarray, start: float, step: float, lo: float, hi: float) -> complex:
-    """Integrate pre-tabulated samples over the sub-window [lo, hi]."""
-    i0 = max(0, int(math.ceil((lo - start) / step - 1e-9)))
-    i1 = min(len(values) - 1, int(math.floor((hi - start) / step + 1e-9)))
-    if i1 - i0 < 1:
-        return 0.0 + 0.0j
-    sub = make_uniform_grid(start + i0 * step, start + i1 * step, i1 - i0 + 1)
-    return integrate_values(values[i0:i1 + 1], sub)
-
-
 def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndarray:
     """Inner products ``a_d = <B, B(. - d*pi/sigma)>`` for ``d = 0..max_lag``.
 
-    A closed-form ``gen.autocorrelation`` is read at the lags
-    ``d*pi/sigma``, whatever sigma the generator was built with.
-    Otherwise, generators with a time extent (`time_extent` at 1e-12)
-    integrate on a window whose step divides the shift: the exact overlap
-    on a knot-aligned grid for a compact support, the tail radius plus the
-    largest lag otherwise.  Spectra with compact support but slowly
-    decaying time domains (the bandlimited family) use Parseval:
-    ``a_d = 2*pi * integral |spectrum|^2 exp(i d pi y / sigma) dy``.  A
-    time domain with neither takes a wide window and one Richardson step in
-    its size: ``I(T) ~ I - c/T``, so ``I ~ 2 I(T) - I(T/2)``.
+    Three sources, in this order:
+
+    * the declared closed form ``gen.autocorrelation`` (spline, Gaussian,
+      sinc), read at the lags ``d*pi/sigma`` whatever sigma the generator
+      was built with;
+    * a declared support with a time domain (time samples): Simpson on
+      the support at a step that divides ``pi/sigma``, so every lag is a
+      whole number of nodes and the knots fall on panel edges;
+    * a spectral support ``Y`` (a spectrum file): Parseval,
+      ``a_d = 2*pi * integral |spectrum|^2 exp(i d pi y / sigma) dy`` over
+      ``[-Y, Y]``.
+
+    Raises `TruncationError` for any other generator.
     """
     h = np.pi / sigma
-    out = np.zeros(max_lag + 1, dtype=np.complex128)
     if gen.autocorrelation is not None:
         return np.array([gen.autocorrelation(d * h) for d in range(max_lag + 1)],
                         dtype=np.complex128)
-    if gen.support is None and gen.spectral_support is not None:
-        s_edge = gen.spectral_support * (1.0 - 1e-12)
-        count = max(4097, 64 * max_lag + 1)
-        count += (count + 1) % 2
-        grid = make_uniform_grid(-s_edge, s_edge, count)
-        y = grid.nodes()
-        energy = np.abs(gen.spectrum(y)) ** 2
-        w = quadrature_weights(grid)
-        for d in range(max_lag + 1):
-            out[d] = TWO_PI * np.sum(w * energy * np.exp(1j * d * np.pi * y / sigma))
-        return out
-    if gen.time_domain is None:
-        raise TruncationError("autocorrelation needs a time domain or a compact spectrum")
-    # window [a, a + (count-1) step] whose step divides h exactly, so every
-    # lag is a whole number of nodes and (for a compact support) the knots
-    # fall on panel edges
-    try:
-        lo, hi, exact = time_extent(gen, _AUTOCORR_EPS)
-    except TruncationError:
-        exact, richardson = False, True
-        q = max(1, int(round(h / min(0.05 * min(1.0, h / np.pi), h / 64.0))))
-        radius = 4.0e4 * max(1.0, h / np.pi)
-    else:
-        richardson = False
+    out = np.zeros(max_lag + 1, dtype=np.complex128)
+    if gen.support is not None and gen.time_domain is not None:
+        lo, hi = gen.support
         step = h / 128.0
         if gen.time_step_hint is not None:
             step = min(step, gen.time_step_hint / 2.0)
         q = max(2, int(math.ceil(h / step / 2.0)) * 2)
-        radius = hi + max_lag * h
-    step = h / q
-    if exact:
-        a, count = lo, int(round((hi - lo) / step)) + 1
+        step = h / q
+        count = int(round((hi - lo) / step)) + 1
         count += (count + 1) % 2
-    else:
-        half = int(math.ceil(radius / step))
-        a, count = -half * step, 2 * half + 1
-    grid = make_uniform_grid(a, a + (count - 1) * step, count)
-    base = gen.time_domain(grid.nodes())
-    for d in range(max_lag + 1):
-        lag = d * q
-        if lag >= count - 1:
-            break
-        # B(t) on nodes[lag:], B(t - d h) equals base[:-lag]
-        seg = base[lag:] * np.conj(base[:count - lag])
-        sub = make_uniform_grid(grid.start + lag * step, grid.stop, count - lag)
-        out[d] = integrate_values(seg, sub)
-        if richardson:
-            quarter = sub.span() / 4.0
-            out[d] = 2.0 * out[d] - _window_integral(
-                seg, sub.start, step, sub.start + quarter, sub.stop - quarter)
-    return out
+        grid = make_uniform_grid(lo, lo + (count - 1) * step, count)
+        base = gen.time_domain(grid.nodes())
+        for d in range(min(max_lag + 1, (count - 2) // q + 1)):
+            # B(t) on nodes[lag:], B(t - d h) equals base[:-lag]
+            lag = d * q
+            sub = make_uniform_grid(grid.start + lag * step, grid.stop, count - lag)
+            out[d] = integrate_values(base[lag:] * np.conj(base[:count - lag]), sub)
+        return out
+    if gen.spectral_support is not None:
+        count = max(4097, 64 * max_lag + 1)
+        count += (count + 1) % 2
+        grid = make_uniform_grid(-gen.spectral_support, gen.spectral_support, count)
+        y = grid.nodes()
+        energy = quadrature_weights(grid) * np.abs(gen.spectrum(y)) ** 2
+        for d in range(max_lag + 1):
+            out[d] = TWO_PI * np.sum(energy * np.exp(1j * d * h * y))
+        return out
+    raise TruncationError(
+        f"generator {gen.label!r} declares no closed-form autocorrelation, "
+        "no compact support with a time domain and no spectral support: "
+        "its shift autocorrelation has no exact source")
 
 
 def generator_l2_norm_sq(gen: Generator, sigma: float = 1.0) -> float:
-    """``norm(B)**2`` via the best available route (time or spectral)."""
+    """``norm(B)**2``, the lag-0 term of `shift_autocorrelation`."""
     return float(shift_autocorrelation(gen, sigma, 0)[0].real)

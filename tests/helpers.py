@@ -65,6 +65,18 @@ def sampled_gaussian() -> Generator:
     return sampled_generator(samples, default_freq_grid(samples))
 
 
+def cauchy() -> Generator:
+    """B(x) = 1/(1+x^2), spectrum e^{-|y|}/2: no support, no tail radius
+    and no spectral support, so it has no time extent.  It declares its
+    autocorrelation <B, B(. - tau)> = 2 pi / (4 + tau^2)."""
+    return Generator(
+        label="cauchy",
+        spectrum=lambda y: 0.5 * np.exp(-np.abs(np.asarray(y, dtype=float))) + 0.0j,
+        decay_exponent=10.0, decay_constant=6.2e5,
+        time_domain=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2) + 0.0j,
+        autocorrelation=lambda tau: complex(2.0 * math.pi / (4.0 + tau * tau)))
+
+
 def random_expansion(rng: np.random.Generator, sigma: float, j_max: int,
                      rho: Optional[float] = None) -> ShiftExpansion:
     n = 2 * j_max + 1

@@ -62,13 +62,13 @@ _TAIL = re.compile(r"\Anorm_sq=(\S+) error_sq=(\S+) guard_mass=(\S+)\Z")
     ["bogus", "--gen", "sinc"],
     ["dfun", "--gen", "sinc", "--sigma", "0"],
     ["dfun", "--gen", "sinc", "--sigma=-1"],
-    ["dfun", "--gen", "sinc", "--rho", "1.5"],
-    ["dfun", "--gen", "sinc", "--rho=-0.2"],
+    ["project", "--gen", "sinc", "--f", "gauss:width=1", "--rho", "1.5"],
+    ["project", "--gen", "sinc", "--f", "gauss:width=1", "--rho=-0.2"],
     ["dfun", "--gen", "sinc", "--tol", "0"],
     ["dfun", "--gen", "sinc", "--dgrid", "7"],
     ["zak", "--gen", "sinc", "--dgrid", "128"],
     ["validate", "--gen", "sinc", "--dgrid", "64"],
-    ["dfun", "--gen", "sinc", "--jrange", "0"],
+    ["project", "--gen", "sinc", "--f", "gauss:width=1", "--jrange", "0"],
     ["dfun", "--gen", "sinc", "--sweep", "rho=1"],
     ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sweep", "jrange=8"],
     ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sweep", "sigma="],
@@ -77,6 +77,13 @@ _TAIL = re.compile(r"\Anorm_sq=(\S+) error_sq=(\S+) guard_mass=(\S+)\Z")
      "--sweep", "sigma=1,2", "--rho", "0.5"],
     ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
      "--sweep", "rho=1"],
+    # flags a command does not read, and J values that are not integers
+    ["dfun", "--gen", "sinc", "--rho", "0.5"],
+    ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1", "--jrange", "4"],
+    ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
+     "--sweep", "jrange=4.5"],
+    ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
+     "--sweep", "jrange=4,-8"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     rc, out = run_cli(argv)

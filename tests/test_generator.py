@@ -8,7 +8,6 @@ import pytest
 from shiftapprox import cli, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (
-    Generator,
     SplineParams,
     _cardinal_bspline,
     bandlimited_generator,
@@ -31,7 +30,7 @@ from shiftapprox.numerics import (
 )
 from shiftapprox.spectral import poisson_lags
 
-from helpers import decay_audit_max_ratio, sampled_gaussian, spline
+from helpers import cauchy, decay_audit_max_ratio, sampled_gaussian, spline
 
 
 def test_cardinal_bspline_partition_of_unity():
@@ -137,13 +136,31 @@ def test_spline_autocorrelation_known_ratios():
 
 
 def test_gaussian_autocorrelation_matches_closed_form():
+    # the declared closed form against a dense Simpson sum of the overlap
+    # on [-12, 12 + 3 h], where the integrand is below 1e-48
     w, sigma = 0.8, 1.0
     gen = gaussian_generator(w)
     h = math.pi / sigma
     got = shift_autocorrelation(gen, sigma, 3)
+    grid = make_uniform_grid(-12.0, 12.0 + 3 * h, 16385)
+    x, weights = grid.nodes(), quadrature_weights(grid)
     for d in range(4):
-        ref = w * math.sqrt(math.pi) * math.exp(-(d * h) ** 2 / (4.0 * w * w))
-        assert got[d].real == pytest.approx(ref, rel=1e-10), d
+        ref = np.sum(weights * gen.time_domain(x) * np.conj(gen.time_domain(x - d * h)))
+        assert abs(got[d] - ref) <= 1e-13 * got[0].real, d
+
+
+@pytest.mark.parametrize("sigma_b,sigma", [(1.0, 1.0), (1.5, 1.0), (1.0, 2.5)])
+def test_sinc_autocorrelation_matches_parseval_quadrature(sigma_b, sigma):
+    # Parseval: <B, B(. - tau)> = 2 pi integral_{-sigma_B}^{sigma_B} e^{i tau y} dy,
+    # a smooth integrand on the spectral support, where dense Simpson is
+    # within 2e-14 (relative) of it at every lag here
+    gen = bandlimited_generator(sigma_b)
+    got = shift_autocorrelation(gen, sigma, 5)
+    grid = make_uniform_grid(-sigma_b, sigma_b, 16385)
+    y, weights = grid.nodes(), quadrature_weights(grid)
+    for d in range(6):
+        ref = 2.0 * math.pi * np.sum(weights * np.exp(1j * d * math.pi / sigma * y))
+        assert abs(got[d] - ref) <= 1e-13 * got[0].real, d
 
 
 def test_bandlimited_shifts_are_orthogonal():
@@ -235,20 +252,13 @@ def test_tabulated_spectrum_is_real_only_on_a_symmetric_grid():
     assert tabulated(-2.0, 2.0, 0.0).real_valued
 
 
-def _cauchy_time_only() -> Generator:
-    return Generator(
-        label="cauchy", decay_exponent=10.0, decay_constant=1.0,
-        spectrum=lambda y: 0.5 * np.exp(-np.abs(np.asarray(y, dtype=float))) + 0.0j,
-        time_domain=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2) + 0.0j)
-
-
 def test_time_extent_reads_the_support_then_the_tail_radius():
     assert time_extent(spline(1, 1.0), 1e-3) == (-2.0 * math.pi, 0.0, True)
     gauss = gaussian_generator(0.8)
     radius = gauss.time_tail_radius(1e-12)
     assert time_extent(gauss, 1e-12) == (-radius, radius, False)
     with pytest.raises(TruncationError, match="neither compact support"):
-        time_extent(_cauchy_time_only(), 1e-12)
+        time_extent(cauchy(), 1e-12)
     with pytest.raises(TruncationError):
         time_extent(bandlimited_generator(1.0), 1e-12)
 
@@ -258,17 +268,16 @@ def test_time_extent_reads_the_support_then_the_tail_radius():
 # [0, pi/sigma] at tol 1e-8, the Poisson lag count of periodize and Phi4
 # (the exact L under a declared support), the autocorrelation's
 # quadrature nodes (count, first, last) for lags 0..3, and the grid of a
-# signal sampled in time (start, stop, count).
+# signal sampled in time (start, stop, count).  The Gaussian's
+# autocorrelation is its closed form: no quadrature node is read.
 _EXTENT_PINS = {
     ("spline", 1.0): ((-1, 5, 0.0), 2, (385, -9.42477796076938, 0.0),
                       (-9.42477796076938, 0.0, 4097)),
     ("spline", 2.0): ((-1, 8, 0.0), 5, (769, -9.42477796076938, 0.0),
                       (-9.42477796076938, 0.0, 4097)),
-    ("gauss", 1.0): ((-4, 5, 1e-10), 7,
-                     (1255, -15.388895264068752, 15.388895264068752),
+    ("gauss", 1.0): ((-4, 5, 1e-10), 7, None,
                      (-6.8670912841259115, 6.8670912841259115, 1100)),
-    ("gauss", 2.0): ((-6, 7, 1e-10), 11,
-                     (1739, -10.664234437380978, 10.664234437380978),
+    ("gauss", 2.0): ((-6, 7, 1e-10), 11, None,
                      (-6.8670912841259115, 6.8670912841259115, 1100)),
     ("sampled", 1.0): ((-4, 5, 0.0), 5, (1031, -8.0, 8.019012045532111),
                        (-8.0, 8.0, 2049)),
@@ -291,8 +300,14 @@ def test_extent_readers_keep_their_windows(name, sigma):
         seen.append((x.size, float(x[0]), float(x[-1])))
         return evaluate(x)
 
-    shift_autocorrelation(dataclasses.replace(gen, time_domain=recorded,
-                                              autocorrelation=None), sigma, 3)
-    assert seen == [nodes]
+    watched = dataclasses.replace(gen, time_domain=recorded)
+    if nodes is None:
+        got = shift_autocorrelation(watched, sigma, 3)
+        closed = [gen.autocorrelation(d * math.pi / sigma) for d in range(4)]
+        assert seen == [] and got.tolist() == closed
+    else:
+        shift_autocorrelation(dataclasses.replace(watched, autocorrelation=None),
+                              sigma, 3)
+        assert seen == [nodes]
     grid = cli._time_samples(gen).grid
     assert (grid.start, grid.stop, grid.count) == signal_grid

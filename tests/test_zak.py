@@ -12,7 +12,7 @@ from shiftapprox.spectral import lattice_order, periodize
 from shiftapprox.zak import (_time_window, phi_field, phi_freq, phi_time,
                              verify_phi_properties)
 
-from helpers import sampled_gaussian, sinc_gen, spline
+from helpers import cauchy, sampled_gaussian, sinc_gen, spline
 
 
 def test_spectral_sum_corrects_a_slowly_rotating_tail():
@@ -251,35 +251,30 @@ def test_property_suite_catches_inconsistent_generators():
         label="mismatched", spectrum=spectrum, decay_exponent=40.0,
         decay_constant=2.0, time_domain=time_domain,
         time_tail_radius=lambda eps: w_time * math.sqrt(2.0 * math.log(1.0 / max(eps, 1e-300))),
+        autocorrelation=lambda tau: complex(
+            w_time * math.sqrt(math.pi) * math.exp(-tau * tau / (4.0 * w_time ** 2))),
     )
     rep = verify_phi_properties(liar, 1.0, resolution=65)
     assert not rep.ok
     assert _statuses(rep)["phi3_representations"] == "fail"
 
 
-def _cauchy() -> Generator:
-    """B(x) = 1/(1+x^2): no support, no tail radius, no spectral support."""
-    return Generator(
-        label="cauchy",
-        spectrum=lambda y: 0.5 * np.exp(-np.abs(np.asarray(y, dtype=float))) + 0.0j,
-        decay_exponent=10.0, decay_constant=6.2e5,
-        time_domain=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2) + 0.0j)
-
-
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
-def test_slowly_decaying_autocorrelation_matches_closed_form(sigma):
-    # <B, B(. - d h)> = 2 pi / (4 + (d h)^2) for the Cauchy kernel; its
-    # 1/x^2 tail takes the windowed Richardson route
-    acorr = shift_autocorrelation(_cauchy(), sigma, 4)
-    d = np.arange(5)
-    exact = 2.0 * math.pi / (4.0 + (d * math.pi / sigma) ** 2)
-    assert np.max(np.abs(acorr - exact)) < 2e-12
+def test_undeclared_autocorrelation_raises(sigma):
+    # without its closed form the Cauchy kernel declares no source of its
+    # autocorrelation (no support, no spectral support): nothing to
+    # integrate over, so shift_autocorrelation raises instead of guessing
+    undeclared = dataclasses.replace(cauchy(), autocorrelation=None)
+    with pytest.raises(TruncationError, match="closed-form autocorrelation"):
+        shift_autocorrelation(undeclared, sigma, 4)
+    with pytest.raises(TruncationError):
+        verify_phi_properties(undeclared, sigma, resolution=33)
 
 
 def test_pairing_without_a_lag_bound_is_skipped():
     # a consistent generator that declares no time window: the pairing
     # cannot bound the lags it would cut off, so it is skipped, not failed
-    rep = verify_phi_properties(_cauchy(), 1.0, resolution=33)
+    rep = verify_phi_properties(cauchy(), 1.0, resolution=33)
     assert rep.ok, _statuses(rep)
     st = _statuses(rep)
     assert st["phi4_pairing"] == "skipped"
