@@ -14,6 +14,8 @@ families, with the source of that sequence:
     polynomial ``2*sigma*N_{m+1}(sigma*x/pi + m + 1)`` supported on
     ``[-(m+1)*pi/sigma, 0]``, where ``N_k`` is the cardinal B-spline of order
     ``k`` on ``[0, k]``.  Autocorrelation in closed form, ``N_{2(m+1)}``.
+    It declares its degree and sigma (`Generator.spline`): on a lattice
+    commensurate with its own, its lattice tails are Hurwitz zeta values.
 ``gauss``
     ``exp(-x^2/(2 w^2))`` with spectrum ``(w/sqrt(2 pi)) exp(-w^2 y^2 / 2)``.
     Autocorrelation in closed form, ``w sqrt(pi) exp(-tau^2/(4 w^2))``.
@@ -58,6 +60,18 @@ _FREQ_COUNT = 4097
 
 
 @dataclass(frozen=True)
+class SplineParams:
+    sigma: float
+    degree: int
+
+    def __post_init__(self) -> None:
+        if not self.sigma > 0:
+            raise InvalidGridError(f"sigma must be > 0, got {self.sigma}")
+        if int(self.degree) != self.degree or not 0 <= self.degree <= 10:
+            raise InvalidGridError(f"degree must be an integer in [0, 10], got {self.degree}")
+
+
+@dataclass(frozen=True)
 class Generator:
     """A square-integrable generator described in the frequency domain.
 
@@ -97,6 +111,11 @@ class Generator:
         periodization D an exact finite sum (`spectral.periodize`).
         Without it a generator must declare a support with a time domain,
         or a spectral support.
+    spline : SplineParams, optional
+        Set by `bspline_generator`: the spectrum is the degree-m B-spline's
+        built at ``spline.sigma``, whose lattice terms are a periodic factor
+        times a power law, so the lattice sums of `spectral` and `zak` take
+        their tails as Hurwitz zeta values.
     """
 
     label: str
@@ -110,6 +129,7 @@ class Generator:
     time_step_hint: Optional[float] = None
     real_valued: bool = True
     autocorrelation: Optional[Callable[[float], complex]] = None
+    spline: Optional[SplineParams] = None
 
     def __post_init__(self) -> None:
         if self.decay_exponent < 0:
@@ -132,18 +152,6 @@ def time_extent(gen: Generator, eps: float) -> Tuple[float, float, bool]:
     raise TruncationError(
         f"generator {gen.label!r} declares neither compact support nor a "
         "time tail radius: its shifts cannot be cut off in time")
-
-
-@dataclass(frozen=True)
-class SplineParams:
-    sigma: float
-    degree: int
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise InvalidGridError(f"sigma must be > 0, got {self.sigma}")
-        if int(self.degree) != self.degree or not 0 <= self.degree <= 10:
-            raise InvalidGridError(f"degree must be an integer in [0, 10], got {self.degree}")
 
 
 def _cardinal_bspline(order: int, t: np.ndarray) -> np.ndarray:
@@ -200,6 +208,7 @@ def bspline_generator(params: SplineParams) -> Generator:
         time_domain=time_domain,
         support=(-(m + 1) * h, 0.0),
         autocorrelation=autocorrelation,
+        spline=SplineParams(sigma=sigma, degree=m),
     )
 
 

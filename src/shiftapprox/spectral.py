@@ -16,6 +16,18 @@ system.  It has two forms, which the Phi4 audit in `zak` compares:
   slowly decaying spectra (p close to 1/2) within desk tolerances at a few
   hundred terms.  The recorded ``tail_bound`` is the rigorous envelope
   bound on the omitted mass; the calibrated correction is never larger.
+
+A spline of degree m >= 1 built at ``sigma_B`` (`Generator.spline`) on a
+lattice with ``sigma_B/sigma`` or ``sigma/sigma_B`` an integer takes its
+tails in closed form instead: its terms are a factor that repeats in each
+residue class of nu times ``u**-(m+1)``, so each class beyond
+``|nu| <= HURWITZ_ORDER`` sums to a Hurwitz zeta value (`spline_lattice`,
+`hurwitz_tail`; DLMF 25.11, Blu & Unser 1999).  Such a sum reports
+``truncation_order = HURWITZ_ORDER`` and ``tail_bound = 0``, as a declared
+spectral support does.  `lattice_energy` takes these tails on every node
+set; Phi's spectral sum takes them on the cell mesh of a spline on its own
+lattice (`zak`).  Every other generator, and a spline on any other lattice,
+keeps the truncation and the estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidGridError, TruncationError
-from .generator import Generator, shift_autocorrelation, time_extent
+from .generator import Generator, SplineParams, shift_autocorrelation, time_extent
 from .numerics import Grid, chunk_slices
 
 #: nodes where D falls at or below this threshold are treated as a vanishing
@@ -36,6 +48,9 @@ EPSILON_D = 1e-10
 _SPAN_RTOL = 1e-9
 #: most terms `lattice_truncation` tries before it raises
 _LATTICE_CAP = 200_000
+#: explicit terms |nu| <= HURWITZ_ORDER ahead of a spline's Hurwitz tails
+HURWITZ_ORDER = 16
+_RATIO_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,10 +158,46 @@ def _tail_correction(t_edge: np.ndarray, t_prev: np.ndarray,
     return out if np.iscomplexobj(t_edge) else out.real
 
 
+def spline_lattice(gen: Generator, sigma: float,
+                   y: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(p, q)`` with ``sigma/sigma_B = p/q`` where a spline's tails are exact.
+
+    A degree-m spline built at ``sigma_B`` has its lattice terms at
+    ``u = alpha + nu p/q`` with ``alpha = y/(2 sigma_B)``, and the term is
+    ``(e^{i pi u} sin(pi u)/(pi u))**(m+1)``.  When p or q is 1, ``sin(pi u)``
+    repeats in each residue class of nu mod q, up to a sign that the
+    energy's square removes, so each class is that factor times a Hurwitz
+    zeta value (`hurwitz_tail`).  None for any other generator or ratio, for
+    the degree 0 (whose lattice sums keep the estimate), and at nodes past
+    ``|y| <= 2 sigma HURWITZ_ORDER``, where a Hurwitz parameter would not be
+    positive.
+    """
+    spline = gen.spline
+    if (spline is None or spline.degree == 0
+            or not np.all(np.abs(y) <= 2.0 * sigma * HURWITZ_ORDER)):
+        return None
+    ratio = sigma / spline.sigma
+    for p, q in ((round(ratio), 1), (1, round(1.0 / ratio))):
+        if p >= 1 and q >= 1 and abs(ratio * q - p) <= _RATIO_RTOL * p:
+            return p, q
+    return None
+
+
+def hurwitz_tail(s: int, theta: np.ndarray, period: float) -> np.ndarray:
+    """``sum_{j >= 0} (theta + period j)**-s = period**-s zeta(s, theta/period)``
+    for ``theta > 0`` (DLMF 25.11.1)."""
+    # imported here: scipy.special costs about 60 ms and 2.6 MiB to import,
+    # and only these sums read it
+    from scipy.special import zeta
+
+    return zeta(s, theta / period) / float(period) ** s
+
+
 def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
                 block: Callable[[np.ndarray], np.ndarray], power: int,
-                tol: float, points: int,
-                min_terms: Optional[int] = None) -> Tuple[np.ndarray, int, float]:
+                tol: float, points: int, min_terms: Optional[int] = None,
+                tails: Optional[Callable[[int], np.ndarray]] = None
+                ) -> Tuple[np.ndarray, int, float]:
     """``sum_nu term(y + 2 nu sigma)``, summed over blocks of ``nu``.
 
     ``block(shifts)`` receives a 1-D array of lattice shifts ``2 nu sigma``
@@ -157,18 +208,25 @@ def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
     least ``min_terms``).  ``points`` is the number of values one shift
     adds to a block's arrays (the size of ``u`` times the other factors
     that broadcast against it, or ``nx + ny`` for a mesh contracted by a
-    matrix product); a block holds at most 4e6 of them.  Returns
-    ``(values, truncation_order, tail_bound)``.
+    matrix product); a block holds at most 4e6 of them.  ``tails(N)``, when
+    given, is the exact sum of the terms with ``|nu| > N``: the sum then
+    runs to ``N = HURWITZ_ORDER`` (at least ``min_terms``) with a zero
+    tail bound.  Returns ``(values, truncation_order, tail_bound)``.
     """
     if not sigma > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
-    n_trunc, tail_bound = lattice_order(gen, sigma, tol, power)
+    if tails is None:
+        n_trunc, tail_bound = lattice_order(gen, sigma, tol, power)
+    else:
+        n_trunc, tail_bound = HURWITZ_ORDER, 0.0
     if min_terms:
         n_trunc = max(n_trunc, int(min_terms))
     shifts = np.arange(-n_trunc, n_trunc + 1) * (2.0 * sigma)
     values = 0.0
     for sl in chunk_slices(shifts.size, points):
         values = values + block(shifts[sl])
+    if tails is not None:
+        return values + tails(n_trunc), n_trunc, tail_bound
     if gen.spectral_support is None:
         for sign in (1.0, -1.0):
             edge = (2.0 * sigma) * (sign * n_trunc)
@@ -186,14 +244,42 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
 
     The lattice form of D for every generator: `periodize`'s route where D
     has no exact Poisson form, and the Phi4 audit's reference for that form.
-    Returns ``(values, truncation_order, tail_bound)``.
+    A spline on a commensurate lattice (`spline_lattice`) takes its tails
+    in closed form.  Returns ``(values, truncation_order, tail_bound)``.
     """
     y = np.asarray(y, dtype=float)
 
     def energy(shifts: np.ndarray) -> np.ndarray:
         return (np.abs(gen.spectrum(np.add.outer(shifts, y))) ** 2).sum(axis=0)
 
-    return lattice_sum(gen, sigma, y, energy, 2, tol, y.size, min_terms)
+    ratio = spline_lattice(gen, sigma, y)
+
+    def tails(order: int) -> np.ndarray:
+        return _spline_energy_tails(gen.spline, ratio, y, order)
+
+    return lattice_sum(gen, sigma, y, energy, 2, tol, y.size, min_terms,
+                       None if ratio is None else tails)
+
+
+def _spline_energy_tails(spline: SplineParams, ratio: Tuple[int, int],
+                         y: np.ndarray, order: int) -> np.ndarray:
+    """``sum_{|nu| > order} |spectrum(y + 2 nu sigma)|**2`` of a spline.
+
+    With ``sigma/sigma_B = p/q`` (`spline_lattice`), the class of
+    ``nu = order + 1 + r + q j`` (r < q) starts at ``u = theta_r = alpha +
+    p (order + 1 + r)/q`` and steps by p, and ``sin(pi u)**2`` is constant
+    on it; the side ``nu < -order`` is the same sum at ``-alpha``.
+    """
+    p, q = ratio
+    s = 2 * (spline.degree + 1)
+    start = p * (order + 1 + np.arange(q)).reshape((-1,) + (1,) * y.ndim)
+    alpha = y / (2.0 * spline.sigma)
+    out = 0.0
+    for side in (alpha, -alpha):
+        # sin(pi theta_r) read at the fractional part of the class offset
+        weight = np.sin(np.pi * (side + (start % q) / q)) ** s
+        out = out + (weight * hurwitz_tail(s, side + start / q, p)).sum(axis=0)
+    return out / np.pi ** s
 
 
 def poisson_lags(gen: Generator, sigma: float) -> Tuple[int, bool]:

@@ -10,7 +10,13 @@ e^{2i nu sigma x}``, so each block of nu is one matrix product of
 ``(x, nu)`` phases with ``(nu, y)`` spectrum values, and a block holds
 ``nu`` times ``nx + ny`` values, not ``nx * ny``.  Other shapes broadcast
 x against y and sum the terms elementwise, the reference the mesh is
-tested against.
+tested against.  Both truncate by the decay contract and add the
+estimated tail of `spectral.lattice_sum`, except in one case: a spline
+on its own lattice (``sigma_B = sigma``) on the cell mesh, x the nodes
+``k pi/(sigma P)``, ``k = 0..P``.  There ``e^{2 i nu sigma x_k}`` depends on
+nu mod P only, so the terms beyond ``|nu| <= 16`` sum per residue class to
+Hurwitz zeta values, which one length-P FFT per y column phases
+(`_cell_tails`); the sum is exact, with ``tail_bound`` 0.
 Both formulas are exactly 2*sigma-periodic in y and exactly quasi-periodic
 in x term by term, so those structural identities hold to rounding; the
 interesting checks are the norm identity over the fundamental cell, the
@@ -35,7 +41,8 @@ from .errors import InvalidGridError, MissingTimeDomainError, TruncationError
 from .generator import (Generator, generator_l2_norm_sq, shift_autocorrelation,
                         time_extent)
 from .numerics import TWO_PI, Grid, chunk_slices, quadrature_weights
-from .spectral import lattice_energy, lattice_sum, poisson_energy, poisson_lags
+from .spectral import (hurwitz_tail, lattice_energy, lattice_sum, poisson_energy,
+                       poisson_lags, spline_lattice)
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,14 @@ def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
             return rotation * (np.exp(1j * (x * shifts))
                                @ gen.spectrum(shifts[:, np.newaxis] + y))
 
-        return lattice_sum(gen, sigma, y, block, 1, tol, x.size + y.size)
+        def tails(order: int) -> np.ndarray:
+            return rotation * _cell_tails(gen.spline.degree + 1, y[0] / (2.0 * sigma),
+                                          x.size - 1, order)
+
+        exact = (spline_lattice(gen, sigma, y) == (1, 1)
+                 and np.array_equal(x[:, 0], np.linspace(0.0, np.pi / sigma, x.size)))
+        return lattice_sum(gen, sigma, y, block, 1, tol, x.size + y.size,
+                           tails=tails if exact else None)
     shape = np.broadcast_shapes(x.shape, y.shape)
     lead = (-1,) + (1,) * len(shape)
 
@@ -147,6 +161,37 @@ def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
         return (gen.spectrum(u) * np.exp(1j * u * x)).sum(axis=0)
 
     return lattice_sum(gen, sigma, y, terms, 1, tol, int(np.prod(shape)))
+
+
+def _cell_tails(s: int, a: np.ndarray, cells: int, order: int) -> np.ndarray:
+    """``sum_{|nu| > order} c (a + nu)**-s e^{2 pi i nu k/cells}`` for
+    ``k = 0..cells`` (rows) and the nodes ``a = y/(2 sigma)`` (columns).
+
+    This is the tail of Phi's spectral sum over ``e^{iyx}`` for a spline of
+    degree ``s - 1`` on its own lattice, at the cell nodes
+    ``x_k = k pi/(sigma cells)``: there ``spectrum(y + 2 nu sigma) =
+    c (a + nu)**-s`` with ``c = (e^{i pi a} sin(pi a)/pi)**s``, and the phase
+    ``e^{2 i nu sigma x_k}`` depends on nu mod cells only.  The terms
+    ``nu = order + 1 + i + cells j`` of each class sum to `hurwitz_tail`;
+    ``nu = -(order + 1 + i + cells j)`` give ``(-1)**s`` times that sum at
+    ``-a``, which on symmetric nodes is the first sum read backwards.  The
+    class sums meet their phases in one length-``cells`` FFT per column.
+    """
+    first = order + 1 + np.arange(cells)[:, np.newaxis]
+    up = hurwitz_tail(s, first + a, cells)
+    if np.allclose(a[::-1], -a, rtol=0.0, atol=1e-15):
+        down = up[:, ::-1]  # the midpoints of `_cell_mesh`, symmetric to rounding
+    else:
+        down = hurwitz_tail(s, first - a, cells)
+    # class rho of nu mod cells holds the row i = rho - order - 1 of the
+    # right-hand side and the row i = -rho - order - 1 of the left-hand side
+    rho = np.arange(cells)
+    classes = (up[(rho - order - 1) % cells]
+               + (-1) ** s * down[(-rho - order - 1) % cells])
+    tails = cells * np.fft.ifft(classes, axis=0)
+    c = (np.exp(1j * np.pi * a) * np.sin(np.pi * a) / np.pi) ** s
+    # x_cells = pi/sigma closes the period: its phases are those of x_0
+    return c * np.concatenate([tails, tails[:1]])
 
 
 def phi_time(gen: Generator, sigma: float, x, y, tol: float = 1e-8):

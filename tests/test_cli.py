@@ -495,7 +495,7 @@ _PINNED_OUTPUT = {
                  "--sweep", "jrange=4,8"],
                 "a2943b3fd2edd813a8f57f8a3ecb82b274ec7414e87be98af7ea072d8058664c"),
     "validate": (["--gen", "bspline:m=1", "--dgrid", "33"],
-                 "c03b60a364eb2cdf3e878dd64e3ca8a67ae330b604de6952336768fa8d98e9c2"),
+                 "c2a000c2c0d268b49e6ccf7c87f3d74f85e7cb2d1754945baed9b06ee4af7aa7"),
 }
 
 
@@ -534,6 +534,18 @@ def test_out_file_matches_stdout(tmp_path):
     rc, _ = run_cli(argv + ["--out", str(path)])
     assert rc == 0
     assert path.read_bytes() == first
+
+
+def test_importing_the_cli_leaves_scipy_special_out():
+    # scipy.special (the Hurwitz zeta of the spline lattice sums) costs
+    # about 60 ms to import: only a sum that reads it imports it
+    src = str(Path(shiftapprox.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, shiftapprox.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "False"
 
 
 def test_module_entry_point_matches_cli_main():

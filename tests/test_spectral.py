@@ -7,6 +7,7 @@ from shiftapprox.generator import (Generator, gaussian_generator, generator_l2_n
 from shiftapprox.numerics import make_uniform_grid
 from shiftapprox.spectral import (
     EPSILON_D,
+    HURWITZ_ORDER,
     lattice_energy,
     lattice_truncation,
     periodize,
@@ -95,6 +96,42 @@ def test_poisson_periodization_reads_the_lattice_lags():
     assert np.max(np.abs(dv.values - 4.0 / 3.0)) <= 1e-14
     ref = brute_lattice_energy(gen, 1.0, grid.nodes(), order=20_000)
     assert np.max(np.abs(dv.values - ref)) <= 1e-12 * np.max(dv.values)
+
+
+def test_lattice_energy_of_a_spline_on_half_its_lattice_is_exact():
+    # a hat built at sigma_B = 2 on the sigma = 1 lattice: its terms vanish
+    # at every other lattice step, which the power-law tail estimate
+    # misread by 4.1e-10 at tol 1e-12.  Each residue class of nu mod 2 is
+    # a Hurwitz zeta value; the reference is a brute sum of 800 001 terms
+    gen = spline(1, 2.0)
+    y = np.linspace(-1.0, 1.0, 9)
+    values, order, tail = lattice_energy(gen, 1.0, y, tol=1e-12)
+    assert (order, tail) == (HURWITZ_ORDER, 0.0)
+    nu = np.arange(-400_000, 400_001)
+    brute = np.array([np.sum(np.abs(gen.spectrum(v + 2.0 * nu)) ** 2) for v in y])
+    assert np.max(np.abs(values - brute)) <= 1e-13
+    assert np.max(np.abs(values - 4.0 / 3.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("sigma_b, sigma", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0),
+                                            (1.0, 2.0), (1.0, 3.0), (0.5, 1.5)])
+def test_lattice_energy_of_a_spline_takes_exact_tails(m, sigma_b, sigma):
+    # sigma_B/sigma or sigma/sigma_B an integer: explicit terms |nu| <= 16
+    # and Hurwitz tails, against the exact Poisson form
+    gen = spline(m, sigma_b)
+    grid = band_grid(sigma, 65)
+    values, order, tail = lattice_energy(gen, sigma, grid.nodes(), tol=1e-12)
+    assert (order, tail) == (HURWITZ_ORDER, 0.0)
+    dv = periodize(gen, sigma, grid)
+    assert dv.tail_bound == 0.0
+    assert np.max(np.abs(values - dv.values)) <= 1e-13 * np.max(dv.values)
+
+
+def test_lattice_energy_of_a_spline_off_a_commensurate_lattice_keeps_the_estimate():
+    for gen, sigma in ((spline(1, 1.5), 1.0), (spline(0, 1.0), 1.0)):
+        _, order, tail = lattice_energy(gen, sigma, np.linspace(-sigma, sigma, 9))
+        assert order >= 8 and tail > 0.0, gen.label
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])

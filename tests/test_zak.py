@@ -127,9 +127,9 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
     counted = _counting(gen, counts)
     points = []
 
-    def recorded(gen, sigma, y, block, power, tol, size):
+    def recorded(gen, sigma, y, block, power, tol, size, **kwargs):
         points.append(size)
-        return spectral.lattice_sum(gen, sigma, y, block, power, tol, size)
+        return spectral.lattice_sum(gen, sigma, y, block, power, tol, size, **kwargs)
 
     monkeypatch.setattr(zak, "lattice_sum", recorded)
 
@@ -162,29 +162,54 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
                          ids=["cell", "x_shifted", "y_shifted"])
 def test_mesh_product_matches_the_broadcast_sum(gen, tol, dx, dy):
     # the mesh contracts phases with spectrum values by a matrix product;
-    # the broadcast sum at the paired nodes is the reference it replaces
+    # the broadcast sum at the paired nodes is the reference it replaces.
+    # A spline on its own lattice at the cell's x nodes sums |nu| <= 16
+    # that way and adds exact Hurwitz tails: its explicit terms meet the
+    # broadcast sum over the same nu, and the whole sum the time sum
     sigma = 1.0
     x = np.linspace(0.0, math.pi / sigma, 17)[:, np.newaxis] + dx
     y = -sigma + (np.arange(16)[np.newaxis, :] + 0.5) * (sigma / 8.0) + dy
     mesh, order, tail = zak._phi_freq_array(gen, sigma, x, y, tol)
     xs, ys = (a.ravel() for a in np.meshgrid(x[:, 0], y[0], indexing="ij"))
+    scale = np.max(np.abs(mesh))
+    if dx == 0.0 and spectral.spline_lattice(gen, sigma, y) == (1, 1):
+        assert (order, tail) == (spectral.HURWITZ_ORDER, 0.0)
+        u = ys + 2.0 * sigma * np.arange(-order, order + 1)[:, np.newaxis]
+        explicit = (gen.spectrum(u) * np.exp(1j * u * xs)).sum(axis=0)
+        tails = np.exp(1j * y * x) * zak._cell_tails(
+            gen.spline.degree + 1, y[0] / (2.0 * sigma), x.size - 1, order)
+        assert np.max(np.abs(mesh - tails - explicit.reshape(mesh.shape))) <= 1e-13 * scale
+        assert np.max(np.abs(mesh - phi_time(gen, sigma, x, y))) <= 1e-14 * scale
+        return
     pairs, order_p, tail_p = zak._phi_freq_array(gen, sigma, xs, ys, tol)
     assert (order, tail) == (order_p, tail_p)
     if tol == 1e-10:
         assert order == 4096
-    scale = np.max(np.abs(mesh))
     assert np.max(np.abs(mesh - pairs.reshape(mesh.shape))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("resolution, residual", [
-    (65, 2.4664775012178364e-13), (129, 3.591800271690786e-09),
-    (257, 3.741861426001824e-09)])
+    (65, 8.5e-16), (129, 8.9e-16), (257, 9.9e-16)])
 def test_hat_phi3_residual_keeps_its_figure(resolution, residual):
-    # the figures of the broadcast sum over the cell mesh
+    # the figures of the mesh sum with exact Hurwitz tails over the cell
+    # mesh: rounding level, where the truncated sum at order 4096 left
+    # 2.5e-13 to 3.7e-9
     rep = verify_phi_properties(spline(1, 1.0), 1.0, resolution=resolution)
     check = next(c for c in rep.checks if c.name == "phi3_representations")
     assert check.status == "ok"
-    assert abs(check.residual - residual) <= 1e-12
+    assert abs(check.residual - residual) <= 1e-15
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_spline_audit_is_at_rounding_level_on_its_own_lattice(m, sigma):
+    # exact Hurwitz tails in Phi3's spectral sum and in Phi4's lattice D
+    for resolution in (33, 65):
+        rep = verify_phi_properties(spline(m, sigma), sigma, resolution=resolution)
+        assert rep.ok, _statuses(rep)
+        for check in rep.checks:
+            if check.name in ("phi3_representations", "phi4_pairing"):
+                assert check.residual <= 1e-14, (check.name, resolution)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
