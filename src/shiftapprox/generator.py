@@ -160,7 +160,10 @@ def _cardinal_bspline(order: int, t: np.ndarray) -> np.ndarray:
     The order-1 box takes the jump midpoint 0.5 at its two knots: that is
     the value the symmetric spectral partial sums converge to, and it lets
     Simpson panels on knot-aligned grids cancel the jump error against a
-    continuous cofactor.
+    continuous cofactor.  Higher orders sum truncated powers at
+    ``min(t, order - t)``: ``N_order`` is symmetric about ``order/2``, and
+    on the far half the powers cancel (errors of 22 eps at order 4 and
+    250 eps at order 6).
     """
     t = np.asarray(t, dtype=float)
     if order == 1:
@@ -168,6 +171,7 @@ def _cardinal_bspline(order: int, t: np.ndarray) -> np.ndarray:
         inner = np.where((t > 0.0) & (t < 1.0), 1.0, 0.0)
         on_knot = (np.abs(t) <= edge_tol) | (np.abs(t - 1.0) <= edge_tol)
         return np.where(on_knot, 0.5, inner)
+    t = np.minimum(t, order - t)
     acc = np.zeros_like(t)
     for i in range(order + 1):
         acc += ((-1.0) ** i) * math.comb(order, i) * np.maximum(t - i, 0.0) ** (order - 1)
@@ -192,11 +196,8 @@ def bspline_generator(params: SplineParams) -> Generator:
     def autocorrelation(tau: float) -> complex:
         # <N_p(.), N_p(. - s)> = N_{2p}(p + s) with s = tau/h in the spline's
         # own knot spacing; the amplitude 2*sigma and the substitution
-        # x = (t - p) h contribute (2*sigma)^2 * h = 4*pi*sigma.  N_{2p} is
-        # read at the mirrored argument p - |s|: on the far half the
-        # truncated powers cancel (absolute error 2e-7 at m = 10), on the near
-        # half they do not, and lags of a whole support or more give t <= 0,
-        # where every truncated power is exactly 0
+        # x = (t - p) h contribute (2*sigma)^2 * h = 4*pi*sigma.  Lags of a
+        # whole support or more give t <= 0, where N_{2p} is exactly 0
         t = m + 1 - abs(tau) / h
         return complex(4.0 * np.pi * sigma * float(_cardinal_bspline(2 * (m + 1), np.array(t))))
 

@@ -4,13 +4,14 @@
 is computed either by that time-domain sum or by the equivalent spectral
 lattice sum ``sum_nu spectrum(y + 2 nu sigma) e^{i (y + 2 nu sigma) x}``
 (`spectral.lattice_sum`, which also sums `lattice_energy`).  On an x-by-y
-mesh (x a column, y a row) the time domain is evaluated on x times j, and
-the spectral sum is a contraction: ``e^{i(y + 2 nu sigma)x} = e^{iyx}
-e^{2i nu sigma x}``, so each block of nu is one matrix product of
-``(x, nu)`` phases with ``(nu, y)`` spectrum values, and a block holds
-``nu`` times ``nx + ny`` values, not ``nx * ny``.  Other shapes broadcast
-x against y and sum the terms elementwise, the reference the mesh is
-tested against.  Both truncate by the decay contract and add the
+mesh (x a column, y a row) both sums are matrix products, so a block of
+terms holds its count times ``nx + ny`` values, not ``nx * ny``.  The time
+sum multiplies ``B(x - j pi/sigma)`` ``(x, j)`` by ``e^{i j pi y/sigma}``
+``(j, y)``.  The spectral sum is a contraction because
+``e^{i(y + 2 nu sigma)x} = e^{iyx} e^{2i nu sigma x}``: each block of nu
+multiplies ``(x, nu)`` phases by ``(nu, y)`` spectrum values.  Other
+shapes broadcast x against y and sum the terms elementwise, the reference
+the mesh is tested against.  Both truncate by the decay contract and add the
 estimated tail of `spectral.lattice_sum`, except in one case: a spline
 on its own lattice (``sigma_B = sigma``) on the cell mesh, x the nodes
 ``k pi/(sigma P)``, ``k = 0..P``.  There ``e^{2 i nu sigma x_k}`` depends on
@@ -107,6 +108,11 @@ def _time_window(gen: Generator, sigma: float, xmin: float, xmax: float,
             int(np.ceil((xmax + radius) / h)), tol * 1e-2)
 
 
+def _is_mesh(x: np.ndarray, y: np.ndarray) -> bool:
+    """x a column and y a row: Phi's sums become matrix products."""
+    return x.ndim == 2 == y.ndim and x.shape[1] == 1 and y.shape[0] == 1
+
+
 def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
                     tol: float) -> Tuple[np.ndarray, int, float]:
     if not sigma > 0:
@@ -120,6 +126,14 @@ def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
     jmin, jmax, tail = _time_window(gen, sigma, float(np.min(x)), float(np.max(x)), tol)
     js = np.arange(jmin, jmax + 1)
     acc = np.zeros(shape, dtype=np.complex128)
+    if _is_mesh(x, y):
+        # a mesh: each block of shifts is one product of (x, j) generator
+        # values with (j, y) phases
+        for sl in chunk_slices(js.size, x.size + y.size):
+            jc = js[sl].astype(float)
+            phases = np.exp((1j * np.pi / sigma) * y * jc[:, np.newaxis])
+            acc += gen.time_domain(x - jc * h) @ phases
+        return acc / (2.0 * sigma), max(abs(jmin), abs(jmax)), tail
     for sl in chunk_slices(js.size, int(np.prod(shape))):
         jc = js[sl].astype(float)
         shifts = x[..., np.newaxis] - jc * h
@@ -136,7 +150,7 @@ def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
             f"{gen.decay_exponent:.3g} <= 1: the lattice sum converges "
             "only in mean square, pointwise evaluation refused")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.ndim == 2 == y.ndim and x.shape[1] == 1 and y.shape[0] == 1:
+    if _is_mesh(x, y):
         # a mesh: e^{i(y + s)x} = e^{iyx} e^{isx}, so a block of shifts s
         # contracts (x, s) phases with (s, y) spectrum values
         rotation = np.exp(1j * y * x)

@@ -27,8 +27,8 @@ import shiftapprox
 from shiftapprox import cli
 from shiftapprox.errors import ResolutionError
 from shiftapprox.generator import parse_generator_spec
-from shiftapprox.numerics import (Grid, SampledSpectrum, read_samples_csv,
-                                  write_samples_csv)
+from shiftapprox.numerics import (NUMPY_TEXT_ROWS, Grid, SampledSpectrum,
+                                  read_samples_csv, write_samples_csv)
 from shiftapprox.shiftspace import project
 from shiftapprox.zak import phi_field
 
@@ -475,14 +475,17 @@ def test_repeat_runs_byte_identical():
 
 # stdout SHA-256 of one small run per command, recorded with the per-row
 # str.format writer that `numerics.csv_text` replaced: a change meant to
-# leave the output alone must keep these bytes (numpy 2.4, OpenBLAS, x86-64)
+# leave the output alone must keep these bytes (numpy 2.4, OpenBLAS, x86-64).
+# zak_time_sum and validate were recorded again when Phi's time sum on a mesh
+# became a matrix product and the cardinal B-spline was read on its near
+# half: values moved by at most 1.1e-16
 _PINNED_OUTPUT = {
     "dfun": (["--gen", "bspline:m=2", "--dgrid", "33"],
              "1166a66dcf740357c02c6177d4615aa554452de3622bfdf21c1c277a78b58f96"),
     "riesz": (["--gen", "gauss:width=1", "--dgrid", "33"],
               "f89a86c60b93172b05d6610e8e6e8bd628db7bd9c708d611288dffe322783478"),
     "zak_time_sum": (["--gen", "bspline:m=2", "--dgrid", "17"],
-                     "31ee748b538fbabf97f98deb35d51b14d3360c1664deee0e510e4cf7c5281717"),
+                     "b523a5e96d9da40c3278cef0e64ccf3fe1b52172d1daf931c478469ad3d36841"),
     "zak_freq_sum": (["--gen", "sinc:sigma=1", "--dgrid", "17"],
                      "feb7033d7bf44b65cfebacd1b8df1b391dfb2d5dfd0fe9545ca2b48c8544097e"),
     "project": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
@@ -495,7 +498,14 @@ _PINNED_OUTPUT = {
                  "--sweep", "jrange=4,8"],
                 "a2943b3fd2edd813a8f57f8a3ecb82b274ec7414e87be98af7ea072d8058664c"),
     "validate": (["--gen", "bspline:m=1", "--dgrid", "33"],
-                 "c2a000c2c0d268b49e6ccf7c87f3d74f85e7cb2d1754945baed9b06ee4af7aa7"),
+                 "e84fbe1e7ef8a334c8c03e1623138d36f705380d138c97b2d040550390febc55"),
+    # two tables long enough for the numpy formatter, recorded with Python's
+    # row template: Phi's spectral sum on the dgrid-129 mesh (about 3 400
+    # distinct magnitudes per column) and D of a Gaussian on 2 049 nodes
+    "zak_long_table": (["--gen", "sinc", "--dgrid", "129"],
+                       "88d7196a7bc46be3da5b1641fb68f3f337ee57e61e8638906122245d9ae65980"),
+    "dfun_long_table": (["--gen", "gauss:width=1", "--dgrid", "2049"],
+                        "2120a2734f3ce7b9ed1fdd74bc90ffb8f32c72a09fd2fd511bcd29a325f44bb0"),
 }
 
 
@@ -505,6 +515,8 @@ def test_output_bytes_are_pinned(case):
     rc, out = run_cli([case.partition("_")[0]] + argv)
     assert rc == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+    if case.endswith("_long_table"):
+        assert out.count("\n") > NUMPY_TEXT_ROWS + 1
 
 
 def test_a_rejected_argv_leaves_the_parser_as_it_was(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,27 @@ def test_cardinal_bspline_partition_of_unity():
     for order in (1, 2, 3, 4, 6):
         total = sum(_cardinal_bspline(order, t + k) for k in range(order))
         assert np.max(np.abs(total - 1.0)) < 1e-12, order
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_cardinal_bspline_matches_exact_truncated_powers(order):
+    # the truncated-power sum in exact rational arithmetic at each double t;
+    # read at min(t, order - t) the float sum stays within 1.5 eps of it,
+    # read at t it lost 7 eps at order 3 and 250 eps at order 6
+    rng = np.random.default_rng(order)
+    knots = np.arange(order + 1, dtype=float)
+    t = np.concatenate([rng.uniform(-0.5, order + 0.5, 500), knots,
+                        np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                        knots - 1e-9, knots + 1e-9, knots - 1e-5, knots + 1e-5])
+
+    def exact(v: float) -> float:
+        u = Fraction(v)
+        powers = sum((-1) ** i * math.comb(order, i) * (u - i) ** (order - 1)
+                     for i in range(order + 1) if u > i)
+        return float(powers / math.factorial(order - 1))
+
+    err = np.abs(_cardinal_bspline(order, t) - [exact(v) for v in t])
+    assert np.max(err) <= 2.0 * np.finfo(float).eps
 
 
 def test_box_takes_jump_midpoints_at_knots():

@@ -6,6 +6,7 @@ import pytest
 
 from shiftapprox.errors import InvalidGridError
 from shiftapprox.numerics import (
+    NUMPY_TEXT_ROWS,
     Grid,
     SampledFunction,
     SampledSpectrum,
@@ -190,24 +191,40 @@ def _around(x: float) -> list:
 
 
 _CSV_CASES = {
-    "special": [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324],
-    # where %.17g switches from fixed to exponent notation
+    "special": [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                2.225073858507201e-308, -2.2250738585072014e-308, 1e-300, 1e300],
+    # where %.17g switches between fixed and exponent notation
+    "around_1e-5": _around(1e-5) + [-v for v in _around(1e-5)],
+    "around_1e-4": _around(1e-4) + [-v for v in _around(1e-4)],
     "around_1e16": _around(1e16) + [-v for v in _around(1e16)],
     "around_1e17": _around(1e17) + [-v for v in _around(1e17)],
+    "powers_of_ten": [v for k in range(-300, 301) for v in _around(float(f"1e{k}"))],
     "random": np.random.default_rng(3).standard_normal(64) * 10.0 ** np.arange(-32, 32),
+    # bit patterns over the whole double range, nan and inf included
+    "random_bits": np.random.default_rng(5).integers(
+        0, 2 ** 64, 4096, dtype=np.uint64).view(np.float64),
+    # exact ties at the 17th digit round to even: 1000000000000000.2 and
+    # 1000000000000000.8; near-ties a few ulps off
+    "ties": [1e15 + 0.25, 1e15 + 0.75, -1e15 - 0.25, 0.5, 2.5, 123456789012345.625,
+             np.nextafter(1e15 + 0.25, 0.0), np.nextafter(1e15 + 0.75, np.inf)],
+    # Python ints beyond 2**53 (and beyond int64) format as float(v) does
+    "big_ints": [2 ** 53 + 1, 2 ** 60 + 3, -(2 ** 62) - 1, 2 ** 64 + 1,
+                 10 ** 20 + 7, -(2 ** 70)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CSV_CASES))
 def test_csv_text_matches_per_value_format(case):
-    col = np.array(_CSV_CASES[case], dtype=float)
-    ints = np.arange(-(col.size // 2), col.size - col.size // 2)
-    columns = [ints.tolist(), col.tolist(), col[::-1].tolist()]
-    assert csv_text(ints, col, col[::-1]) == reference_csv(*columns)
-    assert csv_text(*columns) == reference_csv(*columns)
-    # single rows and single columns take the same template
+    short = np.asarray(_CSV_CASES[case])
+    # repeated to NUMPY_TEXT_ROWS rows the columns take the numpy formatter
+    for col in (short, np.resize(short, max(short.size, NUMPY_TEXT_ROWS))):
+        ints = np.arange(-(col.size // 2), col.size - col.size // 2)
+        columns = [ints.tolist(), col.tolist(), col[::-1].tolist()]
+        assert csv_text(ints, col, col[::-1]) == reference_csv(*columns)
+        assert csv_text(*columns) == reference_csv(*columns)
+        assert csv_text(col) == reference_csv(col.tolist())
+    # single rows take the same template
     assert csv_text(ints[:1], col[:1]) == reference_csv(ints[:1].tolist(), col[:1].tolist())
-    assert csv_text(col) == reference_csv(col.tolist())
 
 
 def test_csv_join_lays_strings_out_as_csv_text():

@@ -204,7 +204,7 @@ def test_hat_phi3_residual_keeps_its_figure(resolution, residual):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_spline_audit_is_at_rounding_level_on_its_own_lattice(m, sigma):
     # exact Hurwitz tails in Phi3's spectral sum and in Phi4's lattice D
-    for resolution in (33, 65):
+    for resolution in (33, 49, 65):
         rep = verify_phi_properties(spline(m, sigma), sigma, resolution=resolution)
         assert rep.ok, _statuses(rep)
         for check in rep.checks:
