@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import MissingTimeDomainError, SingularGramError
 from .generator import Generator, shift_autocorrelation
@@ -53,7 +52,9 @@ def gram_matrix(gen: Generator, sigma: float, j_range: int) -> GramSystem:
         raise MissingTimeDomainError(
             f"generator {gen.label!r} has no time-domain evaluator")
     acorr = shift_autocorrelation(gen, sigma, 2 * j_range)
-    gram = scipy.linalg.toeplitz(acorr, np.conj(acorr))
+    # a_{-d} = conj(a_d): entry (j, k) holds a_{j-k}
+    lag = np.subtract.outer(np.arange(acorr.size), np.arange(acorr.size))
+    gram = np.where(lag >= 0, acorr[np.abs(lag)], np.conj(acorr[np.abs(lag)]))
     condition = float(np.linalg.cond(gram))
     return GramSystem(sigma=float(sigma), j_range=j_range, gram=gram,
                       condition_estimate=condition)
@@ -80,7 +81,7 @@ def _shift_inner_products(f: SampledFunction, gen: Generator, sigma: float,
 
 def _solve(system: GramSystem, rhs: np.ndarray,
            norm_sq: float) -> Tuple[np.ndarray, float]:
-    """Condition-checked Hermitian solve: the coefficients and the squared
+    """Condition-checked solve: the coefficients and the squared
     residual ``norm_sq - Re <coeffs, rhs>``, clamped at zero."""
     condition = system.condition_estimate
     if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
@@ -88,7 +89,7 @@ def _solve(system: GramSystem, rhs: np.ndarray,
             f"Gram matrix condition {condition:.3g} at j_range="
             f"{system.j_range} exceeds {_CONDITION_LIMIT:.0e}; truncated "
             "shift system is numerically singular")
-    coeffs = scipy.linalg.solve(system.gram, rhs, assume_a="her")
+    coeffs = np.linalg.solve(system.gram, rhs)
     return coeffs, max(norm_sq - float(np.real(np.vdot(coeffs, rhs))), 0.0)
 
 

@@ -33,8 +33,8 @@ from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
                        chunk_slices, covering_windows,
                        fourier_transform_sampled, period_extension,
                        quadrature_weights, resolved_band)
-from .spectral import (EPSILON_D, PeriodizedSpectrum, periodize,
-                       require_period_grid)
+from .spectral import (EPSILON_D, PeriodizedSpectrum, envelope_order,
+                       periodize, require_period_grid)
 
 _RHO_RTOL = 1e-12
 #: outer-window energy share at which `_spectrum_of` stops doubling
@@ -300,7 +300,7 @@ def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
         energy += np.abs(fvals[sl]) ** 2
     bracket = _seam_extrapolate(bracket)
     energy = np.maximum(_seam_extrapolate(energy), 0.0)
-    density = periodize(gen, sigma, grid, tol=tol, min_terms=windows)
+    density = periodize(gen, sigma, grid, tol=tol)
     density_reg = _regularized_density(density)
     live = density_reg > EPSILON_D
     safe = np.where(live, density_reg, 1.0)
@@ -344,7 +344,8 @@ def _energy_split(f: Signal, gen: Generator,
     if grid is None:
         grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)
     if isinstance(f, Generator):
-        f = _analytic_spectrum(f, sigma, grid.count)
+        freq = _signal_freq_extent(f, gen, sigma, grid.count, tol)
+        f = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
     elif isinstance(f, SampledFunction):
         f = _spectrum_of(f, sigma, grid)
     fold = _fold(f, gen, sigma, grid, tol)
@@ -429,29 +430,26 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
         windows = min(2 * windows, limit)
 
 
-def _signal_freq_extent(gen_f: Generator, sigma: float, dgrid: int) -> Grid:
-    """Aligned frequency grid wide enough to hold essentially all of f-hat."""
+def _signal_freq_extent(gen_f: Generator, gen: Generator, sigma: float,
+                        dgrid: int, tol: float) -> Grid:
+    """Aligned grid of the period windows an analytic f-hat is folded on:
+    f's spectral support, or else the fewest windows (1 to 64) beyond which
+    the envelope tails (`envelope_order`) of the bracket, ``C_f C_B`` at
+    exponent ``p_f + p_B``, and of f's energy, ``C_f**2`` at ``2 p_f``, are
+    each at most ``tol``; under a spectral support of B, where the bracket
+    terms vanish, the bracket takes B's covering windows instead."""
     if gen_f.spectral_support is not None:
         windows = covering_windows(gen_f.spectral_support, sigma)
     else:
         c, p = gen_f.decay_constant, gen_f.decay_exponent
-        windows = 1
-        while windows < 64:
-            edge = (2.0 * windows + 1.0) * sigma
-            bound = 2.0 * c * c * (1.0 + edge) ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
-            if bound <= 1e-12:
-                break
-            windows *= 2
+        if gen.spectral_support is not None:
+            bracket = covering_windows(gen.spectral_support, sigma)
+        else:
+            bracket = envelope_order(c * gen.decay_constant,
+                                     p + gen.decay_exponent, sigma, tol)
+        energy = envelope_order(c * c, 2.0 * p, sigma, tol)
+        windows = int(min(64, max(1, np.ceil(bracket), np.ceil(energy))))
     return period_extension(sigma, dgrid, windows)
-
-
-def _analytic_spectrum(gen_f: Generator, sigma: float,
-                       dgrid: int) -> SampledSpectrum:
-    """f-hat sampled on the aligned extension of the period grid."""
-    freq = _signal_freq_extent(gen_f, sigma, dgrid)
-    return SampledSpectrum(grid=freq,
-                           values=np.asarray(gen_f.spectrum(freq.nodes()),
-                                             dtype=np.complex128))
 
 
 def project(f: Signal, gen: Generator, sigma: float, rho: float,

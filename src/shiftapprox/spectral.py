@@ -80,9 +80,19 @@ def require_period_grid(grid: Grid, sigma: float) -> None:
             f"[{-sigma}, {sigma}]")
 
 
-def _envelope_tail(coef: float, q: float, sigma: float, n: float) -> float:
-    """Bound on ``sum_{|nu| > n} coef * (1 + |y + 2 nu sigma|)**(-q)``."""
+def envelope_tail(coef: float, q: float, sigma: float, n: float) -> float:
+    """Bound on ``sum_{|nu| > n} coef * (1 + |y + 2 nu sigma|)**(-q)`` for
+    ``|y| <= sigma``."""
     return 2.0 * coef * (1.0 + (2.0 * n - 1.0) * sigma) ** (1.0 - q) / (2.0 * sigma * (q - 1.0))
+
+
+def envelope_order(coef: float, q: float, sigma: float, tol: float) -> float:
+    """The real ``n`` at which `envelope_tail` equals ``tol``; inf where no
+    order meets it (``q <= 1``, a divergent tail, or ``tol <= 0``)."""
+    if not (q > 1.0 and tol > 0):
+        return np.inf
+    edge = (coef / (tol * sigma * (q - 1.0))) ** (1.0 / (q - 1.0))
+    return 0.5 * ((edge - 1.0) / sigma + 1.0)
 
 
 def lattice_truncation(coef: float, q: float, sigma: float,
@@ -105,7 +115,7 @@ def lattice_truncation(coef: float, q: float, sigma: float,
     kappa = max(1.0, q * q / 8.0)
     n = 8
     while n <= _LATTICE_CAP:
-        tail = _envelope_tail(coef, q, sigma, n)
+        tail = envelope_tail(coef, q, sigma, n)
         if tail <= tol or tail * kappa / (n * n) <= tol:
             return n, tail
         n *= 2
@@ -195,7 +205,7 @@ def hurwitz_tail(s: int, theta: np.ndarray, period: float) -> np.ndarray:
 
 def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
                 block: Callable[[np.ndarray], np.ndarray], power: int,
-                tol: float, points: int, min_terms: Optional[int] = None,
+                tol: float, points: int,
                 tails: Optional[Callable[[int], np.ndarray]] = None
                 ) -> Tuple[np.ndarray, int, float]:
     """``sum_nu term(y + 2 nu sigma)``, summed over blocks of ``nu``.
@@ -204,14 +214,14 @@ def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
     (the terms sit at ``u = shift + y``) and returns the sum of their terms;
     given one shift, that is the term itself, which the tail estimate reads
     at the two outermost shifts of each side.  A term is bounded by
-    ``|spectrum(u)|**power``, which sets the order (`lattice_order`, at
-    least ``min_terms``).  ``points`` is the number of values one shift
-    adds to a block's arrays (the size of ``u`` times the other factors
-    that broadcast against it, or ``nx + ny`` for a mesh contracted by a
-    matrix product); a block holds at most 4e6 of them.  ``tails(N)``, when
-    given, is the exact sum of the terms with ``|nu| > N``: the sum then
-    runs to ``N = HURWITZ_ORDER`` (at least ``min_terms``) with a zero
-    tail bound.  Returns ``(values, truncation_order, tail_bound)``.
+    ``|spectrum(u)|**power``, which sets the order (`lattice_order`).
+    ``points`` is the number of values one shift adds to a block's arrays
+    (the size of ``u`` times the other factors that broadcast against it,
+    or ``nx + ny`` for a mesh contracted by a matrix product); a block
+    holds at most 4e6 of them.  ``tails(N)``, when given, is the exact sum
+    of the terms with ``|nu| > N``: the sum then runs to ``N =
+    HURWITZ_ORDER`` with a zero tail bound.  Returns ``(values,
+    truncation_order, tail_bound)``.
     """
     if not sigma > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
@@ -219,8 +229,6 @@ def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
         n_trunc, tail_bound = lattice_order(gen, sigma, tol, power)
     else:
         n_trunc, tail_bound = HURWITZ_ORDER, 0.0
-    if min_terms:
-        n_trunc = max(n_trunc, int(min_terms))
     shifts = np.arange(-n_trunc, n_trunc + 1) * (2.0 * sigma)
     values = 0.0
     for sl in chunk_slices(shifts.size, points):
@@ -238,8 +246,7 @@ def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
 
 
 def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
-                   tol: float = 1e-8,
-                   min_terms: Optional[int] = None) -> Tuple[np.ndarray, int, float]:
+                   tol: float = 1e-8) -> Tuple[np.ndarray, int, float]:
     """``sum_nu |spectrum(y + 2 nu sigma)|^2`` at arbitrary nodes.
 
     The lattice form of D for every generator: `periodize`'s route where D
@@ -257,7 +264,7 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
     def tails(order: int) -> np.ndarray:
         return _spline_energy_tails(gen.spline, ratio, y, order)
 
-    return lattice_sum(gen, sigma, y, energy, 2, tol, y.size, min_terms,
+    return lattice_sum(gen, sigma, y, energy, 2, tol, y.size,
                        None if ratio is None else tails)
 
 
@@ -315,35 +322,19 @@ def poisson_energy(acorr: np.ndarray, sigma: float, y: np.ndarray) -> np.ndarray
     return values / (4.0 * np.pi * sigma)
 
 
-def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
-              min_terms: Optional[int] = None) -> PeriodizedSpectrum:
+def periodize(gen: Generator, sigma: float, grid: Grid,
+              tol: float = 1e-8) -> PeriodizedSpectrum:
     """``D(y) = sum |spectrum(y + 2 nu sigma)|^2`` on one period.
 
     A generator with a closed-form ``autocorrelation`` and a declared
     support takes the exact Poisson form (see the module docstring):
     ``truncation_order`` is its largest lag L and ``tail_bound`` is 0.
-    Any other generator takes the truncated lattice sum: ``truncation_order``
-    is its order N and ``tail_bound`` the envelope bound on the mass
-    beyond it.
-
-    Parameters
-    ----------
-    gen : Generator
-        Source of the spectrum and of the decay contract.
-    sigma : float
-        Lattice half-period; the grid must span exactly ``[-sigma, sigma]``.
-    tol : float
-        Target bound for the omitted tail (after correction).
-    min_terms : int, optional
-        Force at least this truncation order of the lattice sum (used when
-        a bracket sum over more lattice cells must stay dominated by
-        ``D``).  The exact Poisson form dominates every partial sum.
-
-    Raises
-    ------
-    TruncationError
-        If the decay exponent is <= 1/2 and the spectrum has no declared
-        compact support.
+    Any other generator takes the lattice sum `lattice_energy`, to ``tol``
+    after its tail correction: ``truncation_order`` is its order N and
+    ``tail_bound`` the envelope bound on the mass beyond it.  The grid must
+    span exactly ``[-sigma, sigma]``.  Raises `TruncationError` if the
+    decay exponent is <= 1/2 and the spectrum has no declared compact
+    support.
     """
     require_period_grid(grid, sigma)
     y = grid.nodes()
@@ -352,8 +343,7 @@ def periodize(gen: Generator, sigma: float, grid: Grid, tol: float = 1e-8,
         values = poisson_energy(shift_autocorrelation(gen, sigma, order), sigma, y)
         tail_bound = 0.0
     else:
-        values, order, tail_bound = lattice_energy(
-            gen, sigma, y, tol=tol, min_terms=min_terms)
+        values, order, tail_bound = lattice_energy(gen, sigma, y, tol=tol)
     return PeriodizedSpectrum(sigma=float(sigma), grid=grid, values=values,
                               truncation_order=order, tail_bound=tail_bound)
 

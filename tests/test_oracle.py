@@ -1,12 +1,15 @@
 """Gram systems, least-squares projection, and the oracle comparison."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from shiftapprox.errors import MissingTimeDomainError, SingularGramError
-from shiftapprox.generator import Generator, spectrum_generator
+from shiftapprox.generator import (Generator, gaussian_generator,
+                                   shift_autocorrelation, spectrum_generator)
 from shiftapprox.numerics import SampledFunction, make_uniform_grid, \
     quadrature_weights
 from shiftapprox.oracle import compare, gram_matrix, ls_project
@@ -30,6 +33,19 @@ def test_gram_structure_and_conditioning():
     eigs = np.linalg.eigvalsh(g)
     assert eigs.min() >= -1e-10 * eigs.max()
     assert 1.0 <= system.condition_estimate <= 20.0
+
+
+def test_gram_holds_a_complex_autocorrelation_row_below_its_diagonal():
+    # entry (j, k) is a_{j-k}, with a_{-d} = conj(a_d) above the diagonal:
+    # a modulated Gaussian has a complex row, so the two triangles differ
+    base = gaussian_generator(1.0)
+    gen = dataclasses.replace(base, autocorrelation=lambda tau: (
+        base.autocorrelation(tau) * cmath.exp(0.7j * tau)))
+    acorr = shift_autocorrelation(gen, 1.0, 6)
+    assert abs(acorr[1].imag) > 0.01 * acorr[0].real
+    g = gram_matrix(gen, 1.0, 3).gram
+    assert np.array_equal(g[:, 0], acorr) and np.array_equal(g[0], np.conj(acorr))
+    assert np.array_equal(g[:-1, :-1], g[1:, 1:])
 
 
 def test_box_gram_is_a_scaled_identity():

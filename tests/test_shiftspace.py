@@ -26,7 +26,7 @@ from shiftapprox.shiftspace import (ShiftExpansion, ZetaFunction,
                                     plancherel_inner, plancherel_norm_sq,
                                     project, synthesize, zeta_of_coeffs,
                                     zeta_transform)
-from shiftapprox.spectral import lattice_order, periodize
+from shiftapprox.spectral import envelope_tail, lattice_order, periodize
 
 from helpers import (analytic_gaussian_spectrum, band_member_spectrum,
                      bump_spectrum_signal, direct_coeffs,
@@ -379,12 +379,12 @@ def test_best_error_agrees_with_projection():
         assert swept.tolist() == direct
 
 
-#: period windows either side over which an analytic f-hat is sampled:
-#: its spectral support, or the doubling of its decay envelope's tail
-#: below 1e-12
-_ANALYTIC_WINDOWS = {("gauss:width=0.7", 1.0): 4, ("gauss:width=0.7", 2.0): 2,
-                     ("gauss:width=1", 1.0): 4, ("gauss:width=1", 2.0): 1,
-                     ("gauss:width=1.3", 1.0): 2, ("gauss:width=1.3", 2.0): 1,
+#: period windows either side over which an analytic f-hat is sampled
+#: against a degree-1 spline at the default tol 1e-8: its spectral support,
+#: or the envelope orders of the bracket (|f^ B^|) and of f's energy
+_ANALYTIC_WINDOWS = {("gauss:width=0.7", 1.0): 5, ("gauss:width=0.7", 2.0): 3,
+                     ("gauss:width=1", 1.0): 4, ("gauss:width=1", 2.0): 2,
+                     ("gauss:width=1.3", 1.0): 3, ("gauss:width=1.3", 2.0): 2,
                      ("sinc", 1.0): 0, ("sinc", 2.0): 0}
 
 
@@ -407,6 +407,37 @@ def test_an_analytic_signal_folds_its_aligned_spectrum(spec, sigma, dgrid):
     rhos = [0.25 * sigma, 0.5 * sigma, sigma]
     assert np.array_equal(best_approx_error_sq(f, gen, sigma, rhos, grid=grid),
                           best_approx_error_sq(fs, gen, sigma, rhos, grid=grid))
+    if f.spectral_support is None:
+        # the fewest windows whose bracket and energy envelope tails are
+        # both at most tol
+        windows = _ANALYTIC_WINDOWS[(spec, sigma)]
+        c, p = f.decay_constant, f.decay_exponent
+        tails = [(c * gen.decay_constant, p + gen.decay_exponent), (c * c, 2.0 * p)]
+        assert all(envelope_tail(coef, q, sigma, windows) <= 1e-8
+                   for coef, q in tails)
+        assert any(envelope_tail(coef, q, sigma, windows - 1) > 1e-8
+                   for coef, q in tails)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("b_spec", ["bspline:m=0", "bspline:m=1", "bspline:m=2",
+                                    "bspline:m=3", "gauss", "sinc"])
+@pytest.mark.parametrize("width", [0.7, 0.85, 1.0, 1.0058589514678187, 1.3])
+def test_an_analytic_signal_folds_as_far_as_sixteen_windows(width, b_spec, sigma):
+    # the window count read off the envelopes leaves out less than tol of
+    # the bracket and of f's energy, so the error is that of f-hat folded
+    # over 16 windows to rounding; the count once chosen by doubling an
+    # energy criterion stopped at 2 windows for width 1.00586 on the hat
+    # at sigma 1 and was 4.6e-8 high there
+    f = gaussian_generator(width)
+    gen = parse_generator_spec(b_spec, default_sigma=sigma)
+    grid = Grid(start=-sigma, stop=sigma, count=257)
+    freq = period_extension(sigma, 257, 16)
+    wide = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
+    rhos = [0.1 * sigma, 0.5 * sigma, sigma]
+    np.testing.assert_allclose(best_approx_error_sq(f, gen, sigma, rhos, grid=grid),
+                               best_approx_error_sq(wide, gen, sigma, rhos, grid=grid),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_fold_of_the_generator_with_itself_is_the_periodization():

@@ -8,6 +8,8 @@ from shiftapprox.numerics import make_uniform_grid
 from shiftapprox.spectral import (
     EPSILON_D,
     HURWITZ_ORDER,
+    envelope_order,
+    envelope_tail,
     lattice_energy,
     lattice_truncation,
     periodize,
@@ -38,6 +40,18 @@ def test_truncation_order_satisfies_its_own_bound():
     # deeper tolerance demands more terms
     n2, _ = lattice_truncation(1.0, 2.0, 1.0, 1e-10)
     assert n2 > n
+
+
+@pytest.mark.parametrize("coef,q,sigma,tol", [
+    (1.0, 2.0, 1.0, 1e-8), (2.68, 42.0, 1.0, 1e-8), (7.5e30, 80.0, 2.0, 1e-12),
+    (3.0, 1.5, 0.5, 1e-6)])
+def test_envelope_order_inverts_the_envelope_tail(coef, q, sigma, tol):
+    n = envelope_order(coef, q, sigma, tol)
+    assert envelope_tail(coef, q, sigma, n) == pytest.approx(tol, rel=1e-12)
+    assert envelope_tail(coef, q, sigma, np.ceil(n)) <= tol
+    # no order bounds a divergent tail, or a zero tolerance
+    assert envelope_order(coef, 1.0, sigma, tol) == np.inf
+    assert envelope_order(coef, q, sigma, 0.0) == np.inf
 
 
 def test_truncation_rejects_non_summable_decay():
