@@ -79,18 +79,63 @@ def _shift_inner_products(f: SampledFunction, gen: Generator, sigma: float,
     return rhs
 
 
-def _solve(system: GramSystem, rhs: np.ndarray,
-           norm_sq: float) -> Tuple[np.ndarray, float]:
-    """Condition-checked solve: the coefficients and the squared
-    residual ``norm_sq - Re <coeffs, rhs>``, clamped at zero."""
+def _check_condition(system: GramSystem) -> None:
     condition = system.condition_estimate
     if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
         raise SingularGramError(
             f"Gram matrix condition {condition:.3g} at j_range="
             f"{system.j_range} exceeds {_CONDITION_LIMIT:.0e}; truncated "
             "shift system is numerically singular")
-    coeffs = np.linalg.solve(system.gram, rhs)
-    return coeffs, max(norm_sq - float(np.real(np.vdot(coeffs, rhs))), 0.0)
+
+
+def _by_magnitude(j_range: int) -> np.ndarray:
+    """Positions of j = -j_range .. j_range ordered 0, -1, 1, -2, 2, ...:
+    the first ``2 j + 1`` are the range ``|j| <= j``."""
+    return np.argsort(np.abs(np.arange(-j_range, j_range + 1)), kind="stable")
+
+
+def _eliminate(system: GramSystem, rhs: np.ndarray,
+               norm_sq: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky ``G = L L^H`` of the condition-checked Gram in the order of
+    `_by_magnitude`, with ``y = L^{-1} rhs``, and the squared residuals
+    ``norm_sq - |y_0|^2 - ... - |y_k|^2`` of every leading range.
+
+    Column k is eliminated by elementwise updates alone, so every entry of
+    L and y depends on the leading block and rhs entries it is built from,
+    never on the size of the system: a smaller range's factors are bitwise
+    the leading block of a larger one's, and its residuals a prefix of the
+    larger one's.  Summing the nonnegative |y_k|^2 in order makes the
+    residuals nonincreasing in floating point as in exact arithmetic.
+    """
+    _check_condition(system)
+    order = _by_magnitude(system.j_range)
+    work = system.gram[np.ix_(order, order)].astype(np.complex128)
+    y = rhs[order].astype(np.complex128)
+    n = y.size
+    chol = np.zeros((n, n), dtype=np.complex128)
+    for k in range(n):
+        pivot = float(work[k, k].real)
+        if not pivot > 0.0:
+            raise SingularGramError(
+                f"Gram matrix at j_range={system.j_range} is not positive "
+                "definite; truncated shift system is numerically singular")
+        col = work[k:, k] / np.sqrt(pivot)
+        chol[k:, k] = col
+        y[k] /= col[0]
+        y[k + 1:] -= col[1:] * y[k]
+        work[k + 1:, k + 1:] -= np.outer(col[1:], np.conj(col[1:]))
+    residuals = norm_sq - np.cumsum(np.abs(y) ** 2)
+    return chol, y, np.maximum(residuals, 0.0)
+
+
+def _solve(system: GramSystem, rhs: np.ndarray,
+           norm_sq: float) -> Tuple[np.ndarray, float]:
+    """Condition-checked Hermitian solve: the coefficients and the squared
+    residual ``norm_sq - <coeffs, rhs>``, clamped at zero."""
+    chol, y, residuals = _eliminate(system, rhs, norm_sq)
+    coeffs = np.empty_like(y)
+    coeffs[_by_magnitude(system.j_range)] = np.linalg.solve(chol.conj().T, y)
+    return coeffs, float(residuals[-1])
 
 
 def ls_project(f: SampledFunction, gen: Generator, sigma: float,
@@ -131,9 +176,9 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
     """Oracle residuals against the exact-formula error at rho = sigma.
 
     The formula side is evaluated once (it does not depend on j_range); the
-    oracle side reuses one Gram matrix and one inner-product pass at the
-    largest requested range, and each smaller range solves with its
-    central block.  ``f_spectrum`` optionally hands the formula side f in
+    oracle side factors one Gram matrix, after one inner-product pass, at
+    the largest requested range, and reads each smaller range's residual
+    off its leading block (see `_eliminate`).  ``f_spectrum`` optionally hands the formula side f in
     another form, a spectrum or an analytic f as a `Generator` (see
     `project`), in place of the quadrature transform of the time samples.
 
@@ -150,18 +195,16 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
         formula = project(f, gen, sigma, rho=sigma, tol=tol).error_sq
 
     j_top = ranges[-1]
-    top = gram_matrix(gen, sigma, j_top)
-    rhs_top = _shift_inner_products(f, gen, sigma, j_top)
     norm_sq = l2_norm_sq(f)
+    # the top system's residuals over its leading ranges are those each
+    # range's own solve gives, bit for bit (see `_eliminate`)
+    _, _, residuals = _eliminate(gram_matrix(gen, sigma, j_top),
+                                 _shift_inner_products(f, gen, sigma, j_top),
+                                 norm_sq)
 
     rows = []
     for j in ranges:
-        # a central block of a Toeplitz matrix is the smaller range's matrix
-        keep = slice(j_top - j, j_top + j + 1)
-        gram = top.gram[keep, keep]
-        system = top if j == j_top else GramSystem(
-            float(sigma), j, gram, float(np.linalg.cond(gram)))
-        _, residual = _solve(system, rhs_top[keep], norm_sq)
+        residual = float(residuals[2 * j])
         rows.append(ComparisonRow(j_range=j, oracle_residual=residual,
                                   formula_error=formula,
                                   gap=residual - formula))

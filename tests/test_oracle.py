@@ -196,6 +196,22 @@ def test_comparison_converges_for_a_gaussian():
         assert row.oracle_residual == ls_project(f, gen, 1.0, row.j_range)[1]
 
 
+@pytest.mark.parametrize("m,sigma", [(1, 1.0), (2, 2.0)])
+def test_converged_residuals_never_rise_at_rounding_level(m, sigma):
+    # these residuals settle by j_range 32; solving each range on its own
+    # let the j_range 64 row rise over the 32 row by a few ulps of ||f||^2
+    # (m = 1 under an LU solve, m = 2 under a LAPACK Cholesky), while the
+    # leading-block factorization repeats it
+    f, fs = knot_aligned_gaussian(sigma)
+    gen = spline(m, sigma)
+    report = compare(f, gen, sigma, [8, 16, 32, 64], f_spectrum=fs)
+    residuals = [row.oracle_residual for row in report.rows]
+    assert residuals == sorted(residuals, reverse=True)
+    assert residuals[-1] == residuals[-2]
+    for row in report.rows:
+        assert row.oracle_residual == ls_project(f, gen, sigma, row.j_range)[1]
+
+
 def test_comparison_holds_when_the_spline_and_lattice_sigma_differ():
     # a hat built at sigma_B = 2 on the sigma = 1 lattice: the Gram matrix
     # reads the closed-form autocorrelation at the lattice's lags pi d
