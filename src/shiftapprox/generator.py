@@ -15,7 +15,7 @@ families, with the source of that sequence:
     ``[-(m+1)*pi/sigma, 0]``, where ``N_k`` is the cardinal B-spline of order
     ``k`` on ``[0, k]``.  Autocorrelation in closed form, ``N_{2(m+1)}``.
     It declares its degree and sigma (`Generator.spline`): on a lattice
-    commensurate with its own, its lattice tails are Hurwitz zeta values.
+    at a rational ratio to its own, its lattice tails are Hurwitz zeta values.
 ``gauss``
     ``exp(-x^2/(2 w^2))`` with spectrum ``(w/sqrt(2 pi)) exp(-w^2 y^2 / 2)``.
     Autocorrelation in closed form, ``w sqrt(pi) exp(-tau^2/(4 w^2))``.

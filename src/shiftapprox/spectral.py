@@ -10,28 +10,27 @@ system.  It has two forms, which the Phi4 audit in `zak` compares:
   under a declared support: shifts by ``d pi/sigma >= hi - lo`` do not overlap.
 * the lattice form `lattice_energy`, through `lattice_sum`, the one lattice
   sum of the package (the spectral form of Phi in `zak` sums
-  ``spectrum(u) e^{iux}`` with it).  `lattice_order` truncates it
-  by the generator's audited decay contract; an asymptotic power-law tail
-  estimate calibrated on the boundary terms is then added, which brings
-  slowly decaying spectra (p close to 1/2) within desk tolerances at a few
-  hundred terms.  The recorded ``tail_bound`` is the rigorous envelope
-  bound on the omitted mass; the calibrated correction is never larger.
+  ``spectrum(u) e^{iux}`` with it).
 
-A spline of degree m >= 1 built at ``sigma_B`` (`Generator.spline`) on a
-lattice with ``sigma_B/sigma`` or ``sigma/sigma_B`` an integer takes its
-tails in closed form instead: its terms are a factor that repeats in each
-residue class of nu times ``u**-(m+1)``, so each class beyond
-``|nu| <= HURWITZ_ORDER`` sums to a Hurwitz zeta value (`spline_lattice`,
-`hurwitz_tail`; DLMF 25.11, Blu & Unser 1999).  Such a sum reports
-``truncation_order = HURWITZ_ORDER`` and ``tail_bound = 0``, as a declared
-spectral support does.  `lattice_energy` takes these tails on every node
-set; Phi's spectral sum takes them on the cell mesh of a spline on its own
-lattice (`zak`).  Every other generator, and a spline on any other lattice,
-keeps the truncation and the estimate.
+Every lattice sum is exact, truncated at its envelope bound, or refused.
+A declared spectral support makes it a finite sum.  A spline of degree m
+built at ``sigma_B`` (`Generator.spline`) has terms ``w(u) u**-(m+1)`` at
+``u = y/(2 sigma_B) + nu p/q``, where ``p/q = sigma/sigma_B`` and w has
+period 1 in u; where ``sigma x/pi = c/b``, the phase ``e^{2 i nu sigma x}``
+depends on nu mod b only.  So at rational ``sigma/sigma_B`` and ``sigma
+x/pi`` the sum splits into ``lcm(q, b)`` residue classes of nu, and beyond
+``|nu| <= HURWITZ_ORDER`` each class is one Hurwitz zeta value
+(`_class_tails`; DLMF 25.11, Blu & Unser 1999): such a sum
+reports ``truncation_order = HURWITZ_ORDER`` and ``tail_bound = 0``.  Any
+other sum runs to the order where the decay contract's envelope bound on
+the omitted mass meets tol (`lattice_truncation`), reported as
+``tail_bound``, and raises `TruncationError` when that order passes
+``_LATTICE_CAP``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -46,10 +45,13 @@ from .numerics import Grid, chunk_slices
 EPSILON_D = 1e-10
 
 _SPAN_RTOL = 1e-9
-#: most terms `lattice_truncation` tries before it raises
+#: most terms an envelope-truncated lattice sum takes before it raises
 _LATTICE_CAP = 200_000
-#: explicit terms |nu| <= HURWITZ_ORDER ahead of a spline's Hurwitz tails
+#: explicit terms |nu| <= HURWITZ_ORDER ahead of a spline's class tails
 HURWITZ_ORDER = 16
+#: most residue classes of nu that a spline's class tails split a sum into
+_CLASS_CAP = 4096
+#: how far from an integer a rational's numerator may fall, relative
 _RATIO_RTOL = 1e-12
 
 
@@ -91,7 +93,10 @@ def envelope_order(coef: float, q: float, sigma: float, tol: float) -> float:
     order meets it (``q <= 1``, a divergent tail, or ``tol <= 0``)."""
     if not (q > 1.0 and tol > 0):
         return np.inf
-    edge = (coef / (tol * sigma * (q - 1.0))) ** (1.0 / (q - 1.0))
+    try:
+        edge = (coef / (tol * sigma * (q - 1.0))) ** (1.0 / (q - 1.0))
+    except OverflowError:
+        return np.inf
     return 0.5 * ((edge - 1.0) / sigma + 1.0)
 
 
@@ -99,29 +104,22 @@ def lattice_truncation(coef: float, q: float, sigma: float,
                        tol: float) -> Tuple[int, float]:
     """Truncation order for a lattice sum with envelope ``coef*(1+|u|)^-q``.
 
-    Stops at the first ``N`` where either the raw envelope tail or the
-    residual of the calibrated tail correction (modelled as
-    ``tail * max(1, q^2/8) / N^2``) is below ``tol``.
-
-    Returns
-    -------
-    (N, tail_bound)
-        ``tail_bound`` is the envelope bound on the omitted mass at ``N``.
+    Returns ``(N, tail_bound)``: the least ``N >= 8`` whose `envelope_tail`,
+    the bound on the omitted mass, is at most ``tol``, and that bound.
+    Raises `TruncationError` for a divergent envelope (``q <= 1``) and
+    where ``N`` would pass ``_LATTICE_CAP``.
     """
     if not q > 1.0:
         raise TruncationError(
             f"lattice sum with decay exponent {q/2:.3g} per factor is not "
             "truncatable (needs combined exponent > 1)")
-    kappa = max(1.0, q * q / 8.0)
-    n = 8
-    while n <= _LATTICE_CAP:
-        tail = envelope_tail(coef, q, sigma, n)
-        if tail <= tol or tail * kappa / (n * n) <= tol:
-            return n, tail
-        n *= 2
-    raise TruncationError(
-        f"lattice truncation above {_LATTICE_CAP} terms still exceeds "
-        f"tol={tol:.3g}")
+    order = envelope_order(coef, q, sigma, tol)
+    if not order <= _LATTICE_CAP:
+        raise TruncationError(
+            f"lattice truncation above {_LATTICE_CAP} terms still exceeds "
+            f"tol={tol:.3g}")
+    n = max(8, int(np.ceil(order)))
+    return n, envelope_tail(coef, q, sigma, n)
 
 
 def lattice_order(gen: Generator, sigma: float, tol: float,
@@ -140,109 +138,164 @@ def lattice_order(gen: Generator, sigma: float, tol: float,
                               power * gen.decay_exponent, sigma, tol)
 
 
-def _tail_correction(t_edge: np.ndarray, t_prev: np.ndarray,
-                     u_edge: np.ndarray, q: float, sigma: float) -> np.ndarray:
-    """Tail of one side of a lattice sum from its last two terms.
+def _denominator(v: float) -> int:
+    """The least ``b <= _CLASS_CAP`` with ``v b`` an integer to rounding, 0
+    where there is none.
 
-    Tails that do not rotate (phase drift at rounding level between the two
-    terms, as for any nonnegative summand) get the power-law tail calibrated
-    on the boundary term, in the midpoint form ``sum_{nu > N} ~
-    integral_{N+1/2}`` (exact to ``O(1/N^2)`` relative; the ratio
-    ``(u_edge/u_half)**q`` cannot overflow).  Rotating tails get a geometric
-    model with the modulus ratio pinned to the power law.  Points where
-    neither model is safe (a drift below about 0.05 rad far out) are left
-    uncorrected (the envelope bound covers them).  Real terms give a real
-    correction.
+    A fraction with denominator at most the cap that meets v this closely
+    is a convergent of its continued fraction, and the first one that
+    meets it has the least denominator.
     """
-    active = (np.abs(t_edge) > 0) & (np.abs(t_prev) > 0)
-    phase = np.angle(np.where(active, t_edge / np.where(active, t_prev, 1.0), 1.0))
-    power = active & (np.abs(phase) < 1e-9)
-    u_half = u_edge + sigma
-    out = np.where(power, t_edge * (u_edge / u_half) ** q * u_half
-                   / (2.0 * sigma * (q - 1.0)), 0.0)
-    rotating = active & ~power
-    if rotating.any():
-        geo_ratio = (u_edge / (u_edge + 2.0 * sigma)) ** q * np.exp(1j * phase)
-        osc = rotating & (np.abs(1.0 - geo_ratio) > 0.05)
-        out = np.where(osc, t_edge * geo_ratio / np.where(osc, 1.0 - geo_ratio, 1.0), out)
-    return out if np.iscomplexobj(t_edge) else out.real
+    h, h_prev, k, k_prev, rest = 1, 0, 0, 1, v
+    while True:
+        a = math.floor(rest)
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        if k > _CLASS_CAP:
+            return 0
+        if abs(v * k - h) <= _RATIO_RTOL * max(1.0, abs(v * k)):
+            return k
+        if rest == a:
+            return 0
+        rest = 1.0 / (rest - a)
 
 
-def spline_lattice(gen: Generator, sigma: float,
-                   y: np.ndarray) -> Optional[Tuple[int, int]]:
-    """``(p, q)`` with ``sigma/sigma_B = p/q`` where a spline's tails are exact.
+def _rational(t) -> Optional[Tuple[int, np.ndarray]]:
+    """``(b, c)`` with ``t = c/b`` at every node to rounding, b the least
+    denominator up to ``_CLASS_CAP``; None where there is none.
 
-    A degree-m spline built at ``sigma_B`` has its lattice terms at
-    ``u = alpha + nu p/q`` with ``alpha = y/(2 sigma_B)``, and the term is
-    ``(e^{i pi u} sin(pi u)/(pi u))**(m+1)``.  When p or q is 1, ``sin(pi u)``
-    repeats in each residue class of nu mod q, up to a sign that the
-    energy's square removes, so each class is that factor times a Hurwitz
-    zeta value (`hurwitz_tail`).  None for any other generator or ratio, for
-    the degree 0 (whose lattice sums keep the estimate), and at nodes past
-    ``|y| <= 2 sigma HURWITZ_ORDER``, where a Hurwitz parameter would not be
-    positive.
+    b starts as the denominator of a grid's step, the first two nodes;
+    each vectorised pass over the nodes raises it to its least common
+    multiple with the denominator of the first node off it (a grid's
+    offset), so a grid whose offset fits its step takes one pass.
     """
-    spline = gen.spline
-    if (spline is None or spline.degree == 0
-            or not np.all(np.abs(y) <= 2.0 * sigma * HURWITZ_ORDER)):
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    if not np.isfinite(flat).all():
         return None
-    ratio = sigma / spline.sigma
-    for p, q in ((round(ratio), 1), (1, round(1.0 / ratio))):
-        if p >= 1 and q >= 1 and abs(ratio * q - p) <= _RATIO_RTOL * p:
-            return p, q
+    b = _denominator(float(flat[1] - flat[0])) if flat.size > 1 else 1
+    while b:
+        tb = flat * b
+        c = np.rint(tb)
+        off = np.abs(tb - c) > _RATIO_RTOL * np.maximum(1.0, np.abs(tb))
+        if not off.any():
+            return b, c.astype(np.int64).reshape(t.shape)
+        b = math.lcm(b, _denominator(float(flat[np.argmax(off)])))
+        b = b if b <= _CLASS_CAP else 0
     return None
 
 
-def hurwitz_tail(s: int, theta: np.ndarray, period: float) -> np.ndarray:
-    """``sum_{j >= 0} (theta + period j)**-s = period**-s zeta(s, theta/period)``
-    for ``theta > 0`` (DLMF 25.11.1)."""
+def _class_tails(spline: SplineParams, power: int, p: int, q: int, b: int,
+                 y: np.ndarray, order: int) -> np.ndarray:
+    """``sum_{|nu| > order} spectrum(y + 2 nu sigma)**power e^{2 pi i nu k/b}``
+    of a spline at ``sigma/sigma_B = p/q``, for ``k = 0..b-1`` (rows) at the
+    flattened nodes y (columns); ``power`` 2 reads ``|spectrum|**2``.
+
+    The term at ``u = y/(2 sigma_B) + nu p/q`` is ``w(u) u**-S``, with
+    ``S = power (m + 1)`` and ``w(u) = (e^{i pi u} sin(pi u)/pi)**(m+1)``
+    (``power`` 1) or ``(sin(pi u)/pi)**S`` (``power`` 2), of period 1 in u.
+    Along a class of nu mod ``L = lcm(q, b)`` both w and the phase are
+    fixed and u steps by the integer ``P = L p/q``, so the terms ``nu =
+    order + 1 + i + L j`` from ``u = theta`` sum to ``P**-S zeta(S,
+    theta/P)`` (DLMF 25.11.1); ``nu = -(order + 1 + i + L j)`` give
+    ``(-1)**S`` times that sum at ``-y``, which on symmetric nodes is the
+    first sum read backwards.  The L classes fold into nu mod b and meet
+    their phases in one length-b FFT.
+    """
     # imported here: scipy.special costs about 60 ms and 2.6 MiB to import,
     # and only these sums read it
     from scipy.special import zeta
 
-    return zeta(s, theta / period) / float(period) ** s
+    s, big = power * (spline.degree + 1), math.lcm(q, b)
+    alpha = np.ravel(y) / (2.0 * spline.sigma)
+    first = (order + 1 + np.arange(big))[:, np.newaxis] * p / q
+    period = big * p // q
+    up = zeta(s, (first + alpha) / period) / float(period) ** s
+    if np.all(np.abs(alpha[::-1] + alpha) <= 1e-15):
+        down = up[:, ::-1]  # the midpoints of a cell mesh, symmetric to rounding
+    else:
+        down = zeta(s, (first - alpha) / period) / float(period) ** s
+    # class rho of nu mod L holds the row i = rho - order - 1 of the
+    # right-hand side and the row i = -rho - order - 1 of the left-hand side
+    rho = np.arange(big)
+    right, left = up[(rho - order - 1) % big], down[(-rho - order - 1) % big]
+    classes = right - left if s % 2 else right + left
+    # w at the class offset's fractional part, by nu mod q
+    v = alpha + (np.arange(q)[:, np.newaxis] * p % q) / q
+    if power == 1:
+        weight = (np.exp(1j * np.pi * v) * np.sin(np.pi * v) / np.pi) ** (spline.degree + 1)
+    else:
+        weight = (np.sin(np.pi * v) / np.pi) ** s
+    folded = (classes.reshape(big // q, q, -1) * weight).reshape(big // b, b, -1).sum(axis=0)
+    return b * np.fft.ifft(folded, axis=0) if b > 1 else folded
 
 
 def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
                 block: Callable[[np.ndarray], np.ndarray], power: int,
-                tol: float, points: int,
-                tails: Optional[Callable[[int], np.ndarray]] = None
+                tol: float, points: int, x: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, int, float]:
     """``sum_nu term(y + 2 nu sigma)``, summed over blocks of ``nu``.
 
     ``block(shifts)`` receives a 1-D array of lattice shifts ``2 nu sigma``
-    (the terms sit at ``u = shift + y``) and returns the sum of their terms;
-    given one shift, that is the term itself, which the tail estimate reads
-    at the two outermost shifts of each side.  A term is bounded by
-    ``|spectrum(u)|**power``, which sets the order (`lattice_order`).
+    (the terms sit at ``u = shift + y``) and returns the sum of their
+    terms, each ``spectrum(u)**power`` (``|spectrum(u)|**2`` for ``power``
+    2), times ``e^{i shift x}`` when x is given (broadcast against y); each
+    block's sum is then rotated by ``e^{i y x}``, which makes each term's
+    phase ``e^{i u x}``.
     ``points`` is the number of values one shift adds to a block's arrays
     (the size of ``u`` times the other factors that broadcast against it,
     or ``nx + ny`` for a mesh contracted by a matrix product); a block
-    holds at most 4e6 of them.  ``tails(N)``, when given, is the exact sum
-    of the terms with ``|nu| > N``: the sum then runs to ``N =
-    HURWITZ_ORDER`` with a zero tail bound.  Returns ``(values,
-    truncation_order, tail_bound)``.
+    holds at most 4e6 of them.  The sum is one of three:
+
+    * exact: a declared spectral support (the finite order of
+      `lattice_order`), or a spline whose ``sigma/sigma_B`` and, given x,
+      ``sigma x/pi`` are rationals with at most ``_CLASS_CAP`` classes
+      ``lcm(q, b)`` (|nu| <= ``HURWITZ_ORDER`` and `_class_tails`);
+    * truncated where the envelope bound meets ``tol`` (`lattice_order`),
+      with that bound reported;
+    * refused with `TruncationError` (a divergent envelope, or one that
+      needs more than ``_LATTICE_CAP`` terms).
+
+    Returns ``(values, truncation_order, tail_bound)``.
     """
     if not sigma > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
-    if tails is None:
+    split = _class_split(gen, sigma, y, x, power)
+    if split is None:
         n_trunc, tail_bound = lattice_order(gen, sigma, tol, power)
     else:
         n_trunc, tail_bound = HURWITZ_ORDER, 0.0
     shifts = np.arange(-n_trunc, n_trunc + 1) * (2.0 * sigma)
+    rotation = 1.0 if x is None else np.exp(1j * y * x)
     values = 0.0
     for sl in chunk_slices(shifts.size, points):
-        values = values + block(shifts[sl])
-    if tails is not None:
-        return values + tails(n_trunc), n_trunc, tail_bound
-    if gen.spectral_support is None:
-        for sign in (1.0, -1.0):
-            edge = (2.0 * sigma) * (sign * n_trunc)
-            prev = (2.0 * sigma) * (sign * (n_trunc - 1))
-            values = values + _tail_correction(
-                block(np.array([edge])), block(np.array([prev])),
-                np.abs(y + edge), power * gen.decay_exponent, sigma)
-    return values, n_trunc, tail_bound
+        values = values + rotation * block(shifts[sl])
+    if split is None:
+        return values, n_trunc, tail_bound
+    p, q, b, c = split
+    tails = _class_tails(gen.spline, power, p, q, b, y, n_trunc)
+    # each node reads the phase class c mod b of its sigma x/pi = c/b
+    nodes = np.arange(np.size(y)).reshape(np.shape(y))
+    return values + rotation * tails[c % b, nodes], n_trunc, tail_bound
+
+
+def _class_split(gen: Generator, sigma: float, y: np.ndarray,
+                 x: Optional[np.ndarray], power: int):
+    """``(p, q, b, c)`` where `lattice_sum` takes a spline's class tails:
+    ``sigma/sigma_B = p/q`` and ``sigma x/pi = c/b`` (b = 1 without x), at
+    most ``_CLASS_CAP`` classes, a summable ``u**-S`` and nodes
+    ``|y| <= 2 sigma HURWITZ_ORDER`` (positive Hurwitz parameters).  None
+    otherwise.
+    """
+    spline = gen.spline
+    if (spline is None or power * (spline.degree + 1) < 2
+            or not np.all(np.abs(y) <= 2.0 * sigma * HURWITZ_ORDER)):
+        return None
+    ratio = sigma / spline.sigma
+    q = _denominator(ratio)
+    phase = (1, 0) if x is None else _rational(sigma * np.asarray(x) / np.pi)
+    if not q or phase is None or math.lcm(q, phase[0]) > _CLASS_CAP:
+        return None
+    return round(ratio * q), q, *phase
 
 
 def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
@@ -251,42 +304,15 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
 
     The lattice form of D for every generator: `periodize`'s route where D
     has no exact Poisson form, and the Phi4 audit's reference for that form.
-    A spline on a commensurate lattice (`spline_lattice`) takes its tails
-    in closed form.  Returns ``(values, truncation_order, tail_bound)``.
+    Exact for a spline at a rational ``sigma/sigma_B`` (`lattice_sum`).
+    Returns ``(values, truncation_order, tail_bound)``.
     """
     y = np.asarray(y, dtype=float)
 
     def energy(shifts: np.ndarray) -> np.ndarray:
         return (np.abs(gen.spectrum(np.add.outer(shifts, y))) ** 2).sum(axis=0)
 
-    ratio = spline_lattice(gen, sigma, y)
-
-    def tails(order: int) -> np.ndarray:
-        return _spline_energy_tails(gen.spline, ratio, y, order)
-
-    return lattice_sum(gen, sigma, y, energy, 2, tol, y.size,
-                       None if ratio is None else tails)
-
-
-def _spline_energy_tails(spline: SplineParams, ratio: Tuple[int, int],
-                         y: np.ndarray, order: int) -> np.ndarray:
-    """``sum_{|nu| > order} |spectrum(y + 2 nu sigma)|**2`` of a spline.
-
-    With ``sigma/sigma_B = p/q`` (`spline_lattice`), the class of
-    ``nu = order + 1 + r + q j`` (r < q) starts at ``u = theta_r = alpha +
-    p (order + 1 + r)/q`` and steps by p, and ``sin(pi u)**2`` is constant
-    on it; the side ``nu < -order`` is the same sum at ``-alpha``.
-    """
-    p, q = ratio
-    s = 2 * (spline.degree + 1)
-    start = p * (order + 1 + np.arange(q)).reshape((-1,) + (1,) * y.ndim)
-    alpha = y / (2.0 * spline.sigma)
-    out = 0.0
-    for side in (alpha, -alpha):
-        # sin(pi theta_r) read at the fractional part of the class offset
-        weight = np.sin(np.pi * (side + (start % q) / q)) ** s
-        out = out + (weight * hurwitz_tail(s, side + start / q, p)).sum(axis=0)
-    return out / np.pi ** s
+    return lattice_sum(gen, sigma, y, energy, 2, tol, y.size)
 
 
 def poisson_lags(gen: Generator, sigma: float) -> Tuple[int, bool]:
@@ -329,12 +355,11 @@ def periodize(gen: Generator, sigma: float, grid: Grid,
     A generator with a closed-form ``autocorrelation`` and a declared
     support takes the exact Poisson form (see the module docstring):
     ``truncation_order`` is its largest lag L and ``tail_bound`` is 0.
-    Any other generator takes the lattice sum `lattice_energy`, to ``tol``
-    after its tail correction: ``truncation_order`` is its order N and
-    ``tail_bound`` the envelope bound on the mass beyond it.  The grid must
-    span exactly ``[-sigma, sigma]``.  Raises `TruncationError` if the
-    decay exponent is <= 1/2 and the spectrum has no declared compact
-    support.
+    Any other generator takes the lattice sum `lattice_energy`:
+    ``truncation_order`` is its order N and ``tail_bound`` the envelope
+    bound on the mass beyond it (0 for an exact sum).  The grid must span
+    exactly ``[-sigma, sigma]``.  Raises `TruncationError` where
+    `lattice_sum` refuses the sum.
     """
     require_period_grid(grid, sigma)
     y = grid.nodes()

@@ -230,6 +230,16 @@ def test_validate_skips_the_pairing_without_a_time_extent(case, tmp_path):
     assert "phi4_pairing,,0,skipped" in _rows(out)
 
 
+def test_validate_skips_a_refused_spectral_sum():
+    # a hat at an irrational sigma_B: Phi3's spectral sum needs more terms
+    # than the lattice cap allows and raises, which the table reports as a
+    # skipped check rather than an exit status of 1
+    rc, out = run_cli(["validate", "--gen", "bspline:m=1,sigma=1.4142135623730951",
+                       "--sigma", "1", "--dgrid", "33"])
+    assert rc == 0
+    assert "phi3_representations,,0,skipped" in _rows(out)
+
+
 def test_validate_table_passes():
     rc, out = run_cli(["validate", "--gen", "bspline:m=1", "--dgrid", "129"])
     assert rc == 0

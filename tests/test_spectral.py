@@ -35,11 +35,16 @@ def band_grid(sigma, count=4097):
 
 
 def test_truncation_order_satisfies_its_own_bound():
-    n, tail = lattice_truncation(1.0, 2.0, 1.0, 1e-6)
-    assert tail * max(1.0, 4.0 / 8.0) / (n * n) <= 1e-6
+    # the least order from 8 up whose envelope bound on the omitted mass
+    # meets tol, and that bound
+    n, tail = lattice_truncation(1.0, 2.0, 1.0, 1e-4)
+    assert tail == envelope_tail(1.0, 2.0, 1.0, n) and tail <= 1e-4
+    assert envelope_tail(1.0, 2.0, 1.0, n - 1) > 1e-4
     # deeper tolerance demands more terms
-    n2, _ = lattice_truncation(1.0, 2.0, 1.0, 1e-10)
-    assert n2 > n
+    n2, tail2 = lattice_truncation(1.0, 2.0, 1.0, 1e-5)
+    assert n2 > n and tail2 <= 1e-5
+    # a loose envelope still takes 8 terms
+    assert lattice_truncation(1.0, 40.0, 1.0, 1e-8)[0] == 8
 
 
 @pytest.mark.parametrize("coef,q,sigma,tol", [
@@ -68,13 +73,13 @@ def test_truncation_cap_is_enforced():
 
 def test_box_periodization_is_flat():
     # the Poisson form is exact: D = a_0 / (4 pi sigma) = 1 with no tail;
-    # the lattice sum behind it needs a tail bound and many terms
+    # so is the lattice form, |nu| <= 16 and one Hurwitz zeta value
     dv = periodize(spline(0, 1.0), 1.0, band_grid(1.0))
     assert dv.tail_bound == 0.0
     assert np.max(np.abs(dv.values - 1.0)) <= 1e-14
-    _, order, tail = lattice_energy(spline(0, 1.0), 1.0, band_grid(1.0, 65).nodes())
-    assert tail > 0.0
-    assert order >= 8
+    values, order, tail = lattice_energy(spline(0, 1.0), 1.0, band_grid(1.0, 65).nodes())
+    assert (order, tail) == (HURWITZ_ORDER, 0.0)
+    assert np.max(np.abs(values - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
@@ -82,11 +87,11 @@ def test_box_periodization_is_flat():
                                      for count in (65, 257, 4097)]
                          + [(7, 65), (10, 65)])
 def test_poisson_periodization_matches_the_lattice_sum(m, sigma, count):
-    # the exact Poisson D against the explicit lattice sum at tol 1e-12;
-    # on 4097 nodes every 16th node and the three at either seam are
-    # checked (the m = 0 lattice sum runs to order 16384 there).  Degrees
-    # 7 and 10 pin the closed-form a_d where N_{2m+2}'s truncated powers
-    # would cancel if read on the far half of its support
+    # the exact Poisson D against the lattice sum at tol 1e-12, |nu| <= 16
+    # with exact class tails; on 4097 nodes every 16th node and the three
+    # at either seam are checked.  Degrees 7 and 10 pin the closed-form a_d
+    # where N_{2m+2}'s truncated powers would cancel if read on the far
+    # half of its support
     gen = spline(m, sigma)
     grid = band_grid(sigma, count)
     dv = periodize(gen, sigma, grid, tol=1e-12)
@@ -100,9 +105,8 @@ def test_poisson_periodization_matches_the_lattice_sum(m, sigma, count):
 def test_poisson_periodization_reads_the_lattice_lags():
     # a hat built at sigma_B = 2 on the sigma = 1 lattice: its support pi
     # spans no whole shift pi, so D = a_0 / (4 pi) = 4/3 is flat.  The
-    # truncated lattice sum's tail estimate, calibrated on a power law,
-    # misses this spectrum's zeros at every other lattice step (4e-10 off
-    # at tol 1e-12), so the reference is a brute sum of 40001 terms
+    # spectrum vanishes at every other lattice step; the reference is a
+    # brute sum of 40001 terms
     gen = spline(1, 2.0)
     grid = band_grid(1.0, 65)
     dv = periodize(gen, 1.0, grid, tol=1e-12)
@@ -114,9 +118,8 @@ def test_poisson_periodization_reads_the_lattice_lags():
 
 def test_lattice_energy_of_a_spline_on_half_its_lattice_is_exact():
     # a hat built at sigma_B = 2 on the sigma = 1 lattice: its terms vanish
-    # at every other lattice step, which the power-law tail estimate
-    # misread by 4.1e-10 at tol 1e-12.  Each residue class of nu mod 2 is
-    # a Hurwitz zeta value; the reference is a brute sum of 800 001 terms
+    # at every other lattice step.  Each residue class of nu mod 2 is a
+    # Hurwitz zeta value; the reference is a brute sum of 800 001 terms
     gen = spline(1, 2.0)
     y = np.linspace(-1.0, 1.0, 9)
     values, order, tail = lattice_energy(gen, 1.0, y, tol=1e-12)
@@ -127,12 +130,14 @@ def test_lattice_energy_of_a_spline_on_half_its_lattice_is_exact():
     assert np.max(np.abs(values - 4.0 / 3.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize("sigma_b, sigma", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0),
-                                            (1.0, 2.0), (1.0, 3.0), (0.5, 1.5)])
+                                            (1.0, 2.0), (1.0, 3.0), (0.5, 1.5),
+                                            (1.5, 1.0), (1.0, 1.5)])
 def test_lattice_energy_of_a_spline_takes_exact_tails(m, sigma_b, sigma):
-    # sigma_B/sigma or sigma/sigma_B an integer: explicit terms |nu| <= 16
-    # and Hurwitz tails, against the exact Poisson form
+    # sigma/sigma_B = p/q, here 1, 1/2, 1/3, 2, 3, 2/3 and 3/2: explicit
+    # terms |nu| <= 16 and a Hurwitz tail per class of nu mod q, against
+    # the exact Poisson form
     gen = spline(m, sigma_b)
     grid = band_grid(sigma, 65)
     values, order, tail = lattice_energy(gen, sigma, grid.nodes(), tol=1e-12)
@@ -142,10 +147,22 @@ def test_lattice_energy_of_a_spline_takes_exact_tails(m, sigma_b, sigma):
     assert np.max(np.abs(values - dv.values)) <= 1e-13 * np.max(dv.values)
 
 
-def test_lattice_energy_of_a_spline_off_a_commensurate_lattice_keeps_the_estimate():
+def test_lattice_energy_at_a_fractional_ratio_matches_brute_sums():
+    # sigma/sigma_B = 2/3 (three classes of nu, u stepping by 2 along each)
+    # and the box on its own lattice (1/u^2 tails): exact, against the
+    # Poisson form and brute sums of 800 001 terms.  The hat's brute sum
+    # omits 1e-17; the box's omits up to its envelope bound, 3.3e-6
+    nu = np.arange(-400_000, 400_001)
     for gen, sigma in ((spline(1, 1.5), 1.0), (spline(0, 1.0), 1.0)):
-        _, order, tail = lattice_energy(gen, sigma, np.linspace(-sigma, sigma, 9))
-        assert order >= 8 and tail > 0.0, gen.label
+        grid = band_grid(sigma, 9)
+        values, order, tail = lattice_energy(gen, sigma, grid.nodes(), tol=1e-12)
+        assert (order, tail) == (HURWITZ_ORDER, 0.0), gen.label
+        assert np.max(np.abs(values - periodize(gen, sigma, grid).values)) <= 1e-14
+        brute = np.array([np.sum(np.abs(gen.spectrum(v + 2.0 * sigma * nu)) ** 2)
+                          for v in grid.nodes()])
+        omitted = envelope_tail(gen.decay_constant ** 2, 2.0 * gen.decay_exponent,
+                                sigma, nu[-1])
+        assert np.max(np.abs(values - brute)) <= omitted + 1e-13, gen.label
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])

@@ -15,15 +15,17 @@ from shiftapprox.zak import (_time_window, phi_field, phi_freq, phi_time,
 from helpers import cauchy, sampled_gaussian, sinc_gen, spline
 
 
-def test_spectral_sum_corrects_a_slowly_rotating_tail():
+def test_spectral_sum_of_a_slowly_rotating_tail_is_exact():
     # next to a knot the lattice terms of the hat turn by 2 sigma x per
-    # step (0.098 rad here): a tail that rotates, which the power-law
-    # estimate for tails that do not rotate misread by 4.9e-5
+    # step (0.098 rad here), a tail that rotates slowly.  sigma x/pi = 1/64:
+    # e^{2 i nu sigma x} repeats with nu mod 64, so |nu| <= 16 and one
+    # Hurwitz zeta value per class make the sum exact
     gen = spline(1, 1.0)
     y = -1.0 + (np.arange(64) + 0.5) / 32.0
-    freq = phi_freq(gen, 1.0, math.pi / 64.0, y, tol=1e-10)
+    freq, order, tail = zak._phi_freq_array(gen, 1.0, math.pi / 64.0, y, 1e-10)
+    assert (order, tail) == (spectral.HURWITZ_ORDER, 0.0)
     time = phi_time(gen, 1.0, math.pi / 64.0, y, tol=1e-10)
-    assert np.max(np.abs(freq - time)) <= 1e-10
+    assert np.max(np.abs(freq - time)) <= 1e-15
 
 
 def test_box_kernel_has_unit_amplitude():
@@ -140,9 +142,9 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
     counts["time"] = 0
     f_mesh = phi_freq(counted, sigma, x, y, tol)
     order, _ = lattice_order(gen, sigma, tol, 1)
-    # the truncated sum, then the last two terms of each side for the tail
-    assert counts == {"spectrum": y.size * (2 * order + 1) + 4 * y.size,
-                      "time": 0}
+    # x off every rational multiple of pi/sigma: the sum truncated at the
+    # envelope bound, each shift evaluated once
+    assert counts == {"spectrum": y.size * (2 * order + 1), "time": 0}
     # a block of shifts holds an (x, nu) phase array and a (nu, y) spectrum
     assert points == [x.size + y.size]
 
@@ -155,37 +157,53 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
 
 
 @pytest.mark.parametrize("gen, tol", [
-    (spline(1, 1.0), 1e-10), (spline(2, 1.0), 1e-8), (spline(3, 2.0), 1e-8),
-    (gaussian_generator(1.0), 1e-8), (sinc_gen(1.0), 1e-8),
-], ids=["bspline_m1", "bspline_m2", "bspline_m3_sigma2", "gauss", "sinc"])
+    (spline(1, 1.0), 1e-10), (spline(2, 1.0), 1e-8), (spline(3, 1.0), 1e-8),
+    (spline(3, 2.0), 1e-8), (spline(1, 0.5), 1e-8), (spline(2, 0.5), 1e-8),
+    (spline(3, 0.5), 1e-8), (gaussian_generator(1.0), 1e-8), (sinc_gen(1.0), 1e-8),
+], ids=["bspline_m1", "bspline_m2", "bspline_m3", "bspline_m3_sigma2",
+        "bspline_m1_sigma_half", "bspline_m2_sigma_half", "bspline_m3_sigma_half",
+        "gauss", "sinc"])
 @pytest.mark.parametrize("dx, dy", [(0.0, 0.0), (math.pi, 0.0), (0.0, 2.0)],
                          ids=["cell", "x_shifted", "y_shifted"])
 def test_mesh_product_matches_the_broadcast_sum(gen, tol, dx, dy):
     # the mesh contracts phases with spectrum values by a matrix product;
     # the broadcast sum at the paired nodes is the reference it replaces.
-    # A spline on its own lattice at the cell's x nodes sums |nu| <= 16
-    # that way and adds exact Hurwitz tails: its explicit terms meet the
-    # broadcast sum over the same nu, and the whole sum the time sum
+    # For a spline, sigma/sigma_B is 1, 2 or 1/2 and sigma x/pi = k/16 (+ 1
+    # shifted by a period in x): both sum |nu| <= 16 and add exact tails
+    # over lcm(q, 16) classes of nu, and meet the finite time sum
     sigma = 1.0
     x = np.linspace(0.0, math.pi / sigma, 17)[:, np.newaxis] + dx
     y = -sigma + (np.arange(16)[np.newaxis, :] + 0.5) * (sigma / 8.0) + dy
     mesh, order, tail = zak._phi_freq_array(gen, sigma, x, y, tol)
     xs, ys = (a.ravel() for a in np.meshgrid(x[:, 0], y[0], indexing="ij"))
     scale = np.max(np.abs(mesh))
-    if dx == 0.0 and spectral.spline_lattice(gen, sigma, y) == (1, 1):
-        assert (order, tail) == (spectral.HURWITZ_ORDER, 0.0)
-        u = ys + 2.0 * sigma * np.arange(-order, order + 1)[:, np.newaxis]
-        explicit = (gen.spectrum(u) * np.exp(1j * u * xs)).sum(axis=0)
-        tails = np.exp(1j * y * x) * zak._cell_tails(
-            gen.spline.degree + 1, y[0] / (2.0 * sigma), x.size - 1, order)
-        assert np.max(np.abs(mesh - tails - explicit.reshape(mesh.shape))) <= 1e-13 * scale
-        assert np.max(np.abs(mesh - phi_time(gen, sigma, x, y))) <= 1e-14 * scale
-        return
     pairs, order_p, tail_p = zak._phi_freq_array(gen, sigma, xs, ys, tol)
     assert (order, tail) == (order_p, tail_p)
-    if tol == 1e-10:
-        assert order == 4096
     assert np.max(np.abs(mesh - pairs.reshape(mesh.shape))) <= 1e-13 * scale
+    if gen.spline is not None:
+        assert (order, tail) == (spectral.HURWITZ_ORDER, 0.0)
+        assert np.max(np.abs(mesh - phi_time(gen, sigma, x, y))) <= 1e-14 * scale
+
+
+def test_cell_mesh_tails_read_one_zeta_value_per_class_and_node(monkeypatch):
+    # on the cell mesh of a spline on its own lattice, Phi's tails split
+    # into P classes of nu mod P, one zeta value per class and y node; the
+    # nu < 0 side reads the same values at the mirrored midpoints, and so
+    # does D's single class
+    import scipy.special
+
+    sizes = []
+    zeta = scipy.special.zeta
+
+    def counted(s, a):
+        sizes.append(np.size(a))
+        return zeta(s, a)
+
+    monkeypatch.setattr(scipy.special, "zeta", counted)
+    xs, ys, _, _ = zak._cell_mesh(1.0, 33)
+    zak._phi_freq_array(spline(2, 1.0), 1.0, xs, ys, 1e-10)
+    spectral.lattice_energy(spline(2, 1.0), 1.0, ys[0])
+    assert sizes == [32 * ys.size, ys.size]
 
 
 @pytest.mark.parametrize("resolution, residual", [
@@ -210,6 +228,35 @@ def test_spline_audit_is_at_rounding_level_on_its_own_lattice(m, sigma):
         for check in rep.checks:
             if check.name in ("phi3_representations", "phi4_pairing"):
                 assert check.residual <= 1e-14, (check.name, resolution)
+
+
+@pytest.mark.parametrize("m, sigma_b, sigma, resolution, name", [
+    (0, 2.0, 1.0, 33, "phi4_pairing"), (0, 3.0, 1.0, 33, "phi4_pairing"),
+    (2, 2.0, 1.0, 65, "phi3_representations"),
+    (1, 1.0, 2.0, 33, "phi3_representations")])
+def test_spline_audit_off_its_own_lattice_is_at_rounding_level(
+        m, sigma_b, sigma, resolution, name):
+    # sigma/sigma_B = 1/2, 1/3 or 2: the class tails make Phi3's spectral
+    # sum and Phi4's lattice D exact, where a truncated sum with a tail
+    # estimate left 1.2e-3 and 1.7e-3 (Phi4 of the box), 1.7e-7 and 4.9e-13
+    rep = verify_phi_properties(spline(m, sigma_b), sigma, resolution=resolution)
+    assert rep.ok, _statuses(rep)
+    check = next(c for c in rep.checks if c.name == name)
+    assert check.status == "ok" and check.residual <= 1e-14
+
+
+def test_representations_check_is_skipped_where_the_spectral_sum_is_refused():
+    # a hat at an irrational sigma_B: no class split, and the envelope of
+    # its 1/u^2 terms needs past 200 000 terms at Phi3's tol, so the
+    # spectral sum raises; the audit reports Phi3 skipped with the reason
+    gen = spline(1, math.sqrt(2.0))
+    with pytest.raises(TruncationError):
+        phi_freq(gen, 1.0, 0.3, 0.2, tol=1e-10)
+    rep = verify_phi_properties(gen, 1.0, resolution=33)
+    assert rep.ok, _statuses(rep)
+    check = next(c for c in rep.checks if c.name == "phi3_representations")
+    assert check.status == "skipped" and "lattice truncation" in check.detail
+    assert _statuses(rep)["phi4_pairing"] == "ok"
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
