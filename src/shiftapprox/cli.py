@@ -13,8 +13,8 @@ validate  property audit of the Phi system                  -> check table
 Every command takes ``--gen``, ``--sigma``, ``--tol``, ``--dgrid`` and
 ``--out``; project, besterr and compare take ``--f``; ``--rho`` belongs to
 project and besterr, ``--jrange`` to project, and ``--sweep`` to besterr
-(sigma or rho) and compare (jrange, nonnegative integers).  compare folds
-on the default period grid whatever ``--dgrid`` says.
+(sigma or rho) and compare (jrange, nonnegative integers).  ``--dgrid`` is
+odd and >= 9; compare checks it but folds on the default period grid.
 
 A ``--f`` signal is a ``file:`` CSV (time samples or a spectrum) or a spec
 handed on as the generator itself: `shiftspace` decides how far its
@@ -22,7 +22,7 @@ spectrum is taken; compare's oracle gets its samples over `time_extent`.
 
 Output is CSV only (plots are downstream concerns); identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 numerical failure,
-2 usage error.
+2 usage error (a bad flag or spec parameter).
 """
 
 from __future__ import annotations
@@ -93,10 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="band radius, defaults to sigma")
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--dgrid", type=int, default=None, help=(
-            "accepted but not read: compare folds on the default 4097-node "
-            "period grid" if name == "compare" else
-            "period-grid resolution (default 4097; 129 for zak, 257 for "
-            "validate)"))
+            "odd, >= 9, not read: compare folds on 4097 period-grid nodes"
+            if name == "compare" else "period-grid nodes, odd, >= 9 "
+            "(default 4097; 129 for zak, 257 for validate)"))
         if name == "project":
             p.add_argument("--jrange", type=int, dest="j_range",
                            help="coefficient range J (default 64)")
@@ -122,10 +121,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     dgrid = ns.dgrid
     if dgrid is None:
         dgrid = {"zak": 129, "validate": 257}.get(ns.command, DEFAULT_GRID_COUNT)
-    if dgrid < 9:
-        parser.error(f"--dgrid must be >= 9, got {dgrid}")
-    if ns.command in ("zak", "validate") and dgrid % 2 == 0:
-        parser.error(f"--dgrid must be odd for {ns.command}, got {dgrid}")
+    if dgrid < 9 or dgrid % 2 == 0:
+        parser.error(f"--dgrid must be odd and >= 9, got {dgrid}")
     if ns.j_range < 1:
         parser.error(f"--jrange must be >= 1, got {ns.j_range}")
     sweep = None

@@ -342,7 +342,7 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
 
     Formats: ``bspline:m=<int>,sigma=<r>``, ``gauss:width=<r>``,
     ``sinc:sigma=<r>``, ``file:<path>``.  Omitted sigma falls back to
-    ``default_sigma``.
+    ``default_sigma``; bad family parameters raise one `ValueError`.
     """
     text = text.strip()
     if text.startswith("file:"):
@@ -352,27 +352,34 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
             return spectrum_generator(loaded, label=f"file:{path}")
         return sampled_generator(loaded, default_freq_grid(loaded))
     name, _, rest = text.partition(":")
-    params = {}
+    known = {"bspline": ("m", "sigma"), "gauss": ("width",), "sinc": ("sigma",)}
+    if name not in known:
+        raise ValueError(f"unknown generator family {name!r}")
+    params, problems = {}, []
     for item in filter(None, (s.strip() for s in rest.split(","))):
-        key, eq, val = item.partition("=")
+        key, eq, val = (part.strip() for part in item.partition("="))
         if not eq:
             raise ValueError(f"bad generator parameter {item!r} in {text!r}")
-        params[key.strip()] = val.strip()
+        if key in params:
+            problems.append(f"repeats {key!r}")
+        params[key] = val
+    unknown = sorted(set(params) - set(known[name]))
+    if unknown:
+        problems.append(f"has unknown parameters {unknown}")
+    if name == "bspline" and "m" not in params:
+        problems.append("is missing 'm'")
+    if problems:
+        raise ValueError(f"generator spec {text!r} " + ", ".join(problems))
     try:
         if name == "bspline":
             return bspline_generator(SplineParams(
-                sigma=float(params.pop("sigma", default_sigma)),
-                degree=int(params.pop("m"))))
+                sigma=float(params.get("sigma", default_sigma)),
+                degree=int(params["m"])))
         if name == "gauss":
-            return gaussian_generator(float(params.pop("width", 1.0)))
-        if name == "sinc":
-            return bandlimited_generator(float(params.pop("sigma", default_sigma)))
-    except KeyError as exc:
-        raise ValueError(f"generator spec {text!r} is missing {exc.args[0]!r}") from exc
-    finally:
-        if name in ("bspline", "gauss", "sinc") and params:
-            raise ValueError(f"unknown parameters {sorted(params)} in {text!r}")
-    raise ValueError(f"unknown generator family {name!r}")
+            return gaussian_generator(float(params.get("width", 1.0)))
+        return bandlimited_generator(float(params.get("sigma", default_sigma)))
+    except InvalidGridError as exc:
+        raise ValueError(f"generator spec {text!r}: {exc}") from exc
 
 
 def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndarray:

@@ -153,29 +153,20 @@ def _complement_weights(grid: Grid, rho: float) -> np.ndarray:
 
 
 def _seam_extrapolate(values: np.ndarray) -> np.ndarray:
-    """Replace the two period-boundary samples by interior quadratic
+    """Replace the two seam samples of a fold by interior quadratic
     extrapolation.
 
-    The boundary nodes describe the split point of the period; spectra
-    supported up to exactly the lattice edge take jump-midpoint values
-    there (a measure-zero artifact), and squaring such samples breaks the
-    midpoint cancellation that keeps every other panel accurate.  The
-    continuity limit from the interior is the canonical representative;
-    for smooth data the replacement changes the values by O(step^3).
+    The seam nodes are one point of the period.  A spectrum of f or B that
+    jumps there (a sinc, or a tabulated f storing a jump's midpoint) puts a
+    midpoint value on them, and squaring it breaks the midpoint cancellation
+    that keeps every other panel accurate.  The extrapolation gives the
+    limit from inside, which D's seam nodes hold; smooth data move O(step^3).
     """
     if values.size < 5:
         return values
     out = values.copy()
     out[0] = 3.0 * values[1] - 3.0 * values[2] + values[3]
     out[-1] = 3.0 * values[-2] - 3.0 * values[-3] + values[-4]
-    return out
-
-
-def _regularized_density(dv: PeriodizedSpectrum) -> np.ndarray:
-    out = _seam_extrapolate(dv.values)
-    if out.size >= 5:
-        out[0] = max(out[0], 0.0)
-        out[-1] = max(out[-1], 0.0)
     return out
 
 
@@ -197,7 +188,7 @@ def coeffs_from_zeta(zeta: ZetaFunction, j_range: int) -> ShiftExpansion:
     exactly for 0 < |l| < (count-1)/2, so round trips with trigonometric
     polynomials are exact at the default resolution.
 
-    The grid must span one period [-sigma, sigma].  There
+    The grid must be a period grid (`require_period_grid`).  There
     ``e^{i j pi y_k / sigma} = (-1)^j e^{2 pi i j k / (count-1)}``, so with
     the last node folded onto the first (same phase) the quadrature sum is
     one length-(count-1) inverse DFT.
@@ -251,24 +242,23 @@ def synthesize(exp: ShiftExpansion, gen: Generator, x_grid: Grid) -> SampledFunc
 class _FoldResult:
     """Shared per-node arrays of the folded pipeline on the base grid.
 
-    bracket and energy carry seam-extrapolated values at the two
-    period-boundary nodes; density holds the raw periodization.  The
-    division by the endpoint-regularized D is done once, at the live nodes
-    (D above the guard), for the transform and the captured energy.
+    bracket and energy carry seam-extrapolated values (`_seam_extrapolate`)
+    and density is `periodize`'s D.  The division by D is done once, at the
+    live nodes (D above the guard), for the transform and the captured
+    energy.
     """
 
     grid: Grid
     bracket: np.ndarray       # sum_k conj(B^)(y+2ks) fhat(y+2ks)
     energy: np.ndarray        # sum_k |fhat(y+2ks)|^2
     density: PeriodizedSpectrum
-    live: np.ndarray          # regularized D > EPSILON_D
+    live: np.ndarray          # D > EPSILON_D
     zeta: np.ndarray          # bracket / D at live nodes, 0 elsewhere
     captured: np.ndarray      # |bracket|^2 / D at live nodes
 
 
 def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
           tol: float) -> _FoldResult:
-    require_period_grid(grid, sigma)
     n = grid.count
     step = grid.step
     cover = max(abs(f_spec.grid.start), abs(f_spec.grid.stop))
@@ -301,9 +291,8 @@ def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
     bracket = _seam_extrapolate(bracket)
     energy = np.maximum(_seam_extrapolate(energy), 0.0)
     density = periodize(gen, sigma, grid, tol=tol)
-    density_reg = _regularized_density(density)
-    live = density_reg > EPSILON_D
-    safe = np.where(live, density_reg, 1.0)
+    live = density.values > EPSILON_D
+    safe = np.where(live, density.values, 1.0)
     return _FoldResult(grid=grid, bracket=bracket, energy=energy,
                        density=density, live=live,
                        zeta=np.where(live, bracket / safe, 0.0),
@@ -333,16 +322,16 @@ def _energy_split(f: Signal, gen: Generator,
     base grid.
 
     Cauchy-Schwarz bounds the captured integrand node-wise by the energy.
-    Inside the period that holds structurally.  The two seam nodes are
-    one-sided limits at the same point of the period, extrapolated
-    separately for bracket, energy and D, so the bound is imposed on their
-    joint mass.
+    Inside the period that holds structurally.  At the two seam nodes
+    bracket and energy are extrapolated separately from the interior while
+    D is evaluated, so the bound is imposed on their joint mass.
     """
     for rho in rhos:
         if not 0 < rho <= sigma * (1.0 + _RHO_RTOL):
             raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
     if grid is None:
         grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)
+    require_period_grid(grid, sigma)
     if isinstance(f, Generator):
         freq = _signal_freq_extent(f, gen, sigma, grid.count, tol)
         f = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
@@ -391,7 +380,7 @@ def plancherel_norm_sq(zeta: ZetaFunction, dv: PeriodizedSpectrum) -> float:
     if not _same_grid(zeta.grid, dv.grid):
         raise GridMismatchError("zeta and D live on different grids")
     w = _band_weights(zeta.grid, zeta.rho)
-    total = (w * np.abs(zeta.values) ** 2 * _regularized_density(dv)).sum()
+    total = (w * np.abs(zeta.values) ** 2 * dv.values).sum()
     return float(max(TWO_PI * total, 0.0))
 
 
@@ -403,8 +392,7 @@ def plancherel_inner(zeta_s: ZetaFunction, zeta_t: ZetaFunction,
         raise GridMismatchError("inner product operands on different grids")
     rho = min(zeta_s.rho, zeta_t.rho)
     w = _band_weights(zeta_s.grid, rho)
-    total = (w * zeta_s.values * np.conj(zeta_t.values)
-             * _regularized_density(dv)).sum()
+    total = (w * zeta_s.values * np.conj(zeta_t.values) * dv.values).sum()
     return complex(TWO_PI * total)
 
 

@@ -26,6 +26,9 @@ other sum runs to the order where the decay contract's envelope bound on
 the omitted mass meets tol (`lattice_truncation`), reported as
 ``tail_bound``, and raises `TruncationError` when that order passes
 ``_LATTICE_CAP``.
+
+`periodize` samples D on a period grid (`require_period_grid`); its two end
+nodes, the seam, hold the limit of D from inside the period.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ _RATIO_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PeriodizedSpectrum:
-    """Samples of ``D`` on a grid spanning exactly ``[-sigma, sigma]``."""
+    """Samples of ``D`` on a period grid, the seam's from inside the period."""
 
     sigma: float
     grid: Grid
@@ -74,12 +77,14 @@ class RieszReport:
 
 
 def require_period_grid(grid: Grid, sigma: float) -> None:
-    """Raise unless ``grid`` spans exactly one period ``[-sigma, sigma]``."""
+    """Raise unless ``grid`` spans exactly one period ``[-sigma, sigma]`` in
+    an odd node count, as Simpson's rule over the whole period needs."""
     tol = _SPAN_RTOL * max(1.0, sigma)
-    if abs(grid.start + sigma) > tol or abs(grid.stop - sigma) > tol:
+    if (abs(grid.start + sigma) > tol or abs(grid.stop - sigma) > tol
+            or grid.count % 2 == 0):
         raise InvalidGridError(
-            f"grid [{grid.start}, {grid.stop}] must span [-sigma, sigma] = "
-            f"[{-sigma}, {sigma}]")
+            f"a period grid spans [-sigma, sigma] = [{-sigma}, {sigma}] in an "
+            f"odd node count, got [{grid.start}, {grid.stop}] in {grid.count}")
 
 
 def envelope_tail(coef: float, q: float, sigma: float, n: float) -> float:
@@ -357,12 +362,17 @@ def periodize(gen: Generator, sigma: float, grid: Grid,
     ``truncation_order`` is its largest lag L and ``tail_bound`` is 0.
     Any other generator takes the lattice sum `lattice_energy`:
     ``truncation_order`` is its order N and ``tail_bound`` the envelope
-    bound on the mass beyond it (0 for an exact sum).  The grid must span
-    exactly ``[-sigma, sigma]``.  Raises `TruncationError` where
-    `lattice_sum` refuses the sum.
+    bound on the mass beyond it (0 for an exact sum).  The grid must be a
+    period grid (`require_period_grid`).  Under a spectral support S, where
+    a spectrum may be cut off at a lattice edge, its seam nodes are read
+    ``4 eps max(sigma, S)`` inside, so every ``y + 2 nu sigma`` at that edge
+    is inside too.  `lattice_sum` may raise `TruncationError`.
     """
     require_period_grid(grid, sigma)
     y = grid.nodes()
+    if gen.spectral_support is not None:
+        inset = 4.0 * np.finfo(float).eps * max(sigma, gen.spectral_support)
+        y[[0, -1]] += (inset, -inset)
     if gen.autocorrelation is not None and gen.support is not None:
         order, _ = poisson_lags(gen, sigma)
         values = poisson_energy(shift_autocorrelation(gen, sigma, order), sigma, y)
@@ -376,16 +386,13 @@ def periodize(gen: Generator, sigma: float, grid: Grid,
 def riesz_bounds(dperiod: PeriodizedSpectrum) -> RieszReport:
     """Frame-bound estimates from the sampled periodization.
 
-    The extrema are taken over the interior nodes: the two boundary nodes of
-    ``[-sigma, sigma]`` describe the same point of the period and can carry
-    split-point values (half the one-sided limit) for spectra supported up
-    to exactly the lattice edge, which would misreport the essential bounds.
-    The envelope ``tail_bound`` widens the interval on both sides; an exact
-    D (Poisson form or compact spectral support) has none.
+    The extrema are taken over every node, the seam included, where
+    `periodize` leaves the limit of D from inside the period.  The envelope
+    ``tail_bound`` widens the interval on both sides; an exact D (Poisson
+    form or compact spectral support) has none.
     """
-    interior = dperiod.values[1:-1] if dperiod.grid.count > 4 else dperiod.values
-    lower = float(np.min(interior)) - dperiod.tail_bound
-    upper = float(np.max(interior)) + dperiod.tail_bound
+    lower = float(np.min(dperiod.values)) - dperiod.tail_bound
+    upper = float(np.max(dperiod.values)) + dperiod.tail_bound
     if lower > EPSILON_D:
         kind = "riesz"
     elif lower > 0.0:

@@ -85,6 +85,14 @@ _TAIL = re.compile(r"\Anorm_sq=(\S+) error_sq=(\S+) guard_mass=(\S+)\Z")
      "--sweep", "jrange=4.5"],
     ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
      "--sweep", "jrange=4,-8"],
+    # a period grid needs an odd node count, for every command
+    ["dfun", "--gen", "sinc", "--dgrid", "64"],
+    ["riesz", "--gen", "bspline:m=3", "--dgrid", "32"],
+    ["project", "--gen", "sinc", "--f", "gauss:width=1", "--dgrid", "256"],
+    ["besterr", "--gen", "bspline:m=2", "--f", "gauss:width=1",
+     "--dgrid", "256"],
+    ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
+     "--dgrid", "256"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     rc, out = run_cli(argv)
@@ -98,6 +106,10 @@ def test_usage_errors_exit_2(argv, capsys):
     "mystery:a=1",          # unknown family
     "bspline:m=1,bogus=3",  # stray parameter
     "bspline:m",            # parameter without '='
+    # values out of range
+    "gauss:width=-1", "bspline:m=11", "bspline:m=1,sigma=0", "sinc:sigma=-2",
+    "bspline:m=1,m=3",      # repeated parameter
+    "bspline:foo=2",        # stray parameter and missing m
 ])
 def test_bad_generator_spec_exits_2(spec, capsys):
     rc, out = run_cli(["dfun", "--gen", spec, "--dgrid", "65"])
@@ -129,11 +141,11 @@ def test_riesz_line_hat():
     m = re.fullmatch(r"A=(\S+) B=(\S+) class=(\S+)\n", out)
     assert m is not None
     lower, upper = float(m.group(1)), float(m.group(2))
-    # extrema come from interior nodes, so the lower bound sits a grid
-    # step's curvature above the true minimum 1/3 at the period edge;
-    # D is exact (Poisson form), so neither bound is widened by a tail
-    assert 1.0 / 3.0 - 1e-5 <= lower <= 1.0 / 3.0 + 1e-3
-    assert abs(upper - 1.0) <= 1e-5
+    # extrema come from every node, the seam included, where D takes its
+    # least value 1/3; D is exact (Poisson form), so neither bound is
+    # widened by a tail
+    assert abs(lower - 1.0 / 3.0) <= 1e-15
+    assert abs(upper - 1.0) <= 1e-15
     assert m.group(3) == "riesz"
 
 
@@ -522,22 +534,27 @@ def test_repeat_runs_byte_identical():
 # residual from 0.46737753931759718 to 0.46737753931759696.  compare was
 # recorded again when the oracle came to factor the Gram in order of |j| by
 # elementwise Cholesky updates: its J = 4 residual went from
-# 0.46939962255326395 to 0.46939962255326417
+# 0.46939962255326395 to 0.46939962255326417.  riesz, project and besterr
+# were recorded again when D's seam nodes came to hold its limit from inside
+# the period and riesz to take its extrema over every node: riesz's A went
+# from 0.11759750948855609 (the nodes next to the seam) to 0.11713894561375181
+# = D(sigma), and error_sq at rho = sigma from 0.46723506387619351 to
+# 0.46723543928393041 (the 16 385-node value is 0.46737514786188239)
 _PINNED_OUTPUT = {
     "dfun": (["--gen", "bspline:m=2", "--dgrid", "33"],
              "1166a66dcf740357c02c6177d4615aa554452de3622bfdf21c1c277a78b58f96"),
     "riesz": (["--gen", "gauss:width=1", "--dgrid", "33"],
-              "f89a86c60b93172b05d6610e8e6e8bd628db7bd9c708d611288dffe322783478"),
+              "6c83a694e84c46babee9c5f5030781c5169767fb0c7fde601763176a86bb5712"),
     "zak_time_sum": (["--gen", "bspline:m=2", "--dgrid", "17"],
                      "b523a5e96d9da40c3278cef0e64ccf3fe1b52172d1daf931c478469ad3d36841"),
     "zak_freq_sum": (["--gen", "sinc:sigma=1", "--dgrid", "17"],
                      "feb7033d7bf44b65cfebacd1b8df1b391dfb2d5dfd0fe9545ca2b48c8544097e"),
     "project": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
                  "--jrange", "4"],
-                "e8c2f985b466cfead5a00ce42d3aee6bd1561f173733857625989a2df572908f"),
+                "2935ca539061292f58267747689c07c62721b7ae9faa86fbd92157e56f35a970"),
     "besterr": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
                  "--sweep", "rho=0.5,1"],
-                "3a465fbe145f088603840f5de04a1b63cff886474e81d11b19b582f7cf100f32"),
+                "fd2319a3eed472300c6bf6be48473e7a45c858a5983a5a893f2f53c0a63b5dd5"),
     "compare": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
                  "--sweep", "jrange=4,8"],
                 "e44be0159744ea5b24a0ec150b80e72567281678d6bc05af3fc9b7da56ce14d2"),

@@ -227,6 +227,18 @@ def test_parse_generator_spec_rejects_bad_input(bad):
         parse_generator_spec(bad)
 
 
+def test_parse_generator_spec_names_every_problem():
+    with pytest.raises(ValueError, match=r"unknown parameters \['foo'\], is missing 'm'"):
+        parse_generator_spec("bspline:foo=2")
+    with pytest.raises(ValueError, match="repeats 'm'"):
+        parse_generator_spec("bspline:m=1,m=3")
+    # a value out of a family's range is a ValueError naming the spec
+    for bad in ("gauss:width=-1", "bspline:m=11", "bspline:m=1,sigma=0",
+                "sinc:sigma=-2"):
+        with pytest.raises(ValueError, match=f"generator spec '{bad}': "):
+            parse_generator_spec(bad)
+
+
 def test_parse_generator_spec_reads_spectrum_files(tmp_path):
     grid = make_uniform_grid(-4.0, 4.0, 513)
     y = grid.nodes()

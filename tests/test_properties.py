@@ -49,11 +49,11 @@ def test_shift_by_one_step_moves_every_coefficient_up_one_index(
         sigma, width, centre, kind):
     # f(. - pi/sigma) has spectrum fhat e^{-i y pi/sigma}.  Every fold node
     # but the two seam nodes carries that phase exactly (to rounding); the
-    # seam nodes are cubic extrapolations from the interior, which commute
-    # with the phase only up to the extrapolation error (up to ~6e-4 of
-    # max|zeta| at one seam node), and each has Simpson weight step/3 of
-    # the 2 sigma period: hence 1e-5 relative, about ten times the worst
-    # move seen over 300 random draws.
+    # seam nodes divide quadratic extrapolations of the bracket from the
+    # interior by D, and these commute with the phase only up to the
+    # extrapolation error (up to ~1.3e-3 of max|zeta| at one seam node),
+    # and each has Simpson weight step/3 of the 2 sigma period: hence 1e-5
+    # relative, about ten times the worst move seen over 300 random draws.
     gen = _generator(kind, sigma)
     fs = _gaussian_signal(sigma, width, centre)
     shifted = SampledSpectrum(
@@ -146,11 +146,11 @@ def test_project_is_idempotent(sigma, width, centre, generator_width):
     # of f it has bracket zeta D_W, with D_W the generator's energy on
     # those windows, so projecting it again returns zeta D_W / D.  A
     # Gaussian generator holds all but e^-72 of D on a cover that holds
-    # both spectra to 8.5 widths, so P(P f) = P f to rounding: 2.9e-16 of
+    # both spectra to 8.5 widths, so P(P f) = P f to rounding: 4.3e-16 of
     # max|beta| over 300 draws.  (A spline's D_W falls short of D by its
     # algebraic tail, (2W+1)^(-2m-1).)  The error of P f is not at rounding
-    # level: the seam nodes extrapolate energy, bracket and D separately
-    # (ROADMAP item 4), which left up to 1.8e-6 of ||f||^2 over those draws
+    # level: the seam nodes extrapolate energy and bracket separately
+    # (ROADMAP item 4), which left up to 2.1e-7 of ||f||^2 over 300 draws
     gen = gaussian_generator(generator_width)
     fs = _gaussian_signal(sigma, width, centre,
                           cover_width=min(width, generator_width))

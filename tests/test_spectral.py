@@ -211,8 +211,7 @@ def test_hat_periodization_edge_value():
 def test_bandlimited_periodization_is_exactly_one_inside():
     sigma = 1.0
     dv = periodize(sinc_gen(sigma), sigma, band_grid(sigma))
-    interior = dv.values[1:-1]
-    assert np.all(interior == 1.0)
+    assert np.all(dv.values == 1.0)
     assert dv.tail_bound == 0.0
     rep = riesz_bounds(dv)
     assert rep.lower == 1.0 and rep.upper == 1.0
@@ -231,18 +230,48 @@ def test_periodization_requires_full_span():
         periodize(spline(1, 1.0), 1.0, make_uniform_grid(-0.5, 1.0, 65))
 
 
+def test_periodization_requires_an_odd_node_count():
+    with pytest.raises(InvalidGridError, match="odd"):
+        periodize(spline(1, 1.0), 1.0, band_grid(1.0, 64))
+
+
+@pytest.mark.parametrize("spec_sigma,sigma,inside", [
+    (1.0, 1.0, 1.0), (3.0, 1.0, 3.0), (31.0, 1.0, 31.0), (2.1, 0.7, 3.0)])
+def test_periodization_seam_holds_the_limit_from_inside(spec_sigma, sigma, inside):
+    # a sinc's spectrum is 1/2 on its edge, and at the seam y = +-sigma
+    # some y + 2 nu sigma reach that edge (all of them but one on a sinc
+    # of 2.1 over a lattice of 0.7): both seam nodes hold D from inside
+    dv = periodize(sinc_gen(spec_sigma), sigma, band_grid(sigma, 65))
+    assert np.all(dv.values == inside)
+
+
 def test_riesz_classification_for_spline_families():
     sigma = 1.0
     for m, lo_ref in ((1, 1.0 / 3.0), (2, 2.0 / 15.0)):
         dv = periodize(spline(m, sigma), sigma, band_grid(sigma))
         rep = riesz_bounds(dv)
         assert rep.classification == "riesz"
-        # upper is max-node + tail envelope, so it brackets 1 from above
-        assert 1.0 - 1e-9 <= rep.upper <= 1.0 + 2e-6
+        # D is exact (Poisson form, no tail): its greatest value is D(0) = 1
+        # and its least D(sigma), which the seam nodes hold
+        assert abs(rep.upper - 1.0) <= 1e-15
         ref = float(brute_lattice_energy(spline(m, sigma), sigma,
                                          np.array([sigma]))[0])
-        assert rep.lower == pytest.approx(ref, abs=1e-6)
-        assert ref == pytest.approx(lo_ref, abs=1e-9)
+        assert rep.lower == pytest.approx(ref, abs=1e-12)
+        assert ref == pytest.approx(lo_ref, abs=1e-12)
+        assert abs(rep.lower - lo_ref) <= 1e-15 * lo_ref
+
+
+@pytest.mark.parametrize("m,lower", [(0, 1.0), (1, 1.0 / 3.0), (2, 2.0 / 15.0),
+                                     (3, 17.0 / 315.0)])
+@pytest.mark.parametrize("count", [33, 65, 257])
+def test_riesz_lower_bound_is_the_least_value_at_the_seam(m, lower, count):
+    # a spline's D is least at the seam y = +-sigma, where it is
+    # sum_nu sinc(nu + 1/2)**(2m+2): 1, 1/3, 2/15, 17/315; the nodes next
+    # to the seam sit a grid step's curvature higher
+    dv = periodize(spline(m, 1.0), 1.0, band_grid(1.0, count))
+    rep = riesz_bounds(dv)
+    assert abs(rep.lower - lower) <= 1e-14 * lower
+    assert abs(rep.upper - 1.0) <= 1e-15
 
 
 def _indicator_generator(lo, hi, floor=0.0):
