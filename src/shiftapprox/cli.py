@@ -107,6 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _rho_in_range(rho: float, sigma: float) -> bool:
+    return 0 < rho <= sigma * (1.0 + 1e-12)
+
+
 def parse_args(argv: Sequence[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
@@ -114,7 +118,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if not sigma > 0:
         parser.error(f"--sigma must be > 0, got {sigma}")
     rho = ns.rho if ns.rho is not None else sigma
-    if not 0 < rho <= sigma * (1.0 + 1e-12):
+    if not _rho_in_range(rho, sigma):
         parser.error(f"--rho {rho} must lie in (0, sigma={sigma}]")
     if not ns.tol > 0:
         parser.error(f"--tol must be > 0, got {ns.tol}")
@@ -143,6 +147,12 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
                 "nonnegative integers" if name == "jrange" else "numbers"))
         if name == "sigma" and ns.rho is not None:
             parser.error("--rho cannot be fixed while sweeping sigma")
+        # a swept value is checked by the rule of its flag
+        for v in values:
+            if name == "sigma" and not v > 0:
+                parser.error(f"--sweep sigma={v} must be > 0")
+            if name == "rho" and not _rho_in_range(v, sigma):
+                parser.error(f"--sweep rho={v} must lie in (0, sigma={sigma}]")
         sweep = (name, values)
     return RunConfig(command=ns.command, generator_spec=ns.generator_spec,
                      f_spec=getattr(ns, "f_spec", None), sigma=sigma, rho=rho,

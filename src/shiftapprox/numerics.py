@@ -7,15 +7,19 @@ Conventions used throughout the package:
 
 so that ``norm(f)**2 == 2*pi*norm(fhat)**2``.  All reductions go through
 `numpy.sum`, whose pairwise accumulation is deterministic for a fixed shape,
-so repeated runs produce identical bytes.  Every function here is pure; the
-types are frozen dataclasses and safe to share between threads as long as the
-caller does not mutate the value arrays.
+so repeated runs produce identical bytes.  Every function here is pure but
+`read_samples_csv`, which caches what it parsed; the types are frozen
+dataclasses and safe to share between threads as long as the caller does not
+mutate the value arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import io
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Sequence, TextIO, Tuple, Union
 
@@ -461,24 +465,70 @@ def write_samples_csv(dest: Union[str, TextIO],
             fh.close()
 
 
+#: bound on the total ``values.nbytes`` that `read_samples_csv` keeps
+_CACHE_BYTES = 64 * 2 ** 20
+_CACHE: "OrderedDict[bytes, SampledFunction | SampledSpectrum]" = OrderedDict()
+_CACHE_LOCK = threading.Lock()
+
+
 def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectrum:
     """Load CSV written by `write_samples_csv`.
 
     The first header column decides the type (``x`` -> `SampledFunction`,
     ``y`` -> `SampledSpectrum`).  Non-uniform node spacing is rejected with
-    `InvalidGridError` (relative tolerance ``1e-9``).
+    `InvalidGridError` (relative tolerance ``1e-9``), as are a bad header,
+    a malformed body, fewer than two rows of three columns, non-finite
+    values and, for a path, a byte that is not ASCII.
+
+    A path is read as bytes and keyed by their SHA-256: the same content,
+    at any path and whatever its modification time, is parsed once per
+    process and the validated value is returned again.  Its ``values`` are
+    read-only, so an in-place write raises instead of changing later
+    reads.  Failures are not cached, and the least recently read entries
+    are dropped once the cached ``values`` exceed ``_CACHE_BYTES``.  A file
+    object is parsed on every call and not cached.
     """
-    own = isinstance(src, str)
-    fh = open(src, "r", encoding="ascii") if own else src
+    if not isinstance(src, str):
+        return _parse_samples(src.readline(), src.read())
+    with open(src, "rb") as fh:
+        raw = fh.read()
+    key = hashlib.sha256(raw).digest()
+    with _CACHE_LOCK:
+        if key in _CACHE:
+            _CACHE.move_to_end(key)
+            return _CACHE[key]
+    header, body = _ascii_lines(src, raw)
+    del raw  # the parse then holds the body and its StringIO, as a text read does
+    loaded = _parse_samples(header, body)
+    loaded.values.flags.writeable = False
+    if loaded.values.nbytes <= _CACHE_BYTES:
+        with _CACHE_LOCK:
+            _CACHE[key] = loaded
+            while sum(v.values.nbytes for v in _CACHE.values()) > _CACHE_BYTES:
+                _CACHE.popitem(last=False)
+    return loaded
+
+
+def _ascii_lines(path: str, raw: bytes) -> Tuple[str, str]:
+    """Header line and body of a file's bytes, decoded and newline-translated
+    as ``open(path, encoding="ascii")`` reads them."""
     try:
-        header = fh.readline().strip()
-        parts = [p.strip() for p in header.split(",")]
-        if len(parts) != 3 or parts[0] not in _HEADERS or parts[1:] != ["re", "im"]:
-            raise InvalidGridError(f"unrecognized CSV header: {header!r}")
-        body = fh.read()
-    finally:
-        if own:
-            fh.close()
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InvalidGridError(
+            f"{path}: byte {raw[exc.start]:#04x} at offset {exc.start} "
+            "is not ASCII") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    header, _, body = text.partition("\n")
+    return header, body
+
+
+def _parse_samples(header: str, body: str) -> SampledFunction | SampledSpectrum:
+    header = header.strip()
+    parts = [p.strip() for p in header.split(",")]
+    if len(parts) != 3 or parts[0] not in _HEADERS or parts[1:] != ["re", "im"]:
+        raise InvalidGridError(f"unrecognized CSV header: {header!r}")
     try:
         data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     except ValueError as exc:

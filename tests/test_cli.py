@@ -93,6 +93,12 @@ _TAIL = re.compile(r"\Anorm_sq=(\S+) error_sq=(\S+) guard_mass=(\S+)\Z")
      "--dgrid", "256"],
     ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
      "--dgrid", "256"],
+    # swept radii and sigmas are held to the rules of --rho and --sigma
+    ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sweep", "rho=0"],
+    ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sweep", "rho=-0.1"],
+    ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sweep", "rho=nan"],
+    ["besterr", "--gen", "gauss:width=1", "--f", "gauss:width=1",
+     "--sweep", "sigma=0,1"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     rc, out = run_cli(argv)
@@ -345,6 +351,17 @@ def test_project_malformed_csv_exits_1(tmp_path, capsys):
     assert out == ""
 
 
+def test_project_non_ascii_csv_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x,re,im\n0,1,0\n1,2\xc3,0\n")
+    rc, out = run_cli(["project", "--gen", "bspline:m=1",
+                       "--f", f"file:{path}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert out == ""
+    assert "latin.csv" in err and "offset 17" in err
+
+
 # ------------------------------------------------------------------- besterr
 
 def test_besterr_single_row_uses_rho():
@@ -441,11 +458,12 @@ def test_besterr_sigma_sweep_reads_each_file_once(tmp_path, monkeypatch):
     assert out == want and len(_rows(out)) == 4
 
 
-def test_besterr_swept_rho_out_of_range_exits_1(capsys):
+def test_besterr_swept_rho_out_of_range_exits_2(capsys):
+    # one radius past sigma makes the whole sweep a usage error, as --rho 1.5
     rc, out = run_cli(["besterr", "--gen", "sinc", "--f", "gauss:width=1",
                        "--dgrid", "1025", "--sweep", "rho=0.5,1.5"])
-    capsys.readouterr()
-    assert rc == 1
+    assert "rho=1.5" in capsys.readouterr().err
+    assert rc == 2
     assert out == ""
 
 

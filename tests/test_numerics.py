@@ -1,9 +1,15 @@
 import io
 import math
+import os
+import shutil
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from shiftapprox import numerics
 from shiftapprox.errors import InvalidGridError
 from shiftapprox.numerics import (
     NUMPY_TEXT_ROWS,
@@ -249,3 +255,153 @@ def test_csv_header_selects_domain():
 def test_csv_rejects_malformed_input(text):
     with pytest.raises(InvalidGridError):
         read_samples_csv(io.StringIO(text))
+
+
+# ------------------------------------------------------- parsed-file cache
+
+@pytest.fixture
+def parses(monkeypatch):
+    """An empty cache, and the (header, body) pairs the parse function got."""
+    monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    seen = []
+    parse = numerics._parse_samples
+
+    def counting(header, body):
+        seen.append((header, body))
+        return parse(header, body)
+
+    monkeypatch.setattr(numerics, "_parse_samples", counting)
+    return seen
+
+
+def _samples_file(path, seed: int, count: int = 65) -> np.ndarray:
+    re, im = np.random.default_rng(seed).standard_normal((2, count))
+    vals = re + 1j * im
+    write_samples_csv(str(path), SampledFunction(
+        grid=make_uniform_grid(-2.0, 2.0, count), values=vals))
+    return vals
+
+
+def test_csv_file_read_three_times_is_parsed_once(tmp_path, parses):
+    vals = _samples_file(tmp_path / "f.csv", 11)
+    reads = [read_samples_csv(str(tmp_path / "f.csv")) for _ in range(3)]
+    assert len(parses) == 1
+    assert all(r is reads[0] for r in reads)
+    assert np.array_equal(reads[0].values, vals)
+
+
+def test_csv_copy_at_another_path_is_a_cache_hit(tmp_path, parses):
+    _samples_file(tmp_path / "f.csv", 14)
+    first = read_samples_csv(str(tmp_path / "f.csv"))
+    shutil.copyfile(tmp_path / "f.csv", tmp_path / "copy.csv")
+    assert read_samples_csv(str(tmp_path / "copy.csv")) is first
+    assert len(parses) == 1
+
+
+def test_csv_rewrite_with_same_size_and_mtime_reads_new_values(tmp_path, parses):
+    path = tmp_path / "f.csv"
+    path.write_text("x,re,im\n0,1,0\n1,2,0\n", encoding="ascii")
+    stamp = os.stat(path).st_mtime_ns
+    first = read_samples_csv(str(path))
+    path.write_text("x,re,im\n0,3,0\n1,4,0\n", encoding="ascii")
+    os.utime(path, ns=(stamp, stamp))
+    second = read_samples_csv(str(path))
+    assert np.array_equal(first.values, [1, 2])
+    assert np.array_equal(second.values, [3, 4])
+    assert len(parses) == 2
+
+
+def test_csv_crlf_file_reads_as_lf(tmp_path, parses):
+    vals = _samples_file(tmp_path / "lf.csv", 12)
+    text = (tmp_path / "lf.csv").read_bytes()
+    (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
+    back = read_samples_csv(str(tmp_path / "crlf.csv"))
+    assert np.array_equal(back.values, vals)
+    assert back.grid == read_samples_csv(str(tmp_path / "lf.csv")).grid
+
+
+def test_cached_csv_values_are_read_only(tmp_path, parses):
+    _samples_file(tmp_path / "f.csv", 13)
+    loaded = read_samples_csv(str(tmp_path / "f.csv"))
+    with pytest.raises(ValueError):
+        loaded.values[0] = 0.0
+    with pytest.raises(ValueError):
+        loaded.values *= 2.0
+
+
+def test_bad_csv_file_raises_on_every_read(tmp_path, parses):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,re,im\n0,1,0\nnope,2,0\n", encoding="ascii")
+    for _ in range(3):
+        with pytest.raises(InvalidGridError):
+            read_samples_csv(str(path))
+    assert len(parses) == 3 and not numerics._CACHE
+
+
+def test_non_ascii_csv_file_names_the_byte(tmp_path, parses):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x,re,im\n0,1,0\n1,\xc3,0\n")
+    with pytest.raises(InvalidGridError, match=r"latin\.csv: byte 0xc3 at offset 16"):
+        read_samples_csv(str(path))
+
+
+def test_csv_cache_drops_least_recently_read_past_its_bound(
+        tmp_path, parses, monkeypatch):
+    # 65 complex values are 1040 bytes: two fit under the bound, three do not
+    monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
+    for i in range(3):
+        _samples_file(tmp_path / f"{i}.csv", 20 + i)
+    read_samples_csv(str(tmp_path / "0.csv"))
+    read_samples_csv(str(tmp_path / "1.csv"))
+    read_samples_csv(str(tmp_path / "0.csv"))       # 1 is now the oldest
+    read_samples_csv(str(tmp_path / "2.csv"))
+    assert len(parses) == 3
+    assert sum(v.values.nbytes for v in numerics._CACHE.values()) <= 2500
+    read_samples_csv(str(tmp_path / "0.csv"))
+    read_samples_csv(str(tmp_path / "2.csv"))
+    assert len(parses) == 3
+    read_samples_csv(str(tmp_path / "1.csv"))
+    assert len(parses) == 4
+    # an entry larger than the bound is returned but not kept
+    _samples_file(tmp_path / "big.csv", 23, count=257)
+    read_samples_csv(str(tmp_path / "big.csv"))
+    read_samples_csv(str(tmp_path / "big.csv"))
+    assert len(parses) == 6
+
+
+def test_csv_cache_under_concurrent_reads(tmp_path, parses, monkeypatch):
+    # threads that share the cache, with a bound that evicts on most reads
+    monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
+    want = [_samples_file(tmp_path / f"{i}.csv", 30 + i) for i in range(4)]
+    errors = []
+
+    def reader(offset):
+        try:
+            for k in range(60):
+                i = (offset + k) % 4
+                got = read_samples_csv(str(tmp_path / f"{i}.csv")).values
+                if not np.array_equal(got, want[i]):
+                    errors.append(i)
+        except Exception as exc:  # a thread's exception, reported below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(v.values.nbytes for v in numerics._CACHE.values()) <= 2500
+
+
+def test_csv_file_objects_are_not_cached(parses):
+    text = "x,re,im\n0,1,0\n1,2,0\n"
+    first = read_samples_csv(io.StringIO(text))
+    second = read_samples_csv(io.StringIO(text))
+    assert len(parses) == 2 and first is not second and not numerics._CACHE
