@@ -31,7 +31,7 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,15 +243,6 @@ def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
             f"guard_mass={result.guard_mass:.17g}"], 0
 
 
-def _per_sigma(load: Callable, text: str) -> Callable[[float], object]:
-    """``load(text, sigma)`` as a function of sigma; a ``file:`` input does
-    not depend on sigma, so it is read once."""
-    if text.startswith("file:"):
-        loaded = load(text, 1.0)
-        return lambda sigma: loaded
-    return functools.partial(load, text)
-
-
 def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
     # one fold per sigma; the param column is rho (a sigma sweep sets rho)
     name, values = cfg.sweep or ("rho", (cfg.rho,))
@@ -259,11 +250,11 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
         runs = [(v, (v,)) for v in values]
     else:
         runs = [(cfg.sigma, values)]
-    gen_at = _per_sigma(parse_generator_spec, cfg.generator_spec)
-    signal_at = _per_sigma(_load_signal, cfg.f_spec)
     lines = ["param,error_sq"]
     for sigma, rhos in runs:
-        gen, signal = gen_at(sigma), signal_at(sigma)
+        # a file: input is parsed once per process (`read_samples_csv`)
+        gen = parse_generator_spec(cfg.generator_spec, default_sigma=sigma)
+        signal = _load_signal(cfg.f_spec, sigma)
         grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,
                                       tol=cfg.tol, grid=grid)

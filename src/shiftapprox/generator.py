@@ -103,12 +103,13 @@ class Generator:
     real_valued : bool
         Whether the time-domain function is real (spectrum Hermitian).
     autocorrelation : callable, optional
-        Exact ``tau -> <B, B(. - tau)>`` at any real time lag ``tau``; a
-        lattice of half-period sigma reads it at ``tau = d*pi/sigma``
-        (`shift_autocorrelation`).  Every analytic family (spline, Gaussian,
-        sinc) sets this, so the Gram oracle, ``||B||^2`` and the Phi4
-        pairing read exact rows; with a declared support it also makes the
-        periodization D an exact finite sum (`spectral.periodize`).
+        Vectorized map ``tau -> <B, B(. - tau)>``, exact at any real time
+        lags ``tau``; a lattice of half-period sigma reads a whole row at
+        ``tau = d*pi/sigma`` in one call (`shift_autocorrelation`).  Every
+        analytic family (spline, Gaussian, sinc) sets this, so the Gram
+        oracle, ``||B||^2`` and the Phi4 pairing read exact rows; with a
+        declared support it also makes the periodization D an exact finite
+        sum (`spectral.periodize`).
         Without it a generator must declare a support with a time domain,
         or a spectral support.
     spline : SplineParams, optional
@@ -128,7 +129,7 @@ class Generator:
     spectral_support: Optional[float] = None
     time_step_hint: Optional[float] = None
     real_valued: bool = True
-    autocorrelation: Optional[Callable[[float], complex]] = None
+    autocorrelation: Optional[Callable[[np.ndarray], np.ndarray]] = None
     spline: Optional[SplineParams] = None
 
     def __post_init__(self) -> None:
@@ -193,13 +194,13 @@ def bspline_generator(params: SplineParams) -> Generator:
         t = np.asarray(x, dtype=float) / h + (m + 1)
         return (2.0 * sigma) * _cardinal_bspline(m + 1, t) + 0.0j
 
-    def autocorrelation(tau: float) -> complex:
+    def autocorrelation(tau: np.ndarray) -> np.ndarray:
         # <N_p(.), N_p(. - s)> = N_{2p}(p + s) with s = tau/h in the spline's
         # own knot spacing; the amplitude 2*sigma and the substitution
         # x = (t - p) h contribute (2*sigma)^2 * h = 4*pi*sigma.  Lags of a
         # whole support or more give t <= 0, where N_{2p} is exactly 0
-        t = m + 1 - abs(tau) / h
-        return complex(4.0 * np.pi * sigma * float(_cardinal_bspline(2 * (m + 1), np.array(t))))
+        t = m + 1 - np.abs(tau) / h
+        return 4.0 * np.pi * sigma * _cardinal_bspline(2 * (m + 1), t)
 
     return Generator(
         label=f"bspline:m={m},sigma={sigma:g}",
@@ -242,8 +243,8 @@ def gaussian_generator(width: float) -> Generator:
         time_domain=time_domain,
         time_tail_radius=tail_radius,
         time_step_hint=w / 16.0,
-        autocorrelation=lambda tau: complex(
-            w * math.sqrt(math.pi) * math.exp(-tau * tau / (4.0 * w * w))),
+        autocorrelation=lambda tau: (
+            w * math.sqrt(math.pi) * np.exp(-tau * tau / (4.0 * w * w))),
     )
 
 
@@ -272,7 +273,7 @@ def bandlimited_generator(sigma: float) -> Generator:
         time_domain=time_domain,
         spectral_support=s,
         # Parseval: 2 pi * integral_{-s}^{s} e^{i tau y} dy = 2 pi B(tau)
-        autocorrelation=lambda tau: complex(TWO_PI * time_domain(np.array(tau))),
+        autocorrelation=lambda tau: TWO_PI * time_domain(tau),
     )
 
 
@@ -388,8 +389,8 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndar
     Three sources, in this order:
 
     * the declared closed form ``gen.autocorrelation`` (spline, Gaussian,
-      sinc), read at the lags ``d*pi/sigma`` whatever sigma the generator
-      was built with;
+      sinc), read in one call at the lags ``d*pi/sigma`` whatever sigma the
+      generator was built with;
     * a declared support with a time domain (time samples): Simpson on
       the support at a step that divides ``pi/sigma``, so every lag is a
       whole number of nodes and the knots fall on panel edges;
@@ -401,8 +402,8 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndar
     """
     h = np.pi / sigma
     if gen.autocorrelation is not None:
-        return np.array([gen.autocorrelation(d * h) for d in range(max_lag + 1)],
-                        dtype=np.complex128)
+        return np.asarray(gen.autocorrelation(np.arange(max_lag + 1) * h),
+                          dtype=np.complex128)
     out = np.zeros(max_lag + 1, dtype=np.complex128)
     if gen.support is not None and gen.time_domain is not None:
         lo, hi = gen.support

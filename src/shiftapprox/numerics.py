@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Sequence, TextIO, Tuple, Union
+from typing import Iterable, List, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -489,7 +488,7 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     object is parsed on every call and not cached.
     """
     if not isinstance(src, str):
-        return _parse_samples(src.readline(), src.read())
+        return _parse_samples(src.readline(), src)
     with open(src, "rb") as fh:
         raw = fh.read()
     key = hashlib.sha256(raw).digest()
@@ -497,9 +496,14 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
         if key in _CACHE:
             _CACHE.move_to_end(key)
             return _CACHE[key]
-    header, body = _ascii_lines(src, raw)
-    del raw  # the parse then holds the body and its StringIO, as a text read does
-    loaded = _parse_samples(header, body)
+    if not raw.isascii():
+        at = next(i for i, byte in enumerate(raw) if byte > 0x7F)
+        raise InvalidGridError(f"{src}: byte {raw[at]:#04x} at offset {at} "
+                               "is not ASCII")
+    # bytes split at \n, \r\n and \r only, as a text-mode read translates
+    header, *body = raw.splitlines() or [b""]
+    del raw  # the parse holds the byte lines alone
+    loaded = _parse_samples(header.decode("ascii"), body)
     loaded.values.flags.writeable = False
     if loaded.values.nbytes <= _CACHE_BYTES:
         with _CACHE_LOCK:
@@ -509,28 +513,15 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     return loaded
 
 
-def _ascii_lines(path: str, raw: bytes) -> Tuple[str, str]:
-    """Header line and body of a file's bytes, decoded and newline-translated
-    as ``open(path, encoding="ascii")`` reads them."""
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise InvalidGridError(
-            f"{path}: byte {raw[exc.start]:#04x} at offset {exc.start} "
-            "is not ASCII") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, _, body = text.partition("\n")
-    return header, body
-
-
-def _parse_samples(header: str, body: str) -> SampledFunction | SampledSpectrum:
+def _parse_samples(header: str, body: Iterable) -> SampledFunction | SampledSpectrum:
+    """Samples from a header line and the body's lines (`numpy.loadtxt`
+    takes str or bytes lines, or a text file positioned after the header)."""
     header = header.strip()
     parts = [p.strip() for p in header.split(",")]
     if len(parts) != 3 or parts[0] not in _HEADERS or parts[1:] != ["re", "im"]:
         raise InvalidGridError(f"unrecognized CSV header: {header!r}")
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        data = np.loadtxt(body, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InvalidGridError(f"malformed CSV body: {exc}") from exc
     if data.shape[0] < 2 or data.shape[1] != 3:

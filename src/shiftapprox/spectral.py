@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -144,24 +145,18 @@ def lattice_order(gen: Generator, sigma: float, tol: float,
 
 
 def _denominator(v: float) -> int:
-    """The least ``b <= _CLASS_CAP`` with ``v b`` an integer to rounding, 0
-    where there is none.
+    """The denominator b of the fraction closest to v among those with
+    ``b <= _CLASS_CAP`` (`Fraction.limit_denominator`) when ``v b`` is an
+    integer to rounding, 0 otherwise.
 
-    A fraction with denominator at most the cap that meets v this closely
-    is a convergent of its continued fraction, and the first one that
-    meets it has the least denominator.
+    Below ``|v| = 1/(2 _RATIO_RTOL _CLASS_CAP**2)``, about 3e4, this b is
+    the least that passes: two such fractions differ by at least
+    ``1/_CLASS_CAP**2``, and two passing fractions lie closer than that.
+    Past it, a closer fraction may win over a smaller passing one.
     """
-    h, h_prev, k, k_prev, rest = 1, 0, 0, 1, v
-    while True:
-        a = math.floor(rest)
-        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
-        if k > _CLASS_CAP:
-            return 0
-        if abs(v * k - h) <= _RATIO_RTOL * max(1.0, abs(v * k)):
-            return k
-        if rest == a:
-            return 0
-        rest = 1.0 / (rest - a)
+    near = Fraction(v).limit_denominator(_CLASS_CAP)
+    b = near.denominator
+    return b if abs(v * b - near.numerator) <= _RATIO_RTOL * max(1.0, abs(v * b)) else 0
 
 
 def _rational(t) -> Optional[Tuple[int, np.ndarray]]:

@@ -74,7 +74,7 @@ def cauchy() -> Generator:
         spectrum=lambda y: 0.5 * np.exp(-np.abs(np.asarray(y, dtype=float))) + 0.0j,
         decay_exponent=10.0, decay_constant=6.2e5,
         time_domain=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2) + 0.0j,
-        autocorrelation=lambda tau: complex(2.0 * math.pi / (4.0 + tau * tau)))
+        autocorrelation=lambda tau: 2.0 * math.pi / (4.0 + tau * tau))
 
 
 def random_expansion(rng: np.random.Generator, sigma: float, j_max: int,

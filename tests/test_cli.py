@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Tuple
@@ -24,13 +25,15 @@ import numpy as np
 import pytest
 
 import shiftapprox
-from shiftapprox import cli
-from shiftapprox import generator as generator_module
+from shiftapprox import cli, numerics
 from shiftapprox.errors import ResolutionError
-from shiftapprox.generator import parse_generator_spec
-from shiftapprox.numerics import (NUMPY_TEXT_ROWS, Grid, SampledSpectrum,
-                                  read_samples_csv, write_samples_csv)
+from shiftapprox.generator import (default_freq_grid, parse_generator_spec,
+                                   sampled_generator)
+from shiftapprox.numerics import (NUMPY_TEXT_ROWS, Grid, SampledFunction,
+                                  SampledSpectrum, csv_text, read_samples_csv,
+                                  write_samples_csv)
 from shiftapprox.shiftspace import project
+from shiftapprox.spectral import periodize
 from shiftapprox.zak import phi_field
 
 from helpers import reference_csv, run_cli
@@ -139,6 +142,23 @@ def test_dfun_box_density_is_flat():
         ds.append(float(d))
     assert ys[0] == -1.0 and ys[-1] == 1.0
     assert all(abs(d - 1.0) <= 1e-6 for d in ds)
+
+
+def test_dfun_on_time_samples_prints_the_sampled_generators_density(tmp_path):
+    # --gen file: with x,re,im samples is the library's sampled generator
+    # on its default frequency grid
+    path = tmp_path / "gen-x.csv"
+    grid_x = Grid(-8.0, 8.0, 257)
+    x = grid_x.nodes()
+    write_samples_csv(str(path), SampledFunction(
+        grid=grid_x, values=np.exp(-0.5 * x * x) + 0.0j))
+    rc, out = run_cli(["dfun", "--gen", f"file:{path}", "--dgrid", "65"])
+    assert rc == 0
+    loaded = read_samples_csv(str(path))
+    gen = sampled_generator(loaded, default_freq_grid(loaded))
+    grid = Grid(-1.0, 1.0, 65)
+    want = periodize(gen, 1.0, grid, tol=1e-8)
+    assert out == "y,D\n" + csv_text(grid.nodes(), want.values) + "\n"
 
 
 def test_riesz_line_hat():
@@ -434,9 +454,10 @@ def test_besterr_on_time_samples_recovers_no_coefficients(tmp_path):
     assert _rows(out) == ["param,error_sq", f"0.5,{want.error_sq:.17g}"]
 
 
-def test_besterr_sigma_sweep_reads_each_file_once(tmp_path, monkeypatch):
-    # a file's samples do not depend on sigma: a sweep reads the generator
-    # file and the signal file once each, whatever the number of sigmas
+def test_besterr_sigma_sweep_parses_each_file_once(tmp_path, monkeypatch):
+    # a file's samples do not depend on sigma: the sweep reads the generator
+    # file and the signal file at every sigma, and the parsed-file cache
+    # parses each of them once, whatever the number of sigmas
     gen_path, f_path = tmp_path / "gen.csv", tmp_path / "f.csv"
     _tabulated_gaussian(gen_path)
     write_samples_csv(str(f_path), cli._time_samples(
@@ -444,17 +465,18 @@ def test_besterr_sigma_sweep_reads_each_file_once(tmp_path, monkeypatch):
     argv = ["besterr", "--gen", f"file:{gen_path}", "--f", f"file:{f_path}",
             "--dgrid", "65", "--sweep", "sigma=1,1.5,2"]
     _, want = run_cli(argv)
-    reads = []
+    monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    headers = []
+    parse = numerics._parse_samples
 
-    def counting(path):
-        reads.append(Path(path).name)
-        return read_samples_csv(path)
+    def counting(header, body):
+        headers.append(header)
+        return parse(header, body)
 
-    monkeypatch.setattr(cli, "read_samples_csv", counting)
-    monkeypatch.setattr(generator_module, "read_samples_csv", counting)
+    monkeypatch.setattr(numerics, "_parse_samples", counting)
     rc, out = run_cli(argv)
     assert rc == 0
-    assert sorted(reads) == ["f.csv", "gen.csv"]
+    assert sorted(headers) == ["x,re,im", "y,re,im"]
     assert out == want and len(_rows(out)) == 4
 
 

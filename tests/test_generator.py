@@ -123,13 +123,14 @@ def test_spline_autocorrelation_closed_form_vs_quadrature(m):
     gen = spline(m, sigma)
     h = math.pi / sigma
     got = shift_autocorrelation(gen, sigma, m + 2)
-    # independent route: dense trapezoid on the shared support
+    # independent route: dense trapezoid on the shared support (written
+    # out as numpy's trapezoid, which numpy 1.24 names trapz)
     grid = make_uniform_grid(-(m + 2) * h, h, (m + 3) * 4096 + 1)
     x = grid.nodes()
     base = gen.time_domain(x)
     for d in range(m + 2):
-        shifted = gen.time_domain(x - d * h)
-        ref = np.trapezoid(base * np.conj(shifted), x)
+        product = base * np.conj(gen.time_domain(x - d * h))
+        ref = (np.diff(x) * (product[1:] + product[:-1]) / 2.0).sum()
         tol = 2e-3 if m == 0 else 1e-6  # box jumps limit the brute accuracy
         assert got[d].real == pytest.approx(complex(ref).real, abs=tol * 4 * math.pi)
     assert abs(got[m + 1]) == 0.0  # disjoint supports beyond m lags
@@ -146,6 +147,37 @@ def test_spline_autocorrelation_reads_the_lattice_lag(m, sigma_b):
     ref = shift_autocorrelation(dataclasses.replace(gen, autocorrelation=None),
                                 1.0, lags)
     assert np.max(np.abs(got - ref)) <= 1e-6 * got[0].real
+
+
+def test_closed_form_autocorrelation_is_read_once_per_row():
+    # the closed form is a vectorized map: a row of lags is one call
+    base = spline(2, 1.0)
+    calls = []
+
+    def counting(tau):
+        calls.append(np.shape(tau))
+        return base.autocorrelation(tau)
+
+    gen = dataclasses.replace(base, autocorrelation=counting)
+    for max_lag in (0, 3, 32, 128):
+        calls.clear()
+        row = shift_autocorrelation(gen, 1.0, max_lag)
+        assert calls == [(max_lag + 1,)]
+        assert row.shape == (max_lag + 1,) and row.dtype == np.complex128
+
+
+@pytest.mark.parametrize("sigma_b", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_spline_autocorrelation_row_is_the_per_lag_closed_form(m, sigma_b):
+    # 4 pi sigma_B N_{2(m+1)}(m + 1 - |tau|/h_B) evaluated lag by lag, as
+    # scalars: the vectorized row equals it bit for bit
+    h_b = math.pi / sigma_b
+    for sigma, max_lag in ((1.0, 3), (1.0, 32), (2.0, 129)):
+        row = shift_autocorrelation(spline(m, sigma_b), sigma, max_lag)
+        per_lag = [complex(4.0 * np.pi * sigma_b * float(_cardinal_bspline(
+            2 * (m + 1), np.array(m + 1 - abs(d * math.pi / sigma) / h_b))))
+            for d in range(max_lag + 1)]
+        assert row.tolist() == per_lag, (sigma, max_lag)
 
 
 def test_spline_autocorrelation_known_ratios():

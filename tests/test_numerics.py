@@ -312,12 +312,17 @@ def test_csv_rewrite_with_same_size_and_mtime_reads_new_values(tmp_path, parses)
 
 
 def test_csv_crlf_file_reads_as_lf(tmp_path, parses):
+    # CRLF, CR-only and blank lines read as the LF file does, as a
+    # text-mode read sees them
     vals = _samples_file(tmp_path / "lf.csv", 12)
     text = (tmp_path / "lf.csv").read_bytes()
-    (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
-    back = read_samples_csv(str(tmp_path / "crlf.csv"))
-    assert np.array_equal(back.values, vals)
-    assert back.grid == read_samples_csv(str(tmp_path / "lf.csv")).grid
+    grid = read_samples_csv(str(tmp_path / "lf.csv")).grid
+    for name, newline in (("crlf", b"\r\n"), ("cr", b"\r"), ("blank", b"\n\n")):
+        (tmp_path / f"{name}.csv").write_bytes(text.replace(b"\n", newline))
+        back = read_samples_csv(str(tmp_path / f"{name}.csv"))
+        assert np.array_equal(back.values, vals), name
+        assert back.grid == grid, name
+    assert len(parses) == 4
 
 
 def test_cached_csv_values_are_read_only(tmp_path, parses):

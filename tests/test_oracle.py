@@ -1,6 +1,5 @@
 """Gram systems, least-squares projection, and the oracle comparison."""
 
-import cmath
 import dataclasses
 import math
 
@@ -40,7 +39,7 @@ def test_gram_holds_a_complex_autocorrelation_row_below_its_diagonal():
     # a modulated Gaussian has a complex row, so the two triangles differ
     base = gaussian_generator(1.0)
     gen = dataclasses.replace(base, autocorrelation=lambda tau: (
-        base.autocorrelation(tau) * cmath.exp(0.7j * tau)))
+        base.autocorrelation(tau) * np.exp(0.7j * tau)))
     acorr = shift_autocorrelation(gen, 1.0, 6)
     assert abs(acorr[1].imag) > 0.01 * acorr[0].real
     g = gram_matrix(gen, 1.0, 3).gram
@@ -137,12 +136,12 @@ def _box_comb_generator() -> Generator:
         y = np.asarray(y, dtype=float)
         return box.spectrum(y) * (1.0 + np.exp(-1j * math.pi * y)) ** 4
 
-    def autocorrelation(tau: float) -> complex:
+    def autocorrelation(tau: np.ndarray) -> np.ndarray:
         # the weights correlate to comb(8, 4 + j) at shift j pi, each times
         # the box's triangle 4 pi (1 - |tau/pi - j|)_+
-        d = tau / math.pi
-        return complex(4.0 * math.pi * sum(
-            math.comb(8, 4 + j) * max(0.0, 1.0 - abs(d - j)) for j in range(-4, 5)))
+        d = np.asarray(tau, dtype=float) / math.pi
+        return 4.0 * math.pi * sum(
+            math.comb(8, 4 + j) * np.maximum(0.0, 1.0 - np.abs(d - j)) for j in range(-4, 5))
 
     return Generator(label="box-comb", spectrum=spectrum,
                      decay_exponent=box.decay_exponent,

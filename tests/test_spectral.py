@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from shiftapprox.spectral import (
     periodize,
     poisson_energy,
     poisson_lags,
+    _denominator,
     riesz_bounds,
 )
 
@@ -163,6 +166,14 @@ def test_lattice_energy_at_a_fractional_ratio_matches_brute_sums():
         omitted = envelope_tail(gen.decay_constant ** 2, 2.0 * gen.decay_exponent,
                                 sigma, nu[-1])
         assert np.max(np.abs(values - brute)) <= omitted + 1e-13, gen.label
+
+
+@pytest.mark.parametrize("v,b", [
+    (1.0 / 3.0, 3), (-5.0 / 7.0, 7), (1.0 / 4096.0, 4096), (1.0 / 4097.0, 0),
+    (math.pi, 0), (math.sqrt(2.0), 0), (1e6 + 1.0 / 3.0, 3), (0.0, 1)])
+def test_denominator_is_the_least_within_the_class_cap(v, b):
+    # the least b <= 4096 with v b an integer to rounding, 0 where none is
+    assert _denominator(v) == b
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])

@@ -323,8 +323,8 @@ def test_property_suite_catches_inconsistent_generators():
         label="mismatched", spectrum=spectrum, decay_exponent=40.0,
         decay_constant=2.0, time_domain=time_domain,
         time_tail_radius=lambda eps: w_time * math.sqrt(2.0 * math.log(1.0 / max(eps, 1e-300))),
-        autocorrelation=lambda tau: complex(
-            w_time * math.sqrt(math.pi) * math.exp(-tau * tau / (4.0 * w_time ** 2))),
+        autocorrelation=lambda tau: (
+            w_time * math.sqrt(math.pi) * np.exp(-tau * tau / (4.0 * w_time ** 2))),
     )
     rep = verify_phi_properties(liar, 1.0, resolution=65)
     assert not rep.ok
