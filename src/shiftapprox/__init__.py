@@ -36,6 +36,7 @@ from .numerics import (
     write_samples_csv,
 )
 from .generator import (
+    TIME_EPS,
     Generator,
     SplineParams,
     bandlimited_generator,

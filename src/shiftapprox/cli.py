@@ -18,7 +18,8 @@ odd and >= 9; compare checks it but folds on the default period grid.
 
 A ``--f`` signal is a ``file:`` CSV (time samples or a spectrum) or a spec
 handed on as the generator itself: `shiftspace` decides how far its
-spectrum is taken; compare's oracle gets its samples over `time_extent`.
+spectrum is taken; compare's oracle gets its samples over `time_extent`,
+on a grid through the knots of f and of B's shifts (`_time_samples`).
 
 Output is CSV only (plots are downstream concerns); identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 numerical failure,
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,13 +42,18 @@ from .errors import MissingTimeDomainError, ShiftSpaceError, TruncationError
 from .generator import Generator, parse_generator_spec, time_extent
 from .numerics import (Grid, SampledFunction, csv_join, csv_text,
                        read_samples_csv)
-from .shiftspace import DEFAULT_GRID_COUNT, Signal, best_approx_error_sq, project
+from .shiftspace import (DEFAULT_GRID_COUNT, Signal, best_approx_error_sq,
+                         project, rho_in_band)
 from .spectral import periodize, riesz_bounds
 from .oracle import compare
 from .zak import phi_field, verify_phi_properties
 
 _SWEEPABLE = {"besterr": ("sigma", "rho"), "compare": ("jrange",)}
 _DEFAULT_COMPARE_RANGES = (8, 16, 32, 64)
+#: a signal sampled for compare's oracle has at least this many steps
+_ORACLE_STEPS = 4096
+#: largest denominator of a spline knot ratio `_knot_denominator` reads
+_KNOT_DENOMINATOR = 64
 
 
 @dataclass(frozen=True)
@@ -107,10 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rho_in_range(rho: float, sigma: float) -> bool:
-    return 0 < rho <= sigma * (1.0 + 1e-12)
-
-
 def parse_args(argv: Sequence[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
@@ -118,7 +122,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if not sigma > 0:
         parser.error(f"--sigma must be > 0, got {sigma}")
     rho = ns.rho if ns.rho is not None else sigma
-    if not _rho_in_range(rho, sigma):
+    if not rho_in_band(rho, sigma):
         parser.error(f"--rho {rho} must lie in (0, sigma={sigma}]")
     if not ns.tol > 0:
         parser.error(f"--tol must be > 0, got {ns.tol}")
@@ -151,7 +155,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         for v in values:
             if name == "sigma" and not v > 0:
                 parser.error(f"--sweep sigma={v} must be > 0")
-            if name == "rho" and not _rho_in_range(v, sigma):
+            if name == "rho" and not rho_in_band(v, sigma):
                 parser.error(f"--sweep rho={v} must lie in (0, sigma={sigma}]")
         sweep = (name, values)
     return RunConfig(command=ns.command, generator_spec=ns.generator_spec,
@@ -167,10 +171,32 @@ def _load_signal(text: str, sigma: float) -> Signal:
     return parse_generator_spec(text, default_sigma=sigma)
 
 
-def _time_samples(gen_f: Generator) -> SampledFunction:
-    """f sampled in time over its `time_extent`, for compare's oracle."""
+def _knot_denominator(gens: Sequence[Generator], sigma: float) -> int:
+    """Least common denominator q of ``sigma/sigma_B`` over the splines
+    among gens: their knots, multiples of ``pi/sigma_B``, all fall on
+    multiples of ``pi/(sigma q)``.  A ratio more than 1e-12 (relative) from
+    every fraction of denominator up to `_KNOT_DENOMINATOR` counts as 1."""
+    q = 1
+    for gen in gens:
+        if gen.spline is not None:
+            ratio = sigma / gen.spline.sigma
+            near = Fraction(ratio).limit_denominator(_KNOT_DENOMINATOR)
+            if abs(near - ratio) <= 1e-12 * ratio:
+                q = math.lcm(q, near.denominator)
+    return q
+
+
+def _time_samples(gen_f: Generator, gen: Generator, sigma: float) -> SampledFunction:
+    """f sampled in time for compare's oracle, with every knot of f and of
+    every shift of B on an even node, a Simpson panel edge.
+
+    The window is f's `time_extent` rounded out to multiples of
+    ``h = pi/sigma``; the step is ``h/(2 q 2^k)``, with q from
+    `_knot_denominator` and k the least that makes it at most a
+    `_ORACLE_STEPS`-th of the window.
+    """
     try:
-        lo, hi, _ = time_extent(gen_f, 1e-16)
+        lo, hi, _ = time_extent(gen_f)
     except TruncationError as exc:
         raise TruncationError(
             f"signal {gen_f.label!r} has no time window to sample for the "
@@ -178,9 +204,13 @@ def _time_samples(gen_f: Generator) -> SampledFunction:
             "radius") from exc
     if gen_f.time_domain is None:
         raise MissingTimeDomainError(f"signal {gen_f.label!r} has no time domain")
-    step = gen_f.time_step_hint / 4.0 if gen_f.time_step_hint else (hi - lo) / 4096.0
-    count = max(int(np.ceil((hi - lo) / step)) + 1, 257)
-    grid = Grid(start=lo, stop=hi, count=count)
+    h = np.pi / sigma
+    first, last = math.floor(lo / h), math.ceil(hi / h)
+    per_shift = 2 * _knot_denominator((gen_f, gen), sigma)
+    while (last - first) * per_shift < _ORACLE_STEPS:
+        per_shift *= 2
+    grid = Grid(start=first * h, stop=last * h,
+                count=(last - first) * per_shift + 1)
     return SampledFunction(grid=grid,
                            values=np.asarray(gen_f.time_domain(grid.nodes()),
                                              dtype=np.complex128))
@@ -268,7 +298,7 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
     if isinstance(signal, Generator):
         # the oracle integrates in time; the formula side folds f-hat on
         # the default period grid (not --dgrid), as a default besterr does
-        signal, spectrum = _time_samples(signal), signal
+        signal, spectrum = _time_samples(signal, gen, cfg.sigma), signal
     if not isinstance(signal, SampledFunction):
         raise ShiftSpaceError(
             "compare needs time-domain samples of f (the oracle integrates "

@@ -3,9 +3,10 @@
 A `Generator` bundles an analytic (vectorized) spectrum, an optional time
 domain form, and a declared decay contract ``|spectrum(y)| <= C/(1+|y|)^p``
 that downstream lattice sums rely on for truncation.  `time_extent` is the
-one reading of where a generator lives in time, and `shift_autocorrelation`
-the one reading of its Gram sequence ``<B, B(. - tau)>``.  Built-in
-families, with the source of that sequence:
+one reading of where a generator lives in time: its declared support, or
+the declared `Generator.time_radius` beyond which ``|B| <= TIME_EPS``.
+`shift_autocorrelation` is the one reading of its Gram sequence
+``<B, B(. - tau)>``.  Built-in families, with the source of that sequence:
 
 ``bspline``
     ``spectrum(y) = ((exp(i pi y/sigma) - 1)/(i pi y/sigma))**(m+1)``,
@@ -19,6 +20,7 @@ families, with the source of that sequence:
 ``gauss``
     ``exp(-x^2/(2 w^2))`` with spectrum ``(w/sqrt(2 pi)) exp(-w^2 y^2 / 2)``.
     Autocorrelation in closed form, ``w sqrt(pi) exp(-tau^2/(4 w^2))``.
+    Time radius ``w sqrt(2 ln(1/TIME_EPS))``.
 ``sinc``
     Spectrum is the indicator of ``[-sigma, sigma]`` (value 1/2 on the edge),
     time domain ``2*sin(sigma*x)/x`` with value ``2*sigma`` at 0.
@@ -57,6 +59,9 @@ from .numerics import (
 _TABULATED_DECAY = 2.0
 #: frequency nodes of `default_freq_grid`
 _FREQ_COUNT = 4097
+#: ``|B| <= TIME_EPS`` beyond a declared `Generator.time_radius`: sums over
+#: the shifts that reach a window are exact to rounding
+TIME_EPS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -90,16 +95,15 @@ class Generator:
         the package Fourier convention.
     support : tuple, optional
         Closed interval outside which ``time_domain`` vanishes.
-    time_tail_radius : callable, optional
-        ``eps -> R`` with ``|time_domain(x)| <= eps`` for ``|x| >= R``.
+    time_radius : float, optional
+        ``R`` with ``|time_domain(x)| <= TIME_EPS`` for ``|x| >= R``.
         Only meaningful when ``support`` is None (see `time_extent`).
     spectral_support : float, optional
         Radius beyond which the spectrum is identically zero; lattice sums
         over such a spectrum truncate exactly.
     time_step_hint : float, optional
-        Natural sampling step of the time domain: the sample step of time
-        samples (their autocorrelation quadrature), or a Gaussian's width
-        over 16 (a signal sampled for the oracle).
+        Sample step of time samples, which their autocorrelation
+        quadrature resolves.
     real_valued : bool
         Whether the time-domain function is real (spectrum Hermitian).
     autocorrelation : callable, optional
@@ -125,7 +129,7 @@ class Generator:
     decay_constant: float
     time_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: Optional[Tuple[float, float]] = None
-    time_tail_radius: Optional[Callable[[float], float]] = None
+    time_radius: Optional[float] = None
     spectral_support: Optional[float] = None
     time_step_hint: Optional[float] = None
     real_valued: bool = True
@@ -139,17 +143,16 @@ class Generator:
             raise InvalidGridError("decay_constant must be > 0")
 
 
-def time_extent(gen: Generator, eps: float) -> Tuple[float, float, bool]:
+def time_extent(gen: Generator) -> Tuple[float, float, bool]:
     """``(lo, hi, exact)``: the declared support (exact, B vanishes outside),
-    else ``[-R, R]`` with ``R = time_tail_radius(eps)`` (``|B| <= eps``
+    else ``[-R, R]`` with ``R = time_radius`` (``|B| <= TIME_EPS``
     outside).  Raises `TruncationError` when the generator declares neither.
     """
     if gen.support is not None:
         lo, hi = gen.support
         return lo, hi, True
-    if gen.time_tail_radius is not None:
-        radius = gen.time_tail_radius(eps)
-        return -radius, radius, False
+    if gen.time_radius is not None:
+        return -gen.time_radius, gen.time_radius, False
     raise TruncationError(
         f"generator {gen.label!r} declares neither compact support nor a "
         "time tail radius: its shifts cannot be cut off in time")
@@ -227,10 +230,6 @@ def gaussian_generator(width: float) -> Generator:
         x = np.asarray(x, dtype=float)
         return np.exp(-0.5 * (x / w) ** 2) + 0.0j
 
-    def tail_radius(eps: float) -> float:
-        eps = max(float(eps), 1e-300)
-        return w * math.sqrt(2.0 * math.log(1.0 / eps)) if eps < 1.0 else 0.0
-
     # |spectrum(y)| (1+y)^p peaks where w^2 y (1+y) = p
     p = 40.0
     y_peak = np.float64(0.5 * (math.sqrt(1.0 + 4.0 * p / w ** 2) - 1.0))
@@ -241,8 +240,7 @@ def gaussian_generator(width: float) -> Generator:
         decay_exponent=p,
         decay_constant=c_fit,
         time_domain=time_domain,
-        time_tail_radius=tail_radius,
-        time_step_hint=w / 16.0,
+        time_radius=w * math.sqrt(2.0 * math.log(1.0 / TIME_EPS)),
         autocorrelation=lambda tau: (
             w * math.sqrt(math.pi) * np.exp(-tau * tau / (4.0 * w * w))),
     )

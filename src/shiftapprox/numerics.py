@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -468,6 +469,7 @@ def write_samples_csv(dest: Union[str, TextIO],
 _CACHE_BYTES = 64 * 2 ** 20
 _CACHE: "OrderedDict[bytes, SampledFunction | SampledSpectrum]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
+_TOO_FEW_ROWS = "CSV needs at least two rows of three columns"
 
 
 def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectrum:
@@ -513,6 +515,13 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     return loaded
 
 
+def _holds_row(line: Union[str, bytes]) -> bool:
+    """Whether `numpy.loadtxt` reads a row from the line: text before a
+    ``#`` comment."""
+    comment = b"#" if isinstance(line, bytes) else "#"
+    return bool(line.partition(comment)[0].strip())
+
+
 def _parse_samples(header: str, body: Iterable) -> SampledFunction | SampledSpectrum:
     """Samples from a header line and the body's lines (`numpy.loadtxt`
     takes str or bytes lines, or a text file positioned after the header)."""
@@ -520,12 +529,21 @@ def _parse_samples(header: str, body: Iterable) -> SampledFunction | SampledSpec
     parts = [p.strip() for p in header.split(",")]
     if len(parts) != 3 or parts[0] not in _HEADERS or parts[1:] != ["re", "im"]:
         raise InvalidGridError(f"unrecognized CSV header: {header!r}")
+    # numpy.loadtxt warns on a body without a row, so such a body raises
+    # here; loadtxt gets back the lines read up to the first row
+    lines, read = iter(body), []
+    for line in lines:
+        read.append(line)
+        if _holds_row(line):
+            break
+    else:
+        raise InvalidGridError(_TOO_FEW_ROWS)
     try:
-        data = np.loadtxt(body, delimiter=",", ndmin=2)
+        data = np.loadtxt(itertools.chain(read, lines), delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InvalidGridError(f"malformed CSV body: {exc}") from exc
     if data.shape[0] < 2 or data.shape[1] != 3:
-        raise InvalidGridError("CSV needs at least two rows of three columns")
+        raise InvalidGridError(_TOO_FEW_ROWS)
     nodes = data[:, 0]
     grid = make_uniform_grid(nodes[0], nodes[-1], len(nodes))
     drift = np.max(np.abs(nodes - grid.nodes()))

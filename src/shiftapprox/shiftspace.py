@@ -46,6 +46,11 @@ DEFAULT_GRID_COUNT = 4097
 Signal = Union[SampledFunction, SampledSpectrum, Generator]
 
 
+def rho_in_band(rho: float, sigma: float) -> bool:
+    """The band rule: ``0 < rho <= sigma``, up to a relative 1e-12 above."""
+    return 0 < rho <= sigma * (1.0 + _RHO_RTOL)
+
+
 @dataclass(frozen=True)
 class ShiftExpansion:
     """Finite coefficient vector beta_j, j = -j_max .. j_max.
@@ -64,7 +69,7 @@ class ShiftExpansion:
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not 0 < self.rho <= self.sigma * (1.0 + _RHO_RTOL):
+        if not rho_in_band(self.rho, self.sigma):
             raise ValueError(f"rho must be in (0, sigma], got {self.rho}")
         if self.coeffs.ndim != 1 or self.coeffs.size % 2 == 0:
             raise ValueError("coeffs must be a 1-d array of odd length "
@@ -327,7 +332,7 @@ def _energy_split(f: Signal, gen: Generator,
     D is evaluated, so the bound is imposed on their joint mass.
     """
     for rho in rhos:
-        if not 0 < rho <= sigma * (1.0 + _RHO_RTOL):
+        if not rho_in_band(rho, sigma):
             raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
     if grid is None:
         grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)

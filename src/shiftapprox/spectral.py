@@ -320,15 +320,15 @@ def poisson_lags(gen: Generator, sigma: float) -> Tuple[int, bool]:
 
     A declared support gives the exact L, the largest d with
     ``d*pi/sigma < hi - lo`` (a span within rounding of k shifts gives
-    k - 1: the lag k overlaps B on a null set).  A time tail radius at
-    1e-14 gives its shift count plus 2.  Raises `TruncationError` when the
-    generator declares neither: a spectral support alone bounds no lag (a
-    spectrum interpolated linearly at step s has autocorrelation images
-    near ``d = 2 sigma/s``, and a spectrum with a jump has lags that decay
-    like ``1/d``).
+    k - 1: the lag k overlaps B on a null set).  A declared time radius
+    gives its shift count: past it ``|B| <= TIME_EPS``.  Raises
+    `TruncationError` when the generator declares neither: a spectral
+    support alone bounds no lag (a spectrum interpolated linearly at step
+    s has autocorrelation images near ``d = 2 sigma/s``, and a spectrum
+    with a jump has lags that decay like ``1/d``).
     """
     try:
-        lo, hi, exact = time_extent(gen, 1e-14)
+        lo, hi, exact = time_extent(gen)
     except TruncationError as exc:
         raise TruncationError(
             f"{exc}; the autocorrelation lags the pairing needs are "
@@ -336,7 +336,7 @@ def poisson_lags(gen: Generator, sigma: float) -> Tuple[int, bool]:
     shifts = (hi - lo) * sigma / np.pi
     if exact:
         return max(0, int(np.ceil(shifts - 1e-9)) - 1), True
-    return int(np.ceil(shifts)) + 2, False
+    return int(np.ceil(shifts)), False
 
 
 def poisson_energy(acorr: np.ndarray, sigma: float, y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ the mesh is tested against.  The spectral sum passes x to
 k pi/(sigma P)``, ``e^{2 i nu sigma x_k}`` depends on nu mod P only, and
 the terms beyond ``|nu| <= 16`` sum per residue class to Hurwitz zeta
 values), and truncates it at the decay contract's envelope bound
-otherwise.
+otherwise.  The time sum takes the shifts whose `time_extent` reaches x,
+and one more either side: beyond it B vanishes or is below `TIME_EPS`,
+so the time sum is exact to rounding and reports no tail.
 Both formulas are exactly 2*sigma-periodic in y and exactly quasi-periodic
 in x term by term, so those structural identities hold to rounding; the
 interesting checks are the norm identity over the fundamental cell, the
@@ -92,19 +94,14 @@ class PropertyReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def _time_window(gen: Generator, sigma: float, xmin: float, xmax: float,
-                 tol: float) -> Tuple[int, int, float]:
-    """Index range of shifts contributing above tol on [xmin, xmax]."""
+def _time_window(gen: Generator, sigma: float, xmin: float,
+                 xmax: float) -> Tuple[int, int]:
+    """Index range of the shifts whose `time_extent` reaches [xmin, xmax],
+    one more on either side."""
     h = np.pi / sigma
-    lo, hi, exact = time_extent(gen, tol * 1e-3 * 2.0 * sigma)
-    if exact:
-        return (int(np.floor((xmin - hi) / h)) - 1,
-                int(np.ceil((xmax - lo) / h)) + 1, 0.0)
-    # |B| <= eps outside the radius; omitted shifts decay faster than
-    # geometrically for the families that declare a radius
-    radius = hi + 2.0 * h
-    return (int(np.floor((xmin - radius) / h)),
-            int(np.ceil((xmax + radius) / h)), tol * 1e-2)
+    lo, hi, _ = time_extent(gen)
+    return (int(np.floor((xmin - hi) / h)) - 1,
+            int(np.ceil((xmax - lo) / h)) + 1)
 
 
 def _is_mesh(x: np.ndarray, y: np.ndarray) -> bool:
@@ -112,8 +109,8 @@ def _is_mesh(x: np.ndarray, y: np.ndarray) -> bool:
     return x.ndim == 2 == y.ndim and x.shape[1] == 1 and y.shape[0] == 1
 
 
-def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
-                    tol: float) -> Tuple[np.ndarray, int, float]:
+def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray,
+                    y: np.ndarray) -> Tuple[np.ndarray, int, float]:
     if not sigma > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
     if gen.time_domain is None:
@@ -122,7 +119,7 @@ def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(x.shape, y.shape)
     h = np.pi / sigma
-    jmin, jmax, tail = _time_window(gen, sigma, float(np.min(x)), float(np.max(x)), tol)
+    jmin, jmax = _time_window(gen, sigma, float(np.min(x)), float(np.max(x)))
     js = np.arange(jmin, jmax + 1)
     acc = np.zeros(shape, dtype=np.complex128)
     if _is_mesh(x, y):
@@ -132,13 +129,13 @@ def _phi_time_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
             jc = js[sl].astype(float)
             phases = np.exp((1j * np.pi / sigma) * y * jc[:, np.newaxis])
             acc += gen.time_domain(x - jc * h) @ phases
-        return acc / (2.0 * sigma), max(abs(jmin), abs(jmax)), tail
+        return acc / (2.0 * sigma), max(abs(jmin), abs(jmax)), 0.0
     for sl in chunk_slices(js.size, int(np.prod(shape))):
         jc = js[sl].astype(float)
         shifts = x[..., np.newaxis] - jc * h
         phases = np.exp((1j * np.pi / sigma) * y[..., np.newaxis] * jc)
         acc += (gen.time_domain(shifts) * phases).sum(axis=-1)
-    return acc / (2.0 * sigma), max(abs(jmin), abs(jmax)), tail
+    return acc / (2.0 * sigma), max(abs(jmin), abs(jmax)), 0.0
 
 
 def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
@@ -166,12 +163,13 @@ def _phi_freq_array(gen: Generator, sigma: float, x: np.ndarray, y: np.ndarray,
     return lattice_sum(gen, sigma, y, terms, 1, tol, int(np.prod(shape)), x=x)
 
 
-def phi_time(gen: Generator, sigma: float, x, y, tol: float = 1e-8):
-    """Time-sum evaluation of Phi; exact for compactly supported generators.
+def phi_time(gen: Generator, sigma: float, x, y):
+    """Time-sum evaluation of Phi over the shifts that reach x; exact to
+    rounding for every generator with a `time_extent`.
 
     Scalars in, complex out; arrays broadcast elementwise.
     """
-    vals, _, _ = _phi_time_array(gen, sigma, x, y, tol)
+    vals, _, _ = _phi_time_array(gen, sigma, x, y)
     return complex(vals) if vals.ndim == 0 else vals
 
 
@@ -183,36 +181,34 @@ def phi_freq(gen: Generator, sigma: float, x, y, tol: float = 1e-8):
 
 def _time_available(gen: Generator) -> bool:
     """Whether the time sum is finite: a time domain and a `time_extent`."""
-    try:
-        time_extent(gen, 1.0)
-    except TruncationError:
-        return False
-    return gen.time_domain is not None
+    return gen.time_domain is not None and (
+        gen.support is not None or gen.time_radius is not None)
 
 
 def _freq_available(gen: Generator) -> bool:
     return gen.spectral_support is not None or gen.decay_exponent > 1.0
 
 
-def _phi_array(gen: Generator) -> Tuple[str, Callable]:
-    """The time sum when it is finite, the spectral sum otherwise."""
+def _phi_array(gen: Generator, sigma: float, tol: float) -> Tuple[str, Callable]:
+    """The time sum when it is finite, the spectral sum at tol otherwise,
+    as a map ``(x, y) -> (values, truncation_order, tail_bound)``."""
     if _time_available(gen):
-        return "time_sum", _phi_time_array
-    return "freq_sum", _phi_freq_array
+        return "time_sum", lambda x, y: _phi_time_array(gen, sigma, x, y)
+    return "freq_sum", lambda x, y: _phi_freq_array(gen, sigma, x, y, tol)
 
 
 def phi_field(gen: Generator, sigma: float, x_grid: Grid, y_grid: Grid,
               tol: float = 1e-8) -> PhiField:
     """Phi on a full mesh.
 
-    The time sum is finite (exact for compact support) whenever the
-    generator declares a support or a time tail radius; otherwise the
-    spectral sum runs.  ``PhiField.representation`` names the one used.
+    The time sum runs, exact to rounding, whenever the generator declares a
+    support or a time radius; otherwise the spectral sum runs at tol.
+    ``PhiField.representation`` names the one used.
     """
-    representation, fn = _phi_array(gen)
+    representation, fn = _phi_array(gen, sigma, tol)
     xs = x_grid.nodes()[:, np.newaxis]
     ys = y_grid.nodes()[np.newaxis, :]
-    values, order, tail = fn(gen, sigma, xs, ys, tol)
+    values, order, tail = fn(xs, ys)
     return PhiField(sigma=float(sigma), x_grid=x_grid, y_grid=y_grid,
                     values=values, representation=representation,
                     truncation_order=order, tail_bound=tail)
@@ -276,12 +272,12 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
     y_mid = ys[0]
 
     if use_time or use_freq:
-        _, fn = _phi_array(gen)
-        base, _, tail_b = fn(gen, sigma, xs, ys, tol)
+        _, fn = _phi_array(gen, sigma, tol)
+        base, _, tail_b = fn(xs, ys)
 
         # Phi1: cell integral of |Phi|^2 against ||B||^2 / (2 sigma)
         half_xs, half_ys, half_wx, half_hy = _cell_mesh(sigma, resolution // 2 + 1)
-        half, _, _ = fn(gen, sigma, half_xs, half_ys, tol)
+        half, _, _ = fn(half_xs, half_ys)
         cell = float((np.abs(base) ** 2 * wx).sum() * hy)
         half_cell = float((np.abs(half) ** 2 * half_wx).sum() * half_hy)
         quad_budget = abs(cell - half_cell) * 1.1
@@ -290,8 +286,8 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         checks.append(graded("phi1_norm", residual, budget))
 
         # Phi2: structural symmetries on the cell mesh (interior in y)
-        shifted_y, _, _ = fn(gen, sigma, xs, ys + 2.0 * sigma, tol)
-        shifted_x, _, _ = fn(gen, sigma, xs + h, ys, tol)
+        shifted_y, _, _ = fn(xs, ys + 2.0 * sigma)
+        shifted_x, _, _ = fn(xs + h, ys)
         sym_budget = 2.0 * tail_b + 1e-10
         res_period = float(np.max(np.abs(shifted_y - base)))
         checks.append(graded("phi2_periodic", res_period, sym_budget))
@@ -299,7 +295,7 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         res_quasi = float(np.max(np.abs(shifted_x - quasi)))
         checks.append(graded("phi2_quasiperiodic", res_quasi, sym_budget))
         if gen.real_valued:
-            mirrored, _, _ = fn(gen, sigma, xs, -ys, tol)
+            mirrored, _, _ = fn(xs, -ys)
             res_conj = float(np.max(np.abs(np.conj(base) - mirrored)))
             checks.append(graded("phi2_conjugation", res_conj, sym_budget))
         else:
@@ -312,14 +308,14 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
 
     # Phi3: the two representations agree pointwise
     if use_time and use_freq:
-        # base is the time sum here
+        # base is the exact time sum; the spectral sum is at the budget floor
         try:
-            f_vals, _, tail_f = _phi_freq_array(gen, sigma, xs, ys, tol * 1e-2)
+            f_vals, _, tail_f = _phi_freq_array(gen, sigma, xs, ys, min(tol, 1e-10))
         except TruncationError as exc:
             checks.append(skipped("phi3_representations", str(exc)))
         else:
             res3 = float(np.max(np.abs(base - f_vals)))
-            budget3 = tail_b + tail_f + 1e-10
+            budget3 = tail_f + 1e-10
             checks.append(graded("phi3_representations", res3, budget3))
     else:
         missing = "time" if not use_time else "frequency"

@@ -371,6 +371,24 @@ def test_project_malformed_csv_exits_1(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag, header", [("--f", "x,re,im"), ("--gen", "y,re,im")])
+def test_header_only_csv_reports_one_error(tmp_path, flag, header):
+    # run as its own process, where a warning numpy printed would reach
+    # stderr beside the package's error
+    path = tmp_path / "empty.csv"
+    path.write_text(header + "\n", encoding="ascii")
+    argv = ["besterr", "--gen", "bspline:m=1", "--f", "gauss:width=1"]
+    argv[argv.index(flag) + 1] = f"file:{path}"
+    src = str(Path(shiftapprox.__file__).resolve().parent.parent)
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "shiftapprox", *argv],
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=env_path))
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: CSV needs at least two rows of three columns\n"
+
+
 def test_project_non_ascii_csv_exits_1(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"x,re,im\n0,1,0\n1,2\xc3,0\n")
@@ -442,7 +460,7 @@ def test_besterr_on_time_samples_recovers_no_coefficients(tmp_path):
     # besterr never needs because it prints no coefficients
     path = tmp_path / "box.csv"
     write_samples_csv(str(path), cli._time_samples(
-        parse_generator_spec("bspline:m=0")))
+        parse_generator_spec("bspline:m=0"), parse_generator_spec("bspline:m=1"), 1.0))
     rc, out = run_cli(["besterr", "--gen", "bspline:m=1", "--f", f"file:{path}",
                        "--dgrid", "257", "--rho", "0.5"])
     assert rc == 0
@@ -460,8 +478,8 @@ def test_besterr_sigma_sweep_parses_each_file_once(tmp_path, monkeypatch):
     # parses each of them once, whatever the number of sigmas
     gen_path, f_path = tmp_path / "gen.csv", tmp_path / "f.csv"
     _tabulated_gaussian(gen_path)
-    write_samples_csv(str(f_path), cli._time_samples(
-        parse_generator_spec("gauss:width=1")))
+    gauss = parse_generator_spec("gauss:width=1")
+    write_samples_csv(str(f_path), cli._time_samples(gauss, gauss, 1.0))
     argv = ["besterr", "--gen", f"file:{gen_path}", "--f", f"file:{f_path}",
             "--dgrid", "65", "--sweep", "sigma=1,1.5,2"]
     _, want = run_cli(argv)
@@ -536,6 +554,19 @@ def test_compare_rejects_spectrum_signal(tmp_path, capsys):
     assert out == ""
 
 
+def test_compare_samples_f_on_the_knots_of_a_finer_spline(capsys):
+    # sigma_B = 2 on sigma = 1 puts B's knots at half steps of pi/sigma; the
+    # oracle's samples of f take them as Simpson panel edges, where a grid
+    # between them put the oracle 2.5e-5 below the formula (exit 1)
+    rc, out = run_cli(["compare", "--gen", "bspline:m=1,sigma=2",
+                       "--sigma", "1", "--f", "gauss:width=1"])
+    assert capsys.readouterr().err == ""
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [8, 16, 32, 64]
+    assert all(abs(float(r[3])) <= 1e-10 for r in rows)
+
+
 def test_compare_names_the_missing_time_window_of_f(capsys):
     # the sinc declares no time extent: the oracle has no window to sample
     # f on, and the message says so of f rather than of a generator's shifts
@@ -580,6 +611,10 @@ def test_repeat_runs_byte_identical():
 # from 0.11759750948855609 (the nodes next to the seam) to 0.11713894561375181
 # = D(sigma), and error_sq at rho = sigma from 0.46723506387619351 to
 # 0.46723543928393041 (the 16 385-node value is 0.46737514786188239)
+# compare was recorded again when a generator-spec f came to be sampled for
+# the oracle on a grid through the knots of B's shifts (6145 nodes on
+# [-3 pi, 3 pi], 1100 from -8.6 before): its J = 8 residual went from
+# 0.46737753931759696 to 0.46737753922801084, 2.4e-6 above the formula
 _PINNED_OUTPUT = {
     "dfun": (["--gen", "bspline:m=2", "--dgrid", "33"],
              "1166a66dcf740357c02c6177d4615aa554452de3622bfdf21c1c277a78b58f96"),
@@ -597,7 +632,7 @@ _PINNED_OUTPUT = {
                 "fd2319a3eed472300c6bf6be48473e7a45c858a5983a5a893f2f53c0a63b5dd5"),
     "compare": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
                  "--sweep", "jrange=4,8"],
-                "e44be0159744ea5b24a0ec150b80e72567281678d6bc05af3fc9b7da56ce14d2"),
+                "797554d9d328890790f8773ba71d03c59be12b44ab686004b6a9a87f34ed79fa"),
     "validate": (["--gen", "bspline:m=1", "--dgrid", "33"],
                  "e84fbe1e7ef8a334c8c03e1623138d36f705380d138c97b2d040550390febc55"),
     # two tables long enough for the numpy formatter, recorded with Python's

@@ -9,6 +9,7 @@ import pytest
 from shiftapprox import cli, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (
+    TIME_EPS,
     SplineParams,
     _cardinal_bspline,
     bandlimited_generator,
@@ -110,10 +111,10 @@ def test_bandlimited_spectrum_is_an_indicator():
 
 def test_gaussian_tail_radius_bounds_the_time_tail():
     gen = gaussian_generator(0.7)
-    for eps in (1e-3, 1e-8, 1e-12):
-        r = gen.time_tail_radius(eps)
-        assert abs(gen.time_domain(np.array([r]))[0]) <= eps * (1 + 1e-12)
-        assert abs(gen.time_domain(np.array([-r - 1.0]))[0]) < eps
+    r = gen.time_radius
+    assert r == pytest.approx(0.7 * math.sqrt(2.0 * math.log(1e16)), rel=1e-15)
+    assert abs(gen.time_domain(np.array([r]))[0]) <= TIME_EPS * (1 + 1e-12)
+    assert abs(gen.time_domain(np.array([-r - 1.0]))[0]) < TIME_EPS
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -245,7 +246,9 @@ def test_decay_audit_holds_for_builtin_families():
 def test_parse_generator_spec_families():
     g = parse_generator_spec("bspline:m=2,sigma=2")
     assert g.label == "bspline:m=2,sigma=2"
-    assert parse_generator_spec("gauss:width=0.5").time_step_hint == pytest.approx(0.5 / 16)
+    gauss = parse_generator_spec("gauss:width=0.5")
+    assert gauss.time_radius == pytest.approx(0.5 * math.sqrt(2.0 * math.log(1e16)))
+    assert gauss.time_step_hint is None
     assert parse_generator_spec("sinc:sigma=1.5").spectral_support == pytest.approx(1.5)
     assert parse_generator_spec("bspline:m=1", default_sigma=2.0).support[0] == pytest.approx(-math.pi)
 
@@ -319,36 +322,38 @@ def test_tabulated_spectrum_is_real_only_on_a_symmetric_grid():
 
 
 def test_time_extent_reads_the_support_then_the_tail_radius():
-    assert time_extent(spline(1, 1.0), 1e-3) == (-2.0 * math.pi, 0.0, True)
+    assert time_extent(spline(1, 1.0)) == (-2.0 * math.pi, 0.0, True)
     gauss = gaussian_generator(0.8)
-    radius = gauss.time_tail_radius(1e-12)
-    assert time_extent(gauss, 1e-12) == (-radius, radius, False)
+    radius = gauss.time_radius
+    assert time_extent(gauss) == (-radius, radius, False)
     with pytest.raises(TruncationError, match="neither compact support"):
-        time_extent(cauchy(), 1e-12)
+        time_extent(cauchy())
     with pytest.raises(TruncationError):
-        time_extent(bandlimited_generator(1.0), 1e-12)
+        time_extent(bandlimited_generator(1.0))
 
 
-# Every reader of a generator's time extent, as the separate support /
-# tail-radius ladders computed them: the shift range of the Phi time sum on
-# [0, pi/sigma] at tol 1e-8, the Poisson lag count of periodize and Phi4
-# (the exact L under a declared support), the autocorrelation's
-# quadrature nodes (count, first, last) for lags 0..3, and the grid of a
-# signal sampled in time (start, stop, count).  The Gaussian's
-# autocorrelation is its closed form: no quadrature node is read.
+# Every reader of a generator's time extent, which is its support or its
+# declared time radius: the shift range of the Phi time sum on
+# [0, pi/sigma], the Poisson lag count of periodize and Phi4 (the exact L
+# under a declared support), the autocorrelation's quadrature nodes
+# (count, first, last) for lags 0..3, and the grid of a signal sampled in
+# time against the same generator (start, stop, count): its extent rounded
+# out to multiples of pi/sigma, at a step that puts the knots on even
+# nodes.  The Gaussian's autocorrelation is its closed form: no quadrature
+# node is read.
 _EXTENT_PINS = {
-    ("spline", 1.0): ((-1, 5, 0.0), 2, (385, -9.42477796076938, 0.0),
-                      (-9.42477796076938, 0.0, 4097)),
-    ("spline", 2.0): ((-1, 8, 0.0), 5, (769, -9.42477796076938, 0.0),
-                      (-9.42477796076938, 0.0, 4097)),
-    ("gauss", 1.0): ((-4, 5, 1e-10), 7, None,
-                     (-6.8670912841259115, 6.8670912841259115, 1100)),
-    ("gauss", 2.0): ((-6, 7, 1e-10), 11, None,
-                     (-6.8670912841259115, 6.8670912841259115, 1100)),
-    ("sampled", 1.0): ((-4, 5, 0.0), 5, (1031, -8.0, 8.019012045532111),
-                       (-8.0, 8.0, 2049)),
-    ("sampled", 2.0): ((-7, 8, 0.0), 10, (1305, -8.0, 8.002487579223008),
-                       (-8.0, 8.0, 2049)),
+    ("spline", 1.0): ((-1, 5), 2, (385, -9.42477796076938, 0.0),
+                      (-9.42477796076938, 0.0, 6145)),
+    ("spline", 2.0): ((-1, 8), 5, (769, -9.42477796076938, 0.0),
+                      (-9.42477796076938, 0.0, 6145)),
+    ("gauss", 1.0): ((-4, 5), 5, None,
+                     (-9.42477796076938, 9.42477796076938, 6145)),
+    ("gauss", 2.0): ((-6, 7), 9, None,
+                     (-7.853981633974483, 7.853981633974483, 5121)),
+    ("sampled", 1.0): ((-4, 5), 5, (1031, -8.0, 8.019012045532111),
+                       (-9.42477796076938, 9.42477796076938, 6145)),
+    ("sampled", 2.0): ((-7, 8), 10, (1305, -8.0, 8.002487579223008),
+                       (-9.42477796076938, 9.42477796076938, 6145)),
 }
 
 
@@ -358,7 +363,7 @@ def test_extent_readers_keep_their_windows(name, sigma):
            "gauss": lambda: gaussian_generator(0.8),
            "sampled": sampled_gaussian}[name]()
     window, lags, nodes, signal_grid = _EXTENT_PINS[(name, sigma)]
-    assert zak._time_window(gen, sigma, 0.0, math.pi / sigma, 1e-8) == window
+    assert zak._time_window(gen, sigma, 0.0, math.pi / sigma) == window
     assert poisson_lags(gen, sigma)[0] == lags
     seen = []
 
@@ -375,5 +380,5 @@ def test_extent_readers_keep_their_windows(name, sigma):
         shift_autocorrelation(dataclasses.replace(watched, autocorrelation=None),
                               sigma, 3)
         assert seen == [nodes]
-    grid = cli._time_samples(gen).grid
+    grid = cli._time_samples(gen, gen, sigma).grid
     assert (grid.start, grid.stop, grid.count) == signal_grid

@@ -4,6 +4,7 @@ import os
 import shutil
 import sys
 import threading
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -255,6 +256,21 @@ def test_csv_header_selects_domain():
 def test_csv_rejects_malformed_input(text):
     with pytest.raises(InvalidGridError):
         read_samples_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", [
+    "x,re,im\n", "y,re,im\n", "x,re,im\n\n  \n", "y,re,im\n# no rows\n"])
+def test_csv_without_rows_raises_without_a_warning(text, tmp_path):
+    # numpy.loadtxt warns on input without data; the reader raises its own
+    # error before, for a path and for a file object alike
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="ascii")
+    for src in (str(path), io.StringIO(text)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidGridError, match="at least two rows"):
+                read_samples_csv(src)
+        assert caught == []
 
 
 # ------------------------------------------------------- parsed-file cache

@@ -26,6 +26,8 @@ sigmas = st.sampled_from([0.5, 1.0, 2.0])
 widths = st.floats(0.6, 1.5)
 centres = st.floats(-3.0, 3.0)
 generator_kinds = st.sampled_from(["m1", "m2", "m3", "gauss"])
+#: 0, or of size 1e-100 to 2: products with spectrum values stay normal
+linear_scalars = st.one_of(st.just(0.0), st.floats(1e-100, 2.0), st.floats(-2.0, -1e-100))
 
 
 def _generator(kind: str, sigma: float):
@@ -99,11 +101,13 @@ def test_best_error_does_not_rise_with_the_band_radius(
 @PROPERTY
 @given(sigma=sigmas, widths=st.tuples(widths, widths),
        centres=st.tuples(centres, centres), kind=generator_kinds,
-       scalars=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+       scalars=st.lists(linear_scalars, min_size=4, max_size=4))
 def test_zeta_is_linear_in_the_signal(sigma, widths, centres, kind, scalars):
     # fold, division by D and the seam extrapolation are all linear in
     # f-hat, so zeta(a F + b G) = a zeta(F) + b zeta(G) node by node up to
-    # rounding: at most 4e-15 of the operands' size over 300 random draws
+    # rounding: at most 4e-15 of the operands' size over 300 random draws.
+    # Each scalar is 0 or at least 1e-100 in size: nearer 0 the products
+    # a F and a zeta(F) go subnormal and lose bits the program never had
     gen = _generator(kind, sigma)
     grid = Grid(start=-sigma, stop=sigma, count=DGRID)
     f, g = (_gaussian_signal(sigma, w, c, cover_width=min(widths))

@@ -179,7 +179,7 @@ def test_denominator_is_the_least_within_the_class_cap(v, b):
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 @pytest.mark.parametrize("name", ["gauss", "sinc"])
 def test_poisson_energy_without_a_closed_form(name, sigma):
-    # the lags of a tail radius (Gaussian), over quadrature
+    # the lags of a time radius (Gaussian), over quadrature
     # autocorrelations: the Poisson form meets the lattice form at the cell
     # midpoints within the Phi4 pairing's budget.  A spectral support alone
     # (sinc) bounds no lag, so there the lag rule raises
@@ -189,8 +189,8 @@ def test_poisson_energy_without_a_closed_form(name, sigma):
         return
     gen = gaussian_generator(0.8)
     lags, exact = poisson_lags(gen, sigma)
-    # the Gaussian's tail radius at 1e-14 plus 2 shifts
-    assert (lags, exact) == ({1.0: 7, 2.0: 11}[sigma], False)
+    # the shift count of twice the Gaussian's time radius, rounded up
+    assert (lags, exact) == ({1.0: 5, 2.0: 9}[sigma], False)
     hy = 2.0 * sigma / 64
     y = -sigma + hy * (np.arange(64) + 0.5)
     energy = poisson_energy(shift_autocorrelation(gen, sigma, lags), sigma, y)

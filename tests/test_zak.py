@@ -24,7 +24,7 @@ def test_spectral_sum_of_a_slowly_rotating_tail_is_exact():
     y = -1.0 + (np.arange(64) + 0.5) / 32.0
     freq, order, tail = zak._phi_freq_array(gen, 1.0, math.pi / 64.0, y, 1e-10)
     assert (order, tail) == (spectral.HURWITZ_ORDER, 0.0)
-    time = phi_time(gen, 1.0, math.pi / 64.0, y, tol=1e-10)
+    time = phi_time(gen, 1.0, math.pi / 64.0, y)
     assert np.max(np.abs(freq - time)) <= 1e-15
 
 
@@ -135,8 +135,8 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
 
     monkeypatch.setattr(zak, "lattice_sum", recorded)
 
-    t_mesh = phi_time(counted, sigma, x, y, tol)
-    jmin, jmax, _ = _time_window(gen, sigma, float(x.min()), float(x.max()), tol)
+    t_mesh = phi_time(counted, sigma, x, y)
+    jmin, jmax = _time_window(gen, sigma, float(x.min()), float(x.max()))
     assert counts == {"spectrum": 0, "time": x.size * (jmax - jmin + 1)}
 
     counts["time"] = 0
@@ -151,7 +151,7 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
     # the mesh agrees with pointwise evaluation at the paired nodes
     xs, ys = (a.ravel() for a in np.meshgrid(x[:, 0], y[0], indexing="ij"))
     shape = (x.size, y.size)
-    assert np.max(np.abs(t_mesh - phi_time(gen, sigma, xs, ys, tol).reshape(shape))) < 1e-14
+    assert np.max(np.abs(t_mesh - phi_time(gen, sigma, xs, ys).reshape(shape))) < 1e-14
     assert np.max(np.abs(f_mesh - phi_freq(gen, sigma, xs, ys, tol).reshape(shape))) < 1e-14
     assert np.max(np.abs(t_mesh - f_mesh)) < 1e-8
 
@@ -322,7 +322,7 @@ def test_property_suite_catches_inconsistent_generators():
     liar = Generator(
         label="mismatched", spectrum=spectrum, decay_exponent=40.0,
         decay_constant=2.0, time_domain=time_domain,
-        time_tail_radius=lambda eps: w_time * math.sqrt(2.0 * math.log(1.0 / max(eps, 1e-300))),
+        time_radius=gaussian_generator(w_time).time_radius,
         autocorrelation=lambda tau: (
             w_time * math.sqrt(math.pi) * np.exp(-tau * tau / (4.0 * w_time ** 2))),
     )
