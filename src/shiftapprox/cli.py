@@ -281,9 +281,14 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
     else:
         runs = [(cfg.sigma, values)]
     lines = ["param,error_sq"]
+    # a file: generator does not depend on sigma: its samples are
+    # transformed once for the sweep
+    fixed = (parse_generator_spec(cfg.generator_spec)
+             if cfg.generator_spec.strip().startswith("file:") else None)
     for sigma, rhos in runs:
         # a file: input is parsed once per process (`read_samples_csv`)
-        gen = parse_generator_spec(cfg.generator_spec, default_sigma=sigma)
+        gen = fixed or parse_generator_spec(cfg.generator_spec,
+                                            default_sigma=sigma)
         signal = _load_signal(cfg.f_spec, sigma)
         grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,

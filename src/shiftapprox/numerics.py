@@ -21,11 +21,12 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, TextIO, Tuple, Union
+from typing import (Iterable, List, NamedTuple, Optional, Sequence, TextIO,
+                    Tuple, Union)
 
 import numpy as np
 
-from .errors import InvalidGridError
+from .errors import GridMismatchError, InvalidGridError
 
 TWO_PI = 2.0 * np.pi
 
@@ -178,13 +179,102 @@ def l2_norm_sq(f: SampledFunction | SampledSpectrum) -> float:
     return float(val.real)
 
 
-def fourier_transform_sampled(f: SampledFunction, freq: Grid) -> SampledSpectrum:
+def _fft_size(count: int, block: int) -> int:
+    """Smallest power of two that holds the chirp convolution of ``count``
+    time nodes onto a block of ``block`` frequency nodes."""
+    return 1 << (count + block - 2).bit_length()
+
+
+def _block_length(count: int, nodes: int, lengths: Sequence[int]) -> int:
+    """Frequency nodes per chirp block, for ``count`` time nodes and runs
+    of ``lengths`` (not all zero) wanted nodes on a grid of ``nodes``.
+
+    Blocks are at most the bound, the longest that fits the smallest FFT of
+    ``2 count - 1`` points or more.  They are the largest power of two that
+    divides ``nodes - 1`` within it: on a period extension ``nodes - 1`` is
+    the period's node count minus one times an odd number of periods, so
+    these blocks tile every period window of every extension, and one plan
+    serves a whole doubling.  Blocks of the bound (or of the longest run)
+    are taken only where they need at most a quarter of the FFT points
+    over the runs, as when ``nodes - 1`` has a small power-of-two part:
+    shorter blocks keep the chirp phases smaller.
+    """
+    bound = _fft_size(count, count) - count + 1
+    tile = min((nodes - 1) & -(nodes - 1), 1 << (bound.bit_length() - 1))
+    whole = min(bound, max(lengths))
+
+    def points(block: int) -> int:
+        rows = sum(-(-(n - (n % block == 1)) // block) for n in lengths)
+        return rows * _fft_size(count, block)
+    return whole if 4 * points(whole) <= points(tile) else tile
+
+
+class _ChirpPlan(NamedTuple):
+    """What a chirp transform of one time grid onto blocks of one
+    frequency step reuses: FFT size, time nodes, quadrature weights over
+    2 pi (bare, and times the time-side chirp), kernel spectrum and
+    post-phase.  The arrays are read-only."""
+
+    size: int
+    nodes: np.ndarray
+    weights: np.ndarray
+    chirped: np.ndarray
+    kernel: np.ndarray
+    post: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)
+def _chirp_plan(grid: Grid, dy: float, block: int) -> _ChirpPlan:
+    """The `_ChirpPlan` of ``grid`` onto blocks of ``block`` frequency
+    nodes of step ``dy``: built once and shared by every transform of the
+    same grids, the base and the rings of one doubling among them.  The
+    two plans used last are kept, enough for a request that transforms
+    a time-sample generator and a time-sample signal."""
+    count = grid.count
+    size = _fft_size(count, block)
+    k = np.arange(max(count, block), dtype=np.int64)   # k^2 exact before scaling
+    chirp = np.exp((-0.5j * grid.step * dy) * (k * k).astype(float))
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:block] = np.conj(chirp[:block])
+    kernel[size - count + 1:] = np.conj(chirp[count - 1:0:-1])
+    weights = quadrature_weights(grid) / TWO_PI
+    plan = _ChirpPlan(
+        size=size, nodes=grid.nodes(), weights=weights,
+        chirped=weights * chirp[:count], kernel=np.fft.fft(kernel),
+        post=chirp[:block] * np.exp((-1j * grid.start * dy) * np.arange(block)))
+    for arr in plan[1:]:
+        arr.flags.writeable = False
+    return plan
+
+
+def _inner_slice(inner: Grid, freq: Grid) -> slice:
+    """The nodes of ``freq`` that ``inner`` lies on; `GridMismatchError`
+    unless it is a sub-grid of the same step."""
+    offset = (inner.start - freq.start) / freq.step
+    lo = int(round(offset))
+    if not (abs(inner.step - freq.step) <= 1e-9 * freq.step
+            and abs(offset - lo) <= 1e-6
+            and 0 <= lo <= freq.count - inner.count):
+        raise GridMismatchError(
+            f"inner grid [{inner.start}, {inner.stop}] x {inner.count} is not "
+            f"a sub-grid of [{freq.start}, {freq.stop}] x {freq.count}")
+    return slice(lo, lo + inner.count)
+
+
+def fourier_transform_sampled(f: SampledFunction, freq: Grid,
+                              inner: Optional[SampledSpectrum] = None
+                              ) -> SampledSpectrum:
     """Quadrature Fourier transform of time samples, by blocked chirp-z.
 
     Evaluates ``(1/2pi) * sum_j w_j f(x_j) exp(-i x_j y)`` at every node of
     ``freq``, with the weights ``w`` of `integrate`.  Accuracy requires the
     time grid to resolve the oscillation ``exp(-i x y)`` at the largest
     requested ``|y|`` (keep ``f.grid.step * max|y|`` well below 1).
+
+    ``inner``, a transform of the same samples on a sub-grid of ``freq``
+    of the same step, is kept: its values come back bit for bit and only
+    the nodes either side of it are transformed.  So a spectrum grows by
+    rings of period windows without transforming the inner windows again.
 
     Both grids are uniform, so on a block of ``L`` frequency nodes
     ``y_b + l dy`` the sum is
@@ -193,38 +283,59 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid) -> SampledSpectrum
 
     ``theta = dx dy``, and the inner sum is one chirp convolution (Bluestein;
     Rabiner, Schafer & Rader 1969).  The block-start phases are computed
-    directly, like the phases of a direct sum, and blocks are about as long
-    as the time grid, so the chirp phases ``theta (n + L)^2 / 2`` stay small
-    and the result matches the direct sum to its own phase rounding,
-    ``eps * max|x| * max|y| * sum|c|``.  All blocks go through one batched
-    power-of-two FFT: cost ``O((freq.count + f.grid.count) log f.grid.count)``,
-    memory ``O(freq.count + f.grid.count)``.
+    directly, like the phases of a direct sum, and blocks are at most about
+    as long as the time grid (`_block_length`), so the chirp phases
+    ``theta (n + L)^2 / 2`` stay small and the result matches the direct
+    sum to its own phase rounding, ``eps * max|x| * max|y| * sum|c|``.
+    Each run of wanted nodes (all of ``freq``, or the two sides of
+    ``inner``) is cut into blocks of ``L`` from its first node.  On a
+    period extension ``L`` divides the period, so the blocks tile the
+    windows: a ring's two sides are whole blocks, and a whole extension
+    is whole blocks and its last node, which is a direct sum rather than
+    an FFT row of one node.  Any other rest is a block cut short.  All
+    blocks go through one batched power-of-two FFT against a kernel built
+    once for the pair of grids (`_chirp_plan`): cost
+    ``O((freq.count + f.grid.count) log f.grid.count)``, memory
+    ``O(freq.count + f.grid.count)``.
 
     Returns
     -------
     SampledSpectrum
         Transform values on ``freq``.
     """
-    n, m = f.grid.count, freq.count
-    x = f.grid.nodes()
-    y = freq.nodes()
-    weighted = quadrature_weights(f.grid) * f.values / TWO_PI
-    size = 1 << (2 * n - 2).bit_length()        # smallest power of two >= 2n-1
-    block = min(size - n + 1, m)
-    size = 1 << (n + block - 2).bit_length()     # shrinks when m is short
-    starts = y[::block]
-    k = np.arange(max(n, block), dtype=np.int64)   # k^2 exact before scaling
-    chirp = np.exp((-0.5j * f.grid.step * freq.step) * (k * k).astype(float))
-
-    kernel = np.zeros(size, dtype=np.complex128)
-    kernel[:block] = np.conj(chirp[:block])
-    kernel[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
-    heads = np.zeros((starts.size, size), dtype=np.complex128)
-    heads[:, :n] = np.exp(np.outer(starts, x) * (-1j)) * (weighted * chirp[:n])
-    conv = np.fft.ifft(np.fft.fft(heads, axis=-1) * np.fft.fft(kernel), axis=-1)
-    post = chirp[:block] * np.exp((-1j * f.grid.start * freq.step)
-                                  * np.arange(block))
-    out = (conv[:, :block] * post).reshape(-1)[:m]
+    m = freq.count
+    out = np.empty(m, dtype=np.complex128)
+    runs = [(0, m)]
+    if inner is not None:
+        kept = _inner_slice(inner.grid, freq)
+        out[kept] = inner.values
+        runs = [(0, kept.start), (kept.stop, m)]
+    lengths = [hi - lo for lo, hi in runs]
+    if not any(lengths):
+        return SampledSpectrum(grid=freq, values=out)
+    block = _block_length(f.grid.count, m, lengths)
+    plan = _chirp_plan(f.grid, freq.step, block)
+    cuts, direct = [], []
+    for lo, hi in runs:
+        if (hi - lo) % block == 1:
+            hi -= 1
+            direct.append(hi)
+        if hi > lo:
+            cuts.append((lo, hi, np.arange(lo, hi, block)))
+    if cuts:
+        first = np.concatenate([starts for _, _, starts in cuts])
+        y = freq.start + first * freq.step
+        heads = np.exp(np.outer(y, plan.nodes) * (-1j)) * (f.values * plan.chirped)
+        conv = np.fft.ifft(np.fft.fft(heads, n=plan.size) * plan.kernel)
+        rows = (conv[:, :block] * plan.post).reshape(-1)
+        done = 0
+        for lo, hi, starts in cuts:
+            out[lo:hi] = rows[done:done + hi - lo]
+            done += starts.size * block
+    if direct:
+        y = freq.start + np.array(direct) * freq.step
+        out[direct] = (np.exp(np.outer(y, plan.nodes) * (-1j))
+                       * (f.values * plan.weights)).sum(axis=1)
     return SampledSpectrum(grid=freq, values=out)
 
 

@@ -408,14 +408,26 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
     negligible share of the energy, up to the most windows that stay inside
     the band the samples resolve (`resolved_band`), and at most 16: beyond
     that band the quadrature transform returns aliased copies of the
-    spectrum, not the spectrum.
+    spectrum, not the spectrum.  Samples that do not resolve the three
+    windows ``[-3 sigma, 3 sigma]`` raise `ResolutionError`.
+
+    Each period window is transformed once: the first call covers three
+    windows, and each doubling passes the spectrum so far as the ``inner``
+    of `fourier_transform_sampled`, which transforms the new left and
+    right windows in one batched FFT and keeps the inner values.
     """
     n = grid.count
-    limit = min(16, int((resolved_band(f.grid.step) / sigma - 1.0) // 2.0))
-    windows = 1
+    band = resolved_band(f.grid.step)
+    limit = min(16, int((band / sigma - 1.0) // 2.0))
+    if limit < 1:
+        raise ResolutionError(
+            f"time step dx={f.grid.step:.6g} resolves the band |y| <= "
+            f"{band:.6g}, short of the 3*sigma = {3.0 * sigma:.6g} that three "
+            "period windows need: sample f more finely")
+    windows, spec = 1, None
     while True:
         freq = period_extension(sigma, n, windows)
-        spec = fourier_transform_sampled(f, freq)
+        spec = fourier_transform_sampled(f, freq, inner=spec)
         power = np.abs(spec.values) ** 2
         outer = power[:n - 1].sum() + power[freq.count - n + 1:].sum()
         if outer <= _MASS_TOL * max(power.sum(), 1e-300) or windows >= limit:

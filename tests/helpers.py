@@ -237,6 +237,36 @@ def direct_fourier_sum(f: SampledFunction, freq: Grid,
     return out
 
 
+def time_sample_shapes() -> dict:
+    """Time samples as the sampled benchmark feeds them to the fold, by
+    name: ``(samples, sigma, period-grid nodes)``.  Gaussians of width
+    about 1 on a window of about +-8.6 widths, in 241 to 273 samples onto
+    257 nodes (sigma 1 and 2) and in 257 and 513 onto 4097; spline members
+    ``sum_{|j| <= 3} beta_j B(x - j pi)`` at step pi/32 (353 samples,
+    m = 2) and pi/16 (193, m = 3) onto 129."""
+    rng = np.random.default_rng(29)
+    shapes = {}
+    for count, width, sigma in ((241, 0.93, 1.0), (257, 1.0, 2.0),
+                                (273, 1.07, 1.0), (273, 1.07, 2.0)):
+        half = 8.6 * width
+        grid = Grid(-half, half, count)
+        shapes[f"{count}-onto-257-sigma{sigma:g}"] = (SampledFunction(
+            grid, np.exp(-0.5 * (grid.nodes() / width) ** 2) + 0j), sigma, 257)
+    for count in (257, 513):
+        grid = Grid(-8.6, 8.6, count)
+        shapes[f"{count}-onto-4097"] = (SampledFunction(
+            grid, np.exp(-0.5 * grid.nodes() ** 2) + 0j), 1.0, 4097)
+    for m, q in ((2, 32), (3, 16)):
+        gen, h = spline(m), math.pi
+        grid = Grid(-(m + 5) * h, 4 * h, (m + 9) * q + 1)
+        beta = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        values = sum(b * gen.time_domain(grid.nodes() - j * h)
+                     for j, b in zip(range(-3, 4), beta))
+        shapes[f"{grid.count}-onto-129-m{m}"] = (
+            SampledFunction(grid, values), 1.0, 129)
+    return shapes
+
+
 def direct_coeffs(weighted: np.ndarray, grid: Grid, sigma: float,
                   j_range: int) -> np.ndarray:
     """``(1/2 sigma) sum_k weighted_k e^{i j pi y_k / sigma}``, |j| <= j_range,

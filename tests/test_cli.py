@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import shiftapprox
-from shiftapprox import cli, numerics
+from shiftapprox import cli, generator, numerics
 from shiftapprox.errors import ResolutionError
 from shiftapprox.generator import (default_freq_grid, parse_generator_spec,
                                    sampled_generator)
@@ -470,6 +470,48 @@ def test_besterr_on_time_samples_recovers_no_coefficients(tmp_path):
         project(signal, gen, 1.0, 0.5, grid=grid)
     want = project(signal, gen, 1.0, 0.5, grid=grid, j_range=8)
     assert _rows(out) == ["param,error_sq", f"0.5,{want.error_sq:.17g}"]
+
+
+def test_besterr_sigma_sweep_transforms_a_file_generator_once(tmp_path, monkeypatch):
+    # time samples as the generator: their spectrum does not depend on
+    # sigma, so a four-sigma sweep transforms them once, and each row is
+    # the row of a run at that sigma alone
+    path = tmp_path / "gen-x.csv"
+    x = np.linspace(-8.0, 8.0, 513)
+    write_samples_csv(str(path), SampledFunction(
+        grid=Grid(-8.0, 8.0, 513), values=np.exp(-0.5 * x * x) + 0j))
+    base = ["besterr", "--gen", f"file:{path}", "--f", "gauss:width=1",
+            "--dgrid", "257"]
+    singles = []
+    for sigma in ("0.5", "1", "1.5", "2"):
+        rc_one, one = run_cli(base + ["--sigma", sigma])
+        assert rc_one == 0
+        singles.extend(_rows(one)[1:])
+    calls = []
+    transform = generator.fourier_transform_sampled
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "fourier_transform_sampled", counting)
+    rc, out = run_cli(base + ["--sweep", "sigma=0.5,1,1.5,2"])
+    assert rc == 0
+    assert len(calls) == 1
+    assert _rows(out) == ["param,error_sq"] + singles
+
+
+def test_time_samples_too_coarse_for_three_windows_exit_1(tmp_path, capsys):
+    # dx = 1 resolves |y| <= 0.45 pi < 3 sigma: the transform would fold
+    # aliased copies of the spectrum in as energy
+    path = tmp_path / "coarse-x.csv"
+    x = np.linspace(-10.0, 10.0, 21)
+    write_samples_csv(str(path), SampledFunction(
+        grid=Grid(-10.0, 10.0, 21), values=np.exp(-0.5 * x * x) + 0j))
+    rc, out = run_cli(["besterr", "--gen", "bspline:m=1", "--f", f"file:{path}",
+                       "--sigma", "1"])
+    assert rc == 1 and out == ""
+    assert "dx=1 " in capsys.readouterr().err
 
 
 def test_besterr_sigma_sweep_parses_each_file_once(tmp_path, monkeypatch):

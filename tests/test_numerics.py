@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from shiftapprox import numerics
-from shiftapprox.errors import InvalidGridError
+from shiftapprox.errors import GridMismatchError, InvalidGridError
 from shiftapprox.numerics import (
     NUMPY_TEXT_ROWS,
     Grid,
@@ -24,12 +24,14 @@ from shiftapprox.numerics import (
     integrate_values,
     l2_norm_sq,
     make_uniform_grid,
+    period_extension,
     quadrature_weights,
     read_samples_csv,
+    resolved_band,
     write_samples_csv,
 )
 
-from helpers import direct_fourier_sum, reference_csv
+from helpers import direct_fourier_sum, reference_csv, time_sample_shapes
 
 
 def test_grid_nodes_hit_endpoints_exactly():
@@ -178,6 +180,85 @@ def test_chirp_transform_matches_direct_sum(case):
     envelope = (np.finfo(float).eps * np.max(np.abs(x))
                 * np.max(np.abs(freq.nodes())) * mass)
     assert np.max(np.abs(fast[idx] - ref)) <= envelope
+
+
+@pytest.mark.parametrize("name", sorted(time_sample_shapes()))
+def test_rings_keep_the_inner_transform_and_match_a_one_shot(name):
+    # windows 1 -> 2 -> 4 (fewer where the samples do not resolve them):
+    # each ring call returns its inner values bit for bit, and the result
+    # matches one transform of the whole extension and the direct sum
+    f, sigma, n = time_sample_shapes()[name]
+    limit = int((resolved_band(f.grid.step) / sigma - 1.0) // 2.0)
+    spec = fourier_transform_sampled(f, period_extension(sigma, n, 1))
+    for windows in sorted({2, min(4, limit)}):
+        freq = period_extension(sigma, n, windows)
+        ring = fourier_transform_sampled(f, freq, inner=spec)
+        lo = (freq.count - spec.grid.count) // 2
+        assert np.array_equal(ring.values[lo:lo + spec.grid.count], spec.values)
+        spec = ring
+    whole = fourier_transform_sampled(f, spec.grid).values
+    top = np.max(np.abs(whole))
+    assert np.max(np.abs(spec.values - whole)) <= 1e-14 * top
+    rows = np.r_[0:spec.grid.count:max(1, spec.grid.count // 400),
+                 spec.grid.count - 1]
+    ref = direct_fourier_sum(f, spec.grid, rows)
+    assert np.max(np.abs(spec.values[rows] - ref)) <= 1e-14 * top
+
+
+def test_a_ring_around_the_whole_grid_is_the_inner_transform():
+    f, sigma, n = time_sample_shapes()["241-onto-257-sigma1"]
+    freq = period_extension(sigma, n, 1)
+    inner = fourier_transform_sampled(f, freq)
+    again = fourier_transform_sampled(f, freq, inner=inner)
+    assert np.array_equal(again.values, inner.values)
+
+
+@pytest.mark.parametrize("inner_grid", [
+    Grid(-0.995, 0.995, 200),            # half a node off the grid
+    Grid(-1.0, 1.0, 101),                # another step
+    Grid(2.0, 4.0, 201),                 # past the end of the grid
+])
+def test_an_inner_transform_off_the_grid_is_rejected(inner_grid):
+    f = _gauss_samples()
+    inner = SampledSpectrum(grid=inner_grid,
+                            values=np.zeros(inner_grid.count, dtype=complex))
+    with pytest.raises(GridMismatchError):
+        fourier_transform_sampled(f, Grid(-3.0, 3.0, 601), inner=inner)
+
+
+def test_transforms_sharing_chirp_plans_across_threads():
+    # three pairs of grids through a plan cache of two: most calls evict a
+    # plan another thread may be using, and every result must stay the
+    # serial one
+    cases = []
+    for count in (241, 257, 273):
+        f = _gauss_samples(count=count)
+        cases.append((f, period_extension(1.0, 129, 2)))
+    want = [fourier_transform_sampled(f, freq).values for f, freq in cases]
+    errors = []
+
+    def worker(offset):
+        try:
+            for k in range(40):
+                i = (offset + k) % 3
+                got = fourier_transform_sampled(*cases[i]).values
+                if not np.array_equal(got, want[i]):
+                    errors.append(i)
+        except Exception as exc:  # a thread's exception, reported below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_csv_round_trip_is_exact():

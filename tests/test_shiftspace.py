@@ -16,11 +16,13 @@ from shiftapprox.errors import (GridMismatchError, InvalidGridError,
 from shiftapprox.generator import (Generator, gaussian_generator,
                                    generator_l2_norm_sq, parse_generator_spec,
                                    spectrum_generator)
+from shiftapprox import numerics, shiftspace
 from shiftapprox.numerics import Grid, SampledFunction, SampledSpectrum, \
-    make_uniform_grid, period_extension
+    fourier_transform_sampled, make_uniform_grid, period_extension, \
+    resolved_band
 from shiftapprox.oracle import _shift_inner_products
-from shiftapprox.shiftspace import (ShiftExpansion, ZetaFunction,
-                                    _band_weights, _fold,
+from shiftapprox.shiftspace import (_MASS_TOL, ShiftExpansion, ZetaFunction,
+                                    _band_weights, _fold, _spectrum_of,
                                     best_approx_error_sq,
                                     coeffs_from_zeta,
                                     plancherel_inner, plancherel_norm_sq,
@@ -29,10 +31,10 @@ from shiftapprox.shiftspace import (ShiftExpansion, ZetaFunction,
 from shiftapprox.spectral import envelope_tail, lattice_order, periodize
 
 from helpers import (analytic_gaussian_spectrum, band_member_spectrum,
-                     bump_spectrum_signal, direct_coeffs,
+                     bump_spectrum_signal, direct_coeffs, direct_fourier_sum,
                      expansion_time_products,
                      random_expansion, sinc_gen, spectrum_norm_sq, spline,
-                     time_norm_sq)
+                     time_norm_sq, time_sample_shapes)
 
 PERIOD_GRID = Grid(start=-1.0, stop=1.0, count=4097)
 
@@ -551,3 +553,66 @@ def test_base_grid_must_span_the_period():
     bad = Grid(start=-0.5, stop=0.5, count=257)
     with pytest.raises(InvalidGridError):
         project(fs, gen, 1.0, rho=0.5, grid=bad)
+
+
+def _one_shot_doubling(f: SampledFunction, sigma: float, n: int) -> SampledSpectrum:
+    """The window rule with every extension transformed from scratch."""
+    limit = min(16, int((resolved_band(f.grid.step) / sigma - 1.0) // 2.0))
+    windows = 1
+    while True:
+        freq = period_extension(sigma, n, windows)
+        spec = fourier_transform_sampled(f, freq)
+        power = np.abs(spec.values) ** 2
+        outer = power[:n - 1].sum() + power[freq.count - n + 1:].sum()
+        if outer <= _MASS_TOL * max(power.sum(), 1e-300) or windows >= limit:
+            return spec
+        windows = min(2 * windows, limit)
+
+
+@pytest.mark.parametrize("name", sorted(time_sample_shapes()))
+def test_time_sample_spectrum_matches_the_one_shot_doubling(name):
+    # transforming each window once keeps the window count and moves the
+    # spectrum at rounding only
+    f, sigma, n = time_sample_shapes()[name]
+    spec = _spectrum_of(f, sigma, Grid(-sigma, sigma, n))
+    ref = _one_shot_doubling(f, sigma, n)
+    assert spec.grid == ref.grid
+    top = np.max(np.abs(ref.values))
+    assert np.max(np.abs(spec.values - ref.values)) <= 1e-14 * top
+    rows = np.r_[0:spec.grid.count:max(1, spec.grid.count // 400),
+                 spec.grid.count - 1]
+    direct = direct_fourier_sum(f, spec.grid, rows)
+    assert np.max(np.abs(spec.values[rows] - direct)) <= 1e-14 * top
+
+
+def test_time_sample_spectrum_builds_one_chirp_plan(monkeypatch):
+    # three windows, then five and nine: three transforms, one plan
+    f, sigma, n = time_sample_shapes()["241-onto-257-sigma1"]
+    calls = []
+    transform = numerics.fourier_transform_sampled
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].count)
+        return transform(*args, **kwargs)
+
+    numerics._chirp_plan.cache_clear()
+    monkeypatch.setattr(shiftspace, "fourier_transform_sampled", counting)
+    spec = _spectrum_of(f, sigma, Grid(-sigma, sigma, n))
+    assert calls == [3 * 256 + 1, 5 * 256 + 1, 9 * 256 + 1]
+    assert spec.grid.count == calls[-1]
+    assert numerics._chirp_plan.cache_info().misses == 1
+
+
+def test_time_samples_too_coarse_for_three_windows_raise():
+    # dx = 1 resolves |y| <= 0.45 pi, short of 3 sigma: the three-window
+    # transform held aliased copies, and best_approx_error_sq read 0.1641
+    # where the resolved answer is 0.07565
+    grid = Grid(-10.0, 10.0, 21)
+    coarse = SampledFunction(grid, np.exp(-0.5 * grid.nodes() ** 2) + 0j)
+    with pytest.raises(ResolutionError, match=r"dx=1 .*3\*sigma = 3"):
+        best_approx_error_sq(coarse, spline(1), 1.0, 1.0, grid=Grid(-1.0, 1.0, 257))
+    grid = Grid(-10.0, 10.0, 81)
+    fine = SampledFunction(grid, np.exp(-0.5 * grid.nodes() ** 2) + 0j)
+    assert best_approx_error_sq(fine, spline(1), 1.0, 1.0,
+                                grid=Grid(-1.0, 1.0, 257)) == pytest.approx(
+                                    0.07565, abs=1e-5)
