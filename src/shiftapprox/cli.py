@@ -39,7 +39,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MissingTimeDomainError, ShiftSpaceError, TruncationError
-from .generator import Generator, parse_generator_spec, time_extent
+from .generator import (Generator, is_file_spec, parse_generator_spec,
+                        time_extent)
 from .numerics import (Grid, SampledFunction, csv_join, csv_text,
                        read_samples_csv)
 from .shiftspace import (DEFAULT_GRID_COUNT, Signal, best_approx_error_sq,
@@ -284,11 +285,12 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
     # a file: generator does not depend on sigma: its samples are
     # transformed once for the sweep
     fixed = (parse_generator_spec(cfg.generator_spec)
-             if cfg.generator_spec.strip().startswith("file:") else None)
+             if is_file_spec(cfg.generator_spec) else None)
     for sigma, rhos in runs:
+        gen = (fixed if fixed is not None
+               else parse_generator_spec(cfg.generator_spec,
+                                         default_sigma=sigma))
         # a file: input is parsed once per process (`read_samples_csv`)
-        gen = fixed or parse_generator_spec(cfg.generator_spec,
-                                            default_sigma=sigma)
         signal = _load_signal(cfg.f_spec, sigma)
         grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,

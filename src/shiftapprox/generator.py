@@ -336,6 +336,12 @@ def default_freq_grid(samples: SampledFunction) -> Grid:
     return make_uniform_grid(-ymax, ymax, _FREQ_COUNT)
 
 
+def is_file_spec(text: str) -> bool:
+    """Whether ``text`` is a ``file:<path>`` spec, whose generator
+    `parse_generator_spec` builds from the file alone, whatever sigma."""
+    return text.strip().startswith("file:")
+
+
 def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
     """Build a generator from a CLI-style spec string.
 
@@ -344,7 +350,7 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
     ``default_sigma``; bad family parameters raise one `ValueError`.
     """
     text = text.strip()
-    if text.startswith("file:"):
+    if is_file_spec(text):
         path = text[len("file:"):]
         loaded = read_samples_csv(path)
         if isinstance(loaded, SampledSpectrum):

@@ -185,37 +185,14 @@ def _fft_size(count: int, block: int) -> int:
     return 1 << (count + block - 2).bit_length()
 
 
-def _block_length(count: int, nodes: int, lengths: Sequence[int]) -> int:
-    """Frequency nodes per chirp block, for ``count`` time nodes and runs
-    of ``lengths`` (not all zero) wanted nodes on a grid of ``nodes``.
-
-    Blocks are at most the bound, the longest that fits the smallest FFT of
-    ``2 count - 1`` points or more.  They are the largest power of two that
-    divides ``nodes - 1`` within it: on a period extension ``nodes - 1`` is
-    the period's node count minus one times an odd number of periods, so
-    these blocks tile every period window of every extension, and one plan
-    serves a whole doubling.  Blocks of the bound (or of the longest run)
-    are taken only where they need at most a quarter of the FFT points
-    over the runs, as when ``nodes - 1`` has a small power-of-two part:
-    shorter blocks keep the chirp phases smaller.
-    """
-    bound = _fft_size(count, count) - count + 1
-    tile = min((nodes - 1) & -(nodes - 1), 1 << (bound.bit_length() - 1))
-    whole = min(bound, max(lengths))
-
-    def points(block: int) -> int:
-        rows = sum(-(-(n - (n % block == 1)) // block) for n in lengths)
-        return rows * _fft_size(count, block)
-    return whole if 4 * points(whole) <= points(tile) else tile
-
-
 class _ChirpPlan(NamedTuple):
     """What a chirp transform of one time grid onto blocks of one
-    frequency step reuses: FFT size, time nodes, quadrature weights over
-    2 pi (bare, and times the time-side chirp), kernel spectrum and
-    post-phase.  The arrays are read-only."""
+    frequency step reuses: FFT size, offset of a block's middle node, time
+    nodes, quadrature weights over 2 pi (bare, and times the time-side
+    chirp), kernel spectrum and post-phase.  The arrays are read-only."""
 
     size: int
+    half: int
     nodes: np.ndarray
     weights: np.ndarray
     chirped: np.ndarray
@@ -224,25 +201,32 @@ class _ChirpPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=2)
-def _chirp_plan(grid: Grid, dy: float, block: int) -> _ChirpPlan:
-    """The `_ChirpPlan` of ``grid`` onto blocks of ``block`` frequency
-    nodes of step ``dy``: built once and shared by every transform of the
-    same grids, the base and the rings of one doubling among them.  The
-    two plans used last are kept, enough for a request that transforms
-    a time-sample generator and a time-sample signal."""
+def _chirp_plan(grid: Grid, dy: float, size: int) -> _ChirpPlan:
+    """The `_ChirpPlan` of ``grid`` onto frequency nodes of step ``dy`` in
+    FFTs of ``size`` points, on blocks of the ``size - grid.count + 1``
+    nodes they hold: built once and shared by every transform of the same
+    grids and size, the base and the rings of one doubling among them.
+    The two plans used last are kept, enough for a request that transforms
+    a time-sample generator and a time-sample signal.
+
+    The chirp is centred on the middle time node and the middle node of a
+    block, so its indices stay within ``(count + block) / 2``."""
     count = grid.count
-    size = _fft_size(count, block)
-    k = np.arange(max(count, block), dtype=np.int64)   # k^2 exact before scaling
+    block = size - count + 1
+    mid, half = count // 2, block // 2
+    k = np.arange(mid + half + 1, dtype=np.int64)   # k^2 exact before scaling
     chirp = np.exp((-0.5j * grid.step * dy) * (k * k).astype(float))
-    kernel = np.zeros(size, dtype=np.complex128)
-    kernel[:block] = np.conj(chirp[:block])
-    kernel[size - count + 1:] = np.conj(chirp[count - 1:0:-1])
+    lags = np.arange(-(count - 1), block) + (mid - half)   # block - time offset
+    kernel = np.conj(chirp[np.abs(lags)])
+    nodes = grid.nodes()
     weights = quadrature_weights(grid) / TWO_PI
+    offsets = np.arange(block) - half
     plan = _ChirpPlan(
-        size=size, nodes=grid.nodes(), weights=weights,
-        chirped=weights * chirp[:count], kernel=np.fft.fft(kernel),
-        post=chirp[:block] * np.exp((-1j * grid.start * dy) * np.arange(block)))
-    for arr in plan[1:]:
+        size=size, half=half, nodes=nodes, weights=weights,
+        chirped=weights * chirp[np.abs(np.arange(count) - mid)],
+        kernel=np.fft.fft(np.roll(kernel, -(count - 1))),
+        post=chirp[np.abs(offsets)] * np.exp((-1j * nodes[mid] * dy) * offsets))
+    for arr in plan[2:]:
         arr.flags.writeable = False
     return plan
 
@@ -277,24 +261,28 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid,
     rings of period windows without transforming the inner windows again.
 
     Both grids are uniform, so on a block of ``L`` frequency nodes
-    ``y_b + l dy`` the sum is
+    ``y_b + l dy``, with ``y_b`` its middle node, ``x_c`` the middle time
+    node and ``l`` and ``j`` counted from them, the sum is
 
-        exp(-i x_0 l dy) * sum_j [c_j exp(-i x_j y_b)] exp(-i theta j l),
+        exp(-i x_c l dy) * sum_j [c_j exp(-i x_j y_b)] exp(-i theta j l),
 
     ``theta = dx dy``, and the inner sum is one chirp convolution (Bluestein;
-    Rabiner, Schafer & Rader 1969).  The block-start phases are computed
-    directly, like the phases of a direct sum, and blocks are at most about
-    as long as the time grid (`_block_length`), so the chirp phases
-    ``theta (n + L)^2 / 2`` stay small and the result matches the direct
-    sum to its own phase rounding, ``eps * max|x| * max|y| * sum|c|``.
-    Each run of wanted nodes (all of ``freq``, or the two sides of
-    ``inner``) is cut into blocks of ``L`` from its first node.  On a
-    period extension ``L`` divides the period, so the blocks tile the
-    windows: a ring's two sides are whole blocks, and a whole extension
-    is whole blocks and its last node, which is a direct sum rather than
-    an FFT row of one node.  Any other rest is a block cut short.  All
-    blocks go through one batched power-of-two FFT against a kernel built
-    once for the pair of grids (`_chirp_plan`): cost
+    Rabiner, Schafer & Rader 1969).  The block phases ``x_j y_b`` are
+    computed directly, like the phases of a direct sum.  The FFT size is
+    the smallest power of two that holds the convolution onto
+    ``min(n, m)`` nodes (``n`` time nodes, ``m = freq.count``), the
+    smallest of ``2n - 1`` points or more once ``m >= n``, and blocks are
+    the ``L = size - n + 1`` nodes it holds, the fewest blocks at that
+    size.  Centred, the chirp phases stay below ``theta (n + L)^2 / 8``, so
+    the result matches the direct sum to its own phase rounding,
+    ``eps * max|x| * max|y| * sum|c|``.  Each run of wanted nodes (all of
+    ``freq``, or the two sides of ``inner``) is cut into blocks of ``L``
+    from its first node, the last one cut short; a rest of one node, such
+    as the last node of an extension whose ``m - 1`` is a multiple of
+    ``L``, is a direct sum rather than an FFT row of one node.  All blocks
+    go through one batched power-of-two FFT against a kernel built once
+    for the pair of grids and the size (`_chirp_plan`), so the rings of a
+    doubling reuse the base's plan: cost
     ``O((freq.count + f.grid.count) log f.grid.count)``, memory
     ``O(freq.count + f.grid.count)``.
 
@@ -310,11 +298,11 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid,
         kept = _inner_slice(inner.grid, freq)
         out[kept] = inner.values
         runs = [(0, kept.start), (kept.stop, m)]
-    lengths = [hi - lo for lo, hi in runs]
-    if not any(lengths):
+    if all(lo == hi for lo, hi in runs):
         return SampledSpectrum(grid=freq, values=out)
-    block = _block_length(f.grid.count, m, lengths)
-    plan = _chirp_plan(f.grid, freq.step, block)
+    n = f.grid.count
+    plan = _chirp_plan(f.grid, freq.step, _fft_size(n, min(n, m)))
+    block = plan.size - n + 1
     cuts, direct = [], []
     for lo, hi in runs:
         if (hi - lo) % block == 1:
@@ -324,7 +312,7 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid,
             cuts.append((lo, hi, np.arange(lo, hi, block)))
     if cuts:
         first = np.concatenate([starts for _, _, starts in cuts])
-        y = freq.start + first * freq.step
+        y = freq.start + (first + plan.half) * freq.step
         heads = np.exp(np.outer(y, plan.nodes) * (-1j)) * (f.values * plan.chirped)
         conv = np.fft.ifft(np.fft.fft(heads, n=plan.size) * plan.kernel)
         rows = (conv[:, :block] * plan.post).reshape(-1)

@@ -516,8 +516,8 @@ def test_time_samples_too_coarse_for_three_windows_exit_1(tmp_path, capsys):
 
 def test_besterr_sigma_sweep_parses_each_file_once(tmp_path, monkeypatch):
     # a file's samples do not depend on sigma: the sweep reads the generator
-    # file and the signal file at every sigma, and the parsed-file cache
-    # parses each of them once, whatever the number of sigmas
+    # file once and the signal file at every sigma, and the parsed-file
+    # cache parses each of them once, whatever the number of sigmas
     gen_path, f_path = tmp_path / "gen.csv", tmp_path / "f.csv"
     _tabulated_gaussian(gen_path)
     gauss = parse_generator_spec("gauss:width=1")

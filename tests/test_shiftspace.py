@@ -603,6 +603,48 @@ def test_time_sample_spectrum_builds_one_chirp_plan(monkeypatch):
     assert numerics._chirp_plan.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("count, n, size, rows", [
+    # 385-node period (384 = 3 * 2^7), blocks of 768: 1153 nodes in two
+    # rows, then two sides of 384 and two of 768 nodes in one row each
+    (257, 385, 1024, 6),
+    # blocks of 272: 769 nodes in three rows, sides of 256 in one row each
+    # and sides of 512 in two
+    (241, 257, 512, 9),
+    # blocks of 768: 12289 nodes in 16 rows and one direct node, sides of
+    # 4096 in six rows each and sides of 8192 in eleven
+    (257, 4097, 1024, 50),
+])
+def test_time_sample_spectrum_spends_the_fewest_fft_rows(
+        monkeypatch, count, n, size, rows):
+    # each side of a ring is cut into the fewest blocks the FFT size of
+    # 2 * count - 1 points or more holds, and the kernel is transformed
+    # once: fewer FFT points than one transform of each extension
+    grid = Grid(-8.6, 8.6, count)
+    f = SampledFunction(grid, np.exp(-0.5 * grid.nodes() ** 2) + 0j)
+    grids, points = [], []
+    transform, fft = numerics.fourier_transform_sampled, np.fft.fft
+
+    def recording(f, freq, inner=None):
+        grids.append(freq)
+        return transform(f, freq, inner)
+
+    def counting(a, *args, **kwargs):
+        out = fft(a, *args, **kwargs)
+        points.append(out.size)
+        return out
+
+    monkeypatch.setattr(shiftspace, "fourier_transform_sampled", recording)
+    monkeypatch.setattr(np.fft, "fft", counting)
+    numerics._chirp_plan.cache_clear()
+    _spectrum_of(f, 1.0, Grid(-1.0, 1.0, n))
+    assert len(grids) == 3 and sum(points) == (rows + 1) * size
+    points.clear()
+    for freq in grids:
+        numerics._chirp_plan.cache_clear()
+        transform(f, freq)
+    assert sum(points) > (rows + 1) * size
+
+
 def test_time_samples_too_coarse_for_three_windows_raise():
     # dx = 1 resolves |y| <= 0.45 pi, short of 3 sigma: the three-window
     # transform held aliased copies, and best_approx_error_sq read 0.1641
