@@ -166,9 +166,10 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 
 
 def _load_signal(text: str, sigma: float) -> Signal:
-    """Signal from a file (its samples) or a generator-style spec."""
-    if text.startswith("file:"):
-        return read_samples_csv(text[len("file:"):])
+    """Signal from a file (its samples) or a generator-style spec, told
+    apart as `parse_generator_spec` tells them (`is_file_spec`)."""
+    if is_file_spec(text):
+        return read_samples_csv(text.strip()[len("file:"):])
     return parse_generator_spec(text, default_sigma=sigma)
 
 
@@ -282,8 +283,7 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
     else:
         runs = [(cfg.sigma, values)]
     lines = ["param,error_sq"]
-    # a file: generator does not depend on sigma: its samples are
-    # transformed once for the sweep
+    # a file: generator does not depend on sigma: it is built once per sweep
     fixed = (parse_generator_spec(cfg.generator_spec)
              if is_file_spec(cfg.generator_spec) else None)
     for sigma, rhos in runs:

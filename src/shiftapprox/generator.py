@@ -25,18 +25,25 @@ the declared `Generator.time_radius` beyond which ``|B| <= TIME_EPS``.
     Spectrum is the indicator of ``[-sigma, sigma]`` (value 1/2 on the edge),
     time domain ``2*sin(sigma*x)/x`` with value ``2*sigma`` at 0.
     Autocorrelation in closed form, ``2 pi B(tau)``.
-``file`` / sampled
-    Tabulated spectrum (a CSV, or the transform of time samples), linearly
-    interpolated inside its grid, whose radius is its spectral support.
-    Time samples declare their grid as the support, and their
-    autocorrelation is a knot-aligned quadrature over it; a spectrum file's
-    is Parseval over its spectral support.
+``file`` time samples
+    The quintic cardinal spline through the samples (`sampled_generator`),
+    ``sum_k c_k beta5((x - x_k)/dx)``, declared like the analytic families:
+    time domain, support, spectrum ``(dx/2 pi) sinc(y dx/2)**6 sum_k c_k
+    exp(-i y x_k)`` with decay exponent 6, and autocorrelation in closed
+    form, ``dx sum_d r_d beta11(d - tau/dx)`` with r the autocorrelation of
+    c (Unser, Aldroubi & Eden, "B-spline signal processing I/II", IEEE TSP
+    1993).
+``file`` spectrum
+    Tabulated spectrum, linearly interpolated inside its grid, whose radius
+    is its spectral support; its autocorrelation is Parseval over it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -44,21 +51,22 @@ import numpy as np
 from .errors import InvalidGridError, TruncationError
 from .numerics import (
     TWO_PI,
-    Grid,
     SampledFunction,
     SampledSpectrum,
-    fourier_transform_sampled,
-    integrate_values,
     make_uniform_grid,
     quadrature_weights,
     read_samples_csv,
-    resolved_band,
 )
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
+from .numerics import fourier_transform_sampled  # noqa: F401
 
 #: decay exponent of tabulated spectra (any p is exact under their support)
 _TABULATED_DECAY = 2.0
-#: frequency nodes of `default_freq_grid`
-_FREQ_COUNT = 4097
+#: taps either side of the truncated inverse of the quintic prefilter
+#: (1, 26, 66, 26, 1)/120, where powers of its pole 0.4306 fall below 1e-17
+_PREFILTER_TAPS = 47
+#: y nodes per block of a sampled spectrum's Horner sum, which stays in cache
+_HORNER_BLOCK = 8192
 #: ``|B| <= TIME_EPS`` beyond a declared `Generator.time_radius`: sums over
 #: the shifts that reach a window are exact to rounding
 TIME_EPS = 1e-16
@@ -101,21 +109,17 @@ class Generator:
     spectral_support : float, optional
         Radius beyond which the spectrum is identically zero; lattice sums
         over such a spectrum truncate exactly.
-    time_step_hint : float, optional
-        Sample step of time samples, which their autocorrelation
-        quadrature resolves.
     real_valued : bool
         Whether the time-domain function is real (spectrum Hermitian).
     autocorrelation : callable, optional
         Vectorized map ``tau -> <B, B(. - tau)>``, exact at any real time
         lags ``tau``; a lattice of half-period sigma reads a whole row at
         ``tau = d*pi/sigma`` in one call (`shift_autocorrelation`).  Every
-        analytic family (spline, Gaussian, sinc) sets this, so the Gram
-        oracle, ``||B||^2`` and the Phi4 pairing read exact rows; with a
-        declared support it also makes the periodization D an exact finite
-        sum (`spectral.periodize`).
-        Without it a generator must declare a support with a time domain,
-        or a spectral support.
+        family but a spectrum file (spline, Gaussian, sinc, time samples)
+        sets this, so the Gram oracle, ``||B||^2`` and the Phi4 pairing
+        read exact rows; with a declared support it also makes the
+        periodization D an exact finite sum (`spectral.periodize`).
+        Without it a generator must declare a spectral support.
     spline : SplineParams, optional
         Set by `bspline_generator`: the spectrum is the degree-m B-spline's
         built at ``spline.sigma``, whose lattice terms are a periodic factor
@@ -131,7 +135,6 @@ class Generator:
     support: Optional[Tuple[float, float]] = None
     time_radius: Optional[float] = None
     spectral_support: Optional[float] = None
-    time_step_hint: Optional[float] = None
     real_valued: bool = True
     autocorrelation: Optional[Callable[[np.ndarray], np.ndarray]] = None
     spline: Optional[SplineParams] = None
@@ -284,16 +287,13 @@ def _interp_complex(nodes: np.ndarray, values: np.ndarray) -> Callable[[np.ndarr
     return evaluate
 
 
-def spectrum_generator(spec: SampledSpectrum, label: str = "spectrum-file",
-                       time_domain: Optional[Callable] = None,
-                       support: Optional[Tuple[float, float]] = None,
-                       time_step_hint: Optional[float] = None) -> Generator:
+def spectrum_generator(spec: SampledSpectrum, label: str = "spectrum-file") -> Generator:
     """Generator backed by tabulated spectrum values (zero outside the grid).
 
     The grid's radius Y is the declared spectral support, under which the
-    contract p = 2, ``C = max|values| (1+Y)^2`` is exact, not fitted.  The
-    time domain is real only on a grid symmetric about 0 with Hermitian
-    values.
+    contract p = 2, ``C = max|values| (1+Y)^2`` is exact, not fitted.  It
+    declares no time domain, and is real only on a grid symmetric about 0
+    with Hermitian values.
     """
     grid, values = spec.grid, spec.values
     radius = max(abs(grid.start), abs(grid.stop))
@@ -304,36 +304,127 @@ def spectrum_generator(spec: SampledSpectrum, label: str = "spectrum-file",
         decay_exponent=_TABULATED_DECAY,
         decay_constant=max(float(np.max(np.abs(values)))
                            * (1.0 + radius) ** _TABULATED_DECAY, 1e-30),
-        time_domain=time_domain,
-        support=support,
         spectral_support=radius,
-        time_step_hint=time_step_hint,
         real_valued=symmetric and np.allclose(values, np.conj(values[::-1]), atol=1e-9),
     )
 
 
-def sampled_generator(samples: SampledFunction, freq: Grid) -> Generator:
-    """Generator from compactly supported time samples.
-
-    The spectrum is `fourier_transform_sampled` of the samples on ``freq``,
-    tabulated as by `spectrum_generator` (so ``freq`` bounds its support),
-    and the time domain is the linear interpolant of the samples on their
-    grid, its declared support.
+@functools.lru_cache(maxsize=None)
+def _bspline_pieces(n: int) -> np.ndarray:
+    """Power coefficients of the centred B-spline ``beta^n`` (n odd) on its
+    n + 1 unit pieces: ``beta^n(i - (n+1)/2 + u) = sum_p out[p, i] u**p``
+    for u in [0, 1).  Piece i holds the truncated powers of the knots
+    ``k <= i``, ``(1/n!) sum_k (-1)**k C(n+1, k) (i - k + u)**n``, expanded
+    in exact rationals and rounded once.
     """
-    spec = fourier_transform_sampled(samples, freq)
-    return spectrum_generator(
-        spec,
+    out = np.empty((n + 1, n + 1))
+    for i in range(n + 1):
+        for p in range(n + 1):
+            total = sum((-1) ** k * math.comb(n + 1, k) * (i - k) ** (n - p)
+                        for k in range(i + 1))
+            out[p, i] = float(Fraction(math.comb(n, p) * total, math.factorial(n)))
+    out.flags.writeable = False
+    return out
+
+
+def _cardinal_spline(coeffs: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``t -> sum_k coeffs[k] beta^n(t - k)`` for odd n, by Horner in
+    ``u = t - floor(t)`` on per-interval power coefficients.
+
+    The interval ``[j, j + 1)`` reads ``sum_i coeffs[j + (n+1)/2 - i]``
+    times piece i of `_bspline_pieces`: row ``j + (n+1)/2`` of one
+    convolution per power.  A last row of zeros serves every t outside.
+    """
+    pieces = _bspline_pieces(n)
+    table = np.stack([np.append(np.convolve(coeffs, pieces[p]), 0.0)
+                      for p in range(n + 1)])
+    outside = table.shape[1] - 1
+
+    def evaluate(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        floor = np.floor(t)
+        row = floor + (n + 1) // 2
+        index = np.where((row >= 0) & (row < outside), row, outside).astype(np.intp)
+        u = t - floor
+        acc = table[n][index]
+        for p in range(n - 1, -1, -1):
+            acc = acc * u + table[p][index]
+        return acc
+
+    return evaluate
+
+
+@functools.lru_cache(maxsize=1)
+def _inverse_prefilter() -> np.ndarray:
+    """The symmetric inverse of the prefilter ``(1, 26, 66, 26, 1)/120``,
+    the quintic B-spline at the integers, truncated at `_PREFILTER_TAPS`
+    taps a side; its response is positive, at least 16/120, so the inverse
+    is the transform of its reciprocal."""
+    w = TWO_PI * np.arange(256) / 256
+    taps = np.fft.ifft(120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w))).real
+    return np.concatenate([taps[-_PREFILTER_TAPS:], taps[:_PREFILTER_TAPS + 1]])
+
+
+def sampled_generator(samples: SampledFunction) -> Generator:
+    """The quintic cardinal spline through compactly supported time samples.
+
+    With ``x_k = x_0 + k dx``, ``f = sum_k c_k beta5((x - x_k)/dx)``: c is
+    the samples, zeros beyond the file, through `_inverse_prefilter`, kept
+    from the first to the last coefficient above rounding, so f takes the
+    sample values at the knots.  Every reader sees this one function in
+    closed form: its time domain (Horner on per-interval power
+    coefficients), its support ``[x_first - 3 dx, x_last + 3 dx]``, its
+    spectrum ``(dx/2 pi) sinc(y dx/2)**6 sum_k c_k exp(-i y x_k)``, bounded
+    by ``C (1 + |y|)**-6`` with ``C = (dx/2 pi) sum|c_k| (1 + 2/dx)**6``,
+    and its autocorrelation ``dx sum_d r_d beta11(d - tau/dx)``, with
+    ``r_d = sum_k c_k conj(c_{k-d})``.
+    """
+    grid, values = samples.grid, samples.values
+    real = not np.any(values.imag)
+    dx = grid.step
+    coeffs = np.convolve(values.real if real else values, _inverse_prefilter())
+    magnitude = np.abs(coeffs)
+    kept = np.flatnonzero(magnitude > np.finfo(float).eps * np.max(magnitude))
+    if kept.size == 0:
+        raise InvalidGridError("time samples of a generator must not all vanish")
+    coeffs = coeffs[kept[0]:kept[-1] + 1]
+    x0 = grid.start + (kept[0] - _PREFILTER_TAPS) * dx
+    count = coeffs.size
+    spline = _cardinal_spline(coeffs, 5)
+    gram = _cardinal_spline(np.correlate(coeffs, coeffs, "full"), 11)
+
+    def time_domain(x: np.ndarray) -> np.ndarray:
+        return spline((np.asarray(x, dtype=float) - x0) / dx) + 0.0j
+
+    def spectrum(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        flat = y.ravel()
+        total = np.empty(flat.size, dtype=np.complex128)
+        for lo in range(0, flat.size, _HORNER_BLOCK):
+            # sum_k c_k z**k at z = exp(-i y dx), highest power first
+            z = np.exp(-1j * dx * flat[lo:lo + _HORNER_BLOCK])
+            acc = np.full(z.size, coeffs[-1], dtype=np.complex128)
+            for c in coeffs[-2::-1]:
+                acc *= z
+                acc += c
+            total[lo:lo + _HORNER_BLOCK] = acc
+        shape = (dx / TWO_PI) * np.sinc(y * (dx / TWO_PI)) ** 6
+        return shape * np.exp(-1j * x0 * y) * total.reshape(y.shape)
+
+    def autocorrelation(tau: np.ndarray) -> np.ndarray:
+        # beta11 is even, and row d of r sits at index d + count - 1
+        return dx * gram(np.asarray(tau, dtype=float) / dx + (count - 1))
+
+    return Generator(
         label="sampled",
-        time_domain=_interp_complex(samples.grid.nodes(), samples.values),
-        support=(samples.grid.start, samples.grid.stop),
-        time_step_hint=samples.grid.step,
+        spectrum=spectrum,
+        decay_exponent=6.0,
+        decay_constant=(dx / TWO_PI) * float(np.abs(coeffs).sum()) * (1.0 + 2.0 / dx) ** 6,
+        time_domain=time_domain,
+        support=(x0 - 3.0 * dx, x0 + (count + 2) * dx),
+        real_valued=real,
+        autocorrelation=autocorrelation,
     )
-
-
-def default_freq_grid(samples: SampledFunction) -> Grid:
-    """Frequency grid over the band the time grid resolves (`resolved_band`)."""
-    ymax = resolved_band(samples.grid.step)
-    return make_uniform_grid(-ymax, ymax, _FREQ_COUNT)
 
 
 def is_file_spec(text: str) -> bool:
@@ -355,7 +446,7 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
         loaded = read_samples_csv(path)
         if isinstance(loaded, SampledSpectrum):
             return spectrum_generator(loaded, label=f"file:{path}")
-        return sampled_generator(loaded, default_freq_grid(loaded))
+        return sampled_generator(loaded)
     name, _, rest = text.partition(":")
     known = {"bspline": ("m", "sigma"), "gauss": ("width",), "sinc": ("sigma",)}
     if name not in known:
@@ -390,14 +481,11 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
 def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndarray:
     """Inner products ``a_d = <B, B(. - d*pi/sigma)>`` for ``d = 0..max_lag``.
 
-    Three sources, in this order:
+    Two sources, in this order:
 
     * the declared closed form ``gen.autocorrelation`` (spline, Gaussian,
-      sinc), read in one call at the lags ``d*pi/sigma`` whatever sigma the
-      generator was built with;
-    * a declared support with a time domain (time samples): Simpson on
-      the support at a step that divides ``pi/sigma``, so every lag is a
-      whole number of nodes and the knots fall on panel edges;
+      sinc, time samples), read in one call at the lags ``d*pi/sigma``
+      whatever sigma the generator was built with;
     * a spectral support ``Y`` (a spectrum file): Parseval,
       ``a_d = 2*pi * integral |spectrum|^2 exp(i d pi y / sigma) dy`` over
       ``[-Y, Y]``.
@@ -408,25 +496,8 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndar
     if gen.autocorrelation is not None:
         return np.asarray(gen.autocorrelation(np.arange(max_lag + 1) * h),
                           dtype=np.complex128)
-    out = np.zeros(max_lag + 1, dtype=np.complex128)
-    if gen.support is not None and gen.time_domain is not None:
-        lo, hi = gen.support
-        step = h / 128.0
-        if gen.time_step_hint is not None:
-            step = min(step, gen.time_step_hint / 2.0)
-        q = max(2, int(math.ceil(h / step / 2.0)) * 2)
-        step = h / q
-        count = int(round((hi - lo) / step)) + 1
-        count += (count + 1) % 2
-        grid = make_uniform_grid(lo, lo + (count - 1) * step, count)
-        base = gen.time_domain(grid.nodes())
-        for d in range(min(max_lag + 1, (count - 2) // q + 1)):
-            # B(t) on nodes[lag:], B(t - d h) equals base[:-lag]
-            lag = d * q
-            sub = make_uniform_grid(grid.start + lag * step, grid.stop, count - lag)
-            out[d] = integrate_values(base[lag:] * np.conj(base[:count - lag]), sub)
-        return out
     if gen.spectral_support is not None:
+        out = np.zeros(max_lag + 1, dtype=np.complex128)
         count = max(4097, 64 * max_lag + 1)
         count += (count + 1) % 2
         grid = make_uniform_grid(-gen.spectral_support, gen.spectral_support, count)
@@ -436,9 +507,8 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndar
             out[d] = TWO_PI * np.sum(energy * np.exp(1j * d * h * y))
         return out
     raise TruncationError(
-        f"generator {gen.label!r} declares no closed-form autocorrelation, "
-        "no compact support with a time domain and no spectral support: "
-        "its shift autocorrelation has no exact source")
+        f"generator {gen.label!r} declares no closed-form autocorrelation "
+        "and no spectral support: its shift autocorrelation has no exact source")
 
 
 def generator_l2_norm_sq(gen: Generator, sigma: float = 1.0) -> float:

@@ -39,7 +39,6 @@ from shiftapprox import (
     synthesize,
 )
 from shiftapprox.cli import main as cli_main
-from shiftapprox.generator import default_freq_grid
 from shiftapprox.numerics import (
     Grid,
     SampledFunction,
@@ -58,11 +57,22 @@ def sinc_gen(sigma: float = 1.0) -> Generator:
 
 
 def sampled_gaussian() -> Generator:
-    """The transform of e^{-x^2/2} in 513 samples on [-8, 8]."""
+    """The quintic spline through e^{-x^2/2} in 513 samples on [-8, 8]."""
     tg = make_uniform_grid(-8.0, 8.0, 513)
     x = tg.nodes()
-    samples = SampledFunction(grid=tg, values=np.exp(-0.5 * x * x) + 0.0j)
-    return sampled_generator(samples, default_freq_grid(samples))
+    return sampled_generator(SampledFunction(grid=tg, values=np.exp(-0.5 * x * x) + 0.0j))
+
+
+def piecewise_inner(f, g, breaks: np.ndarray, nodes: int = 6) -> complex:
+    """``integral f conj(g)`` by ``nodes``-point Gauss-Legendre on every
+    interval between the sorted distinct ``breaks``: exact to rounding for
+    integrands that are polynomials of degree up to ``2 nodes - 1`` between
+    breaks and vanish outside them."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.unique(breaks)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    x = half[:, np.newaxis] * t + mid[:, np.newaxis]
+    return complex(np.sum(half[:, np.newaxis] * w * f(x) * np.conj(g(x))))
 
 
 def cauchy() -> Generator:

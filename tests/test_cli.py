@@ -27,8 +27,7 @@ import pytest
 import shiftapprox
 from shiftapprox import cli, generator, numerics
 from shiftapprox.errors import ResolutionError
-from shiftapprox.generator import (default_freq_grid, parse_generator_spec,
-                                   sampled_generator)
+from shiftapprox.generator import parse_generator_spec, sampled_generator
 from shiftapprox.numerics import (NUMPY_TEXT_ROWS, Grid, SampledFunction,
                                   SampledSpectrum, csv_text, read_samples_csv,
                                   write_samples_csv)
@@ -145,8 +144,8 @@ def test_dfun_box_density_is_flat():
 
 
 def test_dfun_on_time_samples_prints_the_sampled_generators_density(tmp_path):
-    # --gen file: with x,re,im samples is the library's sampled generator
-    # on its default frequency grid
+    # --gen file: with x,re,im samples is the library's quintic spline
+    # through them, whose D is the exact Poisson form
     path = tmp_path / "gen-x.csv"
     grid_x = Grid(-8.0, 8.0, 257)
     x = grid_x.nodes()
@@ -154,11 +153,50 @@ def test_dfun_on_time_samples_prints_the_sampled_generators_density(tmp_path):
         grid=grid_x, values=np.exp(-0.5 * x * x) + 0.0j))
     rc, out = run_cli(["dfun", "--gen", f"file:{path}", "--dgrid", "65"])
     assert rc == 0
-    loaded = read_samples_csv(str(path))
-    gen = sampled_generator(loaded, default_freq_grid(loaded))
+    gen = sampled_generator(read_samples_csv(str(path)))
     grid = Grid(-1.0, 1.0, 65)
     want = periodize(gen, 1.0, grid, tol=1e-8)
+    assert (want.truncation_order, want.tail_bound) == (5, 0.0)
     assert out == "y,D\n" + csv_text(grid.nodes(), want.values) + "\n"
+
+
+def _fixed_gaussian_file(path: Path) -> str:
+    """513 samples of e^{-x^2/2} on +-8.6, written to path; the spec."""
+    grid = Grid(-8.6, 8.6, 513)
+    x = grid.nodes()
+    write_samples_csv(str(path), SampledFunction(grid=grid, values=np.exp(-0.5 * x * x) + 0j))
+    return f"file:{path}"
+
+
+def test_validate_passes_on_a_time_sample_generator(tmp_path):
+    spec = _fixed_gaussian_file(tmp_path / "gen-x.csv")
+    rc, out = run_cli(["validate", "--gen", spec, "--dgrid", "33"])
+    assert rc == 0
+    rows = [r.split(",") for r in _rows(out)[1:]]
+    assert len(rows) == 6
+    for name, residual, _, status in rows:
+        assert status == "ok" and float(residual) <= 1e-12, name
+
+
+def test_compare_agrees_on_a_time_sample_generator(tmp_path):
+    # the oracle's Gram row and the formula's D read the same spline
+    spec = _fixed_gaussian_file(tmp_path / "gen-x.csv")
+    rc, out = run_cli(["compare", "--gen", spec, "--f", "gauss:width=1.3"])
+    assert rc == 0
+    rows = [r.split(",") for r in _rows(out)[1:]]
+    assert [int(r[0]) for r in rows] == [8, 16, 32, 64]
+    assert all(abs(float(r[3])) <= 1e-12 for r in rows)
+
+
+def test_a_signal_spec_reads_one_grammar(tmp_path):
+    # --f " file:..." is the file, as --gen " file:..." is: both spellings
+    # print the same bytes
+    spec = _fixed_gaussian_file(tmp_path / "f-x.csv")
+    for argv in (["besterr", "--gen", "bspline:m=2", "--dgrid", "257"],
+                 ["compare", "--gen", "bspline:m=2"]):
+        rc, want = run_cli(argv + ["--f", spec])
+        assert rc in (0, 1) and want
+        assert run_cli(argv + ["--f", f" {spec} "]) == (rc, want)
 
 
 def test_riesz_line_hat():
@@ -472,10 +510,10 @@ def test_besterr_on_time_samples_recovers_no_coefficients(tmp_path):
     assert _rows(out) == ["param,error_sq", f"0.5,{want.error_sq:.17g}"]
 
 
-def test_besterr_sigma_sweep_transforms_a_file_generator_once(tmp_path, monkeypatch):
-    # time samples as the generator: their spectrum does not depend on
-    # sigma, so a four-sigma sweep transforms them once, and each row is
-    # the row of a run at that sigma alone
+def test_besterr_sigma_sweep_builds_a_file_generator_once(tmp_path, monkeypatch):
+    # time samples as the generator: their spline does not depend on
+    # sigma, so a four-sigma sweep builds it once, and each row is the row
+    # of a run at that sigma alone
     path = tmp_path / "gen-x.csv"
     x = np.linspace(-8.0, 8.0, 513)
     write_samples_csv(str(path), SampledFunction(
@@ -488,13 +526,13 @@ def test_besterr_sigma_sweep_transforms_a_file_generator_once(tmp_path, monkeypa
         assert rc_one == 0
         singles.extend(_rows(one)[1:])
     calls = []
-    transform = generator.fourier_transform_sampled
+    build = generator.sampled_generator
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return transform(*args, **kwargs)
+    def counting(samples):
+        calls.append(samples.grid)
+        return build(samples)
 
-    monkeypatch.setattr(generator, "fourier_transform_sampled", counting)
+    monkeypatch.setattr(generator, "sampled_generator", counting)
     rc, out = run_cli(base + ["--sweep", "sigma=0.5,1,1.5,2"])
     assert rc == 0
     assert len(calls) == 1

@@ -12,6 +12,7 @@ from shiftapprox.generator import (
     TIME_EPS,
     SplineParams,
     _cardinal_bspline,
+    _cardinal_spline,
     bandlimited_generator,
     bspline_generator,
     gaussian_generator,
@@ -23,6 +24,7 @@ from shiftapprox.generator import (
     time_extent,
 )
 from shiftapprox.numerics import (
+    TWO_PI,
     SampledFunction,
     SampledSpectrum,
     fourier_transform_sampled,
@@ -32,7 +34,8 @@ from shiftapprox.numerics import (
 )
 from shiftapprox.spectral import poisson_lags
 
-from helpers import cauchy, decay_audit_max_ratio, sampled_gaussian, spline
+from helpers import (cauchy, decay_audit_max_ratio, piecewise_inner,
+                     sampled_gaussian, spline)
 
 
 def test_cardinal_bspline_partition_of_unity():
@@ -41,6 +44,20 @@ def test_cardinal_bspline_partition_of_unity():
     for order in (1, 2, 3, 4, 6):
         total = sum(_cardinal_bspline(order, t + k) for k in range(order))
         assert np.max(np.abs(total - 1.0)) < 1e-12, order
+
+
+@pytest.mark.parametrize("n", [5, 11])
+def test_spline_pieces_match_the_truncated_powers(n):
+    # one centred beta^n through the per-interval power coefficients
+    # against N_{n+1} at t + (n+1)/2; beta5 at the integers is the
+    # prefilter (1, 26, 66, 26, 1)/120
+    evaluate = _cardinal_spline(np.array([1.0]), n)
+    t = np.random.default_rng(n).uniform(-(n + 3) / 2, (n + 3) / 2, 400)
+    ref = _cardinal_bspline(n + 1, t + (n + 1) / 2)
+    assert np.max(np.abs(evaluate(t) - ref)) <= 1e-14
+    if n == 5:
+        knots = evaluate(np.arange(-3.0, 4.0)) * 120.0
+        assert np.max(np.abs(knots - [0, 1, 26, 66, 26, 1, 0])) <= 1e-13
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
@@ -141,13 +158,17 @@ def test_spline_autocorrelation_closed_form_vs_quadrature(m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_spline_autocorrelation_reads_the_lattice_lag(m, sigma_b):
     # a spline built at sigma_B on the sigma = 1 lattice: the closed form at
-    # the lags d pi against the knot-aligned time quadrature of the overlap
+    # the lags d pi against Gauss-Legendre between the knots of B and of
+    # its shift, exact for the piecewise polynomial overlap
     gen = spline(m, sigma_b)
     lags = 2 * m + 3
     got = shift_autocorrelation(gen, 1.0, lags)
-    ref = shift_autocorrelation(dataclasses.replace(gen, autocorrelation=None),
-                                1.0, lags)
-    assert np.max(np.abs(got - ref)) <= 1e-6 * got[0].real
+    knots = np.linspace(*gen.support, m + 2)
+    ref = [piecewise_inner(gen.time_domain,
+                           lambda x, d=d: gen.time_domain(x - d * math.pi),
+                           np.concatenate([knots, knots + d * math.pi]))
+           for d in range(lags + 1)]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * got[0].real
 
 
 def test_closed_form_autocorrelation_is_read_once_per_row():
@@ -248,7 +269,7 @@ def test_parse_generator_spec_families():
     assert g.label == "bspline:m=2,sigma=2"
     gauss = parse_generator_spec("gauss:width=0.5")
     assert gauss.time_radius == pytest.approx(0.5 * math.sqrt(2.0 * math.log(1e16)))
-    assert gauss.time_step_hint is None
+    assert gauss.support is None
     assert parse_generator_spec("sinc:sigma=1.5").spectral_support == pytest.approx(1.5)
     assert parse_generator_spec("bspline:m=1", default_sigma=2.0).support[0] == pytest.approx(-math.pi)
 
@@ -296,15 +317,68 @@ def test_spectrum_generator_audits_decay():
 
 
 def test_sampled_generator_round_trips_through_transform():
+    # the quintic spline through 4097 samples of a width-1 Gaussian has the
+    # Gaussian's spectrum to its interpolation error, at any y
     width = 1.0
     tg = make_uniform_grid(-10.0, 10.0, 4097)
     x = tg.nodes()
     samples = SampledFunction(grid=tg, values=np.exp(-0.5 * (x / width) ** 2) + 0.0j)
-    gen = sampled_generator(samples, make_uniform_grid(-8.0, 8.0, 1025))
-    # probe on the interpolation nodes so only transform error remains
-    probe = np.linspace(-3.0, 3.0, 13)
+    gen = sampled_generator(samples)
+    probe = np.linspace(-8.0, 8.0, 37)
     ref = gaussian_generator(width).spectrum(probe)
-    assert np.max(np.abs(gen.spectrum(probe) - ref)) < 1e-8
+    assert np.max(np.abs(gen.spectrum(probe) - ref)) < 1e-12
+
+
+def _fixed_samples(values=lambda x: np.exp(-0.5 * x * x)) -> SampledFunction:
+    grid = make_uniform_grid(-8.6, 8.6, 513)
+    return SampledFunction(grid=grid, values=values(grid.nodes()) + 0.0j)
+
+
+def test_sampled_generator_reproduces_its_samples():
+    for values in (lambda x: np.exp(-0.5 * x * x),
+                   lambda x: np.exp(-0.5 * x * x + 0.5j * x),
+                   lambda x: np.where(np.abs(x) < 2.0, 1.0 - np.abs(x) / 2.0, 0.0)):
+        samples = _fixed_samples(values)
+        gen = sampled_generator(samples)
+        err = gen.time_domain(samples.grid.nodes()) - samples.values
+        assert np.max(np.abs(err)) <= 1e-14
+
+
+def test_sampled_generator_declares_one_function():
+    # the closed-form Gram row against Gauss-Legendre between the knots of
+    # the time domain and of its shift (degree 10 pieces, 6 nodes: exact),
+    # and a(0) against 2 pi integral |f-hat|^2 by the trapezoid rule at a
+    # step below 2 pi/(support length), exact for a spectrum of compact
+    # time support (Poisson summation), out to where |f-hat|^2 < 1e-30
+    for values in (lambda x: np.exp(-0.5 * x * x),
+                   lambda x: np.exp(-0.5 * x * x + 0.5j * x)):
+        gen = sampled_generator(_fixed_samples(values))
+        lo, hi = gen.support
+        dx = 8.6 / 256
+        knots = np.arange(lo, hi + 0.5 * dx, dx)
+        for sigma in (1.0, 2.0, 0.7):
+            lags = poisson_lags(gen, sigma)[0]
+            row = shift_autocorrelation(gen, sigma, lags)
+            ref = [piecewise_inner(gen.time_domain,
+                                   lambda x, tau=d * math.pi / sigma: gen.time_domain(x - tau),
+                                   np.concatenate([knots, knots + d * math.pi / sigma]))
+                   for d in range(lags + 1)]
+            assert np.max(np.abs(row - ref)) <= 1e-13 * row[0].real, sigma
+        step = 0.1
+        y = step * np.arange(-40_000, 40_001)
+        energy = TWO_PI * step * np.sum(np.abs(gen.spectrum(y)) ** 2)
+        assert abs(generator_l2_norm_sq(gen) - energy) <= 1e-13 * energy
+
+
+def test_sampled_generator_declares_its_decay_and_symmetry():
+    real = sampled_generator(_fixed_samples())
+    rotated = sampled_generator(_fixed_samples(lambda x: np.exp(-0.5 * x * x + 0.5j * x)))
+    assert real.real_valued and not rotated.real_valued
+    for gen in (real, rotated):
+        assert gen.decay_exponent == 6.0
+        assert decay_audit_max_ratio(gen, 1.0) <= 1.0
+    with pytest.raises(InvalidGridError, match="must not all vanish"):
+        sampled_generator(_fixed_samples(lambda x: 0.0 * x))
 
 
 def test_tabulated_spectrum_is_real_only_on_a_symmetric_grid():
@@ -335,25 +409,17 @@ def test_time_extent_reads_the_support_then_the_tail_radius():
 # Every reader of a generator's time extent, which is its support or its
 # declared time radius: the shift range of the Phi time sum on
 # [0, pi/sigma], the Poisson lag count of periodize and Phi4 (the exact L
-# under a declared support), the autocorrelation's quadrature nodes
-# (count, first, last) for lags 0..3, and the grid of a signal sampled in
-# time against the same generator (start, stop, count): its extent rounded
-# out to multiples of pi/sigma, at a step that puts the knots on even
-# nodes.  The Gaussian's autocorrelation is its closed form: no quadrature
-# node is read.
+# under a declared support), and the grid of a signal sampled in time
+# against the same generator (start, stop, count): its extent rounded out
+# to multiples of pi/sigma, at a step that puts the knots on even nodes.
+# Every autocorrelation here is its closed form: no time node is read.
 _EXTENT_PINS = {
-    ("spline", 1.0): ((-1, 5), 2, (385, -9.42477796076938, 0.0),
-                      (-9.42477796076938, 0.0, 6145)),
-    ("spline", 2.0): ((-1, 8), 5, (769, -9.42477796076938, 0.0),
-                      (-9.42477796076938, 0.0, 6145)),
-    ("gauss", 1.0): ((-4, 5), 5, None,
-                     (-9.42477796076938, 9.42477796076938, 6145)),
-    ("gauss", 2.0): ((-6, 7), 9, None,
-                     (-7.853981633974483, 7.853981633974483, 5121)),
-    ("sampled", 1.0): ((-4, 5), 5, (1031, -8.0, 8.019012045532111),
-                       (-9.42477796076938, 9.42477796076938, 6145)),
-    ("sampled", 2.0): ((-7, 8), 10, (1305, -8.0, 8.002487579223008),
-                       (-9.42477796076938, 9.42477796076938, 6145)),
+    ("spline", 1.0): ((-1, 5), 2, (-9.42477796076938, 0.0, 6145)),
+    ("spline", 2.0): ((-1, 8), 5, (-9.42477796076938, 0.0, 6145)),
+    ("gauss", 1.0): ((-4, 5), 5, (-9.42477796076938, 9.42477796076938, 6145)),
+    ("gauss", 2.0): ((-6, 7), 9, (-7.853981633974483, 7.853981633974483, 5121)),
+    ("sampled", 1.0): ((-4, 5), 5, (-9.42477796076938, 9.42477796076938, 6145)),
+    ("sampled", 2.0): ((-7, 8), 10, (-9.42477796076938, 9.42477796076938, 6145)),
 }
 
 
@@ -362,23 +428,18 @@ def test_extent_readers_keep_their_windows(name, sigma):
     gen = {"spline": lambda: spline(2, 1.0),
            "gauss": lambda: gaussian_generator(0.8),
            "sampled": sampled_gaussian}[name]()
-    window, lags, nodes, signal_grid = _EXTENT_PINS[(name, sigma)]
+    window, lags, signal_grid = _EXTENT_PINS[(name, sigma)]
     assert zak._time_window(gen, sigma, 0.0, math.pi / sigma) == window
     assert poisson_lags(gen, sigma)[0] == lags
     seen = []
 
     def recorded(x, evaluate=gen.time_domain):
-        seen.append((x.size, float(x[0]), float(x[-1])))
+        seen.append(x.size)
         return evaluate(x)
 
-    watched = dataclasses.replace(gen, time_domain=recorded)
-    if nodes is None:
-        got = shift_autocorrelation(watched, sigma, 3)
-        closed = [gen.autocorrelation(d * math.pi / sigma) for d in range(4)]
-        assert seen == [] and got.tolist() == closed
-    else:
-        shift_autocorrelation(dataclasses.replace(watched, autocorrelation=None),
-                              sigma, 3)
-        assert seen == [nodes]
+    got = shift_autocorrelation(dataclasses.replace(gen, time_domain=recorded),
+                                sigma, 3)
+    closed = [gen.autocorrelation(d * math.pi / sigma) for d in range(4)]
+    assert seen == [] and got.tolist() == closed
     grid = cli._time_samples(gen, gen, sigma).grid
     assert (grid.start, grid.stop, grid.count) == signal_grid

@@ -6,8 +6,9 @@ import pytest
 
 from shiftapprox import spectral, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
-from shiftapprox.generator import Generator, gaussian_generator, shift_autocorrelation
-from shiftapprox.numerics import make_uniform_grid
+from shiftapprox.generator import (Generator, gaussian_generator, sampled_generator,
+                                   shift_autocorrelation)
+from shiftapprox.numerics import SampledFunction, make_uniform_grid
 from shiftapprox.spectral import lattice_order, periodize
 from shiftapprox.zak import (_time_window, phi_field, phi_freq, phi_time,
                              verify_phi_properties)
@@ -373,10 +374,34 @@ def test_periodization_and_pairing_read_one_lag_count(monkeypatch):
             verify_phi_properties(spline(m, 1.0), sigma, resolution=9, tol=1e-6)
             lags = math.ceil((m + 1) * sigma - 1e-9) - 1
             assert asked == [lags, lags], (m, sigma)
-    # a sampled generator has no closed form, so only Phi4 reads its lags:
-    # the largest d with d pi / sigma shorter than its support [-8, 8]
+    # the spline through time samples declares its closed form and its
+    # support, [-8.25, 8.25] for samples on [-8, 8], so it takes the same
+    # route: the largest d with d pi / sigma shorter than that support
+    gen = sampled_gaussian()
+    assert gen.support == (-8.25, 8.25)
     for sigma in (1.0, 2.0):
         asked.clear()
-        verify_phi_properties(sampled_gaussian(), sigma, resolution=9)
-        assert asked == [math.ceil(16.0 * sigma / math.pi) - 1]
-        assert spectral.poisson_lags(sampled_gaussian(), sigma)[1]
+        periodize(gen, sigma, make_uniform_grid(-sigma, sigma, 9))
+        verify_phi_properties(gen, sigma, resolution=9)
+        lags = math.ceil(16.5 * sigma / math.pi) - 1
+        assert asked == [lags, lags]
+        assert spectral.poisson_lags(gen, sigma)[1]
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.5])
+def test_sampled_generator_passes_the_audit(phase):
+    # the quintic spline through 513 samples of e^{-x^2/2} e^{i phase x} on
+    # +-8.6 is one function in time and frequency: every check is ok near
+    # rounding; turned by e^{0.5 i x} it is not real, and conjugation is
+    # skipped rather than graded
+    grid = make_uniform_grid(-8.6, 8.6, 513)
+    x = grid.nodes()
+    gen = sampled_generator(SampledFunction(
+        grid=grid, values=np.exp(-0.5 * x * x + 1j * phase * x)))
+    assert gen.real_valued == (phase == 0.0)
+    rep = verify_phi_properties(gen, 1.0, resolution=33)
+    for check in rep.checks:
+        if check.name == "phi2_conjugation" and phase:
+            assert check.status == "skipped"
+        else:
+            assert check.status == "ok" and check.residual <= 1e-12, check
