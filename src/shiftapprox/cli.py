@@ -14,7 +14,8 @@ Every command takes ``--gen``, ``--sigma``, ``--tol``, ``--dgrid`` and
 ``--out``; project, besterr and compare take ``--f``; ``--rho`` belongs to
 project and besterr, ``--jrange`` to project, and ``--sweep`` to besterr
 (sigma or rho) and compare (jrange, nonnegative integers).  ``--dgrid`` is
-odd and >= 9; compare checks it but folds on the default period grid.
+odd and >= 9: the period-grid nodes of every command, the fold of compare's
+formula side included.
 
 A ``--f`` signal is a ``file:`` CSV (time samples or a spectrum) or a spec
 handed on as the generator itself: `shiftspace` decides how far its
@@ -102,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="band radius, defaults to sigma")
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--dgrid", type=int, default=None, help=(
-            "odd, >= 9, not read: compare folds on 4097 period-grid nodes"
-            if name == "compare" else "period-grid nodes, odd, >= 9 "
+            "period-grid nodes, odd, >= 9 "
             "(default 4097; 129 for zak, 257 for validate)"))
         if name == "project":
             p.add_argument("--jrange", type=int, dest="j_range",
@@ -304,7 +304,7 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
     signal, spectrum = _load_signal(cfg.f_spec, cfg.sigma), None
     if isinstance(signal, Generator):
         # the oracle integrates in time; the formula side folds f-hat on
-        # the default period grid (not --dgrid), as a default besterr does
+        # the --dgrid period grid, as besterr does
         signal, spectrum = _time_samples(signal, gen, cfg.sigma), signal
     if not isinstance(signal, SampledFunction):
         raise ShiftSpaceError(
@@ -312,8 +312,9 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
             "against the shifts in time); provide a time-sampled CSV or a "
             "generator spec with a time-domain form")
     ranges = list(cfg.sweep[1] if cfg.sweep else _DEFAULT_COMPARE_RANGES)
+    grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
-                     f_spectrum=spectrum)
+                     f_spectrum=spectrum, grid=grid)
     rows = report.rows
     lines = ["j_range,oracle_residual,formula_error,gap", csv_text(
         [r.j_range for r in rows], [r.oracle_residual for r in rows],

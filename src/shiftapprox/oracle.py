@@ -21,8 +21,11 @@ import numpy as np
 
 from .errors import MissingTimeDomainError, SingularGramError
 from .generator import Generator, shift_autocorrelation
-from .numerics import SampledFunction, chunk_slices, l2_norm_sq, quadrature_weights
-from .shiftspace import Signal, best_approx_error_sq, project
+from .numerics import (Grid, SampledFunction, chunk_slices, l2_norm_sq,
+                       quadrature_weights)
+from .shiftspace import Signal, best_approx_error_sq
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
+from .shiftspace import project  # noqa: F401
 
 _CONDITION_LIMIT = 1e12
 
@@ -172,15 +175,18 @@ class ComparisonReport:
 
 def compare(f: SampledFunction, gen: Generator, sigma: float,
             j_range_list: Sequence[int], tol: float = 1e-8,
-            f_spectrum: Optional[Signal] = None) -> ComparisonReport:
+            f_spectrum: Optional[Signal] = None,
+            grid: Optional[Grid] = None) -> ComparisonReport:
     """Oracle residuals against the exact-formula error at rho = sigma.
 
-    The formula side is evaluated once (it does not depend on j_range); the
-    oracle side factors one Gram matrix, after one inner-product pass, at
-    the largest requested range, and reads each smaller range's residual
-    off its leading block (see `_eliminate`).  ``f_spectrum`` optionally hands the formula side f in
-    another form, a spectrum or an analytic f as a `Generator` (see
-    `project`), in place of the quadrature transform of the time samples.
+    The formula side is `best_approx_error_sq` at rho = sigma on the period
+    grid ``grid`` (default as there), evaluated once: it does not depend on
+    j_range.  The oracle side factors one Gram matrix, after one
+    inner-product pass, at the largest requested range, and reads each
+    smaller range's residual off its leading block (see `_eliminate`).
+    ``f_spectrum`` optionally hands the formula side f in another form, a
+    spectrum or an analytic f as a `Generator` (see `project`), in place of
+    the quadrature transform of the time samples.
 
     A report is consistent when every gap (oracle minus formula) is
     nonnegative within rounding: the finite span is a subspace, so its
@@ -189,10 +195,8 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
     ranges = sorted(set(int(j) for j in j_range_list))
     if not ranges or ranges[0] < 0:
         raise ValueError("j_range_list must hold nonnegative integers")
-    if f_spectrum is not None:
-        formula = best_approx_error_sq(f_spectrum, gen, sigma, rho=sigma, tol=tol)
-    else:
-        formula = project(f, gen, sigma, rho=sigma, tol=tol).error_sq
+    formula = best_approx_error_sq(f if f_spectrum is None else f_spectrum,
+                                   gen, sigma, rho=sigma, tol=tol, grid=grid)
 
     j_top = ranges[-1]
     norm_sq = l2_norm_sq(f)

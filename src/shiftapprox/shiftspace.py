@@ -157,15 +157,27 @@ def _complement_weights(grid: Grid, rho: float) -> np.ndarray:
     return w
 
 
+def _jumps_at_seam(radius: Optional[float], sigma: float) -> bool:
+    """Whether a declared spectral support ``radius`` is an odd multiple of
+    sigma (to a relative 1e-9): the spectrum jumps on a seam of the fold."""
+    if radius is None:
+        return False
+    ratio = radius / sigma
+    k = round(ratio)
+    return k % 2 == 1 and abs(ratio - k) <= 1e-9 * k
+
+
 def _seam_extrapolate(values: np.ndarray) -> np.ndarray:
     """Replace the two seam samples of a fold by interior quadratic
     extrapolation.
 
     The seam nodes are one point of the period.  A spectrum of f or B that
-    jumps there (a sinc, or a tabulated f storing a jump's midpoint) puts a
-    midpoint value on them, and squaring it breaks the midpoint cancellation
-    that keeps every other panel accurate.  The extrapolation gives the
-    limit from inside, which D's seam nodes hold; smooth data move O(step^3).
+    jumps there (a sinc) puts a midpoint value on them, and squaring it
+    breaks the midpoint cancellation that keeps every other panel accurate.
+    The extrapolation gives the limit from inside, which D's seam nodes
+    hold.  Smooth data would move O(step^3), capping a fold that is
+    otherwise spectrally accurate, so `_fold` calls this only under a
+    declared jump (`_jumps_at_seam`).
     """
     if values.size < 5:
         return values
@@ -247,8 +259,9 @@ def synthesize(exp: ShiftExpansion, gen: Generator, x_grid: Grid) -> SampledFunc
 class _FoldResult:
     """Shared per-node arrays of the folded pipeline on the base grid.
 
-    bracket and energy carry seam-extrapolated values (`_seam_extrapolate`)
-    and density is `periodize`'s D.  The division by D is done once, at the
+    bracket and energy are the raw fold, or carry seam-extrapolated values
+    (`_seam_extrapolate`) when a spectrum declares a jump on the seam, and
+    density is `periodize`'s D.  The division by D is done once, at the
     live nodes (D above the guard), for the transform and the captured
     energy.
     """
@@ -263,7 +276,13 @@ class _FoldResult:
 
 
 def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
-          tol: float) -> _FoldResult:
+          tol: float, f_support: Optional[float] = None) -> _FoldResult:
+    """Fold f-hat against B-hat over the windows f-hat covers.
+
+    ``f_support`` is the spectral support an analytic f declares.  The
+    seam nodes are extrapolated only when it or B's is an odd multiple of
+    sigma (`_jumps_at_seam`); every other fold is raw.
+    """
     n = grid.count
     step = grid.step
     cover = max(abs(f_spec.grid.start), abs(f_spec.grid.stop))
@@ -293,8 +312,9 @@ def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
         sl = slice(k * (n - 1), k * (n - 1) + n)
         bracket += spec_full[sl] * fvals[sl]
         energy += np.abs(fvals[sl]) ** 2
-    bracket = _seam_extrapolate(bracket)
-    energy = np.maximum(_seam_extrapolate(energy), 0.0)
+    if any(_jumps_at_seam(r, sigma) for r in (gen.spectral_support, f_support)):
+        bracket = _seam_extrapolate(bracket)
+        energy = np.maximum(_seam_extrapolate(energy), 0.0)
     density = periodize(gen, sigma, grid, tol=tol)
     live = density.values > EPSILON_D
     safe = np.where(live, density.values, 1.0)
@@ -326,10 +346,16 @@ def _energy_split(f: Signal, gen: Generator,
     transformed, and an analytic f sampled, on aligned extensions of the
     base grid.
 
+    The fold is raw, spectrally accurate for a smooth periodic integrand,
+    unless B's spectral support or an analytic f's declares a jump on the
+    seam (`_jumps_at_seam`); then both seam nodes are extrapolated.  Time
+    samples (whose transform is entire) and spectrum files declare none.
+
     Cauchy-Schwarz bounds the captured integrand node-wise by the energy.
-    Inside the period that holds structurally.  At the two seam nodes
-    bracket and energy are extrapolated separately from the interior while
-    D is evaluated, so the bound is imposed on their joint mass.
+    Inside the period, and on the seam of a raw fold, that holds
+    structurally.  An extrapolated seam takes bracket and energy each from
+    the interior while D is evaluated, so the bound is imposed on the two
+    seam nodes' joint mass.
     """
     for rho in rhos:
         if not rho_in_band(rho, sigma):
@@ -337,12 +363,14 @@ def _energy_split(f: Signal, gen: Generator,
     if grid is None:
         grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)
     require_period_grid(grid, sigma)
+    f_support = None
     if isinstance(f, Generator):
+        f_support = f.spectral_support
         freq = _signal_freq_extent(f, gen, sigma, grid.count, tol)
         f = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
     elif isinstance(f, SampledFunction):
         f = _spectrum_of(f, sigma, grid)
-    fold = _fold(f, gen, sigma, grid, tol)
+    fold = _fold(f, gen, sigma, grid, tol, f_support)
     total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
     seam = [0, -1]
     splits = []

@@ -63,6 +63,13 @@ def sampled_gaussian() -> Generator:
     return sampled_generator(SampledFunction(grid=tg, values=np.exp(-0.5 * x * x) + 0.0j))
 
 
+def fixed_gaussian_samples() -> SampledFunction:
+    """513 samples of e^{-x^2/2} on +-8.6 (the benchmark's fixed file)."""
+    grid = Grid(-8.6, 8.6, 513)
+    x = grid.nodes()
+    return SampledFunction(grid=grid, values=np.exp(-0.5 * x * x) + 0j)
+
+
 def piecewise_inner(f, g, breaks: np.ndarray, nodes: int = 6) -> complex:
     """``integral f conj(g)`` by ``nodes``-point Gauss-Legendre on every
     interval between the sorted distinct ``breaks``: exact to rounding for

@@ -35,7 +35,7 @@ from shiftapprox.shiftspace import project
 from shiftapprox.spectral import periodize
 from shiftapprox.zak import phi_field
 
-from helpers import reference_csv, run_cli
+from helpers import fixed_gaussian_samples, reference_csv, run_cli
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -161,10 +161,8 @@ def test_dfun_on_time_samples_prints_the_sampled_generators_density(tmp_path):
 
 
 def _fixed_gaussian_file(path: Path) -> str:
-    """513 samples of e^{-x^2/2} on +-8.6, written to path; the spec."""
-    grid = Grid(-8.6, 8.6, 513)
-    x = grid.nodes()
-    write_samples_csv(str(path), SampledFunction(grid=grid, values=np.exp(-0.5 * x * x) + 0j))
+    """`fixed_gaussian_samples` written to path; the spec."""
+    write_samples_csv(str(path), fixed_gaussian_samples())
     return f"file:{path}"
 
 
@@ -606,22 +604,26 @@ def test_compare_table_consistent(capsys):
     assert rows[0][3] >= 0 and rows[1][3] >= 0
 
 
-def test_compare_formula_error_is_the_besterr_row():
-    # compare folds on the default period grid whatever --dgrid says, so an
-    # analytic f-hat must be sampled on that grid's extension: sampled on the
-    # --dgrid extension it would be interpolated in the fold.  The box
-    # spline's slow spectrum takes the same 64 windows in both
-    for f_spec in ("gauss:width=1", "bspline:m=0"):
-        rc, out = run_cli(["compare", "--gen", "bspline:m=1", "--f", f_spec,
-                           "--dgrid", "257", "--sweep", "jrange=16"])
+def test_compare_formula_error_is_the_besterr_row(tmp_path):
+    # compare's formula side folds on the --dgrid period grid, as besterr
+    # does at rho = sigma: time samples, an analytic f and the box spline,
+    # whose slow spectrum takes 64 windows, print the same bytes in both
+    samples = _fixed_gaussian_file(tmp_path / "f-x.csv")
+    for gen, f_spec, sigma in (("bspline:m=3", samples, "1"),
+                               ("bspline:m=2", samples, "2"),
+                               ("bspline:m=1", "gauss:width=1", "1"),
+                               ("bspline:m=1", "bspline:m=0", "1")):
+        common = ["--gen", gen, "--f", f_spec, "--sigma", sigma,
+                  "--dgrid", "257"]
+        rc, out = run_cli(["compare"] + common + ["--sweep", "jrange=16"])
         assert rc == 0
-        rc_best, best = run_cli(["besterr", "--gen", "bspline:m=1",
-                                 "--f", f_spec, "--rho", "1"])
+        rc_best, best = run_cli(["besterr"] + common + ["--rho", sigma])
         assert rc_best == 0
         formula_error = _rows(out)[1].split(",")[2]
         assert formula_error == _rows(best)[1].split(",")[1]
         if f_spec == "bspline:m=0":
-            assert formula_error == "4.5798698614875066"
+            # 4.5798698614875066 on the 4097 nodes compare used to fold on
+            assert formula_error == "4.5798698614874933"
 
 
 def test_compare_rejects_spectrum_signal(tmp_path, capsys):
@@ -694,7 +696,15 @@ def test_repeat_runs_byte_identical():
 # compare was recorded again when a generator-spec f came to be sampled for
 # the oracle on a grid through the knots of B's shifts (6145 nodes on
 # [-3 pi, 3 pi], 1100 from -8.6 before): its J = 8 residual went from
-# 0.46737753931759696 to 0.46737753922801084, 2.4e-6 above the formula
+# 0.46737753931759696 to 0.46737753922801084, 2.4e-6 above the formula.
+# project, besterr and compare were recorded again when the fold came to
+# extrapolate its seam nodes only under a declared jump and compare to fold
+# on --dgrid: error_sq at rho = sigma went from 0.46723543928393041 to
+# 0.46737452243418631, norm_sq from 1.3052048413203106 to 1.30507932847133,
+# error_sq at rho = sigma/2 from 0.85377913728427124 to 0.8537927075855466,
+# and compare's formula error from 0.46737514786188217 (4097 nodes) to the
+# same 0.46737452243418631 (33 nodes), so its J = 8 gap went from
+# 2.3913661286734111e-06 to 3.0167938245284631e-06
 _PINNED_OUTPUT = {
     "dfun": (["--gen", "bspline:m=2", "--dgrid", "33"],
              "1166a66dcf740357c02c6177d4615aa554452de3622bfdf21c1c277a78b58f96"),
@@ -706,13 +716,13 @@ _PINNED_OUTPUT = {
                      "feb7033d7bf44b65cfebacd1b8df1b391dfb2d5dfd0fe9545ca2b48c8544097e"),
     "project": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
                  "--jrange", "4"],
-                "2935ca539061292f58267747689c07c62721b7ae9faa86fbd92157e56f35a970"),
+                "02b6cd68e8b8ba7f2d173deec7a5cb936828c3d6e6b28e680cf90e2989f02019"),
     "besterr": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
                  "--sweep", "rho=0.5,1"],
-                "fd2319a3eed472300c6bf6be48473e7a45c858a5983a5a893f2f53c0a63b5dd5"),
+                "fe49e2838704fea48e2678fe45e20138261f371d94cfb47b6a1cbfdabea5f4e3"),
     "compare": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",
                  "--sweep", "jrange=4,8"],
-                "797554d9d328890790f8773ba71d03c59be12b44ab686004b6a9a87f34ed79fa"),
+                "1afced0d916183a28817405e5dc06495ceb26a0b1478ed8062dbc9aca4e70244"),
     "validate": (["--gen", "bspline:m=1", "--dgrid", "33"],
                  "e84fbe1e7ef8a334c8c03e1623138d36f705380d138c97b2d040550390febc55"),
     # two tables long enough for the numpy formatter, recorded with Python's

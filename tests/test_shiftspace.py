@@ -5,6 +5,7 @@ Reference values come from the time-domain quadrature oracles in helpers
 forms; none reuse the folded-spectrum pipeline under test.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from shiftapprox.spectral import envelope_tail, lattice_order, periodize
 
 from helpers import (analytic_gaussian_spectrum, band_member_spectrum,
                      bump_spectrum_signal, direct_coeffs, direct_fourier_sum,
-                     expansion_time_products,
+                     expansion_time_products, fixed_gaussian_samples,
                      random_expansion, sinc_gen, spectrum_norm_sq, spline,
                      time_norm_sq, time_sample_shapes)
 
@@ -213,11 +214,10 @@ def test_zeta_transform_recovers_member_symbol():
     fs = band_member_spectrum(gen, 1.0, exp.coeffs, windows=20)
     zeta = zeta_transform(fs, gen, 1.0, PERIOD_GRID)
     ref = zeta_of_coeffs(exp, PERIOD_GRID).values
-    # the seam nodes divide an extrapolated bracket by D (1.1e-8 measured),
-    # every other node the folded bracket (5.9e-10)
+    # the raw fold leaves 5.9e-10 at every node, the seam included (an
+    # extrapolated seam bracket left 1.1e-8 there)
     err = np.abs(zeta.values - ref) / np.max(np.abs(ref))
-    assert np.max(err) < 2e-8
-    assert np.max(err[1:-1]) < 1e-9
+    assert np.max(err) < 1e-9
 
 
 def test_projection_recovers_member():
@@ -392,36 +392,112 @@ _ANALYTIC_WINDOWS = {("gauss:width=0.7", 1.0): 5, ("gauss:width=0.7", 2.0): 3,
                      ("gauss:width=1.3", 1.0): 3, ("gauss:width=1.3", 2.0): 2,
                      ("sinc", 1.0): 0, ("sinc", 2.0): 0}
 
+#: SHA-256 of the analytic sinc's fold on a degree-1 spline (`_fold_digest`
+#: of its project at rho = sigma/2 and its besterr row), by (sigma, dgrid),
+#: recorded when every fold extrapolated its seam nodes.  The sinc declares
+#: its jump at sigma and keeps the extrapolation; its tabulation declares
+#: nothing and folds raw, so the two no longer agree
+_SINC_FOLD_DIGESTS = {
+    (1.0, 257): "fbfed6f956bc43c64b4c9b6b0813bc693d7d002b923229269db871238acac783",
+    (1.0, 1025): "aa872e9a2be04dbe9080eb9a7bb78ffc57099bf9284b255147f96b5ce8a8432b",
+    (2.0, 257): "54dc707aa18360e903c3b88366bc7dedb1f04b41e745a1e5d65dd897c754d097",
+    (2.0, 1025): "fd677bd35428de47caa66bd67c783b6ec2c504a8b242a31cd906b2032d16023e",
+}
+
+
+def _fold_digest(res, errors: np.ndarray) -> str:
+    """SHA-256 of a projection's zeta and energies and a besterr row."""
+    digest = hashlib.sha256(res.zeta.values.tobytes())
+    digest.update(np.array([res.projection_norm_sq, res.error_sq,
+                            res.guard_mass]).tobytes())
+    digest.update(np.asarray(errors).tobytes())
+    return digest.hexdigest()
+
 
 @pytest.mark.parametrize("dgrid", [257, 1025])
 @pytest.mark.parametrize("spec,sigma", sorted(_ANALYTIC_WINDOWS))
 def test_an_analytic_signal_folds_its_aligned_spectrum(spec, sigma, dgrid):
-    # f given as a generator is the same call on f-hat sampled on the
-    # aligned extension of the period grid, bit for bit
+    # f given as a generator that declares no jump on the seam is the same
+    # call on f-hat sampled on the aligned extension of the period grid,
+    # bit for bit; the sinc, which declares one, keeps its recorded bytes
     f = parse_generator_spec(spec, default_sigma=sigma)
-    freq = period_extension(sigma, dgrid, _ANALYTIC_WINDOWS[(spec, sigma)])
-    fs = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
     gen = spline(1, sigma)
     grid = Grid(start=-sigma, stop=sigma, count=dgrid)
-    got, want = (project(signal, gen, sigma, 0.5 * sigma, grid=grid, j_range=8)
-                 for signal in (f, fs))
+    rhos = [0.25 * sigma, 0.5 * sigma, sigma]
+    got = project(f, gen, sigma, 0.5 * sigma, grid=grid, j_range=8)
+    got_errors = best_approx_error_sq(f, gen, sigma, rhos, grid=grid)
+    if f.spectral_support is not None:
+        assert _fold_digest(got, got_errors) == _SINC_FOLD_DIGESTS[(sigma, dgrid)]
+        return
+    freq = period_extension(sigma, dgrid, _ANALYTIC_WINDOWS[(spec, sigma)])
+    fs = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
+    want = project(fs, gen, sigma, 0.5 * sigma, grid=grid, j_range=8)
     assert np.array_equal(got.zeta.values, want.zeta.values)
     assert np.array_equal(got.coeffs.coeffs, want.coeffs.coeffs)
     assert ((got.projection_norm_sq, got.error_sq, got.guard_mass)
             == (want.projection_norm_sq, want.error_sq, want.guard_mass))
-    rhos = [0.25 * sigma, 0.5 * sigma, sigma]
-    assert np.array_equal(best_approx_error_sq(f, gen, sigma, rhos, grid=grid),
+    assert np.array_equal(got_errors,
                           best_approx_error_sq(fs, gen, sigma, rhos, grid=grid))
-    if f.spectral_support is None:
-        # the fewest windows whose bracket and energy envelope tails are
-        # both at most tol
-        windows = _ANALYTIC_WINDOWS[(spec, sigma)]
-        c, p = f.decay_constant, f.decay_exponent
-        tails = [(c * gen.decay_constant, p + gen.decay_exponent), (c * c, 2.0 * p)]
-        assert all(envelope_tail(coef, q, sigma, windows) <= 1e-8
-                   for coef, q in tails)
-        assert any(envelope_tail(coef, q, sigma, windows - 1) > 1e-8
-                   for coef, q in tails)
+    # the fewest windows whose bracket and energy envelope tails are both
+    # at most tol
+    windows = _ANALYTIC_WINDOWS[(spec, sigma)]
+    c, p = f.decay_constant, f.decay_exponent
+    tails = [(c * gen.decay_constant, p + gen.decay_exponent), (c * c, 2.0 * p)]
+    assert all(envelope_tail(coef, q, sigma, windows) <= 1e-8
+               for coef, q in tails)
+    assert any(envelope_tail(coef, q, sigma, windows - 1) > 1e-8
+               for coef, q in tails)
+
+
+@pytest.mark.parametrize("b_spec", ["bspline:m=1", "bspline:m=2", "bspline:m=3",
+                                    "gauss:width=1.3"])
+@pytest.mark.parametrize("f_spec", ["samples", "gauss:width=1"])
+def test_a_smooth_fold_is_spectrally_accurate(f_spec, b_spec):
+    # no spectrum here declares a jump on the seam, so the fold is raw:
+    # Simpson's rule on a smooth periodic integrand, which converges
+    # spectrally.  At 129 and 257 nodes the error is the 16 385-node one to
+    # rounding; extrapolating the seam nodes held it to O(step^3), 1.2e-7
+    # off at 257 nodes on the cubic spline
+    f = (fixed_gaussian_samples() if f_spec == "samples"
+         else parse_generator_spec(f_spec))
+    gen = parse_generator_spec(b_spec)
+    ref = best_approx_error_sq(f, gen, 1.0, 1.0, grid=Grid(-1.0, 1.0, 16385))
+    for count in (129, 257):
+        err = best_approx_error_sq(f, gen, 1.0, 1.0, grid=Grid(-1.0, 1.0, count))
+        assert abs(err - ref) <= 1e-14 * math.sqrt(math.pi), count
+
+
+def _tabulated_sinc_member() -> SampledSpectrum:
+    """A member of the sinc's shift space, its spectrum tabulated on the
+    aligned extension of a 257-node period grid over one window a side."""
+    member = random_expansion(np.random.default_rng(49), 1.0, 4)
+    freq = period_extension(1.0, 257, 1)
+    return SampledSpectrum(grid=freq, values=zeta_of_coeffs(member, freq).values
+                           * sinc_gen(1.0).spectrum(freq.nodes()))
+
+
+@pytest.mark.parametrize("case", ["sinc-f-on-hat", "gauss-f-on-sinc",
+                                  "sinc-member-on-sinc"])
+def test_a_declared_seam_jump_keeps_the_extrapolation(case):
+    # a sinc f, or B, declares a jump at sigma: the seam nodes hold the
+    # jump's midpoint, so the fold extrapolates them as it always did and
+    # error_sq at rho = sigma/2 and sigma on 257 nodes keeps the bytes
+    # recorded then.  Raw, the sinc f on the hat would read 1.2e-2 low and
+    # the tabulated member 0.13 outside its own space
+    f, gen, pinned = {
+        "sinc-f-on-hat": (parse_generator_spec("sinc"), spline(1, 1.0),
+                          ["0x1.9322c174ac0f7p+2", "0x1.183ccde15a218p+0"]),
+        "gauss-f-on-sinc": (gaussian_generator(1.0), sinc_gen(1.0),
+                            ["0x1.b32505de5f7a8p-1", "0x1.1d7f36521a3d8p-2"]),
+        "sinc-member-on-sinc": (_tabulated_sinc_member(), sinc_gen(1.0),
+                                ["0x1.1907704fb82f2p+6", "0x0.0p+0"]),
+    }[case]
+    grid = Grid(-1.0, 1.0, 257)
+    errors = best_approx_error_sq(f, gen, 1.0, [0.5, 1.0], grid=grid)
+    assert [float(e).hex() for e in errors] == pinned
+    if case == "sinc-f-on-hat":
+        ref = best_approx_error_sq(f, gen, 1.0, 1.0, grid=Grid(-1.0, 1.0, 16385))
+        assert abs(errors[1] - ref) <= 1e-6
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
