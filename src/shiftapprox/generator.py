@@ -15,6 +15,8 @@ the declared `Generator.time_radius` beyond which ``|B| <= TIME_EPS``.
     polynomial ``2*sigma*N_{m+1}(sigma*x/pi + m + 1)`` supported on
     ``[-(m+1)*pi/sigma, 0]``, where ``N_k`` is the cardinal B-spline of order
     ``k`` on ``[0, k]``.  Autocorrelation in closed form, ``N_{2(m+1)}``.
+    Both read the piece tables the time-sample spline reads
+    (`_cardinal_spline`); the box (m = 0) keeps its jump midpoints 1/2.
     It declares its degree and sigma (`Generator.spline`): on a lattice
     at a rational ratio to its own, its lattice tails are Hurwitz zeta values.
 ``gauss``
@@ -161,28 +163,63 @@ def time_extent(gen: Generator) -> Tuple[float, float, bool]:
         "time tail radius: its shifts cannot be cut off in time")
 
 
-def _cardinal_bspline(order: int, t: np.ndarray) -> np.ndarray:
-    """Cardinal B-spline ``N_order`` on ``[0, order]`` (unit integral).
-
-    The order-1 box takes the jump midpoint 0.5 at its two knots: that is
-    the value the symmetric spectral partial sums converge to, and it lets
-    Simpson panels on knot-aligned grids cancel the jump error against a
-    continuous cofactor.  Higher orders sum truncated powers at
-    ``min(t, order - t)``: ``N_order`` is symmetric about ``order/2``, and
-    on the far half the powers cancel (errors of 22 eps at order 4 and
-    250 eps at order 6).
+@functools.lru_cache(maxsize=None)
+def _bspline_pieces(order: int) -> np.ndarray:
+    """Power coefficients of the cardinal B-spline ``N_order`` on its unit
+    pieces: ``N_order(i + u) = sum_p out[p, i] u**p`` for u in [0, 1) and
+    i = 0..order-1.  Piece i holds the truncated powers of the knots
+    ``k <= i``, ``(1/n!) sum_k (-1)**k C(order, k) (i - k + u)**n`` with
+    ``n = order - 1``, expanded in exact rationals and rounded once.
     """
+    n = order - 1
+    out = np.empty((order, order))
+    for i in range(order):
+        for p in range(order):
+            total = sum((-1) ** k * math.comb(order, k) * (i - k) ** (n - p)
+                        for k in range(i + 1))
+            out[p, i] = float(Fraction(math.comb(n, p) * total, math.factorial(n)))
+    out.flags.writeable = False
+    return out
+
+
+def _cardinal_spline(coeffs: np.ndarray, order: int,
+                     offset: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """``t -> sum_k coeffs[k] N_order(t + offset - k)`` for an integer
+    offset, by Horner in ``u = t - floor(t)`` on per-interval power
+    coefficients.
+
+    The interval ``[j, j + 1)`` reads ``sum_i coeffs[j + offset - i]``
+    times piece i of `_bspline_pieces`: row ``j + offset`` of one
+    convolution per power.  The offset goes into the row, not into t, so
+    u stays exact.  A last row of zeros serves every t outside.
+    """
+    pieces = _bspline_pieces(order)
+    table = np.stack([np.convolve(coeffs, pieces[p]) for p in range(order)])
+    table = np.append(table, np.zeros((order, 1)), axis=1)
+    outside = table.shape[1] - 1
+
+    def evaluate(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        floor = np.floor(t)
+        row = floor + offset
+        index = np.where((row >= 0) & (row < outside), row, outside).astype(np.intp)
+        u = t - floor
+        acc = table[order - 1][index]
+        for p in range(order - 2, -1, -1):
+            acc = acc * u + table[p][index]
+        return acc
+
+    return evaluate
+
+
+def _box(t: np.ndarray) -> np.ndarray:
+    """The cardinal box ``N_1`` on ``[0, 1]``, taking the jump midpoint 0.5
+    at its two knots: that is the value the symmetric spectral partial sums
+    converge to, and it lets Simpson panels on knot-aligned grids cancel the
+    jump error against a continuous cofactor."""
     t = np.asarray(t, dtype=float)
-    if order == 1:
-        edge_tol = 1e-9
-        inner = np.where((t > 0.0) & (t < 1.0), 1.0, 0.0)
-        on_knot = (np.abs(t) <= edge_tol) | (np.abs(t - 1.0) <= edge_tol)
-        return np.where(on_knot, 0.5, inner)
-    t = np.minimum(t, order - t)
-    acc = np.zeros_like(t)
-    for i in range(order + 1):
-        acc += ((-1.0) ** i) * math.comb(order, i) * np.maximum(t - i, 0.0) ** (order - 1)
-    return acc / math.factorial(order - 1)
+    on_knot = (np.abs(t) <= 1e-9) | (np.abs(t - 1.0) <= 1e-9)
+    return np.where(on_knot, 0.5, np.where((t > 0.0) & (t < 1.0), 1.0, 0.0))
 
 
 def bspline_generator(params: SplineParams) -> Generator:
@@ -196,9 +233,12 @@ def bspline_generator(params: SplineParams) -> Generator:
         base = np.exp(1j * np.pi * u) * np.sinc(u)
         return base ** (m + 1)
 
+    shape = _box if m == 0 else _cardinal_spline(np.ones(1), m + 1)
+    gram = _cardinal_spline(np.ones(1), 2 * (m + 1))
+
     def time_domain(x: np.ndarray) -> np.ndarray:
         t = np.asarray(x, dtype=float) / h + (m + 1)
-        return (2.0 * sigma) * _cardinal_bspline(m + 1, t) + 0.0j
+        return (2.0 * sigma) * shape(t) + 0.0j
 
     def autocorrelation(tau: np.ndarray) -> np.ndarray:
         # <N_p(.), N_p(. - s)> = N_{2p}(p + s) with s = tau/h in the spline's
@@ -206,7 +246,7 @@ def bspline_generator(params: SplineParams) -> Generator:
         # x = (t - p) h contribute (2*sigma)^2 * h = 4*pi*sigma.  Lags of a
         # whole support or more give t <= 0, where N_{2p} is exactly 0
         t = m + 1 - np.abs(tau) / h
-        return 4.0 * np.pi * sigma * _cardinal_bspline(2 * (m + 1), t)
+        return 4.0 * np.pi * sigma * gram(t)
 
     return Generator(
         label=f"bspline:m={m},sigma={sigma:g}",
@@ -309,51 +349,6 @@ def spectrum_generator(spec: SampledSpectrum, label: str = "spectrum-file") -> G
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _bspline_pieces(n: int) -> np.ndarray:
-    """Power coefficients of the centred B-spline ``beta^n`` (n odd) on its
-    n + 1 unit pieces: ``beta^n(i - (n+1)/2 + u) = sum_p out[p, i] u**p``
-    for u in [0, 1).  Piece i holds the truncated powers of the knots
-    ``k <= i``, ``(1/n!) sum_k (-1)**k C(n+1, k) (i - k + u)**n``, expanded
-    in exact rationals and rounded once.
-    """
-    out = np.empty((n + 1, n + 1))
-    for i in range(n + 1):
-        for p in range(n + 1):
-            total = sum((-1) ** k * math.comb(n + 1, k) * (i - k) ** (n - p)
-                        for k in range(i + 1))
-            out[p, i] = float(Fraction(math.comb(n, p) * total, math.factorial(n)))
-    out.flags.writeable = False
-    return out
-
-
-def _cardinal_spline(coeffs: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``t -> sum_k coeffs[k] beta^n(t - k)`` for odd n, by Horner in
-    ``u = t - floor(t)`` on per-interval power coefficients.
-
-    The interval ``[j, j + 1)`` reads ``sum_i coeffs[j + (n+1)/2 - i]``
-    times piece i of `_bspline_pieces`: row ``j + (n+1)/2`` of one
-    convolution per power.  A last row of zeros serves every t outside.
-    """
-    pieces = _bspline_pieces(n)
-    table = np.stack([np.append(np.convolve(coeffs, pieces[p]), 0.0)
-                      for p in range(n + 1)])
-    outside = table.shape[1] - 1
-
-    def evaluate(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        floor = np.floor(t)
-        row = floor + (n + 1) // 2
-        index = np.where((row >= 0) & (row < outside), row, outside).astype(np.intp)
-        u = t - floor
-        acc = table[n][index]
-        for p in range(n - 1, -1, -1):
-            acc = acc * u + table[p][index]
-        return acc
-
-    return evaluate
-
-
 @functools.lru_cache(maxsize=1)
 def _inverse_prefilter() -> np.ndarray:
     """The symmetric inverse of the prefilter ``(1, 26, 66, 26, 1)/120``,
@@ -390,8 +385,9 @@ def sampled_generator(samples: SampledFunction) -> Generator:
     coeffs = coeffs[kept[0]:kept[-1] + 1]
     x0 = grid.start + (kept[0] - _PREFILTER_TAPS) * dx
     count = coeffs.size
-    spline = _cardinal_spline(coeffs, 5)
-    gram = _cardinal_spline(np.correlate(coeffs, coeffs, "full"), 11)
+    # beta5 and beta11 are N_6 and N_12 centred: offsets 3 and 6
+    spline = _cardinal_spline(coeffs, 6, 3)
+    gram = _cardinal_spline(np.correlate(coeffs, coeffs, "full"), 12, 6)
 
     def time_domain(x: np.ndarray) -> np.ndarray:
         return spline((np.asarray(x, dtype=float) - x0) / dx) + 0.0j

@@ -200,14 +200,14 @@ class _ChirpPlan(NamedTuple):
     post: np.ndarray
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _chirp_plan(grid: Grid, dy: float, size: int) -> _ChirpPlan:
     """The `_ChirpPlan` of ``grid`` onto frequency nodes of step ``dy`` in
     FFTs of ``size`` points, on blocks of the ``size - grid.count + 1``
     nodes they hold: built once and shared by every transform of the same
     grids and size, the base and the rings of one doubling among them.
-    The two plans used last are kept, enough for a request that transforms
-    a time-sample generator and a time-sample signal.
+    The plan used last is kept: a request transforms one set of time
+    samples, its signal's (a time-sample generator is read in closed form).
 
     The chirp is centred on the middle time node and the middle node of a
     block, so its indices stay within ``(count + block) / 2``."""

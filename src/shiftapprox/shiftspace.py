@@ -434,10 +434,10 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
 
     The frequency extent doubles until the outermost period windows hold a
     negligible share of the energy, up to the most windows that stay inside
-    the band the samples resolve (`resolved_band`), and at most 16: beyond
-    that band the quadrature transform returns aliased copies of the
-    spectrum, not the spectrum.  Samples that do not resolve the three
-    windows ``[-3 sigma, 3 sigma]`` raise `ResolutionError`.
+    the band the samples resolve (`resolved_band`): beyond that band the
+    quadrature transform returns aliased copies of the spectrum, not the
+    spectrum.  Samples that do not resolve the three windows
+    ``[-3 sigma, 3 sigma]`` raise `ResolutionError`.
 
     Each period window is transformed once: the first call covers three
     windows, and each doubling passes the spectrum so far as the ``inner``
@@ -446,7 +446,7 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
     """
     n = grid.count
     band = resolved_band(f.grid.step)
-    limit = min(16, int((band / sigma - 1.0) // 2.0))
+    limit = int((band / sigma - 1.0) // 2.0)
     if limit < 1:
         raise ResolutionError(
             f"time step dx={f.grid.step:.6g} resolves the band |y| <= "

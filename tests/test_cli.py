@@ -330,6 +330,17 @@ def test_validate_table_passes():
                 assert math.isfinite(float(field))
 
 
+def test_validate_reads_a_degree_ten_spline_to_rounding():
+    # Phi1 compares the time sum of |Phi|^2, which reads N_11 at every mesh
+    # point, with ||B||^2 from N_22: the piece tables keep both within one
+    # ulp, where a truncated-power sum read 2.2e-13
+    rc, out = run_cli(["validate", "--gen", "bspline:m=10", "--dgrid", "33"])
+    assert rc == 0
+    name, residual, _, status = _rows(out)[1].split(",")
+    assert name == "phi1_norm" and status == "ok"
+    assert float(residual) <= 1e-15
+
+
 def test_validate_skips_conjugation_for_an_off_centre_spectrum(tmp_path):
     # a real spectrum on [0, 4] is not Hermitian (y -> -y leaves the grid):
     # the conjugation symmetry does not apply, so it is skipped, not failed
@@ -704,14 +715,18 @@ def test_repeat_runs_byte_identical():
 # error_sq at rho = sigma/2 from 0.85377913728427124 to 0.8537927075855466,
 # and compare's formula error from 0.46737514786188217 (4097 nodes) to the
 # same 0.46737452243418631 (33 nodes), so its J = 8 gap went from
-# 2.3913661286734111e-06 to 3.0167938245284631e-06
+# 2.3913661286734111e-06 to 3.0167938245284631e-06.  zak_time_sum was
+# recorded again when the bspline family came to read the piece tables of
+# the time-sample spline: 65 of its 289 rows moved by at most 2.2e-16, and
+# its digest went from b523a5e96d9da40c3278cef0e64ccf3fe1b52172d1daf931c478469ad3d36841
+# to 91ea786d10928fe905f375b888e53c7d195c978b34f1382d52aa4f73cddd7c38
 _PINNED_OUTPUT = {
     "dfun": (["--gen", "bspline:m=2", "--dgrid", "33"],
              "1166a66dcf740357c02c6177d4615aa554452de3622bfdf21c1c277a78b58f96"),
     "riesz": (["--gen", "gauss:width=1", "--dgrid", "33"],
               "6c83a694e84c46babee9c5f5030781c5169767fb0c7fde601763176a86bb5712"),
     "zak_time_sum": (["--gen", "bspline:m=2", "--dgrid", "17"],
-                     "b523a5e96d9da40c3278cef0e64ccf3fe1b52172d1daf931c478469ad3d36841"),
+                     "91ea786d10928fe905f375b888e53c7d195c978b34f1382d52aa4f73cddd7c38"),
     "zak_freq_sum": (["--gen", "sinc:sigma=1", "--dgrid", "17"],
                      "feb7033d7bf44b65cfebacd1b8df1b391dfb2d5dfd0fe9545ca2b48c8544097e"),
     "project": (["--gen", "bspline:m=2", "--f", "gauss:width=1", "--dgrid", "33",

@@ -11,7 +11,7 @@ from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (
     TIME_EPS,
     SplineParams,
-    _cardinal_bspline,
+    _box,
     _cardinal_spline,
     bandlimited_generator,
     bspline_generator,
@@ -38,51 +38,56 @@ from helpers import (cauchy, decay_audit_max_ratio, piecewise_inner,
                      sampled_gaussian, spline)
 
 
+def _exact_bspline(order: int, v) -> float:
+    """``N_order(v)``, v a double or a Fraction, as the truncated-power sum
+    in exact rationals with ``(t - i)_+**0 = 1`` from t = i on, rounded
+    once."""
+    u = Fraction(v)
+    powers = sum((-1) ** i * math.comb(order, i) * (u - i) ** (order - 1)
+                 for i in range(order + 1) if u >= i)
+    return float(powers / math.factorial(order - 1))
+
+
 def test_cardinal_bspline_partition_of_unity():
     rng = np.random.default_rng(3)
     t = rng.uniform(0.0, 1.0, 64)
     for order in (1, 2, 3, 4, 6):
-        total = sum(_cardinal_bspline(order, t + k) for k in range(order))
+        evaluate = _box if order == 1 else _cardinal_spline(np.ones(1), order)
+        total = sum(evaluate(t + k) for k in range(order))
         assert np.max(np.abs(total - 1.0)) < 1e-12, order
 
 
 @pytest.mark.parametrize("n", [5, 11])
 def test_spline_pieces_match_the_truncated_powers(n):
-    # one centred beta^n through the per-interval power coefficients
-    # against N_{n+1} at t + (n+1)/2; beta5 at the integers is the
+    # one centred beta^n, N_{n+1} read at offset (n+1)/2, against the
+    # exact-rational N_{n+1} at t + (n+1)/2; beta5 at the integers is the
     # prefilter (1, 26, 66, 26, 1)/120
-    evaluate = _cardinal_spline(np.array([1.0]), n)
+    evaluate = _cardinal_spline(np.array([1.0]), n + 1, (n + 1) // 2)
     t = np.random.default_rng(n).uniform(-(n + 3) / 2, (n + 3) / 2, 400)
-    ref = _cardinal_bspline(n + 1, t + (n + 1) / 2)
-    assert np.max(np.abs(evaluate(t) - ref)) <= 1e-14
+    ref = [_exact_bspline(n + 1, Fraction(v) + Fraction(n + 1, 2)) for v in t]
+    assert np.max(np.abs(evaluate(t) - ref)) <= np.finfo(float).eps
     if n == 5:
         knots = evaluate(np.arange(-3.0, 4.0)) * 120.0
         assert np.max(np.abs(knots - [0, 1, 26, 66, 26, 1, 0])) <= 1e-13
 
 
-@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("order", range(1, 23))
 def test_cardinal_bspline_matches_exact_truncated_powers(order):
-    # the truncated-power sum in exact rational arithmetic at each double t;
-    # read at min(t, order - t) the float sum stays within 1.5 eps of it,
-    # read at t it lost 7 eps at order 3 and 250 eps at order 6
+    # the piece tables against the truncated-power sum in exact rational
+    # arithmetic at each double t, within one ulp of 1 up to order 22, the
+    # degree-10 autocorrelation's (a float truncated-power sum lost 414)
     rng = np.random.default_rng(order)
     knots = np.arange(order + 1, dtype=float)
     t = np.concatenate([rng.uniform(-0.5, order + 0.5, 500), knots,
                         np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
                         knots - 1e-9, knots + 1e-9, knots - 1e-5, knots + 1e-5])
-
-    def exact(v: float) -> float:
-        u = Fraction(v)
-        powers = sum((-1) ** i * math.comb(order, i) * (u - i) ** (order - 1)
-                     for i in range(order + 1) if u > i)
-        return float(powers / math.factorial(order - 1))
-
-    err = np.abs(_cardinal_bspline(order, t) - [exact(v) for v in t])
-    assert np.max(err) <= 2.0 * np.finfo(float).eps
+    evaluate = _cardinal_spline(np.ones(1), order)
+    err = np.abs(evaluate(t) - [_exact_bspline(order, v) for v in t])
+    assert np.max(err) <= np.finfo(float).eps
 
 
 def test_box_takes_jump_midpoints_at_knots():
-    vals = _cardinal_bspline(1, np.array([-0.5, 0.0, 0.25, 1.0, 1.5]))
+    vals = _box(np.array([-0.5, 0.0, 0.25, 1.0, 1.5]))
     assert np.array_equal(vals, [0.0, 0.5, 1.0, 0.5, 0.0])
 
 
@@ -191,13 +196,14 @@ def test_closed_form_autocorrelation_is_read_once_per_row():
 @pytest.mark.parametrize("sigma_b", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_spline_autocorrelation_row_is_the_per_lag_closed_form(m, sigma_b):
-    # 4 pi sigma_B N_{2(m+1)}(m + 1 - |tau|/h_B) evaluated lag by lag, as
-    # scalars: the vectorized row equals it bit for bit
+    # 4 pi sigma_B N_{2(m+1)}(m + 1 - |tau|/h_B), the evaluator called lag
+    # by lag on scalars: the vectorized row equals it bit for bit
     h_b = math.pi / sigma_b
+    evaluate = _cardinal_spline(np.ones(1), 2 * (m + 1))
     for sigma, max_lag in ((1.0, 3), (1.0, 32), (2.0, 129)):
         row = shift_autocorrelation(spline(m, sigma_b), sigma, max_lag)
-        per_lag = [complex(4.0 * np.pi * sigma_b * float(_cardinal_bspline(
-            2 * (m + 1), np.array(m + 1 - abs(d * math.pi / sigma) / h_b))))
+        per_lag = [complex(4.0 * np.pi * sigma_b * float(evaluate(
+            np.array(m + 1 - abs(d * math.pi / sigma) / h_b))))
             for d in range(max_lag + 1)]
         assert row.tolist() == per_lag, (sigma, max_lag)
 

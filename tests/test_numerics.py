@@ -227,7 +227,7 @@ def test_an_inner_transform_off_the_grid_is_rejected(inner_grid):
 
 
 def test_transforms_sharing_chirp_plans_across_threads():
-    # three pairs of grids through a plan cache of two: most calls evict a
+    # three pairs of grids through a plan cache of one: most calls evict a
     # plan another thread may be using, and every result must stay the
     # serial one
     cases = []

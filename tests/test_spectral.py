@@ -93,8 +93,7 @@ def test_poisson_periodization_matches_the_lattice_sum(m, sigma, count):
     # the exact Poisson D against the lattice sum at tol 1e-12, |nu| <= 16
     # with exact class tails; on 4097 nodes every 16th node and the three
     # at either seam are checked.  Degrees 7 and 10 pin the closed-form a_d
-    # where N_{2m+2}'s truncated powers would cancel if read on the far
-    # half of its support
+    # read from the piece tables of N_16 and N_22
     gen = spline(m, sigma)
     grid = band_grid(sigma, count)
     dv = periodize(gen, sigma, grid, tol=1e-12)
