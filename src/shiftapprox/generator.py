@@ -191,25 +191,35 @@ def _cardinal_spline(coeffs: np.ndarray, order: int,
     The interval ``[j, j + 1)`` reads ``sum_i coeffs[j + offset - i]``
     times piece i of `_bspline_pieces`: row ``j + offset`` of one
     convolution per power.  The offset goes into the row, not into t, so
-    u stays exact.  A last row of zeros serves every t outside.
+    u stays exact.  A last row of zeros serves every t outside.  The
+    table is read-only, the first argument of the returned partial.
     """
     pieces = _bspline_pieces(order)
     table = np.stack([np.convolve(coeffs, pieces[p]) for p in range(order)])
     table = np.append(table, np.zeros((order, 1)), axis=1)
-    outside = table.shape[1] - 1
+    table.flags.writeable = False
+    return functools.partial(_horner, table, offset)
 
-    def evaluate(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        floor = np.floor(t)
-        row = floor + offset
-        index = np.where((row >= 0) & (row < outside), row, outside).astype(np.intp)
-        u = t - floor
-        acc = table[order - 1][index]
-        for p in range(order - 2, -1, -1):
-            acc = acc * u + table[p][index]
-        return acc
 
-    return evaluate
+def _horner(table: np.ndarray, offset: int, t: np.ndarray) -> np.ndarray:
+    """The `_cardinal_spline` of ``table`` and ``offset`` at t."""
+    t = np.asarray(t, dtype=float)
+    order, outside = table.shape[0], table.shape[1] - 1
+    floor = np.floor(t)
+    row = floor + offset
+    index = np.where((row >= 0) & (row < outside), row, outside).astype(np.intp)
+    u = t - floor
+    acc = table[order - 1][index]
+    for p in range(order - 2, -1, -1):
+        acc = acc * u + table[p][index]
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_spline(order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``N_order`` itself, `_cardinal_spline` of one unit coefficient: built
+    once per order, so every `bspline` generator of the order shares it."""
+    return _cardinal_spline(np.ones(1), order)
 
 
 def _box(t: np.ndarray) -> np.ndarray:
@@ -233,8 +243,8 @@ def bspline_generator(params: SplineParams) -> Generator:
         base = np.exp(1j * np.pi * u) * np.sinc(u)
         return base ** (m + 1)
 
-    shape = _box if m == 0 else _cardinal_spline(np.ones(1), m + 1)
-    gram = _cardinal_spline(np.ones(1), 2 * (m + 1))
+    shape = _box if m == 0 else _unit_spline(m + 1)
+    gram = _unit_spline(2 * (m + 1))
 
     def time_domain(x: np.ndarray) -> np.ndarray:
         t = np.asarray(x, dtype=float) / h + (m + 1)

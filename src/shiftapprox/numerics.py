@@ -333,22 +333,28 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid,
 _HEADERS = {"x": SampledFunction, "y": SampledSpectrum}
 
 
-def _table(columns: Sequence[Sequence], spec: str) -> str:
+def _table(columns: Sequence[Sequence]) -> str:
     """Equal-length columns as comma-separated rows joined by newlines,
-    every value rendered by ``spec``: one ``%`` over a repeated row
+    every value rendered by ``%.17g``: one ``%`` over a repeated row
     template, so the formatting loop runs in C.  No rows give ``""``."""
     width, count = len(columns), len(columns[0])
     flat: list = [None] * (width * count)
     for i, column in enumerate(columns):
         flat[i::width] = column
-    return "\n".join([",".join([spec] * width)] * count) % tuple(flat)
+    return "\n".join([",".join(["%.17g"] * width)] * count) % tuple(flat)
 
 
-#: tables of at least this many rows are formatted in numpy, below it by
-#: Python's row template: for one to three columns of random doubles the two
-#: cost the same near 256 rows, and from 384 rows numpy takes at most 0.77
-#: of the time (x86-64, numpy 2.4, best of 15 calls)
-NUMPY_TEXT_ROWS = 384
+#: tables of at least this many values, over all their columns, are
+#: formatted in numpy, smaller ones by Python's row template: for one to four
+#: columns of doubles the two cost about the same near 320 values, and from
+#: 384 values numpy takes at most 0.97 of the time (x86-64, numpy 2.4,
+#: median of 101 alternating calls)
+NUMPY_TEXT_VALUES = 384
+
+#: most values in one numpy formatting pass: past about 4 096 values one
+#: pass ran slower than passes over row blocks (2 049 x 3 and 4 097 x 3
+#: tables), so a larger table is cut into blocks of about equal size
+_PASS_VALUES = 4096
 
 # A value's text is laid out in six 8-byte words, written whole:
 #   [sign 0 . 0 0 0 d0 .] [d1 . d2 . d3 . d4 .] ... [d13 . d14 . d15 . d16 .]
@@ -430,7 +436,6 @@ def _split(a):
     return head, a - head
 
 
-@functools.lru_cache(maxsize=None)
 def _power_of_ten(p: int) -> Tuple[float, float, float, float]:
     """10**p as ``hi + lo`` (hi the nearest double, lo the nearest double to
     the rest, both by correctly rounded int division) and hi's halves."""
@@ -440,24 +445,27 @@ def _power_of_ten(p: int) -> Tuple[float, float, float, float]:
     return (hi, (num * d - n * den) / (den * d)) + _split(hi)
 
 
+#: column ``x + _POWER_OFFSET`` holds `_power_of_ten` ``(16 - x)`` for every
+#: x of a plain |v| in [1e-280, 1e280] and one either side, where log10's
+#: rounding may first put it (see `_text_words`)
+_POWER_OFFSET = 281
+_POWERS = np.array([_power_of_ten(16 - x)
+                    for x in range(-_POWER_OFFSET, _POWER_OFFSET + 1)]).T.copy()
+
+
 def _scaled(a: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``a * 10**(16 - x)`` as a double ``big`` plus a small ``rest``: Dekker's
     exact product of a with 10**p's head, then a times its tail."""
-    p = 16 - x
-    low = int(p.min())
-    seen = np.flatnonzero(np.bincount(p - low))
-    powers = np.zeros((int(seen[-1]) + 1, 4))
-    powers[seen] = [_power_of_ten(int(k) + low) for k in seen]
-    hi, lo, bh, bl = powers[p - low].T
+    hi, lo, bh, bl = _POWERS[:, x + _POWER_OFFSET]
     big = a * hi
     ah, al = _split(a)
     err = ((ah * bh - big) + ah * bl + al * bh) + al * bl
     return big, err + a * lo
 
 
-def _text_words(values: np.ndarray, separator: np.uint64) -> np.ndarray:
-    """``%.17g`` of each value followed by ``separator``, as (n, 6) words
-    whose zero bytes are padding (see `csv_text`)."""
+def _text_words(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each value as (n, 6) words whose zero bytes are padding,
+    the last byte of each row left zero for a separator (see `csv_text`)."""
     v = np.asarray(values, dtype=np.float64)
     a = np.abs(v)
     zero = a == 0.0
@@ -494,12 +502,12 @@ def _text_words(values: np.ndarray, separator: np.uint64) -> np.ndarray:
     words[:, 0] = _HEAD[lead + 10 * np.signbit(v)]
     for i, group in enumerate((g1, g2, g3, g4)):
         words[:, 1 + i] = _QUAD[group]
-    words[:, 5] = _EXPONENT[x + _EXPONENT_SPAN] | separator
+    words[:, 5] = _EXPONENT[x + _EXPONENT_SPAN]
     words &= _MASK[18 * notation + digits]
     rows = words.view(np.uint8)
     for i in fallback.tolist():
         text = b"%.17g" % float(v[i])
-        rows[i, :-1] = 0
+        rows[i] = 0
         rows[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return words
 
@@ -513,15 +521,22 @@ def csv_text(*columns: Union[np.ndarray, Sequence[float]]) -> str:
     ``",".join(format(v, ".17g") for v in row)`` row by row, ints, signed
     zeros and non-finite values included.
 
-    Below `NUMPY_TEXT_ROWS` rows the columns are read through ``tolist()``
-    and rendered by one ``%`` over a repeated row template.  Longer tables
-    are converted to float64, as ``%.17g`` converts an int, and formatted
-    in numpy.  With x = floor(log10 |v|), corrected once where the scaled
+    A table of fewer than `NUMPY_TEXT_VALUES` values, counted over all its
+    columns, is read through ``tolist()`` and rendered by one ``%`` over a
+    repeated row template.  A larger one is formatted in numpy in one pass:
+    its columns are converted to float64, as ``%.17g`` converts an int, and
+    stacked row by row into one array, and the separators are set on the
+    (rows, columns, words) view of that pass's words, so the numpy kernel's
+    fixed cost is paid once per table, not once per column.  A table of
+    more than `_PASS_VALUES` values takes one such pass per block of rows,
+    the blocks of about equal size.
+    With x = floor(log10 |v|), corrected once where the scaled
     value leaves [1e16, 1e17), the digits are N = round(|v| 10**(16 - x)).
     The product is a double-double: Dekker's exact TwoProduct (Veltkamp
     split) of |v| with the double nearest 10**p, plus |v| times the nearest
     double to 10**p's remainder, both built from Python ints by correctly
-    rounded division.  What is left of the error is the remainder's
+    rounded division once for every p a plain |v| can read (`_POWERS`).
+    What is left of the error is the remainder's
     rounding (2**-107 relative), the rounding of |v| times it, and the sum
     of the two small parts, about 5e-15 of N's last digit in all; so N is
     exact wherever the fraction is more than 1e-9 from 1/2.  Python's
@@ -531,18 +546,27 @@ def csv_text(*columns: Union[np.ndarray, Sequence[float]]) -> str:
     Digits come from four-digit lookup tables, trailing zeros are dropped,
     and ``%g``'s rule picks exponent form for x < -4 or x >= 17.
     """
-    if len(columns[0]) < NUMPY_TEXT_ROWS:
-        return _table([np.asarray(c).tolist() for c in columns], "%.17g")
-    words = np.concatenate(
-        [_text_words(c, _SEPARATOR[b"," if i < len(columns) - 1 else b"\n"])
-         for i, c in enumerate(columns)], axis=1)
-    return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+    width, count = len(columns), len(columns[0])
+    if width * count < NUMPY_TEXT_VALUES:
+        return _table([np.asarray(c).tolist() for c in columns])
+    table = np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=1)
+    separators = np.full(width, _SEPARATOR[b","])
+    separators[-1] = _SEPARATOR[b"\n"]
+    passes = -(-count * width // _PASS_VALUES)
+    step = -(-count // passes)
+    text = []
+    for lo in range(0, count, step):
+        block = table[lo:lo + step]
+        words = _text_words(block.ravel())
+        words.reshape(block.shape + (_WORDS,))[..., -1] |= separators
+        text.append(words.tobytes().translate(None, b"\0"))
+    return b"".join(text)[:-1].decode("ascii")
 
 
 def csv_join(*columns: Sequence[str]) -> str:
     """Equal-length columns of already formatted strings as `csv_text`
     lays them out, for tables whose columns repeat their values."""
-    return _table(columns, "%s")
+    return "\n".join(map(",".join, zip(*columns)))
 
 
 def write_samples_csv(dest: Union[str, TextIO],

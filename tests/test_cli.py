@@ -28,7 +28,7 @@ import shiftapprox
 from shiftapprox import cli, generator, numerics
 from shiftapprox.errors import ResolutionError
 from shiftapprox.generator import parse_generator_spec, sampled_generator
-from shiftapprox.numerics import (NUMPY_TEXT_ROWS, Grid, SampledFunction,
+from shiftapprox.numerics import (NUMPY_TEXT_VALUES, Grid, SampledFunction,
                                   SampledSpectrum, csv_text, read_samples_csv,
                                   write_samples_csv)
 from shiftapprox.shiftspace import project
@@ -747,6 +747,15 @@ _PINNED_OUTPUT = {
                        "88d7196a7bc46be3da5b1641fb68f3f337ee57e61e8638906122245d9ae65980"),
     "dfun_long_table": (["--gen", "gauss:width=1", "--dgrid", "2049"],
                         "2120a2734f3ce7b9ed1fdd74bc90ffb8f32c72a09fd2fd511bcd29a325f44bb0"),
+    # two more, recorded with one numpy pass per column before the writer
+    # came to format a table in one pass: a 1 025 x 3 zeta block with
+    # 129 x 3 coefficients, and Phi's time sum on the dgrid-129 mesh (about
+    # 8 100 distinct magnitudes per column)
+    "project_long_table": (["--gen", "bspline:m=2", "--f", "gauss:width=1",
+                            "--dgrid", "1025"],
+                           "2f47f8c38fd753f254e97ed81873acd9c557b67bf7d893b86c2ecabf3150afec"),
+    "zak_spline_long_table": (["--gen", "bspline:m=2", "--dgrid", "129"],
+                              "7f6c5d6efd9e7745d23b3489a75f84401f64189816cc32a8a9d98b8bd6d416ed"),
 }
 
 
@@ -757,7 +766,7 @@ def test_output_bytes_are_pinned(case):
     assert rc == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
     if case.endswith("_long_table"):
-        assert out.count("\n") > NUMPY_TEXT_ROWS + 1
+        assert out.count("\n") > NUMPY_TEXT_VALUES + 1
 
 
 def test_a_rejected_argv_leaves_the_parser_as_it_was(capsys):

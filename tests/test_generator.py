@@ -13,6 +13,7 @@ from shiftapprox.generator import (
     SplineParams,
     _box,
     _cardinal_spline,
+    _unit_spline,
     bandlimited_generator,
     bspline_generator,
     gaussian_generator,
@@ -84,6 +85,25 @@ def test_cardinal_bspline_matches_exact_truncated_powers(order):
     evaluate = _cardinal_spline(np.ones(1), order)
     err = np.abs(evaluate(t) - [_exact_bspline(order, v) for v in t])
     assert np.max(err) <= np.finfo(float).eps
+
+
+def test_bspline_generators_of_one_order_share_their_tables(monkeypatch):
+    first = bspline_generator(SplineParams(sigma=1.0, degree=3))
+    built, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve",
+                        lambda *a, **k: built.append(a) or convolve(*a, **k))
+    second = bspline_generator(SplineParams(sigma=1.0, degree=3))
+    assert built == []
+    monkeypatch.undo()
+    x = np.linspace(-5.0, 1.0, 301)
+    assert np.array_equal(first.time_domain(x), second.time_domain(x))
+    assert np.array_equal(first.autocorrelation(x), second.autocorrelation(x))
+    t = np.linspace(-1.0, 9.0, 1001)
+    for order in (4, 8):
+        table = _unit_spline(order).args[0]
+        assert not table.flags.writeable
+        assert np.array_equal(_unit_spline(order)(t),
+                              _cardinal_spline(np.ones(1), order)(t))
 
 
 def test_box_takes_jump_midpoints_at_knots():

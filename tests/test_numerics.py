@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 from collections import OrderedDict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from shiftapprox import numerics
 from shiftapprox.errors import GridMismatchError, InvalidGridError
 from shiftapprox.numerics import (
-    NUMPY_TEXT_ROWS,
+    NUMPY_TEXT_VALUES,
     Grid,
     SampledFunction,
     SampledSpectrum,
@@ -304,8 +305,9 @@ _CSV_CASES = {
 @pytest.mark.parametrize("case", sorted(_CSV_CASES))
 def test_csv_text_matches_per_value_format(case):
     short = np.asarray(_CSV_CASES[case])
-    # repeated to NUMPY_TEXT_ROWS rows the columns take the numpy formatter
-    for col in (short, np.resize(short, max(short.size, NUMPY_TEXT_ROWS))):
+    # repeated to NUMPY_TEXT_VALUES rows every table of them takes the numpy
+    # formatter
+    for col in (short, np.resize(short, max(short.size, NUMPY_TEXT_VALUES))):
         ints = np.arange(-(col.size // 2), col.size - col.size // 2)
         columns = [ints.tolist(), col.tolist(), col[::-1].tolist()]
         assert csv_text(ints, col, col[::-1]) == reference_csv(*columns)
@@ -315,10 +317,80 @@ def test_csv_text_matches_per_value_format(case):
     assert csv_text(ints[:1], col[:1]) == reference_csv(ints[:1].tolist(), col[:1].tolist())
 
 
+def _near_ties() -> list:
+    """Doubles whose 17-digit rounding is within 1e-9 of a tie without being
+    one: d / 2**60 in [1e-7, 1e-6), its digits d * 5**23 / 2**37, with
+    d * 5**23 = 2**36 + r (mod 2**37), so the fraction is 1/2 + r / 2**37."""
+    modulus = 2 ** 37
+    inverse = pow(5 ** 23, -1, modulus)
+    low = -(-(2 ** 60) // 10 ** 7)
+    out = []
+    for r in (-5, -1, 1, 3):
+        d = (2 ** 36 + r) * inverse % modulus
+        d += -(-(low - d) // modulus) * modulus
+        for k in range(0, 6, 2):
+            out += [(d + k * modulus) / 2 ** 60, -(d + k * modulus) / 2 ** 60]
+    return out
+
+
+def test_near_ties_are_within_1e_9_of_a_tie():
+    for v in _near_ties():
+        fraction = abs(Fraction(v)) * 10 ** 23 % 1
+        assert 1e-7 <= abs(v) < 1e-6
+        assert 0 < abs(fraction - Fraction(1, 2)) < Fraction(1, 10 ** 9)
+
+
+# signed zeros, nan, infinities, subnormals, +-1e+-300, powers of ten, exact
+# ties and near-ties of the 17th digit, and ordinary doubles
+_AWKWARD = np.array(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+     2.225073858507201e-308, -2.2250738585072014e-308,
+     1e-300, -1e-300, 1e300, -1e300, 1e15 + 0.25, -1e15 - 0.75, 2.5]
+    + [float(f"{s}1e{k}") for k in range(-300, 301, 13) for s in "+-"]
+    + _near_ties()
+    + list(np.random.default_rng(11).standard_normal(40)
+           * 10.0 ** np.arange(-20, 20)))
+
+
+@pytest.mark.parametrize("rows,width", sorted(
+    {(NUMPY_TEXT_VALUES // w + d, w) for w in (1, 2, 3, 4) for d in (-1, 0, 1)}
+    | {(1025, 2), (1025, 3), (1366, 3), (2049, 3), (4097, 1)}))
+def test_csv_text_one_pass_matches_per_value_format(rows, width):
+    # either side of the crossover, one pass or row blocks of one pass each
+    rng = np.random.default_rng(rows * 7 + width)
+    floats = [rng.choice(_AWKWARD, rows) for _ in range(max(1, width - 1))]
+    ints = np.arange(rows, dtype=np.int64) - rows // 2
+    columns = floats if width == 1 else [ints] + floats
+    want = reference_csv(*(c.tolist() for c in columns))
+    assert csv_text(*columns) == want
+    assert csv_text(*(c.tolist() for c in columns)) == want
+
+
+def test_power_table_holds_every_power_the_formatter_reads():
+    offset = numerics._POWER_OFFSET
+    assert numerics._POWERS.shape == (4, 2 * offset + 1)
+    for x in range(-offset, offset + 1):
+        assert tuple(numerics._POWERS[:, x + offset]) == numerics._power_of_ten(16 - x)
+    # x is floor(log10 |v|) of a plain |v| in [1e-280, 1e280], as log10
+    # rounds it, and moved once by one
+    edges = np.array([1e-280, np.nextafter(1e-280, 1.0), 1e280,
+                      np.nextafter(1e280, 0.0)])
+    x = np.floor(np.log10(edges))
+    assert -offset <= x.min() - 1 and x.max() + 1 <= offset
+
+
 def test_csv_join_lays_strings_out_as_csv_text():
     cols = [["a", "bb", "c"], ["-0", "nan", "1e+17"]]
     assert csv_join(*cols) == "a,-0\nbb,nan\nc,1e+17"
     assert csv_join(["only"]) == "only"
+    # as the %s row template csv_join used to fill, empty strings included
+    cols = [["a", "", "c", ""], ["", "", "nan", "-0"], ["1e+17", "x", "", "y"]]
+    for width in (1, 2, 3):
+        for count in (0, 1, 4):
+            part = [c[:count] for c in cols[:width]]
+            template = "\n".join([",".join(["%s"] * width)] * count)
+            assert csv_join(*part) == template % tuple(
+                v for row in zip(*part) for v in row)
 
 
 def test_csv_header_selects_domain():
