@@ -37,8 +37,8 @@ from .numerics import (
 )
 from .generator import (
     TIME_EPS,
+    CardinalSpline,
     Generator,
-    SplineParams,
     bandlimited_generator,
     bspline_generator,
     gaussian_generator,

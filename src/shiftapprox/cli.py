@@ -174,16 +174,15 @@ def _load_signal(text: str, sigma: float) -> Signal:
 
 
 def _knot_denominator(gens: Sequence[Generator], sigma: float) -> int:
-    """Least common denominator q of ``sigma/sigma_B`` over the splines
-    among gens: their knots, multiples of ``pi/sigma_B``, all fall on
+    """Least common denominator q of ``sigma step/pi`` and ``sigma origin/pi``
+    over the splines among gens: their knots ``origin + j step`` all fall on
     multiples of ``pi/(sigma q)``.  A ratio more than 1e-12 (relative) from
     every fraction of denominator up to `_KNOT_DENOMINATOR` counts as 1."""
     q = 1
-    for gen in gens:
-        if gen.spline is not None:
-            ratio = sigma / gen.spline.sigma
+    for spline in (gen.spline for gen in gens if gen.spline is not None):
+        for ratio in (sigma * spline.step / np.pi, sigma * spline.origin / np.pi):
             near = Fraction(ratio).limit_denominator(_KNOT_DENOMINATOR)
-            if abs(near - ratio) <= 1e-12 * ratio:
+            if abs(near - ratio) <= 1e-12 * abs(ratio):
                 q = math.lcm(q, near.denominator)
     return q
 

@@ -8,17 +8,14 @@ the declared `Generator.time_radius` beyond which ``|B| <= TIME_EPS``.
 `shift_autocorrelation` is the one reading of its Gram sequence
 ``<B, B(. - tau)>``.  Built-in families, with the source of that sequence:
 
-``bspline``
-    ``spectrum(y) = ((exp(i pi y/sigma) - 1)/(i pi y/sigma))**(m+1)``,
-    evaluated in the cancellation-free form ``(exp(i u/2) * sin(u/2)/(u/2))**(m+1)``
-    with ``u = pi y / sigma``.  The matching time domain is the piecewise
-    polynomial ``2*sigma*N_{m+1}(sigma*x/pi + m + 1)`` supported on
-    ``[-(m+1)*pi/sigma, 0]``, where ``N_k`` is the cardinal B-spline of order
-    ``k`` on ``[0, k]``.  Autocorrelation in closed form, ``N_{2(m+1)}``.
-    Both read the piece tables the time-sample spline reads
-    (`_cardinal_spline`); the box (m = 0) keeps its jump midpoints 1/2.
-    It declares its degree and sigma (`Generator.spline`): on a lattice
-    at a rational ratio to its own, its lattice tails are Hurwitz zeta values.
+cardinal splines
+    ``sum_k c_k N_order((x - origin)/step - k)``, ``N_k`` the cardinal
+    B-spline of order k on ``[0, k]``: one record (`CardinalSpline`) from
+    which `spline_generator` declares every field.  Two builders:
+    ``bspline`` (`bspline_generator`), one coefficient ``2 sigma`` of order
+    m + 1 at step ``pi/sigma`` on ``[-(m+1) pi/sigma, 0]``, whose spectrum
+    is ``((exp(i pi y/sigma) - 1)/(i pi y/sigma))**(m+1)``; and ``file``
+    time samples (`sampled_generator`), the quintic spline through them.
 ``gauss``
     ``exp(-x^2/(2 w^2))`` with spectrum ``(w/sqrt(2 pi)) exp(-w^2 y^2 / 2)``.
     Autocorrelation in closed form, ``w sqrt(pi) exp(-tau^2/(4 w^2))``.
@@ -27,14 +24,6 @@ the declared `Generator.time_radius` beyond which ``|B| <= TIME_EPS``.
     Spectrum is the indicator of ``[-sigma, sigma]`` (value 1/2 on the edge),
     time domain ``2*sin(sigma*x)/x`` with value ``2*sigma`` at 0.
     Autocorrelation in closed form, ``2 pi B(tau)``.
-``file`` time samples
-    The quintic cardinal spline through the samples (`sampled_generator`),
-    ``sum_k c_k beta5((x - x_k)/dx)``, declared like the analytic families:
-    time domain, support, spectrum ``(dx/2 pi) sinc(y dx/2)**6 sum_k c_k
-    exp(-i y x_k)`` with decay exponent 6, and autocorrelation in closed
-    form, ``dx sum_d r_d beta11(d - tau/dx)`` with r the autocorrelation of
-    c (Unser, Aldroubi & Eden, "B-spline signal processing I/II", IEEE TSP
-    1993).
 ``file`` spectrum
     Tabulated spectrum, linearly interpolated inside its grid, whose radius
     is its spectral support; its autocorrelation is Parseval over it.
@@ -67,23 +56,44 @@ _TABULATED_DECAY = 2.0
 #: taps either side of the truncated inverse of the quintic prefilter
 #: (1, 26, 66, 26, 1)/120, where powers of its pole 0.4306 fall below 1e-17
 _PREFILTER_TAPS = 47
-#: y nodes per block of a sampled spectrum's Horner sum, which stays in cache
+#: nodes per block of a spline's coefficient sum (Horner), which stays in cache
 _HORNER_BLOCK = 8192
 #: ``|B| <= TIME_EPS`` beyond a declared `Generator.time_radius`: sums over
 #: the shifts that reach a window are exact to rounding
 TIME_EPS = 1e-16
 
 
-@dataclass(frozen=True)
-class SplineParams:
-    sigma: float
-    degree: int
+@dataclass(frozen=True, eq=False)
+class CardinalSpline:
+    """``B(x) = sum_k coeffs[k] N_order((x - origin)/step - k)``: a cardinal
+    spline of degree ``order - 1`` with knots ``origin + j step``, j = 0 ..
+    ``len(coeffs) + order - 1``.  ``coeffs`` is a 1-D array, real or complex.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise InvalidGridError(f"sigma must be > 0, got {self.sigma}")
-        if int(self.degree) != self.degree or not 0 <= self.degree <= 10:
-            raise InvalidGridError(f"degree must be an integer in [0, 10], got {self.degree}")
+    coeffs: np.ndarray
+    order: int
+    step: float
+    origin: float
+
+    @property
+    def end(self) -> float:
+        """``origin + order step``: the spectrum's phase reads ``e^{-i y end}``."""
+        return self.origin + self.order * self.step
+
+    def symbol(self, theta: np.ndarray) -> np.ndarray:
+        """``sum_k coeffs[k] e^{-i k theta}``, of period 2 pi in theta: a
+        constant for one coefficient, otherwise Horner in ``e^{-i theta}``
+        over blocks of `_HORNER_BLOCK` nodes, which stay in cache."""
+        theta = np.asarray(theta, dtype=float)
+        flat, c = theta.ravel(), self.coeffs
+        total = np.full(flat.size, c[-1], dtype=np.complex128)
+        for lo in range(0, flat.size if c.size > 1 else 0, _HORNER_BLOCK):
+            z = np.exp(-1j * flat[lo:lo + _HORNER_BLOCK])
+            acc = total[lo:lo + _HORNER_BLOCK]
+            for coeff in c[-2::-1]:
+                acc *= z
+                acc += coeff
+        return total.reshape(theta.shape)
 
 
 @dataclass(frozen=True)
@@ -122,11 +132,10 @@ class Generator:
         read exact rows; with a declared support it also makes the
         periodization D an exact finite sum (`spectral.periodize`).
         Without it a generator must declare a spectral support.
-    spline : SplineParams, optional
-        Set by `bspline_generator`: the spectrum is the degree-m B-spline's
-        built at ``spline.sigma``, whose lattice terms are a periodic factor
-        times a power law, so the lattice sums of `spectral` and `zak` take
-        their tails as Hurwitz zeta values.
+    spline : CardinalSpline, optional
+        The record `spline_generator` declares every other field from.  At
+        a rational ``sigma step/pi`` the lattice sums of `spectral` and
+        `zak` take its tails as Hurwitz zeta values.
     """
 
     label: str
@@ -139,7 +148,7 @@ class Generator:
     spectral_support: Optional[float] = None
     real_valued: bool = True
     autocorrelation: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    spline: Optional[SplineParams] = None
+    spline: Optional[CardinalSpline] = None
 
     def __post_init__(self) -> None:
         if self.decay_exponent < 0:
@@ -182,32 +191,28 @@ def _bspline_pieces(order: int) -> np.ndarray:
     return out
 
 
-def _cardinal_spline(coeffs: np.ndarray, order: int,
-                     offset: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-    """``t -> sum_k coeffs[k] N_order(t + offset - k)`` for an integer
-    offset, by Horner in ``u = t - floor(t)`` on per-interval power
-    coefficients.
+def _cardinal_spline(coeffs: np.ndarray, order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``t -> sum_k coeffs[k] N_order(t - k)``, by Horner in ``u = t -
+    floor(t)`` on per-interval power coefficients.
 
-    The interval ``[j, j + 1)`` reads ``sum_i coeffs[j + offset - i]``
-    times piece i of `_bspline_pieces`: row ``j + offset`` of one
-    convolution per power.  The offset goes into the row, not into t, so
-    u stays exact.  A last row of zeros serves every t outside.  The
-    table is read-only, the first argument of the returned partial.
+    The interval ``[j, j + 1)`` reads ``sum_i coeffs[j - i]`` times piece
+    i of `_bspline_pieces`: row j of one convolution per power.  A last
+    row of zeros serves every t outside.  The table is read-only, the
+    first argument of the returned partial.
     """
     pieces = _bspline_pieces(order)
     table = np.stack([np.convolve(coeffs, pieces[p]) for p in range(order)])
     table = np.append(table, np.zeros((order, 1)), axis=1)
     table.flags.writeable = False
-    return functools.partial(_horner, table, offset)
+    return functools.partial(_horner, table)
 
 
-def _horner(table: np.ndarray, offset: int, t: np.ndarray) -> np.ndarray:
-    """The `_cardinal_spline` of ``table`` and ``offset`` at t."""
+def _horner(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The `_cardinal_spline` of ``table`` at t."""
     t = np.asarray(t, dtype=float)
     order, outside = table.shape[0], table.shape[1] - 1
     floor = np.floor(t)
-    row = floor + offset
-    index = np.where((row >= 0) & (row < outside), row, outside).astype(np.intp)
+    index = np.where((floor >= 0) & (floor < outside), floor, outside).astype(np.intp)
     u = t - floor
     acc = table[order - 1][index]
     for p in range(order - 2, -1, -1):
@@ -217,9 +222,9 @@ def _horner(table: np.ndarray, offset: int, t: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _unit_spline(order: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``N_order`` itself, `_cardinal_spline` of one unit coefficient: built
-    once per order, so every `bspline` generator of the order shares it."""
-    return _cardinal_spline(np.ones(1), order)
+    """``N_order`` itself, built once per order: `_cardinal_spline` of one
+    unit coefficient, or the box `_box` at order 1."""
+    return _box if order == 1 else _cardinal_spline(np.ones(1), order)
 
 
 def _box(t: np.ndarray) -> np.ndarray:
@@ -232,42 +237,71 @@ def _box(t: np.ndarray) -> np.ndarray:
     return np.where(on_knot, 0.5, np.where((t > 0.0) & (t < 1.0), 1.0, 0.0))
 
 
-def bspline_generator(params: SplineParams) -> Generator:
-    sigma, m = float(params.sigma), int(params.degree)
-    h = np.pi / sigma
-
-    def spectrum(y: np.ndarray) -> np.ndarray:
-        u = np.asarray(y, dtype=float) / (2.0 * sigma)
-        # exact factorization of (e^{i pi y/sigma}-1)/(i pi y/sigma); the
-        # removable singularity at y=0 is handled inside np.sinc
-        base = np.exp(1j * np.pi * u) * np.sinc(u)
-        return base ** (m + 1)
-
-    shape = _box if m == 0 else _unit_spline(m + 1)
-    gram = _unit_spline(2 * (m + 1))
+def spline_generator(spline: CardinalSpline, label: str) -> Generator:
+    """The generator of a `CardinalSpline`, every field read from it
+    (Unser, Aldroubi & Eden, "B-spline signal processing I/II", IEEE TSP
+    1993).  With ``v = y step/2 pi``: spectrum ``(step/2 pi) e^{-i y end}
+    (e^{i pi v} sinc v)**order sum_k c_k e^{-2 pi i k v}`` under the
+    envelope ``(step/2 pi) sum|c_k| (1 + 2/step)**order (1 + |y|)**-order``;
+    support from the first knot to the last; autocorrelation ``step sum_d
+    r_d N_{2 order}(order + d - tau/step)``, ``r_d = sum_k c_k
+    conj(c_{k-d})``.  Both N read the piece tables by Horner, the time
+    domain at ``(x - a)/step + k``, k the integer nearest ``-origin/step``
+    (a = 0 for a `bspline`).  One coefficient reads the unit tables of its
+    order (`_unit_spline`), shared by every such spline.
+    """
+    coeffs, order, step, origin = spline.coeffs, spline.order, spline.step, spline.origin
+    count, end, k = coeffs.size, spline.end, round(-origin / step)
+    anchor = origin + k * step
+    if count == 1:
+        amplitude, shape, gram = coeffs[0], _unit_spline(order), _unit_spline(2 * order)
+    else:  # the Gram row reversed: entry j is r_{count - 1 - j}
+        amplitude, shape = 1.0, _cardinal_spline(coeffs, order)
+        gram = _cardinal_spline(np.correlate(coeffs, coeffs, "full")[::-1], 2 * order)
+    weight, scale = step * abs(amplitude) ** 2, (step / TWO_PI) * amplitude
 
     def time_domain(x: np.ndarray) -> np.ndarray:
-        t = np.asarray(x, dtype=float) / h + (m + 1)
-        return (2.0 * sigma) * shape(t) + 0.0j
+        x = np.asarray(x, dtype=float)
+        return amplitude * shape((x - anchor if anchor else x) / step + k) + 0.0j
 
-    def autocorrelation(tau: np.ndarray) -> np.ndarray:
-        # <N_p(.), N_p(. - s)> = N_{2p}(p + s) with s = tau/h in the spline's
-        # own knot spacing; the amplitude 2*sigma and the substitution
-        # x = (t - p) h contribute (2*sigma)^2 * h = 4*pi*sigma.  Lags of a
-        # whole support or more give t <= 0, where N_{2p} is exactly 0
-        t = m + 1 - np.abs(tau) / h
-        return 4.0 * np.pi * sigma * gram(t)
+    def spectrum(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        v = y * (step / TWO_PI)
+        # the removable singularity at v = 0 is handled inside np.sinc
+        out = scale * (np.exp(1j * np.pi * v) * np.sinc(v)) ** order
+        if count > 1:
+            out *= spline.symbol(step * y)
+        if end:
+            out *= np.exp(-1j * end * y)
+        return out
 
     return Generator(
-        label=f"bspline:m={m},sigma={sigma:g}",
+        label=label,
         spectrum=spectrum,
-        decay_exponent=float(m + 1),
-        decay_constant=(1.0 + 2.0 * sigma / np.pi) ** (m + 1),
+        decay_exponent=float(order),
+        decay_constant=((step / TWO_PI) * float(np.abs(coeffs).sum())
+                        * (1.0 + 2.0 / step) ** order),
         time_domain=time_domain,
-        support=(-(m + 1) * h, 0.0),
-        autocorrelation=autocorrelation,
-        spline=SplineParams(sigma=sigma, degree=m),
+        support=(origin, origin + (count + order - 1) * step),
+        real_valued=not np.iscomplexobj(coeffs),
+        # lags of a whole support or more read t <= 0, where N_{2 order} is 0
+        autocorrelation=lambda tau: weight * gram(
+            order + count - 1 - np.asarray(tau, dtype=float) / step),
+        spline=spline,
     )
+
+
+def bspline_generator(degree: int, sigma: float) -> Generator:
+    """One coefficient ``2 sigma`` of ``N_{m+1}`` at step ``pi/sigma`` from
+    ``-(m + 1) pi/sigma``: the degree-m B-spline, spectrum 1 at y = 0."""
+    if not sigma > 0:
+        raise InvalidGridError(f"sigma must be > 0, got {sigma}")
+    if int(degree) != degree or not 0 <= degree <= 10:
+        raise InvalidGridError(f"degree must be an integer in [0, 10], got {degree}")
+    sigma, m = float(sigma), int(degree)
+    h = np.pi / sigma
+    return spline_generator(CardinalSpline(np.array([2.0 * sigma]), m + 1, h, -(m + 1) * h),
+                            label=f"bspline:m={m},sigma={sigma:g}")
 
 
 def gaussian_generator(width: float) -> Generator:
@@ -370,67 +404,25 @@ def _inverse_prefilter() -> np.ndarray:
     return np.concatenate([taps[-_PREFILTER_TAPS:], taps[:_PREFILTER_TAPS + 1]])
 
 
-def sampled_generator(samples: SampledFunction) -> Generator:
+def sampled_generator(samples: SampledFunction, label: str = "sampled") -> Generator:
     """The quintic cardinal spline through compactly supported time samples.
 
-    With ``x_k = x_0 + k dx``, ``f = sum_k c_k beta5((x - x_k)/dx)``: c is
-    the samples, zeros beyond the file, through `_inverse_prefilter`, kept
-    from the first to the last coefficient above rounding, so f takes the
-    sample values at the knots.  Every reader sees this one function in
-    closed form: its time domain (Horner on per-interval power
-    coefficients), its support ``[x_first - 3 dx, x_last + 3 dx]``, its
-    spectrum ``(dx/2 pi) sinc(y dx/2)**6 sum_k c_k exp(-i y x_k)``, bounded
-    by ``C (1 + |y|)**-6`` with ``C = (dx/2 pi) sum|c_k| (1 + 2/dx)**6``,
-    and its autocorrelation ``dx sum_d r_d beta11(d - tau/dx)``, with
-    ``r_d = sum_k c_k conj(c_{k-d})``.
+    With ``x_k = x_0 + k dx``, ``f = sum_k c_k beta5((x - x_k)/dx)``, beta5
+    the centred ``N_6``: c is the samples, zeros beyond the file, through
+    `_inverse_prefilter`, kept from the first to the last coefficient above
+    rounding, so f takes the sample values at the knots.  It is the
+    `CardinalSpline` of c at order 6, step dx and origin ``x_0 - 3 dx``;
+    `spline_generator` declares the rest.
     """
     grid, values = samples.grid, samples.values
-    real = not np.any(values.imag)
-    dx = grid.step
-    coeffs = np.convolve(values.real if real else values, _inverse_prefilter())
+    coeffs = np.convolve(values if np.any(values.imag) else values.real, _inverse_prefilter())
     magnitude = np.abs(coeffs)
     kept = np.flatnonzero(magnitude > np.finfo(float).eps * np.max(magnitude))
     if kept.size == 0:
         raise InvalidGridError("time samples of a generator must not all vanish")
-    coeffs = coeffs[kept[0]:kept[-1] + 1]
-    x0 = grid.start + (kept[0] - _PREFILTER_TAPS) * dx
-    count = coeffs.size
-    # beta5 and beta11 are N_6 and N_12 centred: offsets 3 and 6
-    spline = _cardinal_spline(coeffs, 6, 3)
-    gram = _cardinal_spline(np.correlate(coeffs, coeffs, "full"), 12, 6)
-
-    def time_domain(x: np.ndarray) -> np.ndarray:
-        return spline((np.asarray(x, dtype=float) - x0) / dx) + 0.0j
-
-    def spectrum(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        flat = y.ravel()
-        total = np.empty(flat.size, dtype=np.complex128)
-        for lo in range(0, flat.size, _HORNER_BLOCK):
-            # sum_k c_k z**k at z = exp(-i y dx), highest power first
-            z = np.exp(-1j * dx * flat[lo:lo + _HORNER_BLOCK])
-            acc = np.full(z.size, coeffs[-1], dtype=np.complex128)
-            for c in coeffs[-2::-1]:
-                acc *= z
-                acc += c
-            total[lo:lo + _HORNER_BLOCK] = acc
-        shape = (dx / TWO_PI) * np.sinc(y * (dx / TWO_PI)) ** 6
-        return shape * np.exp(-1j * x0 * y) * total.reshape(y.shape)
-
-    def autocorrelation(tau: np.ndarray) -> np.ndarray:
-        # beta11 is even, and row d of r sits at index d + count - 1
-        return dx * gram(np.asarray(tau, dtype=float) / dx + (count - 1))
-
-    return Generator(
-        label="sampled",
-        spectrum=spectrum,
-        decay_exponent=6.0,
-        decay_constant=(dx / TWO_PI) * float(np.abs(coeffs).sum()) * (1.0 + 2.0 / dx) ** 6,
-        time_domain=time_domain,
-        support=(x0 - 3.0 * dx, x0 + (count + 2) * dx),
-        real_valued=real,
-        autocorrelation=autocorrelation,
-    )
+    origin = grid.start + (kept[0] - _PREFILTER_TAPS - 3) * grid.step
+    return spline_generator(CardinalSpline(coeffs[kept[0]:kept[-1] + 1], 6, grid.step, origin),
+                            label)
 
 
 def is_file_spec(text: str) -> bool:
@@ -448,11 +440,9 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
     """
     text = text.strip()
     if is_file_spec(text):
-        path = text[len("file:"):]
-        loaded = read_samples_csv(path)
-        if isinstance(loaded, SampledSpectrum):
-            return spectrum_generator(loaded, label=f"file:{path}")
-        return sampled_generator(loaded)
+        loaded = read_samples_csv(text[len("file:"):])
+        build = spectrum_generator if isinstance(loaded, SampledSpectrum) else sampled_generator
+        return build(loaded, label=text)
     name, _, rest = text.partition(":")
     known = {"bspline": ("m", "sigma"), "gauss": ("width",), "sinc": ("sigma",)}
     if name not in known:
@@ -474,9 +464,8 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
         raise ValueError(f"generator spec {text!r} " + ", ".join(problems))
     try:
         if name == "bspline":
-            return bspline_generator(SplineParams(
-                sigma=float(params.get("sigma", default_sigma)),
-                degree=int(params["m"])))
+            return bspline_generator(sigma=float(params.get("sigma", default_sigma)),
+                                     degree=int(params["m"]))
         if name == "gauss":
             return gaussian_generator(float(params.get("width", 1.0)))
         return bandlimited_generator(float(params.get("sigma", default_sigma)))

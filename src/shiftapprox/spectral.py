@@ -13,12 +13,12 @@ system.  It has two forms, which the Phi4 audit in `zak` compares:
   ``spectrum(u) e^{iux}`` with it).
 
 Every lattice sum is exact, truncated at its envelope bound, or refused.
-A declared spectral support makes it a finite sum.  A spline of degree m
-built at ``sigma_B`` (`Generator.spline`) has terms ``w(u) u**-(m+1)`` at
-``u = y/(2 sigma_B) + nu p/q``, where ``p/q = sigma/sigma_B`` and w has
-period 1 in u; where ``sigma x/pi = c/b``, the phase ``e^{2 i nu sigma x}``
-depends on nu mod b only.  So at rational ``sigma/sigma_B`` and ``sigma
-x/pi`` the sum splits into ``lcm(q, b)`` residue classes of nu, and beyond
+A declared spectral support makes it a finite sum.  A spline of order r
+and step s (`Generator.spline`) has terms ``w(v) v**-r`` at ``v = y s/(2
+pi) + nu p/q``, ``p/q = sigma s/pi``, w of period 1 in v; where
+``sigma (x - end)/pi = c/b``, Phi's phase times the spectrum's depends on
+nu mod b only.  So at rational ``sigma s/pi`` and ``sigma (x - end)/pi``
+the sum splits into ``lcm(q, b)`` residue classes of nu, and beyond
 ``|nu| <= HURWITZ_ORDER`` each class is one Hurwitz zeta value
 (`_class_tails`; DLMF 25.11, Blu & Unser 1999): such a sum
 reports ``truncation_order = HURWITZ_ORDER`` and ``tail_bound = 0``.  Any
@@ -41,8 +41,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidGridError, TruncationError
-from .generator import Generator, SplineParams, shift_autocorrelation, time_extent
-from .numerics import Grid, chunk_slices
+from .generator import CardinalSpline, Generator, shift_autocorrelation, time_extent
+from .numerics import TWO_PI, Grid, chunk_slices
 
 #: nodes where D falls at or below this threshold are treated as a vanishing
 #: periodization (guarded in downstream divisions)
@@ -184,29 +184,30 @@ def _rational(t) -> Optional[Tuple[int, np.ndarray]]:
     return None
 
 
-def _class_tails(spline: SplineParams, power: int, p: int, q: int, b: int,
+def _class_tails(spline: CardinalSpline, power: int, p: int, q: int, b: int,
                  y: np.ndarray, order: int) -> np.ndarray:
     """``sum_{|nu| > order} spectrum(y + 2 nu sigma)**power e^{2 pi i nu k/b}``
-    of a spline at ``sigma/sigma_B = p/q``, for ``k = 0..b-1`` (rows) at the
+    of a spline at ``sigma step/pi = p/q``, for ``k = 0..b-1`` (rows) at the
     flattened nodes y (columns); ``power`` 2 reads ``|spectrum|**2``.
 
-    The term at ``u = y/(2 sigma_B) + nu p/q`` is ``w(u) u**-S``, with
-    ``S = power (m + 1)`` and ``w(u) = (e^{i pi u} sin(pi u)/pi)**(m+1)``
-    (``power`` 1) or ``(sin(pi u)/pi)**S`` (``power`` 2), of period 1 in u.
-    Along a class of nu mod ``L = lcm(q, b)`` both w and the phase are
-    fixed and u steps by the integer ``P = L p/q``, so the terms ``nu =
-    order + 1 + i + L j`` from ``u = theta`` sum to ``P**-S zeta(S,
-    theta/P)`` (DLMF 25.11.1); ``nu = -(order + 1 + i + L j)`` give
-    ``(-1)**S`` times that sum at ``-y``, which on symmetric nodes is the
-    first sum read backwards.  The L classes fold into nu mod b and meet
-    their phases in one length-b FFT.
+    The term at ``v = y step/(2 pi) + nu p/q`` is ``w(v) v**-S``, ``S =
+    power order``, and with ``a = (step/2 pi) symbol(2 pi v)``, ``w = a
+    e^{-i y end} (e^{i pi v} sin(pi v)/pi)**order`` (``power`` 1, whose
+    ``e^{-2 i nu sigma end}`` the phase classes take) or ``|a|**2 (sin(pi
+    v)/pi)**S`` (``power`` 2), of period 1 in v.  Along a class of nu mod
+    ``L = lcm(q, b)`` both w and the phase are fixed and v steps by the
+    integer ``P = L p/q``, so the terms ``nu = order + 1 + i + L j`` from
+    ``v = theta`` sum to ``P**-S zeta(S, theta/P)`` (DLMF 25.11.1); ``nu =
+    -(order + 1 + i + L j)`` give ``(-1)**S`` times that sum at ``-y``,
+    which on symmetric nodes is the first sum read backwards.  The L classes
+    fold into nu mod b and meet their phases in one length-b FFT.
     """
     # imported here: scipy.special costs about 60 ms and 2.6 MiB to import,
     # and only these sums read it
     from scipy.special import zeta
 
-    s, big = power * (spline.degree + 1), math.lcm(q, b)
-    alpha = np.ravel(y) / (2.0 * spline.sigma)
+    s, big = power * spline.order, math.lcm(q, b)
+    alpha = np.ravel(y) * (spline.step / TWO_PI)
     first = (order + 1 + np.arange(big))[:, np.newaxis] * p / q
     period = big * p // q
     up = zeta(s, (first + alpha) / period) / float(period) ** s
@@ -221,10 +222,13 @@ def _class_tails(spline: SplineParams, power: int, p: int, q: int, b: int,
     classes = right - left if s % 2 else right + left
     # w at the class offset's fractional part, by nu mod q
     v = alpha + (np.arange(q)[:, np.newaxis] * p % q) / q
+    a = (spline.step / TWO_PI) * spline.symbol(TWO_PI * v)
     if power == 1:
-        weight = (np.exp(1j * np.pi * v) * np.sin(np.pi * v) / np.pi) ** (spline.degree + 1)
+        weight = (np.exp(1j * np.pi * v) * np.sin(np.pi * v) / np.pi) ** spline.order * a
+        if spline.end:
+            weight *= np.exp(-1j * spline.end * np.ravel(y))
     else:
-        weight = (np.sin(np.pi * v) / np.pi) ** s
+        weight = (np.sin(np.pi * v) / np.pi) ** s * np.abs(a) ** 2
     folded = (classes.reshape(big // q, q, -1) * weight).reshape(big // b, b, -1).sum(axis=0)
     return b * np.fft.ifft(folded, axis=0) if b > 1 else folded
 
@@ -247,8 +251,8 @@ def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
     holds at most 4e6 of them.  The sum is one of three:
 
     * exact: a declared spectral support (the finite order of
-      `lattice_order`), or a spline whose ``sigma/sigma_B`` and, given x,
-      ``sigma x/pi`` are rationals with at most ``_CLASS_CAP`` classes
+      `lattice_order`), or a spline whose ``sigma step/pi`` and phase
+      (`_class_split`) are rationals with at most ``_CLASS_CAP`` classes
       ``lcm(q, b)`` (|nu| <= ``HURWITZ_ORDER`` and `_class_tails`);
     * truncated where the envelope bound meets ``tol`` (`lattice_order`),
       with that bound reported;
@@ -281,17 +285,19 @@ def lattice_sum(gen: Generator, sigma: float, y: np.ndarray,
 def _class_split(gen: Generator, sigma: float, y: np.ndarray,
                  x: Optional[np.ndarray], power: int):
     """``(p, q, b, c)`` where `lattice_sum` takes a spline's class tails:
-    ``sigma/sigma_B = p/q`` and ``sigma x/pi = c/b`` (b = 1 without x), at
-    most ``_CLASS_CAP`` classes, a summable ``u**-S`` and nodes
-    ``|y| <= 2 sigma HURWITZ_ORDER`` (positive Hurwitz parameters).  None
-    otherwise.
+    ``sigma step/pi = p/q`` and ``sigma x/pi = c/b`` (b = 1 without x),
+    where ``power`` 1 reads ``x - end`` (x = 0 without x), at most
+    ``_CLASS_CAP`` classes, a summable ``v**-S`` and nodes ``|y| <= 2 sigma
+    HURWITZ_ORDER`` (positive Hurwitz parameters).  None otherwise.
     """
     spline = gen.spline
-    if (spline is None or power * (spline.degree + 1) < 2
+    if (spline is None or power * spline.order < 2
             or not np.all(np.abs(y) <= 2.0 * sigma * HURWITZ_ORDER)):
         return None
-    ratio = sigma / spline.sigma
+    ratio = sigma * spline.step / np.pi
     q = _denominator(ratio)
+    if power == 1 and spline.end:
+        x = (0.0 if x is None else np.asarray(x)) - spline.end
     phase = (1, 0) if x is None else _rational(sigma * np.asarray(x) / np.pi)
     if not q or phase is None or math.lcm(q, phase[0]) > _CLASS_CAP:
         return None
@@ -304,7 +310,7 @@ def lattice_energy(gen: Generator, sigma: float, y: np.ndarray,
 
     The lattice form of D for every generator: `periodize`'s route where D
     has no exact Poisson form, and the Phi4 audit's reference for that form.
-    Exact for a spline at a rational ``sigma/sigma_B`` (`lattice_sum`).
+    Exact for a spline at a rational ``sigma step/pi`` (`lattice_sum`).
     Returns ``(values, truncation_order, tail_bound)``.
     """
     y = np.asarray(y, dtype=float)

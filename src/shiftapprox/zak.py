@@ -13,11 +13,11 @@ multiplies ``(x, nu)`` phases by ``(nu, y)`` spectrum values.  Other
 shapes broadcast x against y and sum the terms elementwise, the reference
 the mesh is tested against.  The spectral sum passes x to
 `spectral.lattice_sum`, which makes it exact for a spline where
-``sigma/sigma_B`` and ``sigma x/pi`` are rational (on the cell mesh ``x_k =
-k pi/(sigma P)``, ``e^{2 i nu sigma x_k}`` depends on nu mod P only, and
-the terms beyond ``|nu| <= 16`` sum per residue class to Hurwitz zeta
-values), and truncates it at the decay contract's envelope bound
-otherwise.  The time sum takes the shifts whose `time_extent` reaches x,
+``sigma step/pi`` and ``sigma (x - end)/pi`` are rational (on the cell mesh
+``x_k = k pi/(sigma P)`` of a `bspline`, whose end is 0, ``e^{2 i nu sigma
+x_k}`` depends on nu mod P only, and the terms beyond ``|nu| <= 16`` sum
+per residue class to Hurwitz zeta values), and truncates it at the decay
+contract's envelope bound otherwise.  The time sum takes the shifts whose `time_extent` reaches x,
 and one more either side: beyond it B vanishes or is below `TIME_EPS`,
 so the time sum is exact to rounding and reports no tail.
 Both formulas are exactly 2*sigma-periodic in y and exactly quasi-periodic

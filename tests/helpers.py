@@ -31,7 +31,6 @@ import numpy as np
 from shiftapprox import (
     Generator,
     ShiftExpansion,
-    SplineParams,
     bandlimited_generator,
     bspline_generator,
     gaussian_generator,
@@ -49,7 +48,7 @@ from shiftapprox.numerics import (
 
 
 def spline(m: int, sigma: float = 1.0) -> Generator:
-    return bspline_generator(SplineParams(sigma=sigma, degree=m))
+    return bspline_generator(m, sigma)
 
 
 def sinc_gen(sigma: float = 1.0) -> Generator:
@@ -61,6 +60,14 @@ def sampled_gaussian() -> Generator:
     tg = make_uniform_grid(-8.0, 8.0, 513)
     x = tg.nodes()
     return sampled_generator(SampledFunction(grid=tg, values=np.exp(-0.5 * x * x) + 0.0j))
+
+
+def sampled_spline(m: int, per_step: int) -> Generator:
+    """The quintic spline through ``spline(m)`` sampled over its support
+    ``[-(m + 1) pi, 0]`` at step ``pi/per_step``, as a `file:` generator."""
+    grid = make_uniform_grid(-(m + 1) * math.pi, 0.0, (m + 1) * per_step + 1)
+    return sampled_generator(SampledFunction(grid=grid,
+                                             values=spline(m).time_domain(grid.nodes())))
 
 
 def fixed_gaussian_samples() -> SampledFunction:

@@ -537,9 +537,9 @@ def test_besterr_sigma_sweep_builds_a_file_generator_once(tmp_path, monkeypatch)
     calls = []
     build = generator.sampled_generator
 
-    def counting(samples):
+    def counting(samples, **kwargs):
         calls.append(samples.grid)
-        return build(samples)
+        return build(samples, **kwargs)
 
     monkeypatch.setattr(generator, "sampled_generator", counting)
     rc, out = run_cli(base + ["--sweep", "sigma=0.5,1,1.5,2"])

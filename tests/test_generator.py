@@ -10,7 +10,6 @@ from shiftapprox import cli, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (
     TIME_EPS,
-    SplineParams,
     _box,
     _cardinal_spline,
     _unit_spline,
@@ -33,7 +32,7 @@ from shiftapprox.numerics import (
     quadrature_weights,
     write_samples_csv,
 )
-from shiftapprox.spectral import poisson_lags
+from shiftapprox.spectral import HURWITZ_ORDER, lattice_energy, poisson_lags
 
 from helpers import (cauchy, decay_audit_max_ratio, piecewise_inner,
                      sampled_gaussian, spline)
@@ -60,15 +59,15 @@ def test_cardinal_bspline_partition_of_unity():
 
 @pytest.mark.parametrize("n", [5, 11])
 def test_spline_pieces_match_the_truncated_powers(n):
-    # one centred beta^n, N_{n+1} read at offset (n+1)/2, against the
-    # exact-rational N_{n+1} at t + (n+1)/2; beta5 at the integers is the
+    # N_{n+1} over its support and one unit either side, against the
+    # exact-rational N_{n+1}; beta5 = N_6 centred at the integers is the
     # prefilter (1, 26, 66, 26, 1)/120
-    evaluate = _cardinal_spline(np.array([1.0]), n + 1, (n + 1) // 2)
-    t = np.random.default_rng(n).uniform(-(n + 3) / 2, (n + 3) / 2, 400)
-    ref = [_exact_bspline(n + 1, Fraction(v) + Fraction(n + 1, 2)) for v in t]
+    evaluate = _cardinal_spline(np.array([1.0]), n + 1)
+    t = np.random.default_rng(n).uniform(-1.0, n + 2.0, 400)
+    ref = [_exact_bspline(n + 1, v) for v in t]
     assert np.max(np.abs(evaluate(t) - ref)) <= np.finfo(float).eps
     if n == 5:
-        knots = evaluate(np.arange(-3.0, 4.0)) * 120.0
+        knots = evaluate(np.arange(0.0, 7.0)) * 120.0
         assert np.max(np.abs(knots - [0, 1, 26, 66, 26, 1, 0])) <= 1e-13
 
 
@@ -88,11 +87,11 @@ def test_cardinal_bspline_matches_exact_truncated_powers(order):
 
 
 def test_bspline_generators_of_one_order_share_their_tables(monkeypatch):
-    first = bspline_generator(SplineParams(sigma=1.0, degree=3))
+    first = bspline_generator(3, 1.0)
     built, convolve = [], np.convolve
     monkeypatch.setattr(np, "convolve",
                         lambda *a, **k: built.append(a) or convolve(*a, **k))
-    second = bspline_generator(SplineParams(sigma=1.0, degree=3))
+    second = bspline_generator(3, 1.0)
     assert built == []
     monkeypatch.undo()
     x = np.linspace(-5.0, 1.0, 301)
@@ -333,6 +332,17 @@ def test_parse_generator_spec_reads_spectrum_files(tmp_path):
     assert gen.spectrum(np.array([100.0]))[0] == 0.0
 
 
+def test_file_generators_are_labelled_by_their_path(tmp_path):
+    # time samples and a tabulated spectrum alike, so that messages name the file
+    grid = make_uniform_grid(-8.0, 8.0, 257)
+    values = np.exp(-0.5 * grid.nodes() ** 2) + 0j
+    for name, table in (("time.csv", SampledFunction(grid=grid, values=values)),
+                        ("spectrum.csv", SampledSpectrum(grid=grid, values=values))):
+        path = tmp_path / name
+        write_samples_csv(str(path), table)
+        assert parse_generator_spec(f"file:{path}").label == f"file:{path}"
+
+
 def test_spectrum_generator_audits_decay():
     grid = make_uniform_grid(-20.0, 20.0, 4001)
     y = grid.nodes()
@@ -394,6 +404,31 @@ def test_sampled_generator_declares_one_function():
         y = step * np.arange(-40_000, 40_001)
         energy = TWO_PI * step * np.sum(np.abs(gen.spectrum(y)) ** 2)
         assert abs(generator_l2_norm_sq(gen) - energy) <= 1e-13 * energy
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_bspline_samples_build_the_bspline_record(sigma):
+    # one spline family: the quintic spline through the 11 samples of
+    # bspline:m=5 on [-8h, 2h] at step h is N_6 again, one coefficient 2 sigma
+    # (to 2 ulp, through the truncated inverse prefilter) from -6h, and both
+    # records take the class tails in the lattice sums
+    h = math.pi / sigma
+    grid = make_uniform_grid(-8.0 * h, 2.0 * h, 11)
+    ref = bspline_generator(5, sigma)
+    gen = sampled_generator(SampledFunction(grid=grid, values=ref.time_domain(grid.nodes())))
+    got, want = gen.spline, ref.spline
+    assert want.coeffs.tolist() == [2.0 * sigma] and got.coeffs.shape == (1,)
+    assert abs(got.coeffs[0] - 2.0 * sigma) <= 4.0 * np.finfo(float).eps * 2.0 * sigma
+    assert (got.order, got.step) == (want.order, want.step) == (6, h)
+    assert got.origin == pytest.approx(want.origin, rel=1e-15)
+    assert np.allclose(gen.support, ref.support, rtol=1e-15, atol=1e-14)
+    y = np.linspace(-sigma, sigma, 9)
+    energies = []
+    for g in (gen, ref):
+        values, order, tail = lattice_energy(g, sigma, y)
+        assert (order, tail) == (HURWITZ_ORDER, 0.0)
+        energies.append(values)
+    assert np.max(np.abs(energies[0] - energies[1])) <= 1e-14 * np.max(energies[1])
 
 
 def test_sampled_generator_declares_its_decay_and_symmetry():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shiftapprox import zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (Generator, gaussian_generator, generator_l2_norm_sq,
                                    shift_autocorrelation)
@@ -13,6 +14,8 @@ from shiftapprox.spectral import (
     envelope_order,
     envelope_tail,
     lattice_energy,
+    lattice_order,
+    lattice_sum,
     lattice_truncation,
     periodize,
     poisson_energy,
@@ -21,7 +24,7 @@ from shiftapprox.spectral import (
     riesz_bounds,
 )
 
-from helpers import sinc_gen, spline
+from helpers import sampled_spline, sinc_gen, spline
 
 
 def brute_lattice_energy(gen, sigma, y, order=10_000):
@@ -165,6 +168,45 @@ def test_lattice_energy_at_a_fractional_ratio_matches_brute_sums():
         omitted = envelope_tail(gen.decay_constant ** 2, 2.0 * gen.decay_exponent,
                                 sigma, nu[-1])
         assert np.max(np.abs(values - brute)) <= omitted + 1e-13, gen.label
+
+
+@pytest.mark.parametrize("m, per_step, envelope", [(1, 32, 1430), (3, 16, 658)],
+                         ids=["hat_h32", "cubic_h16"])
+def test_class_tails_of_a_coefficient_spline_match_brute_sums(m, per_step, envelope):
+    # the quintic spline through a B-spline's samples at step h/32 or h/16,
+    # 141 or 123 coefficients, used as the generator at sigma = 1: sigma
+    # step/pi = 1/32 or 1/16, so D's lattice form and Phi's spectral sum at
+    # sigma x/pi = 0 and 1/8 take |nu| <= 16 and exact class tails, where
+    # the envelope takes 1430 or 658 terms at tol 1e-10.  Against brute
+    # sums of 40 001 terms, which omit less than 1e-20: each sum within
+    # 2e-15 of its largest value, and its tails alone (`lattice_sum` over
+    # no explicit term) within 2e-13 of theirs, which reach 1.5e-3 (hat)
+    # and 5e-8 (cubic), plus 1e-20.  That floor is the rounding of the
+    # coefficient sum, 123 terms near 1 that nearly cancel out there: the
+    # cubic's brute tails differ by 3e-21 from its class tails, and by
+    # 3e-18 from brute tails that sum the coefficients by a matrix product
+    gen, sigma = sampled_spline(m, per_step), 1.0
+    assert gen.spline.coeffs.size > 100
+    assert lattice_order(gen, sigma, 1e-10, 1)[0] == envelope
+    y = np.linspace(-sigma, sigma, 9)
+    nu = np.arange(-20_000, 20_001)
+    u = y[:, np.newaxis] + 2.0 * sigma * nu
+    spec = gen.spectrum(u)
+    outer = np.abs(nu) > HURWITZ_ORDER
+    cases = [(2, None, np.abs(spec) ** 2)]
+    cases += [(1, np.full(y.shape, c * math.pi / sigma),
+               spec * np.exp(1j * u * c * math.pi / sigma)) for c in (0.0, 0.125)]
+    for power, x, terms in cases:
+        if power == 2:
+            values, order, tail = lattice_energy(gen, sigma, y, tol=1e-10)
+        else:
+            values, order, tail = zak._phi_freq_array(gen, sigma, x, y, 1e-10)
+        assert (order, tail) == (HURWITZ_ORDER, 0.0), power
+        brute = terms.sum(axis=1)
+        assert np.max(np.abs(values - brute)) <= 2e-15 * np.max(np.abs(brute)), power
+        tails, _, _ = lattice_sum(gen, sigma, y, lambda shifts: 0.0, power, 1e-10, y.size, x=x)
+        brute = terms[:, outer].sum(axis=1)
+        assert np.max(np.abs(tails - brute)) <= 2e-13 * np.max(np.abs(brute)) + 1e-20, power
 
 
 @pytest.mark.parametrize("v,b", [

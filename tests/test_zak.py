@@ -13,7 +13,7 @@ from shiftapprox.spectral import lattice_order, periodize
 from shiftapprox.zak import (_time_window, phi_field, phi_freq, phi_time,
                              verify_phi_properties)
 
-from helpers import cauchy, sampled_gaussian, sinc_gen, spline
+from helpers import cauchy, sampled_gaussian, sampled_spline, sinc_gen, spline
 
 
 def test_spectral_sum_of_a_slowly_rotating_tail_is_exact():
@@ -160,18 +160,20 @@ def test_mesh_sums_evaluate_the_generator_on_one_axis(gen, monkeypatch):
 @pytest.mark.parametrize("gen, tol", [
     (spline(1, 1.0), 1e-10), (spline(2, 1.0), 1e-8), (spline(3, 1.0), 1e-8),
     (spline(3, 2.0), 1e-8), (spline(1, 0.5), 1e-8), (spline(2, 0.5), 1e-8),
-    (spline(3, 0.5), 1e-8), (gaussian_generator(1.0), 1e-8), (sinc_gen(1.0), 1e-8),
+    (spline(3, 0.5), 1e-8), (sampled_spline(3, 16), 1e-8), (gaussian_generator(1.0), 1e-8),
+    (sinc_gen(1.0), 1e-8),
 ], ids=["bspline_m1", "bspline_m2", "bspline_m3", "bspline_m3_sigma2",
         "bspline_m1_sigma_half", "bspline_m2_sigma_half", "bspline_m3_sigma_half",
-        "gauss", "sinc"])
+        "file_cubic_h16", "gauss", "sinc"])
 @pytest.mark.parametrize("dx, dy", [(0.0, 0.0), (math.pi, 0.0), (0.0, 2.0)],
                          ids=["cell", "x_shifted", "y_shifted"])
 def test_mesh_product_matches_the_broadcast_sum(gen, tol, dx, dy):
     # the mesh contracts phases with spectrum values by a matrix product;
     # the broadcast sum at the paired nodes is the reference it replaces.
-    # For a spline, sigma/sigma_B is 1, 2 or 1/2 and sigma x/pi = k/16 (+ 1
-    # shifted by a period in x): both sum |nu| <= 16 and add exact tails
-    # over lcm(q, 16) classes of nu, and meet the finite time sum
+    # For a spline, sigma step/pi is 1, 2, 1/2 or 1/16 (the quintic spline
+    # through the cubic's samples at h/16) and sigma (x - end)/pi = k/16
+    # (+ 1 shifted by a period in x): both sum |nu| <= 16 and add exact
+    # tails over lcm(q, 16) classes of nu, and meet the finite time sum
     sigma = 1.0
     x = np.linspace(0.0, math.pi / sigma, 17)[:, np.newaxis] + dx
     y = -sigma + (np.arange(16)[np.newaxis, :] + 0.5) * (sigma / 8.0) + dy
