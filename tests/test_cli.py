@@ -799,18 +799,23 @@ def test_out_file_matches_stdout(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_special_out():
-    # scipy.special (the Hurwitz zeta of the spline lattice sums) costs
-    # about 60 ms to import: only a sum that reads it imports it.  The
-    # oracle's Gram solve needs numpy alone, and scipy.linalg would add
-    # about 200 ms and 25 MiB to every process that imports the CLI
+    # the package runs on numpy alone: with scipy 1.17, importing
+    # scipy.special costs 0.18-0.24 s and about 25 MiB, scipy.linalg about
+    # 0.17 s.  A spline validate, whose Phi sums take the class tails and
+    # so `spectral._hurwitz_zeta`, and a spline zak leave every scipy
+    # module out
     src = str(Path(shiftapprox.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, shiftapprox.cli; "
-            "print(sorted({'scipy.special', 'scipy.linalg'} & set(sys.modules)))")
+    code = ("import sys\n"
+            "from shiftapprox import cli\n"
+            "codes = [cli.main(['validate', '--gen', 'bspline:m=1', '--dgrid', '33']),\n"
+            "         cli.main(['zak', '--gen', 'bspline:m=2', '--dgrid', '33'])]\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(codes, scipy, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().strip() == "[]"
+    assert proc.stderr.decode().splitlines()[-1] == "[0, 0] []", proc.stderr
 
 
 def test_module_entry_point_matches_cli_main():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftapprox import zak
+from shiftapprox import spectral, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (Generator, gaussian_generator, generator_l2_norm_sq,
                                    shift_autocorrelation)
@@ -215,6 +215,80 @@ def test_class_tails_of_a_coefficient_spline_match_brute_sums(m, per_step, envel
 def test_denominator_is_the_least_within_the_class_cap(v, b):
     # the least b <= 4096 with v b an integer to rounding, 0 where none is
     assert _denominator(v) == b
+
+
+def test_hurwitz_zeta_matches_scipy(monkeypatch):
+    # within 1e-15 of scipy.special.zeta, the same Euler-Maclaurin scheme
+    # (Cephes), for s = 2..44 over a log-uniform a in [1e-3, 1e4], and at
+    # the parameters the class tails build: Phi's spectral sum and D's
+    # lattice form on the cell mesh of bspline m = 0..3 on its own lattice
+    # (m = 0 has D only: Phi's v**-1 is not summable), dgrid 33 and 257
+    from scipy.special import zeta
+
+    calls = []
+    kernel = spectral._hurwitz_zeta
+
+    def recorded(s, a):
+        calls.append((s, np.array(a)))
+        return kernel(s, a)
+
+    monkeypatch.setattr(spectral, "_hurwitz_zeta", recorded)
+    for m in range(4):
+        for resolution in (33, 257):
+            xs, ys, _, _ = zak._cell_mesh(1.0, resolution)
+            if m:
+                zak._phi_freq_array(spline(m, 1.0), 1.0, xs, ys, 1e-10)
+            lattice_energy(spline(m, 1.0), 1.0, ys[0])
+    monkeypatch.undo()
+    assert len(calls) == 14
+    a = np.exp(np.random.default_rng(5).uniform(math.log(1e-3), math.log(1e4), 20_000))
+    calls += [(s, a) for s in range(2, 45)]
+    for s, a in calls:
+        ref = zeta(s, a)
+        assert np.max(np.abs(kernel(s, a) - ref) / ref) <= 1e-15, (s, a.shape)
+
+
+def test_hurwitz_zeta_meets_its_identities():
+    # zeta(2, 1) = pi^2/6, zeta(4, 1) = pi^4/90 (DLMF 25.6.1), zeta(s, 1/2)
+    # = (2^s - 1) zeta(s, 1) (25.11.11) and zeta(s, a) = zeta(s, a + 1) +
+    # a^-s (25.11.3) at a = k/64, where a + 1 is exact.  The constants to
+    # 2 ulp (measured 0.6 and 0.9); the identities, which add the rounding
+    # of two values and of the arithmetic, to 6 ulp (measured 4.0 and 4.9)
+    zeta = spectral._hurwitz_zeta
+    eps = np.finfo(float).eps
+    assert abs(zeta(2, 1.0) - math.pi ** 2 / 6) <= 2 * eps * math.pi ** 2 / 6
+    assert abs(zeta(4, 1.0) - math.pi ** 4 / 90) <= 2 * eps * math.pi ** 4 / 90
+    a = np.arange(1, 64 * 64) / 64
+    for s in range(2, 45):
+        half = zeta(s, 0.5)
+        assert abs(half - (2.0 ** s - 1) * zeta(s, 1.0)) <= 6 * eps * half, s
+        left = zeta(s, a)
+        assert np.max(np.abs(left - (zeta(s, a + 1) + a ** -s)) / left) <= 6 * eps, s
+
+
+def test_hurwitz_zeta_remainder_is_below_its_bound():
+    # the first omitted Euler-Maclaurin term, B_26/26! (s)_25 w^(-s-25) at
+    # w = a + 9, bounds the remainder: below 1e-20 of the direct terms plus
+    # the integral from w, a lower bound on zeta, at s = 2..44 (spline
+    # orders up to 22, squared) and a from 1e-6 to 1e6
+    b26 = abs(8553103 / 6 / math.factorial(26))
+    a = np.geomspace(1e-6, 1e6, 4001)
+    w = a + spectral._ZETA_STEPS
+    assert len(spectral._BERNOULLI) == 12
+    for s in range(2, 45):
+        log_rising = sum(math.log(s + i) for i in range(25))
+        low = sum((w / (a + k)) ** s for k in range(spectral._ZETA_STEPS)) + w / (s - 1)
+        ratio = np.exp(math.log(b26) + log_rising - 25 * np.log(w) - np.log(low))
+        assert np.max(ratio) <= 1e-20, s
+
+
+@pytest.mark.parametrize("s, a, error", [
+    (1, 1.0, ValueError), (0, 1.0, ValueError), (2.5, 1.0, ValueError),
+    (2, 0.0, ValueError), (2, -0.5, ValueError), (2, [1.0, np.nan], ValueError),
+    (2, np.inf, ValueError), (200, 1e-3, OverflowError)])
+def test_hurwitz_zeta_refuses_outside_its_domain(s, a, error):
+    with pytest.raises(error):
+        spectral._hurwitz_zeta(s, a)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])

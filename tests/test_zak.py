@@ -193,16 +193,14 @@ def test_cell_mesh_tails_read_one_zeta_value_per_class_and_node(monkeypatch):
     # into P classes of nu mod P, one zeta value per class and y node; the
     # nu < 0 side reads the same values at the mirrored midpoints, and so
     # does D's single class
-    import scipy.special
-
     sizes = []
-    zeta = scipy.special.zeta
+    zeta = spectral._hurwitz_zeta
 
     def counted(s, a):
         sizes.append(np.size(a))
         return zeta(s, a)
 
-    monkeypatch.setattr(scipy.special, "zeta", counted)
+    monkeypatch.setattr(spectral, "_hurwitz_zeta", counted)
     xs, ys, _, _ = zak._cell_mesh(1.0, 33)
     zak._phi_freq_array(spline(2, 1.0), 1.0, xs, ys, 1e-10)
     spectral.lattice_energy(spline(2, 1.0), 1.0, ys[0])
