@@ -147,10 +147,15 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     over the first ``count - 1`` nodes plus one trapezoid panel at the end.
     A two-node grid degenerates to the single trapezoid panel.
     """
-    n, h = grid.count, grid.step
-    w = np.zeros(n)
+    return add_quadrature_weights(np.zeros(grid.count), grid.step)
+
+
+def add_quadrature_weights(w: np.ndarray, h: float) -> np.ndarray:
+    """Add the `quadrature_weights` of a ``w.size``-node grid of step ``h``
+    into ``w``, say a zero row's slice, and return ``w``."""
+    n = w.size
     if n == 2:
-        w[:] = h / 2.0
+        w += h / 2.0
         return w
     m = n if n % 2 == 1 else n - 1
     w[0] += h / 3.0

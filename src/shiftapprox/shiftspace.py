@@ -16,13 +16,15 @@ grid over 2K+1 periods so that folding is pure array slicing and the two
 integrals of the error formula (total energy and captured energy) use the
 same nodes.  Node-wise Cauchy-Schwarz then makes the Bessel inequality and
 the monotonicity of the error in rho structural facts of the discretization
-rather than accidents of quadrature.
+rather than accidents of quadrature.  f is folded once per sigma; every band
+radius then splits its energy in one vectorised pass over the rows of
+`_band_rows`, each row reading the bytes of a single-radius run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .errors import (GridMismatchError, InvalidGridError,
 from .generator import Generator, _interp_complex
 from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
                        chunk_slices, covering_windows,
-                       fourier_transform_sampled, period_extension,
-                       quadrature_weights, resolved_band)
+                       add_quadrature_weights, fourier_transform_sampled,
+                       period_extension, quadrature_weights, resolved_band)
 from .spectral import (EPSILON_D, PeriodizedSpectrum, envelope_order,
                        periodize, require_period_grid)
 
@@ -116,45 +118,38 @@ def _same_grid(a: Grid, b: Grid) -> bool:
             and abs(a.stop - b.stop) <= tol)
 
 
-def _rho_mask(grid: Grid, rho: float) -> np.ndarray:
-    return np.abs(grid.nodes()) <= rho * (1.0 + _RHO_RTOL)
+def _simpson_rows(nodes: np.ndarray, lo: Sequence[int], hi: Sequence[int]
+                  ) -> np.ndarray:
+    """Simpson weights on the nodes ``lo[r] .. hi[r]``, one row each, zero
+    elsewhere and on a row of fewer than two nodes.
 
-
-def _piece_weights(grid: Grid, lo: int, hi: int) -> np.ndarray:
-    """Simpson weights of the contiguous sub-grid of nodes lo..hi, zero
-    elsewhere."""
-    w = np.zeros(grid.count)
-    nodes = grid.nodes()
-    sub = Grid(start=float(nodes[lo]), stop=float(nodes[hi]), count=hi - lo + 1)
-    w[lo:hi + 1] = quadrature_weights(sub)
-    return w
-
-
-def _band_weights(grid: Grid, rho: float) -> np.ndarray:
-    """Simpson weights for the sub-band |y| <= rho, zero outside.
-
-    Rebuilt on the contiguous sub-grid rather than masked from the full
-    interval, so the cut at +-rho carries no O(step) boundary error.  At
-    rho = sigma this reduces to the plain full-interval weights.
+    Each row slice takes `add_quadrature_weights` at the step of
+    ``Grid(nodes[lo], nodes[hi], hi - lo + 1)``: the sub-grid's own weights,
+    value for value.
     """
-    idx = np.nonzero(_rho_mask(grid, rho))[0]
-    if idx.size < 2:
-        return np.zeros(grid.count)
-    return _piece_weights(grid, int(idx[0]), int(idx[-1]))
-
-
-def _complement_weights(grid: Grid, rho: float) -> np.ndarray:
-    """Weights for the two closed pieces rho <= |y| <= sigma of the period."""
-    idx = np.nonzero(_rho_mask(grid, rho))[0]
-    if idx.size == 0:
-        return quadrature_weights(grid)
-    w = np.zeros(grid.count)
-    lo, hi = int(idx[0]), int(idx[-1])
-    if lo >= 1:
-        w += _piece_weights(grid, 0, lo)
-    if hi <= grid.count - 2:
-        w += _piece_weights(grid, hi, grid.count - 1)
+    w = np.zeros((len(lo), nodes.size))
+    for row, a, b in zip(w, lo, hi):
+        if b > a:
+            add_quadrature_weights(row[a:b + 1], float(nodes[b] - nodes[a]) / (b - a))
     return w
+
+
+def _band_rows(grid: Grid, rhos: Sequence[float]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the bands ``|y| <= rho`` and their Simpson weights, as
+    ``(radii, count)`` arrays.
+
+    ``|y| <= t`` is ``-t <= y <= t``, so each band runs between two sorted
+    searches of the nodes.  Its weights are rebuilt on the band's
+    contiguous sub-grid rather than masked from the full interval, so the
+    cut at +-rho carries no O(step) boundary error; at rho = sigma the row
+    is the plain full-period weights.
+    """
+    t = np.asarray(rhos, dtype=float) * (1.0 + _RHO_RTOL)
+    nodes = grid.nodes()
+    lo = np.searchsorted(nodes, -t).tolist()
+    hi = (np.searchsorted(nodes, t, side="right") - 1).tolist()
+    return np.abs(nodes) <= t[:, None], _simpson_rows(nodes, lo, hi)
 
 
 def _jumps_at_seam(radius: Optional[float], sigma: float) -> bool:
@@ -218,26 +213,33 @@ def coeffs_from_zeta(zeta: ZetaFunction, j_range: int) -> ShiftExpansion:
             f"grid step {grid.step:.3g} cannot resolve shift index "
             f"{j_range} (needs >= 8 nodes per oscillation period, "
             f"has {nodes_per_period:.2f})")
-    weighted = _band_weights(grid, zeta.rho) * zeta.values
+    band, weights = _band_rows(grid, (zeta.rho,))
+    weighted = weights[0] * zeta.values
     period = grid.count - 1
     folded = weighted[:-1].copy()
     folded[0] += weighted[-1]
     dft = np.fft.ifft(folded) * period
     js = np.arange(-j_range, j_range + 1)
     coeffs = (1 - 2 * (js % 2)) * dft[js % period] / (2.0 * zeta.sigma)
-    defect = _vanishing_defect(zeta.sigma, zeta.rho, coeffs, grid)
+    defect = _vanishing_defect(zeta.sigma, zeta.rho, coeffs, grid, band[0])
     return ShiftExpansion(sigma=zeta.sigma, rho=zeta.rho, coeffs=coeffs,
                           vanishing_defect=defect)
 
 
 def _vanishing_defect(sigma: float, rho: float, coeffs: np.ndarray,
-                      grid: Grid) -> float:
+                      grid: Grid, band: np.ndarray) -> float:
+    """L2 size of the trigonometric sum on the two closed pieces
+    rho <= |y| <= sigma of the period, each a row of `_simpson_rows`: from
+    the period's ends to the first and last node of ``band`` (a lone node
+    weighs nothing), or the whole period when ``band`` holds no node."""
     if rho >= sigma * (1.0 - 1e-12):
         return 0.0
     tmp = ShiftExpansion(sigma=sigma, rho=sigma, coeffs=coeffs)
     trig = zeta_of_coeffs(tmp, grid).values
-    w = _complement_weights(grid, rho)
-    return float(np.sqrt(max((w * np.abs(trig) ** 2).sum(), 0.0)))
+    idx, last = np.flatnonzero(band), grid.count - 1
+    lo, hi = (idx[0], idx[-1]) if idx.size else (last, last)
+    w = _simpson_rows(grid.nodes(), (0, hi), (lo, last))
+    return float(np.sqrt(max((w.sum(axis=0) * np.abs(trig) ** 2).sum(), 0.0)))
 
 
 def synthesize(exp: ShiftExpansion, gen: Generator, x_grid: Grid) -> SampledFunction:
@@ -326,19 +328,21 @@ def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
 
 @dataclass(frozen=True)
 class _EnergySplit:
-    """Energy of f on either side of the rho-band shift space."""
+    """Energy of f on either side of the rho-band shift space, one row (or
+    entry) per band radius."""
 
-    active: np.ndarray        # |y| <= rho and D above the division guard
-    projection_norm_sq: float
-    error_sq: float
-    guard_mass: float         # bracket mass discarded by the guard in band
+    active: np.ndarray              # |y| <= rho and D above the division guard
+    projection_norm_sq: np.ndarray
+    error_sq: np.ndarray
+    guard_mass: np.ndarray          # bracket mass discarded by the guard in band
 
 
 def _energy_split(f: Signal, gen: Generator,
                   sigma: float, rhos: Sequence[float], tol: float,
                   grid: Optional[Grid]
-                  ) -> Tuple[_FoldResult, List[_EnergySplit]]:
-    """Fold f once and split its energy at every band radius in ``rhos``.
+                  ) -> Tuple[_FoldResult, _EnergySplit]:
+    """Fold f once and split its energy at every band radius in ``rhos``,
+    all radii in one pass over `_band_rows`.
 
     ``projection_norm_sq = 2 pi integral_{-rho}^{rho} |bracket|^2 / D`` and
     ``error_sq = 2 pi integral |fhat|^2 - projection_norm_sq``, each clamped
@@ -356,6 +360,9 @@ def _energy_split(f: Signal, gen: Generator,
     structurally.  An extrapolated seam takes bracket and energy each from
     the interior while D is evaluated, so the bound is imposed on the two
     seam nodes' joint mass.
+
+    Each row reduces as a contiguous row, so every radius reads the same
+    values, to the bit, as a split at that radius alone.
     """
     for rho in rhos:
         if not rho_in_band(rho, sigma):
@@ -372,28 +379,28 @@ def _energy_split(f: Signal, gen: Generator,
         f = _spectrum_of(f, sigma, grid)
     fold = _fold(f, gen, sigma, grid, tol, f_support)
     total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
-    seam = [0, -1]
-    splits = []
-    for rho in rhos:
-        weights = _band_weights(grid, rho)
-        band = _rho_mask(grid, rho)
-        active = band & fold.live
-        mass = weights * np.where(active, fold.captured, 0.0)
-        seam_mass = mass[seam].sum()
-        seam_cap = (weights[seam] * fold.energy[seam]).sum()
-        if seam_mass > seam_cap:
-            mass[seam] *= seam_cap / seam_mass
-        projection_norm_sq = max(TWO_PI * float(mass.sum()), 0.0)
-        if projection_norm_sq > total_energy * (1.0 + 1e-9) + tol:
-            raise ShiftSpaceError(
-                f"captured energy {projection_norm_sq} exceeds input energy "
-                f"{total_energy}: quadrature inconsistency")
+    band, weights = _band_rows(grid, rhos)
+    active = band & fold.live
+    mass = weights * np.where(active, fold.captured, 0.0)
+    seam_mass = mass[:, 0] + mass[:, -1]
+    seam_cap = weights[:, 0] * fold.energy[0] + weights[:, -1] * fold.energy[-1]
+    for r in np.flatnonzero(seam_mass > seam_cap):
+        mass[r, [0, -1]] *= seam_cap[r] / seam_mass[r]
+    projection_norm_sq = np.maximum(TWO_PI * mass.sum(axis=1), 0.0)
+    exceeds = projection_norm_sq > total_energy * (1.0 + 1e-9) + tol
+    if exceeds.any():
+        raise ShiftSpaceError(
+            f"captured energy {projection_norm_sq[exceeds.argmax()]} exceeds "
+            f"input energy {total_energy}: quadrature inconsistency")
+    guard_mass = np.zeros(len(rhos))
+    if not fold.live.all():
         guarded = band & ~fold.live
-        splits.append(_EnergySplit(
-            active=active, projection_norm_sq=projection_norm_sq,
-            error_sq=max(total_energy - projection_norm_sq, 0.0),
-            guard_mass=float((np.abs(fold.bracket[guarded]) ** 2).sum())))
-    return fold, splits
+        for r in np.flatnonzero(guarded.any(axis=1)):
+            guard_mass[r] = (np.abs(fold.bracket[guarded[r]]) ** 2).sum()
+    return fold, _EnergySplit(
+        active=active, projection_norm_sq=projection_norm_sq,
+        error_sq=np.maximum(total_energy - projection_norm_sq, 0.0),
+        guard_mass=guard_mass)
 
 
 def zeta_transform(f_spec: SampledSpectrum, gen: Generator, sigma: float,
@@ -403,7 +410,8 @@ def zeta_transform(f_spec: SampledSpectrum, gen: Generator, sigma: float,
     Nodes where D is at or below the division guard contribute zero; their
     discarded bracket mass is visible through ``project``.
     """
-    fold, _ = _energy_split(f_spec, gen, sigma, (), tol, grid)
+    require_period_grid(grid, sigma)
+    fold = _fold(f_spec, gen, sigma, grid, tol)
     return ZetaFunction(sigma=float(sigma), rho=float(sigma), grid=grid,
                         values=fold.zeta, zero_set_enforced=False)
 
@@ -412,7 +420,7 @@ def plancherel_norm_sq(zeta: ZetaFunction, dv: PeriodizedSpectrum) -> float:
     """``2 pi * integral_{-rho}^{rho} |zeta|^2 D`` on the shared grid."""
     if not _same_grid(zeta.grid, dv.grid):
         raise GridMismatchError("zeta and D live on different grids")
-    w = _band_weights(zeta.grid, zeta.rho)
+    w = _band_rows(zeta.grid, (zeta.rho,))[1][0]
     total = (w * np.abs(zeta.values) ** 2 * dv.values).sum()
     return float(max(TWO_PI * total, 0.0))
 
@@ -424,7 +432,7 @@ def plancherel_inner(zeta_s: ZetaFunction, zeta_t: ZetaFunction,
             and _same_grid(zeta_s.grid, dv.grid)):
         raise GridMismatchError("inner product operands on different grids")
     rho = min(zeta_s.rho, zeta_t.rho)
-    w = _band_weights(zeta_s.grid, rho)
+    w = _band_rows(zeta_s.grid, (rho,))[1][0]
     total = (w * zeta_s.values * np.conj(zeta_t.values) * dv.values).sum()
     return complex(TWO_PI * total)
 
@@ -496,15 +504,15 @@ def project(f: Signal, gen: Generator, sigma: float, rho: float,
     recovered shift coefficients, the captured energy, the exact-formula
     squared error, and the bracket mass discarded by the division guard.
     """
-    fold, (split,) = _energy_split(f, gen, sigma, (rho,), tol, grid)
+    fold, split = _energy_split(f, gen, sigma, (rho,), tol, grid)
     zeta = ZetaFunction(sigma=float(sigma), rho=float(rho), grid=fold.grid,
-                        values=np.where(split.active, fold.zeta, 0.0),
+                        values=np.where(split.active[0], fold.zeta, 0.0),
                         zero_set_enforced=True)
     coeffs = coeffs_from_zeta(zeta, j_range)
     return ProjectionResult(zeta=zeta, coeffs=coeffs,
-                            projection_norm_sq=split.projection_norm_sq,
-                            error_sq=split.error_sq,
-                            guard_mass=split.guard_mass)
+                            projection_norm_sq=float(split.projection_norm_sq[0]),
+                            error_sq=float(split.error_sq[0]),
+                            guard_mass=float(split.guard_mass[0]))
 
 
 def best_approx_error_sq(f: Signal, gen: Generator, sigma: float,
@@ -517,14 +525,13 @@ def best_approx_error_sq(f: Signal, gen: Generator, sigma: float,
     |bracket|^2 / D)`` with both integrals on the same nodes; clamped at
     zero.  f is any input `project` takes.  ``rho`` may be one radius (a
     float is returned) or a 1-d sequence of radii (an array is returned);
-    f is folded once for all of them.  Use ``project`` for the coefficients
-    and the discarded guard mass.
+    f is folded once for all of them, and all of them split in one
+    vectorised pass, each entry the bytes of a single-radius call.  Use
+    ``project`` for the coefficients and the discarded guard mass.
     """
     rhos = np.asarray(rho, dtype=float)
     if rhos.ndim > 1:
         raise ValueError(f"rho must be a number or a 1-d sequence, "
                          f"got shape {rhos.shape}")
-    _, splits = _energy_split(f, gen, sigma, [float(r) for r in rhos.ravel()],
-                              tol, grid)
-    errors = np.array([split.error_sq for split in splits])
-    return float(errors[0]) if rhos.ndim == 0 else errors
+    _, split = _energy_split(f, gen, sigma, rhos.ravel(), tol, grid)
+    return float(split.error_sq[0]) if rhos.ndim == 0 else split.error_sq

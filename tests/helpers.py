@@ -39,12 +39,14 @@ from shiftapprox import (
 )
 from shiftapprox.cli import main as cli_main
 from shiftapprox.numerics import (
+    TWO_PI,
     Grid,
     SampledFunction,
     SampledSpectrum,
     make_uniform_grid,
     quadrature_weights,
 )
+from shiftapprox.shiftspace import _fold, zeta_of_coeffs
 
 
 def spline(m: int, sigma: float = 1.0) -> Generator:
@@ -289,6 +291,92 @@ def time_sample_shapes() -> dict:
         shapes[f"{grid.count}-onto-129-m{m}"] = (
             SampledFunction(grid, values), 1.0, 129)
     return shapes
+
+
+def _reference_rho_mask(grid: Grid, rho: float) -> np.ndarray:
+    return np.abs(grid.nodes()) <= rho * (1.0 + 1e-12)
+
+
+def _reference_piece_weights(grid: Grid, lo: int, hi: int) -> np.ndarray:
+    """`quadrature_weights` of the sub-grid of nodes lo..hi, zero elsewhere."""
+    w = np.zeros(grid.count)
+    nodes = grid.nodes()
+    sub = Grid(start=float(nodes[lo]), stop=float(nodes[hi]), count=hi - lo + 1)
+    w[lo:hi + 1] = quadrature_weights(sub)
+    return w
+
+
+def reference_band_weights(grid: Grid, rho: float) -> np.ndarray:
+    """Simpson weights of the band |y| <= rho on its own sub-grid, built
+    radius by radius: the reference for `shiftspace._band_rows`."""
+    idx = np.nonzero(_reference_rho_mask(grid, rho))[0]
+    if idx.size < 2:
+        return np.zeros(grid.count)
+    return _reference_piece_weights(grid, int(idx[0]), int(idx[-1]))
+
+
+def _reference_complement_weights(grid: Grid, rho: float) -> np.ndarray:
+    idx = np.nonzero(_reference_rho_mask(grid, rho))[0]
+    if idx.size == 0:
+        return quadrature_weights(grid)
+    w = np.zeros(grid.count)
+    lo, hi = int(idx[0]), int(idx[-1])
+    if lo >= 1:
+        w += _reference_piece_weights(grid, 0, lo)
+    if hi <= grid.count - 2:
+        w += _reference_piece_weights(grid, hi, grid.count - 1)
+    return w
+
+
+def reference_energy_split(fs: SampledSpectrum, gen: Generator, sigma: float,
+                           rhos: Sequence[float], grid: Grid,
+                           tol: float = 1e-8) -> list:
+    """The energy split of a spectrum f at each radius by a loop over the
+    radii, one band mask and one sub-grid `Grid` per radius: the slow-path
+    reference for `best_approx_error_sq` and `project`.  Returns one
+    ``(active, projection_norm_sq, error_sq, guard_mass, zeta)`` per radius,
+    zeta being the band-limited transform.  The fold is the library's own:
+    only the split that follows it is under test."""
+    fold = _fold(fs, gen, sigma, grid, tol)
+    total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
+    seam = [0, -1]
+    splits = []
+    for rho in rhos:
+        weights = reference_band_weights(grid, rho)
+        band = _reference_rho_mask(grid, rho)
+        active = band & fold.live
+        mass = weights * np.where(active, fold.captured, 0.0)
+        seam_mass = mass[seam].sum()
+        seam_cap = (weights[seam] * fold.energy[seam]).sum()
+        if seam_mass > seam_cap:
+            mass[seam] *= seam_cap / seam_mass
+        projection_norm_sq = max(TWO_PI * float(mass.sum()), 0.0)
+        guarded = band & ~fold.live
+        splits.append((active, projection_norm_sq,
+                       max(total_energy - projection_norm_sq, 0.0),
+                       float((np.abs(fold.bracket[guarded]) ** 2).sum()),
+                       np.where(active, fold.zeta, 0.0)))
+    return splits
+
+
+def reference_coeffs(zeta: np.ndarray, grid: Grid, sigma: float, rho: float,
+                     j_range: int) -> Tuple[np.ndarray, float]:
+    """Shift coefficients of a band-limited transform and their vanishing
+    defect, on weights built radius by radius: the reference for
+    `coeffs_from_zeta`."""
+    weighted = reference_band_weights(grid, rho) * zeta
+    period = grid.count - 1
+    folded = weighted[:-1].copy()
+    folded[0] += weighted[-1]
+    dft = np.fft.ifft(folded) * period
+    js = np.arange(-j_range, j_range + 1)
+    coeffs = (1 - 2 * (js % 2)) * dft[js % period] / (2.0 * sigma)
+    if rho >= sigma * (1.0 - 1e-12):
+        return coeffs, 0.0
+    trig = zeta_of_coeffs(ShiftExpansion(sigma=sigma, rho=sigma, coeffs=coeffs),
+                          grid).values
+    w = _reference_complement_weights(grid, rho)
+    return coeffs, float(np.sqrt(max((w * np.abs(trig) ** 2).sum(), 0.0)))
 
 
 def direct_coeffs(weighted: np.ndarray, grid: Grid, sigma: float,

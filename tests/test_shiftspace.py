@@ -23,7 +23,7 @@ from shiftapprox.numerics import Grid, SampledFunction, SampledSpectrum, \
     resolved_band
 from shiftapprox.oracle import _shift_inner_products
 from shiftapprox.shiftspace import (_MASS_TOL, ShiftExpansion, ZetaFunction,
-                                    _band_weights, _fold, _spectrum_of,
+                                    _band_rows, _fold, _spectrum_of,
                                     best_approx_error_sq,
                                     coeffs_from_zeta,
                                     plancherel_inner, plancherel_norm_sq,
@@ -105,7 +105,7 @@ def test_coefficient_dft_matches_direct_sum(sigma, count, rho, j_range):
                         values=np.where(outside, 0.0, raw),
                         zero_set_enforced=True)
     fast = coeffs_from_zeta(zeta, j_range).coeffs
-    weighted = _band_weights(grid, rho) * zeta.values
+    weighted = _band_rows(grid, (rho,))[1][0] * zeta.values
     ref = direct_coeffs(weighted, grid, sigma, j_range)
     # the direct sum's phase rounding at the largest |j pi y / sigma|
     envelope = (np.finfo(float).eps * math.pi * j_range
@@ -382,6 +382,35 @@ def test_best_error_agrees_with_projection():
         swept = best_approx_error_sq(f, gen, sigma, [0.5, 1.0])
         assert isinstance(swept, np.ndarray) and swept.shape == (2,)
         assert swept.tolist() == direct
+
+
+def test_a_radius_sweep_builds_its_band_rows_once(monkeypatch):
+    # every radius of a sweep splits in one `_band_rows` call, which reads
+    # the period grid's nodes no more often than a single radius does
+    calls = {}
+    band_rows, nodes = shiftspace._band_rows, Grid.nodes
+
+    def counting_rows(*args):
+        calls["rows"] += 1
+        return band_rows(*args)
+
+    def counting_nodes(self):
+        calls["nodes"] += 1
+        return nodes(self)
+
+    monkeypatch.setattr(shiftspace, "_band_rows", counting_rows)
+    monkeypatch.setattr(Grid, "nodes", counting_nodes)
+    f, gen = gaussian_generator(1.1), spline(2, 2.0)
+    grid = Grid(start=-2.0, stop=2.0, count=257)
+
+    def count(rho):
+        calls.update(rows=0, nodes=0)
+        best_approx_error_sq(f, gen, 2.0, rho, grid=grid)
+        return dict(calls)
+
+    one, sweep = count(1.3), count(np.linspace(0.1, 2.0, 16))
+    assert one["rows"] == sweep["rows"] == 1
+    assert sweep["nodes"] <= one["nodes"]
 
 
 #: period windows either side over which an analytic f-hat is sampled
