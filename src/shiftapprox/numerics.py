@@ -18,7 +18,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import os
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Iterable, List, NamedTuple, Optional, Sequence, TextIO,
@@ -596,8 +598,30 @@ def write_samples_csv(dest: Union[str, TextIO],
 #: bound on the total ``values.nbytes`` that `read_samples_csv` keeps
 _CACHE_BYTES = 64 * 2 ** 20
 _CACHE: "OrderedDict[bytes, SampledFunction | SampledSpectrum]" = OrderedDict()
+#: path -> (fstat signature, content key) of a file read unchanged
+_PATHS: "dict[str, Tuple[_Signature, bytes]]" = {}
 _CACHE_LOCK = threading.Lock()
+#: a file changed within this many ns of a read may be rewritten inside the
+#: same timestamp tick, keeping its signature: it is not recorded by path.
+#: 2 s is FAT's timestamp granularity, the coarsest in common use
+_RACY_NS = 2 * 10 ** 9
 _TOO_FEW_ROWS = "CSV needs at least two rows of three columns"
+
+
+class _Signature(NamedTuple):
+    """What ``os.fstat`` tells of an open file."""
+
+    dev: int
+    ino: int
+    size: int
+    mtime_ns: int
+    ctime_ns: int
+
+
+def _signature(fh) -> _Signature:
+    st = os.fstat(fh.fileno())
+    return _Signature(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+                      st.st_ctime_ns)
 
 
 def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectrum:
@@ -616,15 +640,40 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     reads.  Failures are not cached, and the least recently read entries
     are dropped once the cached ``values`` exceed ``_CACHE_BYTES``.  A file
     object is parsed on every call and not cached.
+
+    Beside that content cache a path table keeps, per path, the
+    ``os.fstat`` signature of the open file (device, inode, size, mtime and
+    ctime in ns; taken after the open, where NFS close-to-open consistency
+    revalidates it) and the content key read.  A read whose signature
+    matches, while that content is still cached, returns it without
+    reading or hashing a byte.  A read records its path only when the
+    signature is unchanged across the read and the file's last change,
+    ``max(mtime, ctime)``, lies more than ``_RACY_NS`` (2 s) before the
+    read began.  So a file changed in the last 2 s (a same-size rewrite
+    inside one timestamp tick keeps its signature), one dated in the future
+    or changed during the read, a rewritten or replaced file and a path
+    whose content was dropped are read and hashed again.  Both tables live
+    in the process: a subprocess per call gains nothing from them.
     """
     if not isinstance(src, str):
         return _parse_samples(src.readline(), src)
+    began = time.time_ns()
     with open(src, "rb") as fh:
+        seen = _signature(fh)
+        with _CACHE_LOCK:
+            known = _PATHS.get(src)
+            if known is not None and known[0] == seen and known[1] in _CACHE:
+                _CACHE.move_to_end(known[1])
+                return _CACHE[known[1]]
         raw = fh.read()
+        settled = (_signature(fh) == seen
+                   and began - max(seen.mtime_ns, seen.ctime_ns) > _RACY_NS)
     key = hashlib.sha256(raw).digest()
     with _CACHE_LOCK:
         if key in _CACHE:
             _CACHE.move_to_end(key)
+            if settled:
+                _PATHS[src] = (seen, key)
             return _CACHE[key]
     if not raw.isascii():
         at = next(i for i, byte in enumerate(raw) if byte > 0x7F)
@@ -638,8 +687,13 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     if loaded.values.nbytes <= _CACHE_BYTES:
         with _CACHE_LOCK:
             _CACHE[key] = loaded
+            if settled:
+                _PATHS[src] = (seen, key)
             while sum(v.values.nbytes for v in _CACHE.values()) > _CACHE_BYTES:
-                _CACHE.popitem(last=False)
+                gone, _ = _CACHE.popitem(last=False)
+                # no path outlives the content it names
+                for path in [p for p, (_, k) in _PATHS.items() if k == gone]:
+                    del _PATHS[path]
     return loaded
 
 

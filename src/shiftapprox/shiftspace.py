@@ -277,35 +277,46 @@ class _FoldResult:
     captured: np.ndarray      # |bracket|^2 / D at live nodes
 
 
-def _fold(f_spec: SampledSpectrum, gen: Generator, sigma: float, grid: Grid,
-          tol: float, f_support: Optional[float] = None) -> _FoldResult:
+def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
+          grid: Grid, tol: float) -> _FoldResult:
     """Fold f-hat against B-hat over the windows f-hat covers.
 
-    ``f_support`` is the spectral support an analytic f declares.  The
-    seam nodes are extrapolated only when it or B's is an odd multiple of
-    sigma (`_jumps_at_seam`); every other fold is raw.
+    An analytic f is sampled, as B-hat is, on the nodes of the windows its
+    support or decay envelope needs (`_signal_windows`), and a spectrum is
+    laid on the windows its grid covers.  The seam nodes are extrapolated
+    only when B's spectral support or an analytic f's is an odd multiple
+    of sigma (`_jumps_at_seam`); every other fold is raw.
     """
     n = grid.count
     step = grid.step
-    cover = max(abs(f_spec.grid.start), abs(f_spec.grid.stop))
-    windows = covering_windows(cover, sigma)
+    if isinstance(f, Generator):
+        f_support = f.spectral_support
+        windows = _signal_windows(f, gen, sigma, tol)
+    else:
+        f_support = None
+        windows = covering_windows(max(abs(f.grid.start), abs(f.grid.stop)),
+                                   sigma)
     full = period_extension(sigma, n, windows)
     m = full.count
     y_full = full.nodes()
 
-    fg = f_spec.grid
-    offset = (fg.start - full.start) / step
-    aligned = (abs(fg.step - step) <= 1e-9 * step
-               and abs(offset - round(offset)) <= 1e-6)
-    fvals = np.zeros(m, dtype=np.complex128)
-    if aligned:
-        i0 = int(round(offset))
-        src_lo = max(0, -i0)
-        src_hi = min(fg.count, m - i0)
-        if src_hi > src_lo:
-            fvals[i0 + src_lo:i0 + src_hi] = f_spec.values[src_lo:src_hi]
+    if isinstance(f, Generator):
+        # validated as a spectrum sample: finite, held as complex128
+        fvals = SampledSpectrum(grid=full, values=f.spectrum(y_full)).values
     else:
-        fvals = _interp_complex(fg.nodes(), f_spec.values)(y_full)
+        fg = f.grid
+        offset = (fg.start - full.start) / step
+        aligned = (abs(fg.step - step) <= 1e-9 * step
+                   and abs(offset - round(offset)) <= 1e-6)
+        fvals = np.zeros(m, dtype=np.complex128)
+        if aligned:
+            i0 = int(round(offset))
+            src_lo = max(0, -i0)
+            src_hi = min(fg.count, m - i0)
+            if src_hi > src_lo:
+                fvals[i0 + src_lo:i0 + src_hi] = f.values[src_lo:src_hi]
+        else:
+            fvals = _interp_complex(fg.nodes(), f.values)(y_full)
 
     spec_full = np.conj(gen.spectrum(y_full))
     bracket = np.zeros(n, dtype=np.complex128)
@@ -347,8 +358,8 @@ def _energy_split(f: Signal, gen: Generator,
     ``projection_norm_sq = 2 pi integral_{-rho}^{rho} |bracket|^2 / D`` and
     ``error_sq = 2 pi integral |fhat|^2 - projection_norm_sq``, each clamped
     at zero, with both integrals on the same nodes.  Time samples are first
-    transformed, and an analytic f sampled, on aligned extensions of the
-    base grid.
+    transformed on aligned extensions of the base grid; `_fold` samples an
+    analytic f on the one extension it folds.
 
     The fold is raw, spectrally accurate for a smooth periodic integrand,
     unless B's spectral support or an analytic f's declares a jump on the
@@ -370,14 +381,9 @@ def _energy_split(f: Signal, gen: Generator,
     if grid is None:
         grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)
     require_period_grid(grid, sigma)
-    f_support = None
-    if isinstance(f, Generator):
-        f_support = f.spectral_support
-        freq = _signal_freq_extent(f, gen, sigma, grid.count, tol)
-        f = SampledSpectrum(grid=freq, values=f.spectrum(freq.nodes()))
-    elif isinstance(f, SampledFunction):
+    if isinstance(f, SampledFunction):
         f = _spectrum_of(f, sigma, grid)
-    fold = _fold(f, gen, sigma, grid, tol, f_support)
+    fold = _fold(f, gen, sigma, grid, tol)
     total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
     band, weights = _band_rows(grid, rhos)
     active = band & fold.live
@@ -471,26 +477,24 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
         windows = min(2 * windows, limit)
 
 
-def _signal_freq_extent(gen_f: Generator, gen: Generator, sigma: float,
-                        dgrid: int, tol: float) -> Grid:
-    """Aligned grid of the period windows an analytic f-hat is folded on:
+def _signal_windows(gen_f: Generator, gen: Generator, sigma: float,
+                    tol: float) -> int:
+    """Period windows on each side an analytic f-hat is folded over:
     f's spectral support, or else the fewest windows (1 to 64) beyond which
     the envelope tails (`envelope_order`) of the bracket, ``C_f C_B`` at
     exponent ``p_f + p_B``, and of f's energy, ``C_f**2`` at ``2 p_f``, are
     each at most ``tol``; under a spectral support of B, where the bracket
     terms vanish, the bracket takes B's covering windows instead."""
     if gen_f.spectral_support is not None:
-        windows = covering_windows(gen_f.spectral_support, sigma)
+        return covering_windows(gen_f.spectral_support, sigma)
+    c, p = gen_f.decay_constant, gen_f.decay_exponent
+    if gen.spectral_support is not None:
+        bracket = covering_windows(gen.spectral_support, sigma)
     else:
-        c, p = gen_f.decay_constant, gen_f.decay_exponent
-        if gen.spectral_support is not None:
-            bracket = covering_windows(gen.spectral_support, sigma)
-        else:
-            bracket = envelope_order(c * gen.decay_constant,
-                                     p + gen.decay_exponent, sigma, tol)
-        energy = envelope_order(c * c, 2.0 * p, sigma, tol)
-        windows = int(min(64, max(1, np.ceil(bracket), np.ceil(energy))))
-    return period_extension(sigma, dgrid, windows)
+        bracket = envelope_order(c * gen.decay_constant,
+                                 p + gen.decay_exponent, sigma, tol)
+    energy = envelope_order(c * c, 2.0 * p, sigma, tol)
+    return int(min(64, max(1, np.ceil(bracket), np.ceil(energy))))
 
 
 def project(f: Signal, gen: Generator, sigma: float, rho: float,

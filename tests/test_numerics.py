@@ -1,12 +1,15 @@
+import hashlib
 import io
 import math
 import os
 import shutil
 import sys
 import threading
+import time
 import warnings
 from collections import OrderedDict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,10 +431,15 @@ def test_csv_without_rows_raises_without_a_warning(text, tmp_path):
 
 # ------------------------------------------------------- parsed-file cache
 
+_PARSE = numerics._parse_samples
+
+
 @pytest.fixture
 def parses(monkeypatch):
-    """An empty cache, and the (header, body) pairs the parse function got."""
+    """An empty cache and path table, and the (header, body) pairs the
+    parse function got."""
     monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    monkeypatch.setattr(numerics, "_PATHS", {})
     seen = []
     parse = numerics._parse_samples
 
@@ -451,12 +459,59 @@ def _samples_file(path, seed: int, count: int = 65) -> np.ndarray:
     return vals
 
 
-def test_csv_file_read_three_times_is_parsed_once(tmp_path, parses):
-    vals = _samples_file(tmp_path / "f.csv", 11)
-    reads = [read_samples_csv(str(tmp_path / "f.csv")) for _ in range(3)]
-    assert len(parses) == 1
+@pytest.fixture
+def digests(monkeypatch):
+    """The byte strings `read_samples_csv` hashed."""
+    seen = []
+
+    def counting(raw):
+        seen.append(raw)
+        return hashlib.sha256(raw)
+
+    monkeypatch.setattr(numerics, "hashlib", SimpleNamespace(sha256=counting))
+    return seen
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """A racy window that takes a file written just now as settled (up to
+    an hour in the future)."""
+    monkeypatch.setattr(numerics, "_RACY_NS", -3600 * 10 ** 9)
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    """Signatures whose mtime and ctime never tick, as on a file system
+    with coarse timestamps: only device, inode and size tell files apart."""
+    signature, stamp = numerics._signature, time.time_ns()
+
+    def frozen(fh):
+        return signature(fh)._replace(mtime_ns=stamp, ctime_ns=stamp)
+
+    monkeypatch.setattr(numerics, "_signature", frozen)
+
+
+def _fresh(path) -> SampledFunction | SampledSpectrum:
+    """What a first read of the file's bytes as they are now returns."""
+    header, *body = path.read_bytes().splitlines()
+    return _PARSE(header.decode("ascii"), body)
+
+
+def _same(loaded, path) -> bool:
+    fresh = _fresh(path)
+    return (type(loaded) is type(fresh) and loaded.grid == fresh.grid
+            and np.array_equal(loaded.values, fresh.values))
+
+
+def test_csv_file_read_three_times_is_parsed_once(
+        tmp_path, parses, digests, settled):
+    # and, unchanged since it was settled, read and hashed once
+    path = tmp_path / "f.csv"
+    vals = _samples_file(path, 11)
+    reads = [read_samples_csv(str(path)) for _ in range(3)]
+    assert len(parses) == 1 and len(digests) == 1
     assert all(r is reads[0] for r in reads)
-    assert np.array_equal(reads[0].values, vals)
+    assert np.array_equal(reads[0].values, vals) and _same(reads[0], path)
 
 
 def test_csv_copy_at_another_path_is_a_cache_hit(tmp_path, parses):
@@ -503,14 +558,87 @@ def test_cached_csv_values_are_read_only(tmp_path, parses):
         loaded.values *= 2.0
 
 
-def test_bad_csv_file_raises_on_every_read(tmp_path, parses):
+def test_bad_csv_file_raises_on_every_read(tmp_path, parses, digests, settled):
+    # a settled bad file is not recorded by path either
     path = tmp_path / "bad.csv"
     path.write_text("x,re,im\n0,1,0\nnope,2,0\n", encoding="ascii")
     for _ in range(3):
         with pytest.raises(InvalidGridError):
             read_samples_csv(str(path))
-    assert len(parses) == 3 and not numerics._CACHE
+    assert len(parses) == 3 and len(digests) == 3
+    assert not numerics._CACHE and not numerics._PATHS
 
+
+def test_a_file_changed_within_the_racy_window_is_hashed_again(
+        tmp_path, parses, digests, frozen_clock, monkeypatch):
+    # the signature cannot see a same-size rewrite inside one timestamp
+    # tick: a file changed that recently is never read by its signature
+    monkeypatch.setattr(numerics, "_RACY_NS", 3600 * 10 ** 9)
+    path = tmp_path / "f.csv"
+    path.write_text("x,re,im\n0,1,0\n1,2,0\n", encoding="ascii")
+    first = read_samples_csv(str(path))
+    assert _same(first, path) and not numerics._PATHS
+    path.write_text("x,re,im\n0,3,0\n1,4,0\n", encoding="ascii")
+    second = read_samples_csv(str(path))
+    assert _same(second, path) and np.array_equal(second.values, [3, 4])
+    assert len(parses) == 2 and len(digests) == 2
+
+
+def test_a_file_replaced_with_same_size_and_mtime_reads_new_values(
+        tmp_path, parses, digests, frozen_clock, settled):
+    path, new = tmp_path / "f.csv", tmp_path / "new.csv"
+    path.write_text("x,re,im\n0,1,0\n1,2,0\n", encoding="ascii")
+    new.write_text("x,re,im\n0,5,0\n1,6,0\n", encoding="ascii")
+    stamp = os.stat(path).st_mtime_ns
+    os.utime(new, ns=(stamp, stamp))
+    first = read_samples_csv(str(path))
+    assert read_samples_csv(str(path)) is first and len(digests) == 1
+    inode = os.stat(path).st_ino
+    os.replace(new, path)
+    assert os.stat(path).st_ino != inode
+    second = read_samples_csv(str(path))
+    assert _same(second, path) and np.array_equal(second.values, [5, 6])
+    assert len(parses) == 2 and len(digests) == 2
+
+
+def test_a_file_changed_during_its_read_is_hashed_again(
+        tmp_path, parses, digests, settled, monkeypatch):
+    # a writer appends a row while the first read is under way: that read
+    # returns the bytes it got and records nothing
+    path = tmp_path / "f.csv"
+    path.write_text("x,re,im\n0,1,0\n1,2,0\n", encoding="ascii")
+    opened = []
+
+    class Appending:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def read(self):
+            data = self.fh.read()
+            with open(path, "a", encoding="ascii") as out:
+                out.write("2,3,0\n")
+            return data
+
+    def appending_once(*args):
+        opened.append(args)
+        fh = open(*args)
+        return Appending(fh) if len(opened) == 1 else fh
+
+    monkeypatch.setattr(numerics, "open", appending_once, raising=False)
+    first = read_samples_csv(str(path))
+    assert np.array_equal(first.values, [1, 2]) and not numerics._PATHS
+    second = read_samples_csv(str(path))
+    assert _same(second, path) and np.array_equal(second.values, [1, 2, 3])
+    assert len(parses) == 2 and len(digests) == 2 and len(opened) == 2
 
 def test_non_ascii_csv_file_names_the_byte(tmp_path, parses):
     path = tmp_path / "latin.csv"
@@ -520,8 +648,10 @@ def test_non_ascii_csv_file_names_the_byte(tmp_path, parses):
 
 
 def test_csv_cache_drops_least_recently_read_past_its_bound(
-        tmp_path, parses, monkeypatch):
-    # 65 complex values are 1040 bytes: two fit under the bound, three do not
+        tmp_path, parses, digests, settled, monkeypatch):
+    # 65 complex values are 1040 bytes: two fit under the bound, three do
+    # not.  A path whose content was dropped leaves the path table with it
+    # and is read and hashed anew
     monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
     for i in range(3):
         _samples_file(tmp_path / f"{i}.csv", 20 + i)
@@ -529,22 +659,26 @@ def test_csv_cache_drops_least_recently_read_past_its_bound(
     read_samples_csv(str(tmp_path / "1.csv"))
     read_samples_csv(str(tmp_path / "0.csv"))       # 1 is now the oldest
     read_samples_csv(str(tmp_path / "2.csv"))
-    assert len(parses) == 3
+    assert len(parses) == 3 and len(digests) == 3
     assert sum(v.values.nbytes for v in numerics._CACHE.values()) <= 2500
+    assert sorted(numerics._PATHS) == [str(tmp_path / f"{i}.csv") for i in (0, 2)]
     read_samples_csv(str(tmp_path / "0.csv"))
     read_samples_csv(str(tmp_path / "2.csv"))
-    assert len(parses) == 3
-    read_samples_csv(str(tmp_path / "1.csv"))
-    assert len(parses) == 4
-    # an entry larger than the bound is returned but not kept
+    assert len(parses) == 3 and len(digests) == 3
+    assert _same(read_samples_csv(str(tmp_path / "1.csv")), tmp_path / "1.csv")
+    assert len(parses) == 4 and len(digests) == 4
+    # an entry larger than the bound is returned but neither kept nor
+    # recorded by path
     _samples_file(tmp_path / "big.csv", 23, count=257)
     read_samples_csv(str(tmp_path / "big.csv"))
     read_samples_csv(str(tmp_path / "big.csv"))
-    assert len(parses) == 6
+    assert len(parses) == 6 and len(digests) == 6
+    assert str(tmp_path / "big.csv") not in numerics._PATHS
 
 
-def test_csv_cache_under_concurrent_reads(tmp_path, parses, monkeypatch):
-    # threads that share the cache, with a bound that evicts on most reads
+def test_csv_cache_under_concurrent_reads(tmp_path, parses, settled, monkeypatch):
+    # threads that share the cache and the path table, with a bound that
+    # evicts on most reads
     monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
     want = [_samples_file(tmp_path / f"{i}.csv", 30 + i) for i in range(4)]
     errors = []
@@ -572,10 +706,12 @@ def test_csv_cache_under_concurrent_reads(tmp_path, parses, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert sum(v.values.nbytes for v in numerics._CACHE.values()) <= 2500
+    assert all(key in numerics._CACHE for _, key in numerics._PATHS.values())
 
 
 def test_csv_file_objects_are_not_cached(parses):
     text = "x,re,im\n0,1,0\n1,2,0\n"
     first = read_samples_csv(io.StringIO(text))
     second = read_samples_csv(io.StringIO(text))
-    assert len(parses) == 2 and first is not second and not numerics._CACHE
+    assert len(parses) == 2 and first is not second
+    assert not numerics._CACHE and not numerics._PATHS

@@ -413,6 +413,24 @@ def test_a_radius_sweep_builds_its_band_rows_once(monkeypatch):
     assert sweep["nodes"] <= one["nodes"]
 
 
+@pytest.mark.parametrize("spec", ["gauss:width=1.1", "sinc"])
+def test_an_analytic_project_builds_its_frequency_extension_once(spec, monkeypatch):
+    # f-hat and B-hat are sampled on the nodes of the one extension the
+    # fold builds
+    calls = []
+    extension = shiftspace.period_extension
+
+    def counting(*args):
+        calls.append(args)
+        return extension(*args)
+
+    monkeypatch.setattr(shiftspace, "period_extension", counting)
+    f = parse_generator_spec(spec, default_sigma=1.0)
+    project(f, spline(2, 1.0), 1.0, 0.6,
+            grid=Grid(start=-1.0, stop=1.0, count=257), j_range=8)
+    assert len(calls) == 1
+
+
 #: period windows either side over which an analytic f-hat is sampled
 #: against a degree-1 spline at the default tol 1e-8: its spectral support,
 #: or the envelope orders of the bracket (|f^ B^|) and of f's energy
