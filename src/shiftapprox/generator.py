@@ -27,6 +27,13 @@ cardinal splines
 ``file`` spectrum
     Tabulated spectrum, linearly interpolated inside its grid, whose radius
     is its spectral support; its autocorrelation is Parseval over it.
+
+`bspline_generator`, `gaussian_generator` and `bandlimited_generator` build
+one `Generator` per argument tuple and hand that object to every caller
+(the last `_SHARED_GENERATORS` tuples of each family are kept), so the
+arrays `spectral` keeps per generator serve every request on that space.
+A generator is immutable: its fields are frozen, its spline coefficients
+and tables read-only.  A ``file`` generator is built anew on every parse.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ _HORNER_BLOCK = 8192
 #: ``|B| <= TIME_EPS`` beyond a declared `Generator.time_radius`: sums over
 #: the shifts that reach a window are exact to rounding
 TIME_EPS = 1e-16
+#: argument tuples per family whose generator is kept and shared
+_SHARED_GENERATORS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +83,11 @@ class CardinalSpline:
     order: int
     step: float
     origin: float
+
+    def __post_init__(self) -> None:
+        coeffs = np.array(self.coeffs)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def end(self) -> float:
@@ -96,9 +110,12 @@ class CardinalSpline:
         return total.reshape(theta.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """A square-integrable generator described in the frequency domain.
+
+    Generators compare and hash by identity: two objects are two spaces to
+    every cache keyed by generator, whatever their fields or label.
 
     Attributes
     ----------
@@ -293,22 +310,31 @@ def spline_generator(spline: CardinalSpline, label: str) -> Generator:
 
 def bspline_generator(degree: int, sigma: float) -> Generator:
     """One coefficient ``2 sigma`` of ``N_{m+1}`` at step ``pi/sigma`` from
-    ``-(m + 1) pi/sigma``: the degree-m B-spline, spectrum 1 at y = 0."""
+    ``-(m + 1) pi/sigma``: the degree-m B-spline, spectrum 1 at y = 0.
+    One shared generator per ``(m, float(sigma))``."""
     if not sigma > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
     if int(degree) != degree or not 0 <= degree <= 10:
         raise InvalidGridError(f"degree must be an integer in [0, 10], got {degree}")
-    sigma, m = float(sigma), int(degree)
+    return _bspline(int(degree), float(sigma))
+
+
+@functools.lru_cache(maxsize=_SHARED_GENERATORS)
+def _bspline(m: int, sigma: float) -> Generator:
     h = np.pi / sigma
     return spline_generator(CardinalSpline(np.array([2.0 * sigma]), m + 1, h, -(m + 1) * h),
                             label=f"bspline:m={m},sigma={sigma:g}")
 
 
 def gaussian_generator(width: float) -> Generator:
-    w = float(width)
-    if not w > 0:
+    """``exp(-x^2/(2 w^2))``; one shared generator per ``float(width)``."""
+    if not float(width) > 0:
         raise InvalidGridError(f"width must be > 0, got {width}")
+    return _gaussian(float(width))
 
+
+@functools.lru_cache(maxsize=_SHARED_GENERATORS)
+def _gaussian(w: float) -> Generator:
     def spectrum(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return (w / math.sqrt(TWO_PI)) * np.exp(-0.5 * (w * y) ** 2) + 0.0j
@@ -334,10 +360,14 @@ def gaussian_generator(width: float) -> Generator:
 
 
 def bandlimited_generator(sigma: float) -> Generator:
-    s = float(sigma)
-    if not s > 0:
+    """The sinc of band ``sigma``; one shared generator per ``float(sigma)``."""
+    if not float(sigma) > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
+    return _bandlimited(float(sigma))
 
+
+@functools.lru_cache(maxsize=_SHARED_GENERATORS)
+def _bandlimited(s: float) -> Generator:
     def spectrum(y: np.ndarray) -> np.ndarray:
         ay = np.abs(np.asarray(y, dtype=float))
         return np.where(ay < s, 1.0, np.where(ay == s, 0.5, 0.0)) + 0.0j

@@ -10,7 +10,8 @@ so that ``norm(f)**2 == 2*pi*norm(fhat)**2``.  All reductions go through
 so repeated runs produce identical bytes.  Every function here is pure but
 `read_samples_csv`, which caches what it parsed; the types are frozen
 dataclasses and safe to share between threads as long as the caller does not
-mutate the value arrays.
+mutate the value arrays.  A grid builds its nodes once and keeps them
+read-only.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Iterable, List, NamedTuple, Optional, Sequence, TextIO,
-                    Tuple, Union)
+from typing import (Any, Callable, Hashable, Iterable, List, NamedTuple,
+                    Optional, Sequence, TextIO, Tuple, Union)
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class Grid:
     -----
     ``step`` is derived once as ``(stop - start) / (count - 1)`` and stored.
     ``nodes()`` delegates to `numpy.linspace`, which reproduces the endpoints
-    exactly.
+    exactly, on its first call; the grid keeps that array, read-only, and
+    every later call returns it.
     """
 
     start: float
@@ -72,7 +74,12 @@ class Grid:
             self, "step", (self.stop - self.start) / (self.count - 1))
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        nodes = self.__dict__.get("_nodes")
+        if nodes is None:
+            nodes = np.linspace(self.start, self.stop, self.count)
+            nodes.flags.writeable = False
+            object.__setattr__(self, "_nodes", nodes)
+        return nodes
 
     def span(self) -> float:
         return self.stop - self.start
@@ -95,12 +102,23 @@ def resolved_band(step: float) -> float:
     return 0.45 * np.pi / step
 
 
+def _extension_span(sigma: float, count: int, windows: int) -> Tuple[float, int]:
+    """Edge and node count of `period_extension`."""
+    return (2.0 * windows + 1.0) * sigma, (count - 1) * (2 * windows + 1) + 1
+
+
 def period_extension(sigma: float, count: int, windows: int) -> Grid:
     """The period grid ``[-sigma, sigma]`` of ``count`` nodes continued over
     ``2*windows + 1`` periods, so that every period is a slice of it."""
-    edge = (2.0 * windows + 1.0) * sigma
-    return Grid(start=-edge, stop=edge,
-                count=(count - 1) * (2 * windows + 1) + 1)
+    edge, nodes = _extension_span(sigma, count, windows)
+    return Grid(start=-edge, stop=edge, count=nodes)
+
+
+def is_period_extension(grid: Grid, sigma: float, count: int, windows: int) -> bool:
+    """Whether ``grid`` is ``period_extension(sigma, count, windows)``, node
+    for node."""
+    edge, nodes = _extension_span(sigma, count, windows)
+    return (grid.start, grid.stop, grid.count) == (-edge, edge, nodes)
 
 
 def chunk_slices(total: int, points: int) -> List[slice]:
@@ -595,6 +613,27 @@ def write_samples_csv(dest: Union[str, TextIO],
             fh.close()
 
 
+def lru_store(cache: "OrderedDict", key: Hashable, value: Any, budget: int,
+              size: Callable[[Any], int]) -> List[Hashable]:
+    """Keep ``value`` under ``key`` as the most recently used entry of
+    ``cache``, then drop the least recently used entries while the
+    ``size`` of the entries kept passes ``budget`` bytes; returns the keys
+    dropped.  A value larger than ``budget`` is not kept.  The caller holds
+    the cache's lock.
+    """
+    if size(value) > budget:
+        return []
+    cache[key] = value
+    cache.move_to_end(key)
+    total = sum(size(v) for v in cache.values())
+    dropped = []
+    while total > budget:
+        gone, old = cache.popitem(last=False)
+        total -= size(old)
+        dropped.append(gone)
+    return dropped
+
+
 #: bound on the total ``values.nbytes`` that `read_samples_csv` keeps
 _CACHE_BYTES = 64 * 2 ** 20
 _CACHE: "OrderedDict[bytes, SampledFunction | SampledSpectrum]" = OrderedDict()
@@ -638,7 +677,8 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     process and the validated value is returned again.  Its ``values`` are
     read-only, so an in-place write raises instead of changing later
     reads.  Failures are not cached, and the least recently read entries
-    are dropped once the cached ``values`` exceed ``_CACHE_BYTES``.  A file
+    are dropped once the cached ``values``, with the nodes of their grids
+    once a caller has read them (`Grid.nodes`), exceed ``_CACHE_BYTES``.  A file
     object is parsed on every call and not cached.
 
     Beside that content cache a path table keeps, per path, the
@@ -684,17 +724,21 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     del raw  # the parse holds the byte lines alone
     loaded = _parse_samples(header.decode("ascii"), body)
     loaded.values.flags.writeable = False
-    if loaded.values.nbytes <= _CACHE_BYTES:
-        with _CACHE_LOCK:
-            _CACHE[key] = loaded
-            if settled:
-                _PATHS[src] = (seen, key)
-            while sum(v.values.nbytes for v in _CACHE.values()) > _CACHE_BYTES:
-                gone, _ = _CACHE.popitem(last=False)
-                # no path outlives the content it names
-                for path in [p for p, (_, k) in _PATHS.items() if k == gone]:
-                    del _PATHS[path]
+    with _CACHE_LOCK:
+        for gone in lru_store(_CACHE, key, loaded, _CACHE_BYTES, _held_bytes):
+            # no path outlives the content it names
+            for path in [p for p, (_, k) in _PATHS.items() if k == gone]:
+                del _PATHS[path]
+        if settled and key in _CACHE:
+            _PATHS[src] = (seen, key)
     return loaded
+
+
+def _held_bytes(loaded: SampledFunction | SampledSpectrum) -> int:
+    """The bytes a cached parse holds: its values, and its grid's nodes
+    once read."""
+    nodes = loaded.grid.__dict__.get("_nodes")
+    return loaded.values.nbytes + (0 if nodes is None else nodes.nbytes)
 
 
 def _holds_row(line: Union[str, bytes]) -> bool:
@@ -728,7 +772,8 @@ def _parse_samples(header: str, body: Iterable) -> SampledFunction | SampledSpec
         raise InvalidGridError(_TOO_FEW_ROWS)
     nodes = data[:, 0]
     grid = make_uniform_grid(nodes[0], nodes[-1], len(nodes))
-    drift = np.max(np.abs(nodes - grid.nodes()))
+    # the nodes of `Grid.nodes`, not kept by the grid a cached parse holds
+    drift = np.max(np.abs(nodes - np.linspace(grid.start, grid.stop, grid.count)))
     if drift > UNIFORM_SPACING_RTOL * grid.span():
         raise InvalidGridError(
             f"CSV nodes deviate from uniform spacing by {drift:.3e} "

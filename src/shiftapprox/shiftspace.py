@@ -34,9 +34,10 @@ from .generator import Generator, _interp_complex
 from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
                        chunk_slices, covering_windows,
                        add_quadrature_weights, fourier_transform_sampled,
-                       period_extension, quadrature_weights, resolved_band)
+                       is_period_extension, period_extension,
+                       quadrature_weights, resolved_band)
 from .spectral import (EPSILON_D, PeriodizedSpectrum, envelope_order,
-                       periodize, require_period_grid)
+                       lattice_spectrum, periodize, require_period_grid)
 
 _RHO_RTOL = 1e-12
 #: outer-window energy share at which `_spectrum_of` stops doubling
@@ -281,11 +282,13 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
           grid: Grid, tol: float) -> _FoldResult:
     """Fold f-hat against B-hat over the windows f-hat covers.
 
-    An analytic f is sampled, as B-hat is, on the nodes of the windows its
-    support or decay envelope needs (`_signal_windows`), and a spectrum is
-    laid on the windows its grid covers.  The seam nodes are extrapolated
-    only when B's spectral support or an analytic f's is an odd multiple
-    of sigma (`_jumps_at_seam`); every other fold is raw.
+    An analytic f is sampled on the nodes of the windows its support or
+    decay envelope needs (`_signal_windows`), and a spectrum is laid on the
+    windows its grid covers; a spectrum on exactly that extension (time
+    samples' transform, an aligned file) is read as it is.  B-hat comes
+    from the space cache (`lattice_spectrum`).  The seam nodes are
+    extrapolated only when B's spectral support or an analytic f's is an
+    odd multiple of sigma (`_jumps_at_seam`); every other fold is raw.
     """
     n = grid.count
     step = grid.step
@@ -296,14 +299,16 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
         f_support = None
         windows = covering_windows(max(abs(f.grid.start), abs(f.grid.stop)),
                                    sigma)
-    full = period_extension(sigma, n, windows)
-    m = full.count
-    y_full = full.nodes()
 
-    if isinstance(f, Generator):
+    if isinstance(f, SampledSpectrum) and is_period_extension(f.grid, sigma, n, windows):
+        fvals = f.values
+    elif isinstance(f, Generator):
+        full = period_extension(sigma, n, windows)
         # validated as a spectrum sample: finite, held as complex128
-        fvals = SampledSpectrum(grid=full, values=f.spectrum(y_full)).values
+        fvals = SampledSpectrum(grid=full, values=f.spectrum(full.nodes())).values
     else:
+        full = period_extension(sigma, n, windows)
+        m = full.count
         fg = f.grid
         offset = (fg.start - full.start) / step
         aligned = (abs(fg.step - step) <= 1e-9 * step
@@ -316,9 +321,9 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
             if src_hi > src_lo:
                 fvals[i0 + src_lo:i0 + src_hi] = f.values[src_lo:src_hi]
         else:
-            fvals = _interp_complex(fg.nodes(), f.values)(y_full)
+            fvals = _interp_complex(fg.nodes(), f.values)(full.nodes())
 
-    spec_full = np.conj(gen.spectrum(y_full))
+    spec_full = lattice_spectrum(gen, sigma, n, windows)
     bracket = np.zeros(n, dtype=np.complex128)
     energy = np.zeros(n)
     for k in range(2 * windows + 1):

@@ -30,11 +30,23 @@ the omitted mass meets tol (`lattice_truncation`), reported as
 
 `periodize` samples D on a period grid (`require_period_grid`); its two end
 nodes, the seam, hold the limit of D from inside the period.
+
+D and the conjugate spectrum a fold multiplies f-hat by (`lattice_spectrum`)
+belong to the space, not to the signal: each is computed once per
+generator object and grid and kept, read-only, in one least-recently-used
+cache of at most ``_SPACE_BYTES`` bytes of arrays (`numerics.lru_store`).
+An entry holds its generator by weak reference: it neither keeps the
+generator alive nor serves a later object at the same address, so a
+generator built anew (a ``file`` one, on every parse) misses.  A kept
+value is the bytes a fresh computation gives.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
@@ -43,7 +55,7 @@ import numpy as np
 
 from .errors import InvalidGridError, TruncationError
 from .generator import CardinalSpline, Generator, shift_autocorrelation, time_extent
-from .numerics import TWO_PI, Grid, chunk_slices
+from .numerics import TWO_PI, Grid, chunk_slices, lru_store, period_extension
 
 #: nodes where D falls at or below this threshold are treated as a vanishing
 #: periodization (guarded in downstream divisions)
@@ -60,6 +72,10 @@ _CLASS_CAP = 4096
 _RATIO_RTOL = 1e-12
 #: steps of `_hurwitz_zeta`'s direct sum before its Euler-Maclaurin tail
 _ZETA_STEPS = 9
+#: bound on the bytes of the arrays `periodize` and `lattice_spectrum` keep
+_SPACE_BYTES = 32 * 2 ** 20
+_SPACES: "OrderedDict[tuple, tuple]" = OrderedDict()
+_SPACES_LOCK = threading.Lock()
 #: ``B_2j/(2j)!`` for j = 1..12, the Bernoulli terms of that tail (DLMF Table 24.2.1)
 _BERNOULLI = tuple(Fraction(b) / math.factorial(2 * j) for j, b in enumerate(
     ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510",
@@ -397,6 +413,34 @@ def poisson_energy(acorr: np.ndarray, sigma: float, y: np.ndarray) -> np.ndarray
     return values / (4.0 * np.pi * sigma)
 
 
+def _kept(gen: Generator, key: tuple, build: Callable[[], tuple]) -> tuple:
+    """The entry ``build()`` of the space of ``gen`` under ``key``, from the
+    space cache or built and kept there; its first item is an array, made
+    read-only, whose bytes count against ``_SPACE_BYTES``."""
+    key = (weakref.ref(gen),) + key
+    with _SPACES_LOCK:
+        entry = _SPACES.get(key)
+        if entry is not None:
+            _SPACES.move_to_end(key)
+            return entry
+    entry = build()
+    entry[0].flags.writeable = False
+    with _SPACES_LOCK:
+        for dead in [k for k in _SPACES if k[0]() is None]:
+            del _SPACES[dead]
+        lru_store(_SPACES, key, entry, _SPACE_BYTES, lambda e: e[0].nbytes)
+    return entry
+
+
+def lattice_spectrum(gen: Generator, sigma: float, count: int,
+                     windows: int) -> np.ndarray:
+    """``conj(spectrum)`` on ``period_extension(sigma, count, windows)``, the
+    factor a fold multiplies f-hat by; read-only, and kept per (generator,
+    sigma, count, windows) in the space cache."""
+    return _kept(gen, ("fold", float(sigma), count, windows), lambda: (np.conj(
+        gen.spectrum(period_extension(sigma, count, windows).nodes())),))[0]
+
+
 def periodize(gen: Generator, sigma: float, grid: Grid,
               tol: float = 1e-8) -> PeriodizedSpectrum:
     """``D(y) = sum |spectrum(y + 2 nu sigma)|^2`` on one period.
@@ -411,20 +455,31 @@ def periodize(gen: Generator, sigma: float, grid: Grid,
     a spectrum may be cut off at a lattice edge, its seam nodes are read
     ``4 eps max(sigma, S)`` inside, so every ``y + 2 nu sigma`` at that edge
     is inside too.  `lattice_sum` may raise `TruncationError`.
+
+    D is kept per (generator, sigma, grid, tol) in the space cache, its
+    values read-only.
     """
     require_period_grid(grid, sigma)
+    values, order, tail_bound = _kept(
+        gen, ("D", float(sigma), grid.start, grid.stop, grid.count, float(tol)),
+        lambda: _periodized(gen, sigma, grid, tol))
+    return PeriodizedSpectrum(sigma=float(sigma), grid=grid, values=values,
+                              truncation_order=order, tail_bound=tail_bound)
+
+
+def _periodized(gen: Generator, sigma: float, grid: Grid,
+                tol: float) -> Tuple[np.ndarray, int, float]:
+    """``(values, truncation_order, tail_bound)`` of `periodize`."""
     y = grid.nodes()
     if gen.spectral_support is not None:
         inset = 4.0 * np.finfo(float).eps * max(sigma, gen.spectral_support)
+        y = y.copy()
         y[[0, -1]] += (inset, -inset)
     if gen.autocorrelation is not None and gen.support is not None:
         order, _ = poisson_lags(gen, sigma)
         values = poisson_energy(shift_autocorrelation(gen, sigma, order), sigma, y)
-        tail_bound = 0.0
-    else:
-        values, order, tail_bound = lattice_energy(gen, sigma, y, tol=tol)
-    return PeriodizedSpectrum(sigma=float(sigma), grid=grid, values=values,
-                              truncation_order=order, tail_bound=tail_bound)
+        return values, order, 0.0
+    return lattice_energy(gen, sigma, y, tol=tol)
 
 
 def riesz_bounds(dperiod: PeriodizedSpectrum) -> RieszReport:

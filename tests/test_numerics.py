@@ -676,6 +676,20 @@ def test_csv_cache_drops_least_recently_read_past_its_bound(
     assert str(tmp_path / "big.csv") not in numerics._PATHS
 
 
+def test_csv_cache_counts_the_grid_nodes_a_parse_holds(
+        tmp_path, parses, settled, monkeypatch):
+    # a grid keeps its nodes once read: 65 of them are 520 bytes more on
+    # the 1040 of a parse's values, so two parses no longer fit under 2500
+    monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
+    for i in range(2):
+        _samples_file(tmp_path / f"{i}.csv", 40 + i)
+    first = read_samples_csv(str(tmp_path / "0.csv"))
+    assert first.grid.nodes() is first.grid.nodes()
+    read_samples_csv(str(tmp_path / "1.csv"))
+    assert len(numerics._CACHE) == 1
+    assert sorted(numerics._PATHS) == [str(tmp_path / "1.csv")]
+
+
 def test_csv_cache_under_concurrent_reads(tmp_path, parses, settled, monkeypatch):
     # threads that share the cache and the path table, with a bound that
     # evicts on most reads

@@ -7,6 +7,7 @@ forms; none reuse the folded-spectrum pipeline under test.
 
 import hashlib
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from shiftapprox.errors import (GridMismatchError, InvalidGridError,
 from shiftapprox.generator import (Generator, gaussian_generator,
                                    generator_l2_norm_sq, parse_generator_spec,
                                    spectrum_generator)
-from shiftapprox import numerics, shiftspace
+from shiftapprox import numerics, shiftspace, spectral
 from shiftapprox.numerics import Grid, SampledFunction, SampledSpectrum, \
     fourier_transform_sampled, make_uniform_grid, period_extension, \
     resolved_band
@@ -386,8 +387,11 @@ def test_best_error_agrees_with_projection():
 
 def test_a_radius_sweep_builds_its_band_rows_once(monkeypatch):
     # every radius of a sweep splits in one `_band_rows` call, which reads
-    # the period grid's nodes no more often than a single radius does
-    calls = {}
+    # the period grid's nodes no more often than a single radius does; a
+    # project at rho < sigma reads them at six sites (D, the split's band
+    # rows, the zero-set check, the coefficients' band rows, the vanishing
+    # defect and its trigonometric sum), all one array
+    calls, arrays = {}, []
     band_rows, nodes = shiftspace._band_rows, Grid.nodes
 
     def counting_rows(*args):
@@ -396,7 +400,10 @@ def test_a_radius_sweep_builds_its_band_rows_once(monkeypatch):
 
     def counting_nodes(self):
         calls["nodes"] += 1
-        return nodes(self)
+        out = nodes(self)
+        if self is grid:
+            arrays.append(out)
+        return out
 
     monkeypatch.setattr(shiftspace, "_band_rows", counting_rows)
     monkeypatch.setattr(Grid, "nodes", counting_nodes)
@@ -411,6 +418,25 @@ def test_a_radius_sweep_builds_its_band_rows_once(monkeypatch):
     one, sweep = count(1.3), count(np.linspace(0.1, 2.0, 16))
     assert one["rows"] == sweep["rows"] == 1
     assert sweep["nodes"] <= one["nodes"]
+    arrays.clear()
+    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())  # D reads them too
+    project(f, gen, 2.0, 1.3, grid=grid, j_range=8)
+    assert len(arrays) == 6 and all(a is arrays[0] for a in arrays)
+
+
+def test_a_time_sample_project_builds_each_extension_once(monkeypatch):
+    # the fold reads the transform on the last extension it was taken on
+    calls = []
+    extension = shiftspace.period_extension
+
+    def counting(*args):
+        calls.append(args)
+        return extension(*args)
+
+    monkeypatch.setattr(shiftspace, "period_extension", counting)
+    project(fixed_gaussian_samples(), spline(2, 1.0), 1.0, 0.6,
+            grid=Grid(start=-1.0, stop=1.0, count=257), j_range=8)
+    assert calls == [(1.0, 257, 1), (1.0, 257, 2), (1.0, 257, 4)]
 
 
 @pytest.mark.parametrize("spec", ["gauss:width=1.1", "sinc"])

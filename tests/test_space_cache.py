@@ -1,0 +1,189 @@
+"""The space cache: one generator per family spec, D and the fold's B-hat
+kept per generator and grid, and the bytes of fresh runs.
+
+`spectral` keeps D (`periodize`) and the conjugate spectrum a fold reads
+(`lattice_spectrum`) in one least-recently-used cache bounded in bytes.
+Every reuse must print what a process that starts empty prints.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftapprox import generator, oracle, spectral
+from shiftapprox.generator import (CardinalSpline, bandlimited_generator,
+                                   bspline_generator, gaussian_generator,
+                                   parse_generator_spec, spline_generator)
+from shiftapprox.numerics import Grid
+from shiftapprox.spectral import lattice_spectrum, periodize
+
+from helpers import fixed_gaussian_samples, run_cli
+
+
+def _empty_caches() -> None:
+    """The state of a fresh process: no shared generator, no kept space."""
+    spectral._SPACES.clear()
+    for build in (generator._bspline, generator._gaussian, generator._bandlimited):
+        build.cache_clear()
+
+
+@pytest.fixture
+def empty(monkeypatch):
+    """A space cache of its own, empty, with the generator memos cleared."""
+    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
+    _empty_caches()
+
+
+def _kept_bytes() -> int:
+    return sum(entry[0].nbytes for entry in spectral._SPACES.values())
+
+
+def _kept_generators() -> list:
+    return [key[0]() for key in spectral._SPACES]
+
+
+def test_family_specs_share_one_generator(empty):
+    assert bspline_generator(2, 1.0) is bspline_generator(2, 1.0)
+    assert bspline_generator(2, 1) is bspline_generator(degree=2, sigma=1.0)
+    assert parse_generator_spec("bspline:m=2") is bspline_generator(2, 1.0)
+    assert parse_generator_spec("gauss:width=1.1") is gaussian_generator(1.1)
+    assert parse_generator_spec("sinc:sigma=2") is bandlimited_generator(2.0)
+    # the labels print sigma alike; the spaces are two objects with two D
+    a, b = bspline_generator(2, 1.41421356), bspline_generator(2, 1.414214)
+    assert a.label == b.label and a is not b
+    grid = Grid(start=-1.0, stop=1.0, count=33)
+    da, db = periodize(a, 1.0, grid), periodize(b, 1.0, grid)
+    assert not np.array_equal(da.values, db.values)
+    assert len(spectral._SPACES) == 2
+
+
+def test_shared_arrays_are_read_only(empty):
+    gen = bspline_generator(2, 1.0)
+    grid = Grid(start=-1.0, stop=1.0, count=33)
+    dv = periodize(gen, 1.0, grid)
+    assert periodize(gen, 1.0, grid).values is dv.values
+    spec = lattice_spectrum(gen, 1.0, 33, 2)
+    assert lattice_spectrum(gen, 1.0, 33, 2) is spec
+    for shared in (dv.values, spec, gen.spline.coeffs, grid.nodes()):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+    assert np.array_equal(periodize(gen, 1.0, grid).values, dv.values)
+
+
+def test_space_cache_keeps_its_byte_bound(empty, monkeypatch):
+    # a D on 65 nodes is 520 bytes: two fit under 1200, three do not
+    monkeypatch.setattr(spectral, "_SPACE_BYTES", 1200)
+    grid = Grid(start=-1.0, stop=1.0, count=65)
+    a, b, c = (bspline_generator(m, 1.0) for m in (1, 2, 3))
+    periodize(a, 1.0, grid)
+    periodize(b, 1.0, grid)
+    periodize(a, 1.0, grid)                 # b is now the oldest
+    assert _kept_generators() == [b, a] and _kept_bytes() <= 1200
+    periodize(c, 1.0, grid)
+    assert _kept_generators() == [a, c] and _kept_bytes() <= 1200
+    # an entry larger than the bound is returned but not kept
+    wide = Grid(start=-1.0, stop=1.0, count=257)
+    assert periodize(b, 1.0, wide).values.size == 257
+    assert _kept_generators() == [a, c] and _kept_bytes() <= 1200
+
+
+def test_a_dead_generator_leaves_the_cache(empty):
+    # an entry does not keep its generator alive, and goes with it
+    grid = Grid(start=-1.0, stop=1.0, count=33)
+    gen = spline_generator(CardinalSpline(np.array([1.0, 0.5]), 3, np.pi, -3.0),
+                           label="user")
+    periodize(gen, 1.0, grid)
+    assert _kept_generators() == [gen]
+    del gen
+    gc.collect()
+    periodize(bspline_generator(1, 1.0), 1.0, grid)
+    assert _kept_generators() == [bspline_generator(1, 1.0)]
+
+
+def test_the_gram_oracle_reads_nothing_from_the_space_cache(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle read the space cache")
+
+    monkeypatch.setattr(spectral, "_kept", refuse)
+    f, gen = fixed_gaussian_samples(), bspline_generator(2, 1.0)
+    coeffs, residual = oracle.ls_project(f, gen, 1.0, 8)
+    assert coeffs.size == 17 and residual > 0
+
+
+def _project_argv(width: float, out: str) -> list:
+    return ["project", "--gen", "bspline:m=2", "--f", f"gauss:width={width}",
+            "--dgrid", "257", "--rho", "0.7", "--jrange", "16", "--out", out]
+
+
+def test_threads_projecting_onto_one_space_print_serial_bytes(
+        empty, tmp_path, monkeypatch):
+    # six threads race on the first D and B-hat of one space, and on a bound
+    # that keeps about one B-hat: each prints a serial run's bytes
+    monkeypatch.setattr(spectral, "_SPACE_BYTES", 48 * 1024)
+    widths = (0.8, 0.9, 1.0, 1.1, 1.2, 1.3)
+    rcs = {}
+
+    def run(i):
+        for _ in range(3):
+            rcs[i] = run_cli(_project_argv(widths[i], str(tmp_path / f"t{i}.csv")))[0]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert rcs == {i: 0 for i in range(6)}
+    assert _kept_bytes() <= 48 * 1024
+    for i, width in enumerate(widths):
+        _empty_caches()
+        assert run_cli(_project_argv(width, str(tmp_path / f"s{i}.csv")))[0] == 0
+        threaded = (tmp_path / f"t{i}.csv").read_bytes()
+        assert threaded == (tmp_path / f"s{i}.csv").read_bytes(), width
+
+
+_families = st.sampled_from(["bspline:m=0", "bspline:m=1", "bspline:m=2",
+                             "bspline:m=3", "gauss:width=0.9", "gauss:width=1.2",
+                             "sinc"])
+_signals = st.sampled_from(["gauss:width=0.8", "gauss:width=1.1", "sinc",
+                            "bspline:m=1", "bspline:m=2"])
+_calls = st.tuples(
+    st.sampled_from(["project", "besterr", "dfun", "riesz"]), _families,
+    st.sampled_from(["1.0", "2.0", "1.41421356", "1.414214"]),
+    st.sampled_from(["33", "65", "129"]), st.sampled_from(["1e-8", "1e-10"]),
+    _signals, st.booleans())
+
+
+def _argv(call) -> list:
+    command, gen, sigma, dgrid, tol, f, whole_band = call
+    argv = [command, "--gen", gen, "--sigma", sigma, "--dgrid", dgrid, "--tol", tol]
+    half = repr(float(sigma) / 2)
+    if command == "project":
+        argv += ["--f", f, "--jrange", "4", "--rho", sigma if whole_band else half]
+    elif command == "besterr":
+        argv += ["--f", f, "--sweep", f"rho={half},{sigma}"]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(_calls, min_size=2, max_size=8))
+def test_interleaved_calls_print_the_bytes_of_fresh_runs(calls):
+    # the calls run one after the other on whatever the cache holds, then
+    # each again in a fresh state
+    warm = [run_cli(_argv(call)) for call in calls]
+    for call, got in zip(calls, warm):
+        _empty_caches()
+        assert got == run_cli(_argv(call)), call

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -358,8 +359,10 @@ def test_pairing_without_a_lag_bound_is_skipped():
 
 def test_periodization_and_pairing_read_one_lag_count(monkeypatch):
     # periodize's Poisson D and the Phi4 pairing ask the autocorrelation
-    # for the same lags: the exact count of a declared support
+    # for the same lags: the exact count of a declared support.  The space
+    # cache starts empty, so every D here is computed
     asked = []
+    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
 
     def recorded(gen, sigma, max_lag, *args):
         asked.append(max_lag)
