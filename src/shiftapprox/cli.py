@@ -15,7 +15,19 @@ Every command takes ``--gen``, ``--sigma``, ``--tol``, ``--dgrid`` and
 project and besterr, ``--jrange`` to project, and ``--sweep`` to besterr
 (sigma or rho) and compare (jrange, nonnegative integers).  ``--dgrid`` is
 odd and >= 9: the period-grid nodes of every command, the fold of compare's
-formula side included.
+formula side included; ``--sigma``, each swept sigma and ``--tol`` are
+finite and > 0.
+
+The grammar is one table of flags (`_FLAGS`): option string, dest, type,
+default, the commands that take it, and help.  An argv of the documented
+form ``<command> (--flag value)*`` is read straight from it (`_direct`):
+each flag a full option string of the command, given once, with a value
+that does not start with ``-`` and converts with the flag's type, the
+required flags present.  Any other argv (an ``=`` spelling, an
+abbreviation, a repeat, a negative value, ``--``, ``-h``) goes to the
+argparse parser built from the same table (`_build_parser`), which is the
+only reporter of usage errors and help.  Either namespace passes the same
+checks (`_config`).
 
 A ``--f`` signal is a ``file:`` CSV (time samples or a spectrum) or a spec
 handed on as the generator itself: `shiftspace` decides how far its
@@ -35,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +88,54 @@ def _fmt(value: float) -> str:
     return "" if not np.isfinite(value) else f"{value:.17g}"
 
 
+_COMMANDS = ("dfun", "riesz", "zak", "project", "besterr", "compare",
+             "validate")
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One flag of the grammar, read by `_build_parser` and `_direct`."""
+    option: str
+    dest: str
+    type: Callable[[str], object]
+    default: object
+    commands: Tuple[str, ...]
+    help: Optional[str] = None
+    required: bool = False
+
+
+#: the grammar, in argparse's order; ``{sweepable}`` in a help text reads
+#: the sweepable names of the command
+_FLAGS = (
+    _Flag("--gen", "generator_spec", str, None, _COMMANDS, required=True,
+          help="generator spec, e.g. bspline:m=2,sigma=1 | gauss:width=1 | "
+               "sinc:sigma=2 | file:spec.csv"),
+    _Flag("--f", "f_spec", str, None, ("project", "besterr", "compare"),
+          required=True,
+          help="signal: generator-style spec or file:path (CSV with "
+               "x,re,im or y,re,im header)"),
+    _Flag("--sigma", "sigma", float, 1.0, _COMMANDS),
+    _Flag("--rho", "rho", float, None, ("project", "besterr"),
+          help="band radius, defaults to sigma"),
+    _Flag("--tol", "tol", float, 1e-8, _COMMANDS),
+    _Flag("--dgrid", "dgrid", int, None, _COMMANDS,
+          help="period-grid nodes, odd, >= 9 (default 4097; 129 for zak, "
+               "257 for validate)"),
+    _Flag("--jrange", "j_range", int, 64, ("project",),
+          help="coefficient range J (default 64)"),
+    _Flag("--out", "output_path", str, None, _COMMANDS),
+    _Flag("--sweep", "sweep", str, None, tuple(_SWEEPABLE),
+          help="<name>=<v1,v2,...> over {sweepable}"),
+)
+#: every dest is a field of every command's namespace; a flag exists only
+#: on the commands that read it
+_DEFAULTS = {flag.dest: flag.default for flag in _FLAGS}
+_TAKES = {name: {flag.option: flag for flag in _FLAGS if name in flag.commands}
+          for name in _COMMANDS}
+_REQUIRED = {name: {option for option, flag in takes.items() if flag.required}
+             for name, takes in _TAKES.items()}
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parsing does not alter it."""
@@ -84,62 +144,77 @@ def _build_parser() -> argparse.ArgumentParser:
         description="projections onto spaces spanned by equidistant shifts "
                     "of a single square-integrable generator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("dfun", "riesz", "zak", "project", "besterr", "compare",
-                 "validate"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        # rho and j_range are config fields of every command; the flags
-        # exist only on the commands that read them
-        p.set_defaults(rho=None, j_range=64)
-        p.add_argument("--gen", required=True, dest="generator_spec",
-                       help="generator spec, e.g. bspline:m=2,sigma=1 | "
-                            "gauss:width=1 | sinc:sigma=2 | file:spec.csv")
-        if name in ("project", "besterr", "compare"):
-            p.add_argument("--f", required=True, dest="f_spec",
-                           help="signal: generator-style spec or file:path "
-                                "(CSV with x,re,im or y,re,im header)")
-        p.add_argument("--sigma", type=float, default=1.0)
-        if name in ("project", "besterr"):
-            p.add_argument("--rho", type=float,
-                           help="band radius, defaults to sigma")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--dgrid", type=int, default=None, help=(
-            "period-grid nodes, odd, >= 9 "
-            "(default 4097; 129 for zak, 257 for validate)"))
-        if name == "project":
-            p.add_argument("--jrange", type=int, dest="j_range",
-                           help="coefficient range J (default 64)")
-        p.add_argument("--out", default=None, dest="output_path")
-        if name in _SWEEPABLE:
-            p.add_argument("--sweep", default=None,
-                           help="<name>=<v1,v2,...> over " +
-                                "|".join(_SWEEPABLE[name]))
+        p.set_defaults(**_DEFAULTS)
+        sweepable = "|".join(_SWEEPABLE.get(name, ()))
+        for flag in _TAKES[name].values():
+            p.add_argument(flag.option, dest=flag.dest, type=flag.type,
+                           default=flag.default, required=flag.required,
+                           help=flag.help and flag.help.format(
+                               sweepable=sweepable))
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(list(argv))
+def _direct(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse would return for an argv of the documented
+    form ``<command> (--flag value)*``, read from the flag table; None for
+    any other argv.
+
+    Each flag must be a full option string of the command, given once,
+    with a value that does not start with ``-`` and converts with the
+    flag's type, and the command's required flags must be present.  Any
+    other argv (an ``=`` spelling, an abbreviation, a repeat, a negative
+    value, ``--``, ``-h``, a stray positional, a missing or unknown flag,
+    a bad value) is left to argparse, which reports usage and help.
+    """
+    takes = _TAKES.get(argv[0]) if len(argv) % 2 == 1 else None
+    if takes is None:
+        return None
+    values = dict(_DEFAULTS)
+    seen = set()
+    for option, text in zip(argv[1::2], argv[2::2]):
+        flag = takes.get(option)
+        if flag is None or option in seen or text.startswith("-"):
+            return None
+        seen.add(option)
+        try:
+            values[flag.dest] = flag.type(text)
+        except ValueError:
+            return None
+    if not _REQUIRED[argv[0]] <= seen:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with argparse's usage line and ``message`` on stderr."""
+    _build_parser().error(message)
+
+
+def _config(ns: argparse.Namespace) -> RunConfig:
+    """The run configuration of a parsed namespace, after the checks no
+    flag type makes; a failed check is a usage error."""
     sigma = ns.sigma
-    if not sigma > 0:
-        parser.error(f"--sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        _usage_error(f"--sigma must be finite and > 0, got {sigma}")
     rho = ns.rho if ns.rho is not None else sigma
     if not rho_in_band(rho, sigma):
-        parser.error(f"--rho {rho} must lie in (0, sigma={sigma}]")
-    if not ns.tol > 0:
-        parser.error(f"--tol must be > 0, got {ns.tol}")
+        _usage_error(f"--rho {rho} must lie in (0, sigma={sigma}]")
+    if not 0 < ns.tol < math.inf:
+        _usage_error(f"--tol must be finite and > 0, got {ns.tol}")
     dgrid = ns.dgrid
     if dgrid is None:
         dgrid = {"zak": 129, "validate": 257}.get(ns.command, DEFAULT_GRID_COUNT)
     if dgrid < 9 or dgrid % 2 == 0:
-        parser.error(f"--dgrid must be odd and >= 9, got {dgrid}")
+        _usage_error(f"--dgrid must be odd and >= 9, got {dgrid}")
     if ns.j_range < 1:
-        parser.error(f"--jrange must be >= 1, got {ns.j_range}")
+        _usage_error(f"--jrange must be >= 1, got {ns.j_range}")
     sweep = None
-    raw_sweep = getattr(ns, "sweep", None)
-    if raw_sweep is not None:
-        name, _, tail = raw_sweep.partition("=")
+    if ns.sweep is not None:
+        name, _, tail = ns.sweep.partition("=")
         if name not in _SWEEPABLE.get(ns.command, ()) or not tail:
-            parser.error(f"--sweep {raw_sweep!r} is not valid for "
+            _usage_error(f"--sweep {ns.sweep!r} is not valid for "
                          f"{ns.command} (allowed: "
                          f"{', '.join(_SWEEPABLE.get(ns.command, ()))})")
         try:
@@ -148,21 +223,30 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         except ValueError:
             values = ()
         if not values or (name == "jrange" and min(values) < 0):
-            parser.error(f"--sweep values in {raw_sweep!r} must be " + (
+            _usage_error(f"--sweep values in {ns.sweep!r} must be " + (
                 "nonnegative integers" if name == "jrange" else "numbers"))
         if name == "sigma" and ns.rho is not None:
-            parser.error("--rho cannot be fixed while sweeping sigma")
+            _usage_error("--rho cannot be fixed while sweeping sigma")
         # a swept value is checked by the rule of its flag
         for v in values:
-            if name == "sigma" and not v > 0:
-                parser.error(f"--sweep sigma={v} must be > 0")
+            if name == "sigma" and not 0 < v < math.inf:
+                _usage_error(f"--sweep sigma={v} must be finite and > 0")
             if name == "rho" and not rho_in_band(v, sigma):
-                parser.error(f"--sweep rho={v} must lie in (0, sigma={sigma}]")
+                _usage_error(f"--sweep rho={v} must lie in (0, sigma={sigma}]")
         sweep = (name, values)
     return RunConfig(command=ns.command, generator_spec=ns.generator_spec,
-                     f_spec=getattr(ns, "f_spec", None), sigma=sigma, rho=rho,
-                     tol=ns.tol, dgrid=dgrid, j_range=ns.j_range,
+                     f_spec=ns.f_spec, sigma=sigma, rho=rho, tol=ns.tol,
+                     dgrid=dgrid, j_range=ns.j_range,
                      output_path=ns.output_path, sweep=sweep)
+
+
+def parse_args(argv: Sequence[str]) -> RunConfig:
+    """The validated config of ``argv``; exits 2 on a usage error, 0 after
+    ``--help``."""
+    ns = _direct(argv)
+    if ns is None:
+        ns = _build_parser().parse_args(list(argv))
+    return _config(ns)
 
 
 def _load_signal(text: str, sigma: float) -> Signal:
@@ -345,7 +429,7 @@ _RUNNERS = {"dfun": _run_dfun, "riesz": _run_riesz, "zak": _run_zak,
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit status."""
     lines, status = _RUNNERS[config.command](config)
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([*lines, ""])
     if config.output_path is None:
         sys.stdout.write(text)
     else:

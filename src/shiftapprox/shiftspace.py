@@ -301,7 +301,9 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
                                    sigma)
 
     if isinstance(f, SampledSpectrum) and is_period_extension(f.grid, sigma, n, windows):
-        fvals = f.values
+        # a miss of B-hat builds nodes of its own: f's grid may be a
+        # cached file's, which would keep them
+        full, fvals = None, f.values
     elif isinstance(f, Generator):
         full = period_extension(sigma, n, windows)
         # validated as a spectrum sample: finite, held as complex128
@@ -323,7 +325,7 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
         else:
             fvals = _interp_complex(fg.nodes(), f.values)(full.nodes())
 
-    spec_full = lattice_spectrum(gen, sigma, n, windows)
+    spec_full = lattice_spectrum(gen, sigma, n, windows, full)
     bracket = np.zeros(n, dtype=np.complex128)
     energy = np.zeros(n)
     for k in range(2 * windows + 1):

@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
 from collections import OrderedDict
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftapprox
 from shiftapprox import cli, generator, numerics
@@ -38,6 +42,7 @@ from shiftapprox.zak import phi_field
 from helpers import fixed_gaussian_samples, reference_csv, run_cli
 
 SQRT_PI = math.sqrt(math.pi)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _rows(output: str) -> List[str]:
@@ -101,6 +106,14 @@ _TAIL = re.compile(r"\Anorm_sq=(\S+) error_sq=(\S+) guard_mass=(\S+)\Z")
     ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sweep", "rho=nan"],
     ["besterr", "--gen", "gauss:width=1", "--f", "gauss:width=1",
      "--sweep", "sigma=0,1"],
+    # sigma, each swept sigma and tol are finite
+    ["dfun", "--gen", "sinc", "--sigma", "inf"],
+    ["zak", "--gen", "bspline:m=2", "--sigma", "inf"],
+    ["project", "--gen", "sinc", "--f", "gauss:width=1", "--sigma", "inf"],
+    ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sigma=inf"],
+    ["besterr", "--gen", "gauss:width=1", "--f", "gauss:width=1",
+     "--sweep", "sigma=1,inf"],
+    ["riesz", "--gen", "bspline:m=1", "--tol", "inf"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     rc, out = run_cli(argv)
@@ -820,6 +833,120 @@ def test_a_rejected_argv_leaves_the_parser_as_it_was(capsys):
     assert runs[0][0] == 0 and runs[0][1] and not runs[0][2]
     assert runs[1][0] == 2 and not runs[1][1] and "--sigma" in runs[1][2]
     assert cli._build_parser() is cli._build_parser()
+
+
+# ----------------------------------------------------------------- parse paths
+
+def _argparse_only(argv) -> cli.RunConfig:
+    """The reference: argparse's namespace through the shared checks."""
+    return cli._config(cli._build_parser().parse_args(list(argv)))
+
+
+def _outcome(parse, argv):
+    """A config, or the exit code, with what was printed either way."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _mostly(valid, other):
+    """Values from ``valid`` seven times in eight, else from ``other``."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k else other)
+
+
+_NUMBERS = _mostly(
+    st.one_of(st.floats(min_value=1e-3, max_value=64.0).map(repr),
+              st.sampled_from(["1", "2.0", "0.5", "1e-10"])),
+    st.sampled_from(["0", "-1", "-0.5", "inf", "-inf", "nan", "1e400", "abc",
+                     "", " 2", "1_0"]))
+_INTEGERS = _mostly(
+    st.one_of(st.sampled_from(["9", "33", "65", "129", "257"]),
+              st.integers(-3, 300).map(str)),
+    st.sampled_from(["-9", "4.5", "x", "0x11", "0009", ""]))
+_SPECS = _mostly(st.sampled_from(["bspline:m=2", "gauss:width=1", "sinc",
+                                  "file:in.csv"]),
+                 st.sampled_from(["", "a b", "-x", "--gen", "x=1"]))
+_SWEEPS = _mostly(
+    st.one_of(st.lists(st.floats(min_value=1e-3, max_value=2.0).map(repr),
+                       min_size=1, max_size=3).map(lambda v: "rho=" + ",".join(v)),
+              st.sampled_from(["sigma=1,2", "jrange=4,8"])),
+    st.sampled_from(["sigma=1,inf", "jrange=4.5", "rho=", "=", "x=1",
+                     "-rho=1"]))
+
+
+def _values(flag):
+    if flag.option == "--sweep":
+        return _SWEEPS
+    if flag.option == "--out":
+        return _mostly(st.just("out.csv"), st.sampled_from(["-", "x=y.csv"]))
+    return {float: _NUMBERS, int: _INTEGERS, str: _SPECS}[flag.type]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one command: its flags in any order with drawn values,
+    some spelled with ``=`` or abbreviated, plus repeats, unknown flags,
+    stray positionals, ``-h`` and ``--``; a required flag may be left out."""
+    command = draw(st.sampled_from(cli._COMMANDS))
+    groups = []
+    for option, flag in cli._TAKES[command].items():
+        if not draw(st.integers(0, 19 if flag.required else 2)):
+            continue
+        value = draw(_values(flag))
+        spelling = draw(st.sampled_from(["pair"] * 18 + ["equals", "prefix"]))
+        if spelling == "equals":
+            groups.append([f"{option}={value}"])
+        elif spelling == "prefix" and len(option) > 3:
+            groups.append([option[:draw(st.integers(3, len(option) - 1))], value])
+        else:
+            groups.append([option, value])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        extra = draw(st.sampled_from(["repeat", "unknown", "positional",
+                                      "help", "dashes"]))
+        if extra == "repeat" and groups:
+            groups.append(list(draw(st.sampled_from(groups))))
+        elif extra == "unknown":
+            option = draw(st.sampled_from(
+                [f.option for f in cli._FLAGS] + ["--bogus"]))
+            groups.append([option, draw(_NUMBERS)])
+        elif extra == "positional":
+            groups.append(["extra"])
+        elif extra == "help":
+            groups.append([draw(st.sampled_from(["-h", "--help"]))])
+        elif extra == "dashes":
+            groups.append(["--"])
+    order = draw(st.permutations(groups))
+    return [command] + [token for group in order for token in group]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_both_parse_paths_read_argv_as_argparse_does(argv):
+    # a documented-form argv is read from the flag table, any other by
+    # argparse: the config, or the exit code and what was printed, is the
+    # argparse-only reference's
+    assert _outcome(cli.parse_args, argv) == _outcome(_argparse_only, argv)
+
+
+def test_the_benchmark_argv_never_builds_the_argparse_parser(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    argvs = [request.argv for workload in workloads.WORKLOADS
+             for cycle in workloads.build(workload, 61, tmp_path / workload)
+             for request in cycle]
+    want = [_argparse_only(argv) for argv in argvs]
+
+    def refuse():
+        raise AssertionError("a benchmark argv reached argparse")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert [cli.parse_args(argv) for argv in argvs] == want
+    assert {config.command for config in want} == set(cli._COMMANDS)
 
 
 def test_out_file_matches_stdout(tmp_path):

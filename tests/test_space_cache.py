@@ -23,6 +23,7 @@ from shiftapprox.generator import (CardinalSpline, bandlimited_generator,
                                    bspline_generator, gaussian_generator,
                                    parse_generator_spec, spline_generator)
 from shiftapprox.numerics import Grid
+from shiftapprox.shiftspace import project
 from shiftapprox.spectral import lattice_spectrum, periodize
 
 from helpers import fixed_gaussian_samples, run_cli
@@ -106,6 +107,25 @@ def test_a_dead_generator_leaves_the_cache(empty):
     gc.collect()
     periodize(bspline_generator(1, 1.0), 1.0, grid)
     assert _kept_generators() == [bspline_generator(1, 1.0)]
+
+
+def test_a_missed_fold_samples_b_on_the_nodes_of_f(empty, monkeypatch):
+    # the first project of an analytic f on a space builds the frequency
+    # extension's 7169 nodes once: B-hat's miss reads the fold's copy
+    sizes = []
+    linspace = np.linspace
+
+    def counting(start, stop, num, *args, **kwargs):
+        sizes.append(num)
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counting)
+    grid = Grid(start=-1.0, stop=1.0, count=1025)
+    for _ in range(2):
+        sizes.clear()
+        project(gaussian_generator(1.07), bspline_generator(3, 1.0), 1.0, 1.0,
+                grid=grid)
+        assert sizes.count(7169) == 1
 
 
 def test_the_gram_oracle_reads_nothing_from_the_space_cache(monkeypatch):
