@@ -55,7 +55,7 @@ from .errors import MissingTimeDomainError, ShiftSpaceError, TruncationError
 from .generator import (Generator, is_file_spec, parse_generator_spec,
                         time_extent)
 from .numerics import (Grid, SampledFunction, csv_join, csv_text,
-                       read_samples_csv)
+                       read_samples_csv, shared_grid)
 from .shiftspace import (DEFAULT_GRID_COUNT, Signal, best_approx_error_sq,
                          project, rho_in_band)
 from .spectral import periodize, riesz_bounds
@@ -303,14 +303,14 @@ def _time_samples(gen_f: Generator, gen: Generator, sigma: float) -> SampledFunc
 
 def _run_dfun(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
-    grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
+    grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     dv = periodize(gen, cfg.sigma, grid, tol=cfg.tol)
-    return ["y,D", csv_text(grid.nodes(), dv.values)], 0
+    return ["y,D", csv_text(grid, dv.values)], 0
 
 
 def _run_riesz(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
-    grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
+    grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     report = riesz_bounds(periodize(gen, cfg.sigma, grid, tol=cfg.tol))
     return [f"A={report.lower:.17g} B={report.upper:.17g} "
             f"class={report.classification}"], 0
@@ -333,11 +333,11 @@ def _signed_17g(values: np.ndarray) -> List[str]:
 
 def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
-    x_grid = Grid(start=0.0, stop=np.pi / cfg.sigma, count=cfg.dgrid)
-    y_grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
+    x_grid = shared_grid(0.0, np.pi / cfg.sigma, cfg.dgrid)
+    y_grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     field = phi_field(gen, cfg.sigma, x_grid, y_grid, tol=cfg.tol)
     values = field.values.ravel()  # row-major: x outer, y inner
-    xs, ys = (csv_text(g.nodes()).split("\n") for g in (x_grid, y_grid))
+    xs, ys = (csv_text(g).split("\n") for g in (x_grid, y_grid))
     return ["x,y,re,im", csv_join(
         [x for x in xs for _ in ys], ys * len(xs),
         _signed_17g(values.real), _signed_17g(values.imag))], 0
@@ -346,13 +346,15 @@ def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
 def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     signal = _load_signal(cfg.f_spec, cfg.sigma)
-    grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
+    grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     result = project(signal, gen, cfg.sigma, cfg.rho, tol=cfg.tol,
                      grid=grid, j_range=cfg.j_range)
     coeffs, zeta = result.coeffs.coeffs, result.zeta.values
+    # the indices -J..J are the nodes of a grid of step 1
+    j = result.coeffs.j_max
     return ["j,re,im",
-            csv_text(result.coeffs.indices(), coeffs.real, coeffs.imag),
-            "y,re,im", csv_text(grid.nodes(), zeta.real, zeta.imag),
+            csv_text(shared_grid(-j, j, 2 * j + 1), coeffs.real, coeffs.imag),
+            "y,re,im", csv_text(grid, zeta.real, zeta.imag),
             f"norm_sq={result.projection_norm_sq:.17g} "
             f"error_sq={result.error_sq:.17g} "
             f"guard_mass={result.guard_mass:.17g}"], 0
@@ -375,7 +377,7 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
                                          default_sigma=sigma))
         # a file: input is parsed once per process (`read_samples_csv`)
         signal = _load_signal(cfg.f_spec, sigma)
-        grid = Grid(start=-sigma, stop=sigma, count=cfg.dgrid)
+        grid = shared_grid(-sigma, sigma, cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,
                                       tol=cfg.tol, grid=grid)
         lines.append(csv_text(rhos, errors))
@@ -395,7 +397,7 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
             "against the shifts in time); provide a time-sampled CSV or a "
             "generator spec with a time-domain form")
     ranges = list(cfg.sweep[1] if cfg.sweep else _DEFAULT_COMPARE_RANGES)
-    grid = Grid(start=-cfg.sigma, stop=cfg.sigma, count=cfg.dgrid)
+    grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
                      f_spectrum=spectrum, grid=grid)
     rows = report.rows

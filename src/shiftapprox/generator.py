@@ -308,10 +308,40 @@ def spline_generator(spline: CardinalSpline, label: str) -> Generator:
     )
 
 
+def _in_range(name: str) -> Callable:
+    """A family builder whose last argument, ``name``, must keep the
+    family's constants in the double range: where its arithmetic
+    overflows or divides by an underflowed zero, or a support, time radius,
+    spectral support, spline step or coefficient it declares is not
+    finite, the builder raises `InvalidGridError` naming ``name=value``.
+    Under `functools.lru_cache` a refused value is never kept.  An infinite
+    decay constant is kept: it bounds nothing, so an envelope-truncated
+    sum refuses it (`TruncationError`) and a fold takes its most windows."""
+    def wrap(build: Callable[..., Generator]) -> Callable[..., Generator]:
+        @functools.wraps(build)
+        def checked(*args) -> Generator:
+            try:
+                gen = build(*args)
+            except (ArithmeticError, ValueError):  # ValueError: round() of nan
+                gen = None
+            declared = () if gen is None else (
+                *(gen.support or ()), gen.time_radius or 0.0,
+                gen.spectral_support or 0.0,
+                *((gen.spline.step, *gen.spline.coeffs) if gen.spline else ()))
+            if gen is None or not all(math.isfinite(v) for v in declared):
+                raise InvalidGridError(
+                    f"{name}={args[-1]:g} is out of range: the generator's "
+                    "constants overflow a double")
+            return gen
+        return checked
+    return wrap
+
+
 def bspline_generator(degree: int, sigma: float) -> Generator:
     """One coefficient ``2 sigma`` of ``N_{m+1}`` at step ``pi/sigma`` from
     ``-(m + 1) pi/sigma``: the degree-m B-spline, spectrum 1 at y = 0.
-    One shared generator per ``(m, float(sigma))``."""
+    One shared generator per ``(m, float(sigma))``; a sigma whose constants
+    overflow a double raises `InvalidGridError` (`_in_range`)."""
     if not sigma > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
     if int(degree) != degree or not 0 <= degree <= 10:
@@ -320,6 +350,7 @@ def bspline_generator(degree: int, sigma: float) -> Generator:
 
 
 @functools.lru_cache(maxsize=_SHARED_GENERATORS)
+@_in_range("sigma")
 def _bspline(m: int, sigma: float) -> Generator:
     h = np.pi / sigma
     return spline_generator(CardinalSpline(np.array([2.0 * sigma]), m + 1, h, -(m + 1) * h),
@@ -327,13 +358,15 @@ def _bspline(m: int, sigma: float) -> Generator:
 
 
 def gaussian_generator(width: float) -> Generator:
-    """``exp(-x^2/(2 w^2))``; one shared generator per ``float(width)``."""
+    """``exp(-x^2/(2 w^2))``; one shared generator per ``float(width)``; a
+    width whose constants overflow a double raises `InvalidGridError`."""
     if not float(width) > 0:
         raise InvalidGridError(f"width must be > 0, got {width}")
     return _gaussian(float(width))
 
 
 @functools.lru_cache(maxsize=_SHARED_GENERATORS)
+@_in_range("width")
 def _gaussian(w: float) -> Generator:
     def spectrum(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -360,13 +393,15 @@ def _gaussian(w: float) -> Generator:
 
 
 def bandlimited_generator(sigma: float) -> Generator:
-    """The sinc of band ``sigma``; one shared generator per ``float(sigma)``."""
+    """The sinc of band ``sigma``; one shared generator per ``float(sigma)``;
+    a sigma whose constants overflow a double raises `InvalidGridError`."""
     if not float(sigma) > 0:
         raise InvalidGridError(f"sigma must be > 0, got {sigma}")
     return _bandlimited(float(sigma))
 
 
 @functools.lru_cache(maxsize=_SHARED_GENERATORS)
+@_in_range("sigma")
 def _bandlimited(s: float) -> Generator:
     def spectrum(y: np.ndarray) -> np.ndarray:
         ay = np.abs(np.asarray(y, dtype=float))

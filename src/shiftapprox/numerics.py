@@ -10,8 +10,10 @@ so that ``norm(f)**2 == 2*pi*norm(fhat)**2``.  All reductions go through
 so repeated runs produce identical bytes.  Every function here is pure but
 `read_samples_csv`, which caches what it parsed; the types are frozen
 dataclasses and safe to share between threads as long as the caller does not
-mutate the value arrays.  A grid builds its nodes once and keeps them
-read-only.
+mutate the value arrays.  A grid builds its nodes, their ``%.17g`` words
+and its Simpson row once, on first use, and keeps them read-only; the
+period grids and their extensions come from one shared, byte-bounded
+table (`shared_grid`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import os
 import threading
 import time
@@ -51,9 +54,13 @@ class Grid:
     Notes
     -----
     ``step`` is derived once as ``(stop - start) / (count - 1)`` and stored.
-    ``nodes()`` delegates to `numpy.linspace`, which reproduces the endpoints
-    exactly, on its first call; the grid keeps that array, read-only, and
-    every later call returns it.
+    The grid builds three arrays on first use and keeps each, read-only,
+    for every later call: ``nodes()``, by `numpy.linspace`, which
+    reproduces the endpoints exactly; ``text_words()``, the ``%.17g``
+    words of the nodes that `csv_text` copies for a grid column; and
+    ``weights()``, the Simpson row of `quadrature_weights`.  `shared_grid`
+    hands out one grid per (start, stop, count), so what one request
+    builds the next reads.
     """
 
     start: float
@@ -73,21 +80,94 @@ class Grid:
         object.__setattr__(
             self, "step", (self.stop - self.start) / (self.count - 1))
 
+    def _held(self, name: str, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The array ``name``, built on first use and kept read-only; a
+        shared grid then holds more bytes, so its table checks its bound."""
+        held = self.__dict__.get(name)
+        if held is None:
+            held = build()
+            held.flags.writeable = False
+            object.__setattr__(self, name, held)
+            _grid_grew(self)
+        return held
+
     def nodes(self) -> np.ndarray:
-        nodes = self.__dict__.get("_nodes")
-        if nodes is None:
-            nodes = np.linspace(self.start, self.stop, self.count)
-            nodes.flags.writeable = False
-            object.__setattr__(self, "_nodes", nodes)
-        return nodes
+        return self._held(
+            "_nodes", lambda: np.linspace(self.start, self.stop, self.count))
+
+    def text_words(self) -> np.ndarray:
+        """``%.17g`` of the nodes as `_text_words` lays them out."""
+        return self._held("_words", lambda: _text_words(self.nodes()))
+
+    def weights(self) -> np.ndarray:
+        """The Simpson row of `quadrature_weights`."""
+        return self._held(
+            "_weights", lambda: add_quadrature_weights(np.zeros(self.count),
+                                                       self.step))
+
+    def held_bytes(self) -> int:
+        """Bytes of the arrays the grid has built and keeps."""
+        return sum(self.__dict__[name].nbytes for name in _HELD
+                   if name in self.__dict__)
 
     def span(self) -> float:
         return self.stop - self.start
 
 
+_HELD = ("_nodes", "_words", "_weights")
+
+
 def make_uniform_grid(start: float, stop: float, count: int) -> Grid:
     """Validated `Grid` constructor; raises `InvalidGridError` on bad input."""
     return Grid(float(start), float(stop), count)
+
+
+#: bound on the bytes of nodes, words and Simpson rows the shared grids keep
+_GRID_BYTES = 4 * 2 ** 20
+_GRIDS: "OrderedDict[tuple, Grid]" = OrderedDict()
+_GRIDS_LOCK = threading.Lock()
+
+
+def _grid_key(start: float, stop: float, count: int) -> tuple:
+    # the signs tell -0.0 from 0.0, which print apart
+    return (start, stop, count, math.copysign(1.0, start),
+            math.copysign(1.0, stop))
+
+
+def shared_grid(start: float, stop: float, count: int) -> Grid:
+    """The process's one `Grid` of ``(start, stop, count)``; raises
+    `InvalidGridError` on bad input, as `Grid` does.
+
+    Every period grid, its extensions (`period_extension`), zak's cell
+    grids and project's index column come from here, so each is built
+    once per process with whatever it has been asked for: its nodes, their
+    ``%.17g`` words and its Simpson row, all read-only.  The grids live in
+    one least-recently-used table whose kept arrays stay within
+    ``_GRID_BYTES`` (`lru_store`, checked again whenever a grid builds one);
+    a grid dropped from it keeps working, and the next call builds anew.
+    A grid's arrays are the bytes a fresh grid builds.
+    """
+    key = _grid_key(float(start), float(stop), int(count))
+    with _GRIDS_LOCK:
+        grid = _GRIDS.get(key)
+        if grid is not None:
+            _GRIDS.move_to_end(key)
+            return grid
+    grid = Grid(key[0], key[1], key[2])
+    with _GRIDS_LOCK:
+        # a racing call may have stored its own: the first one wins
+        grid = _GRIDS.setdefault(key, grid)
+        lru_store(_GRIDS, key, grid, _GRID_BYTES, Grid.held_bytes)
+    return grid
+
+
+def _grid_grew(grid: Grid) -> None:
+    """Hold the shared-grid table to its bound after ``grid`` built an
+    array, if ``grid`` is the one the table shares."""
+    key = _grid_key(grid.start, grid.stop, grid.count)
+    with _GRIDS_LOCK:
+        if _GRIDS.get(key) is grid:
+            lru_store(_GRIDS, key, grid, _GRID_BYTES, Grid.held_bytes)
 
 
 def covering_windows(radius: float, sigma: float) -> int:
@@ -109,9 +189,11 @@ def _extension_span(sigma: float, count: int, windows: int) -> Tuple[float, int]
 
 def period_extension(sigma: float, count: int, windows: int) -> Grid:
     """The period grid ``[-sigma, sigma]`` of ``count`` nodes continued over
-    ``2*windows + 1`` periods, so that every period is a slice of it."""
+    ``2*windows + 1`` periods, so that every period is a slice of it: the
+    shared grid (`shared_grid`), so a fold samples f-hat on nodes built
+    once."""
     edge, nodes = _extension_span(sigma, count, windows)
-    return Grid(start=-edge, stop=edge, count=nodes)
+    return shared_grid(-edge, edge, nodes)
 
 
 def is_period_extension(grid: Grid, sigma: float, count: int, windows: int) -> bool:
@@ -165,9 +247,10 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
 
     Composite Simpson when the node count is odd; for an even count, Simpson
     over the first ``count - 1`` nodes plus one trapezoid panel at the end.
-    A two-node grid degenerates to the single trapezoid panel.
+    A two-node grid degenerates to the single trapezoid panel.  The row is
+    the grid's own (`Grid.weights`), read-only.
     """
-    return add_quadrature_weights(np.zeros(grid.count), grid.step)
+    return grid.weights()
 
 
 def add_quadrature_weights(w: np.ndarray, h: float) -> np.ndarray:
@@ -537,24 +620,28 @@ def _text_words(values: np.ndarray) -> np.ndarray:
     return words
 
 
-def csv_text(*columns: Union[np.ndarray, Sequence[float]]) -> str:
+def csv_text(*columns: Union[Grid, np.ndarray, Sequence[float]]) -> str:
     """``%.17g`` CSV lines of equal-length numeric columns, joined by
     newlines without a trailing one.
 
     This is the one writer of every numeric table the package prints.
     ``%.17g`` round-trips every double, and the text is byte-identical to
     ``",".join(format(v, ".17g") for v in row)`` row by row, ints, signed
-    zeros and non-finite values included.
+    zeros and non-finite values included.  A column may be a `Grid`,
+    which stands for its nodes: the grid formats them once and keeps the
+    words (`Grid.text_words`), so a table on a shared grid formats its data
+    columns alone.
 
     A table of fewer than `NUMPY_TEXT_VALUES` values, counted over all its
-    columns, is read through ``tolist()`` and rendered by one ``%`` over a
-    repeated row template.  A larger one is formatted in numpy in one pass:
-    its columns are converted to float64, as ``%.17g`` converts an int, and
-    stacked row by row into one array, and the separators are set on the
-    (rows, columns, words) view of that pass's words, so the numpy kernel's
-    fixed cost is paid once per table, not once per column.  A table of
-    more than `_PASS_VALUES` values takes one such pass per block of rows,
-    the blocks of about equal size.
+    columns, is read through ``tolist()`` (a grid's nodes too) and rendered
+    by one ``%`` over a repeated row template.  A larger one is formatted
+    in numpy in one pass: its data columns are converted to float64, as
+    ``%.17g`` converts an int, and stacked row by row into one array, whose
+    words go into the (rows, columns, words) table beside the grid
+    columns' words, and the separators are set on that table, so the numpy
+    kernel's fixed cost is paid once per table, not once per column.  A
+    table of more than `_PASS_VALUES` values takes one such pass per block
+    of rows, the blocks of about equal size.
     With x = floor(log10 |v|), corrected once where the scaled
     value leaves [1e16, 1e17), the digits are N = round(|v| 10**(16 - x)).
     The product is a double-double: Dekker's exact TwoProduct (Veltkamp
@@ -571,19 +658,33 @@ def csv_text(*columns: Union[np.ndarray, Sequence[float]]) -> str:
     Digits come from four-digit lookup tables, trailing zeros are dropped,
     and ``%g``'s rule picks exponent form for x < -4 or x >= 17.
     """
-    width, count = len(columns), len(columns[0])
+    grids = [i for i, c in enumerate(columns) if isinstance(c, Grid)]
+    first = columns[0]
+    width, count = len(columns), first.count if isinstance(first, Grid) else len(first)
     if width * count < NUMPY_TEXT_VALUES:
-        return _table([np.asarray(c).tolist() for c in columns])
-    table = np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=1)
+        return _table([(c.nodes() if isinstance(c, Grid) else np.asarray(c)).tolist()
+                       for c in columns])
+    data = [i for i in range(width) if i not in grids]
+    table = (np.stack([np.asarray(columns[i], dtype=np.float64) for i in data],
+                      axis=1) if data else None)
     separators = np.full(width, _SEPARATOR[b","])
     separators[-1] = _SEPARATOR[b"\n"]
     passes = -(-count * width // _PASS_VALUES)
     step = -(-count // passes)
     text = []
     for lo in range(0, count, step):
-        block = table[lo:lo + step]
-        words = _text_words(block.ravel())
-        words.reshape(block.shape + (_WORDS,))[..., -1] |= separators
+        rows = min(step, count - lo)
+        if grids:
+            words = np.empty((rows, width, _WORDS), dtype=np.uint64)
+            for i in grids:
+                words[:, i] = columns[i].text_words()[lo:lo + rows]
+            if data:
+                words[:, data] = _text_words(table[lo:lo + rows].ravel()).reshape(
+                    rows, len(data), _WORDS)
+        else:
+            words = _text_words(table[lo:lo + rows].ravel()).reshape(
+                rows, width, _WORDS)
+        words[..., -1] |= separators
         text.append(words.tobytes().translate(None, b"\0"))
     return b"".join(text)[:-1].decode("ascii")
 
@@ -618,11 +719,11 @@ def lru_store(cache: "OrderedDict", key: Hashable, value: Any, budget: int,
     """Keep ``value`` under ``key`` as the most recently used entry of
     ``cache``, then drop the least recently used entries while the
     ``size`` of the entries kept passes ``budget`` bytes; returns the keys
-    dropped.  A value larger than ``budget`` is not kept.  The caller holds
-    the cache's lock.
+    dropped.  A value larger than ``budget`` is not kept, nor is what
+    ``key`` held before.  The caller holds the cache's lock.
     """
     if size(value) > budget:
-        return []
+        return [key] if cache.pop(key, None) is not None else []
     cache[key] = value
     cache.move_to_end(key)
     total = sum(size(v) for v in cache.values())
@@ -677,9 +778,9 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     process and the validated value is returned again.  Its ``values`` are
     read-only, so an in-place write raises instead of changing later
     reads.  Failures are not cached, and the least recently read entries
-    are dropped once the cached ``values``, with the nodes of their grids
-    once a caller has read them (`Grid.nodes`), exceed ``_CACHE_BYTES``.  A file
-    object is parsed on every call and not cached.
+    are dropped once the cached ``values``, with the arrays their grids
+    have built for a caller (`Grid.held_bytes`), exceed ``_CACHE_BYTES``.
+    A file object is parsed on every call and not cached.
 
     Beside that content cache a path table keeps, per path, the
     ``os.fstat`` signature of the open file (device, inode, size, mtime and
@@ -735,10 +836,9 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
 
 
 def _held_bytes(loaded: SampledFunction | SampledSpectrum) -> int:
-    """The bytes a cached parse holds: its values, and its grid's nodes
-    once read."""
-    nodes = loaded.grid.__dict__.get("_nodes")
-    return loaded.values.nbytes + (0 if nodes is None else nodes.nbytes)
+    """The bytes a cached parse holds: its values, and the arrays its grid
+    has built (`Grid.held_bytes`)."""
+    return loaded.values.nbytes + loaded.grid.held_bytes()
 
 
 def _holds_row(line: Union[str, bytes]) -> bool:

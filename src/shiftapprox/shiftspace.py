@@ -35,7 +35,7 @@ from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
                        chunk_slices, covering_windows,
                        add_quadrature_weights, fourier_transform_sampled,
                        is_period_extension, period_extension,
-                       quadrature_weights, resolved_band)
+                       quadrature_weights, resolved_band, shared_grid)
 from .spectral import (EPSILON_D, PeriodizedSpectrum, envelope_order,
                        lattice_spectrum, periodize, require_period_grid)
 
@@ -142,15 +142,23 @@ def _band_rows(grid: Grid, rhos: Sequence[float]
 
     ``|y| <= t`` is ``-t <= y <= t``, so each band runs between two sorted
     searches of the nodes.  Its weights are rebuilt on the band's
-    contiguous sub-grid rather than masked from the full interval, so the
-    cut at +-rho carries no O(step) boundary error; at rho = sigma the row
-    is the plain full-period weights.
+    contiguous sub-grid rather than masked from the full interval.  For
+    rho on a node that sub-grid ends at +-rho, so the cut carries no O(step)
+    boundary error; for rho between nodes the band stops short of +-rho by
+    up to a step, an O(step) error in what the row integrates (ROADMAP
+    item 2).  When every band covers the period the rows are the grid's
+    own full-period weights (`quadrature_weights`), read-only.
     """
     t = np.asarray(rhos, dtype=float) * (1.0 + _RHO_RTOL)
     nodes = grid.nodes()
     lo = np.searchsorted(nodes, -t).tolist()
     hi = (np.searchsorted(nodes, t, side="right") - 1).tolist()
-    return np.abs(nodes) <= t[:, None], _simpson_rows(nodes, lo, hi)
+    last = grid.count - 1
+    if all(a == 0 for a in lo) and all(b == last for b in hi):
+        weights = np.broadcast_to(quadrature_weights(grid), (len(lo), grid.count))
+    else:
+        weights = _simpson_rows(nodes, lo, hi)
+    return np.abs(nodes) <= t[:, None], weights
 
 
 def _jumps_at_seam(radius: Optional[float], sigma: float) -> bool:
@@ -285,8 +293,10 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
     An analytic f is sampled on the nodes of the windows its support or
     decay envelope needs (`_signal_windows`), and a spectrum is laid on the
     windows its grid covers; a spectrum on exactly that extension (time
-    samples' transform, an aligned file) is read as it is.  B-hat comes
-    from the space cache (`lattice_spectrum`).  The seam nodes are
+    samples' transform, an aligned file) is read as it is.  The extension
+    is the shared grid (`period_extension`), so its nodes are built once
+    for f-hat and B-hat.  B-hat comes from the space cache
+    (`lattice_spectrum`).  The seam nodes are
     extrapolated only when B's spectral support or an analytic f's is an
     odd multiple of sigma (`_jumps_at_seam`); every other fold is raw.
     """
@@ -301,9 +311,7 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
                                    sigma)
 
     if isinstance(f, SampledSpectrum) and is_period_extension(f.grid, sigma, n, windows):
-        # a miss of B-hat builds nodes of its own: f's grid may be a
-        # cached file's, which would keep them
-        full, fvals = None, f.values
+        fvals = f.values
     elif isinstance(f, Generator):
         full = period_extension(sigma, n, windows)
         # validated as a spectrum sample: finite, held as complex128
@@ -325,7 +333,7 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
         else:
             fvals = _interp_complex(fg.nodes(), f.values)(full.nodes())
 
-    spec_full = lattice_spectrum(gen, sigma, n, windows, full)
+    spec_full = lattice_spectrum(gen, sigma, n, windows)
     bracket = np.zeros(n, dtype=np.complex128)
     energy = np.zeros(n)
     for k in range(2 * windows + 1):
@@ -386,7 +394,7 @@ def _energy_split(f: Signal, gen: Generator,
         if not rho_in_band(rho, sigma):
             raise InvalidGridError(f"rho must be in (0, sigma], got {rho}")
     if grid is None:
-        grid = Grid(start=-sigma, stop=sigma, count=DEFAULT_GRID_COUNT)
+        grid = shared_grid(-sigma, sigma, DEFAULT_GRID_COUNT)
     require_period_grid(grid, sigma)
     if isinstance(f, SampledFunction):
         f = _spectrum_of(f, sigma, grid)

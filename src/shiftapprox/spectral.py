@@ -432,15 +432,14 @@ def _kept(gen: Generator, key: tuple, build: Callable[[], tuple]) -> tuple:
     return entry
 
 
-def lattice_spectrum(gen: Generator, sigma: float, count: int, windows: int,
-                     extension: Optional[Grid] = None) -> np.ndarray:
+def lattice_spectrum(gen: Generator, sigma: float, count: int,
+                     windows: int) -> np.ndarray:
     """``conj(spectrum)`` on ``period_extension(sigma, count, windows)``, the
     factor a fold multiplies f-hat by; read-only, and kept per (generator,
     sigma, count, windows) in the space cache.  A miss samples B-hat on the
-    nodes of ``extension``, the caller's copy of that grid, when given."""
+    nodes of the shared extension grid, which the fold's f-hat reads too."""
     def build() -> tuple:
-        grid = (extension if extension is not None
-                else period_extension(sigma, count, windows))
+        grid = period_extension(sigma, count, windows)
         return (np.conj(gen.spectrum(grid.nodes())),)
     return _kept(gen, ("fold", float(sigma), count, windows), build)[0]
 

@@ -43,7 +43,8 @@ import numpy as np
 from .errors import InvalidGridError, MissingTimeDomainError, TruncationError
 from .generator import (Generator, generator_l2_norm_sq, shift_autocorrelation,
                         time_extent)
-from .numerics import TWO_PI, Grid, chunk_slices, quadrature_weights
+from .numerics import (TWO_PI, Grid, chunk_slices, quadrature_weights,
+                       shared_grid)
 from .spectral import lattice_energy, lattice_sum, poisson_energy, poisson_lags
 
 
@@ -224,7 +225,7 @@ def _cell_mesh(sigma: float, count: int
     accurate and never samples the split lines y = +-sigma, where edge
     conventions of discontinuous spectra would pollute the quadrature.
     """
-    x_grid = Grid(start=0.0, stop=np.pi / sigma, count=count)
+    x_grid = shared_grid(0.0, np.pi / sigma, count)
     hy = 2.0 * sigma / (count - 1)
     y_mid = -sigma + hy * (np.arange(count - 1) + 0.5)
     return (x_grid.nodes()[:, np.newaxis], y_mid[np.newaxis, :],

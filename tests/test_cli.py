@@ -122,6 +122,26 @@ def test_usage_errors_exit_2(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["dfun", "--gen", "sinc", "--sigma", "1e308"], "sigma=1e+308"),
+    (["project", "--gen", "sinc", "--f", "gauss:width=1", "--sigma", "1e308"],
+     "sigma=1e+308"),
+    (["zak", "--gen", "bspline:m=1", "--sigma", "1e308"], "sigma=1e+308"),
+    (["riesz", "--gen", "gauss:width=1e308"], "width=1e+308"),
+    (["dfun", "--gen", "bspline:m=2", "--sigma", "1e-308"], "sigma=1e-308"),
+    (["besterr", "--gen", "bspline:m=1", "--f", "gauss:width=1e-308"],
+     "width=1e-308"),
+    (["dfun", "--gen", "bspline:m=0", "--sigma", "1e308"], "sigma=1e+308"),
+])
+def test_parameters_past_the_double_range_exit_2_with_one_line(argv, name, capsys):
+    # a sigma or width whose generator constants overflow a double is a
+    # usage error naming the parameter, not a traceback
+    rc, out = run_cli(argv + ["--dgrid", "9"])
+    err = capsys.readouterr().err
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
+
+
 @pytest.mark.parametrize("spec", [
     "bspline",              # missing m
     "mystery:a=1",          # unknown family

@@ -369,6 +369,28 @@ def test_csv_text_one_pass_matches_per_value_format(rows, width):
     assert csv_text(*(c.tolist() for c in columns)) == want
 
 
+@pytest.mark.parametrize("start,stop,count", [
+    (-1.0, 1.0, 9), (-1.0, 1.0, NUMPY_TEXT_VALUES // 3 + 1), (-3.0, 3.0, 1025),
+    (-np.pi, np.pi, 1366), (-1e-5, 1e-5, 2049), (0.0, np.pi / 1.7, 4097),
+    (-4.0, 4.0, 9), (-64.0, 64.0, 129)])
+def test_a_grid_column_prints_its_nodes(start, stop, count):
+    # a Grid column prints what its nodes print: in the % template below
+    # NUMPY_TEXT_VALUES, in one numpy pass, and past _PASS_VALUES in row
+    # blocks, beside data columns with nan, signed zeros and values left to
+    # Python's %
+    grid = make_uniform_grid(start, stop, count)
+    nodes = grid.nodes()
+    rng = np.random.default_rng(count)
+    a, b = rng.choice(_AWKWARD, count), rng.choice(_AWKWARD, count)
+    want = reference_csv(nodes.tolist(), a.tolist(), b.tolist())
+    assert csv_text(grid, a, b) == want == csv_text(nodes, a, b)
+    assert csv_text(a, grid, b) == csv_text(a, nodes, b)
+    assert csv_text(grid) == csv_text(nodes) == reference_csv(nodes.tolist())
+    assert csv_text(grid, grid) == csv_text(nodes, nodes)
+    words = grid.text_words()
+    assert grid.text_words() is words and not words.flags.writeable
+
+
 def test_power_table_holds_every_power_the_formatter_reads():
     offset = numerics._POWER_OFFSET
     assert numerics._POWERS.shape == (4, 2 * offset + 1)

@@ -1,9 +1,12 @@
 """The space cache: one generator per family spec, D and the fold's B-hat
-kept per generator and grid, and the bytes of fresh runs.
+kept per generator and grid, one shared grid per (start, stop, count), and
+the bytes of fresh runs.
 
 `spectral` keeps D (`periodize`) and the conjugate spectrum a fold reads
-(`lattice_spectrum`) in one least-recently-used cache bounded in bytes.
-Every reuse must print what a process that starts empty prints.
+(`lattice_spectrum`) in one least-recently-used cache bounded in bytes;
+`numerics` keeps the period grids, their extensions, node text and Simpson
+rows in another (`shared_grid`).  Every reuse must print what a process
+that starts empty prints.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftapprox import generator, oracle, spectral
+from shiftapprox import cli, generator, numerics, oracle, spectral, zak
 from shiftapprox.generator import (CardinalSpline, bandlimited_generator,
                                    bspline_generator, gaussian_generator,
                                    parse_generator_spec, spline_generator)
-from shiftapprox.numerics import Grid
+from shiftapprox.numerics import Grid, csv_text, shared_grid
 from shiftapprox.shiftspace import project
 from shiftapprox.spectral import lattice_spectrum, periodize
 
@@ -30,16 +33,20 @@ from helpers import fixed_gaussian_samples, run_cli
 
 
 def _empty_caches() -> None:
-    """The state of a fresh process: no shared generator, no kept space."""
+    """The state of a fresh process: no shared generator, no kept space,
+    no shared grid."""
     spectral._SPACES.clear()
+    numerics._GRIDS.clear()
     for build in (generator._bspline, generator._gaussian, generator._bandlimited):
         build.cache_clear()
 
 
 @pytest.fixture
 def empty(monkeypatch):
-    """A space cache of its own, empty, with the generator memos cleared."""
+    """A space cache and a grid table of their own, empty, with the
+    generator memos cleared."""
     monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
+    monkeypatch.setattr(numerics, "_GRIDS", OrderedDict())
     _empty_caches()
 
 
@@ -111,7 +118,8 @@ def test_a_dead_generator_leaves_the_cache(empty):
 
 def test_a_missed_fold_samples_b_on_the_nodes_of_f(empty, monkeypatch):
     # the first project of an analytic f on a space builds the frequency
-    # extension's 7169 nodes once: B-hat's miss reads the fold's copy
+    # extension's 7169 nodes once: B-hat's miss reads the fold's copy, and
+    # the next project reads the shared extension's
     sizes = []
     linspace = np.linspace
 
@@ -121,11 +129,114 @@ def test_a_missed_fold_samples_b_on_the_nodes_of_f(empty, monkeypatch):
 
     monkeypatch.setattr(np, "linspace", counting)
     grid = Grid(start=-1.0, stop=1.0, count=1025)
-    for _ in range(2):
+    for built in (1, 0):
         sizes.clear()
         project(gaussian_generator(1.07), bspline_generator(3, 1.0), 1.0, 1.0,
                 grid=grid)
-        assert sizes.count(7169) == 1
+        assert sizes.count(7169) == built
+
+
+_EVERY_COMMAND = (
+    ["dfun", "--gen", "bspline:m=2", "--dgrid", "65"],
+    ["riesz", "--gen", "gauss:width=1", "--dgrid", "65"],
+    ["zak", "--gen", "bspline:m=1", "--dgrid", "65"],
+    ["validate", "--gen", "bspline:m=1", "--dgrid", "65"],
+    ["project", "--gen", "bspline:m=2", "--f", "gauss:width=1.1",
+     "--dgrid", "65", "--jrange", "4"],
+    ["besterr", "--gen", "sinc", "--f", "gauss:width=0.9", "--dgrid", "65",
+     "--sweep", "rho=0.5,1"],
+    ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
+     "--dgrid", "65", "--sweep", "jrange=2"],
+)
+
+
+def test_every_command_gets_one_grid_per_start_stop_count(empty, monkeypatch):
+    # every grid handed out, the period grids, zak's cell grids, the fold's
+    # extensions and project's index column, is one object per key, over
+    # two runs of every command; and the grid D is sampled on is that one
+    handed, sampled = {}, []
+    share = numerics.shared_grid
+
+    def recording(start, stop, count):
+        grid = share(start, stop, count)
+        handed.setdefault((start, stop, count), set()).add(id(grid))
+        return grid
+
+    def periodize_on(gen, sigma, grid, tol=1e-8):
+        sampled.append(grid)
+        return periodize(gen, sigma, grid, tol=tol)
+
+    for module in (cli, numerics, zak):
+        monkeypatch.setattr(module, "shared_grid", recording)
+    monkeypatch.setattr(cli, "periodize", periodize_on)
+    for _ in range(2):
+        for argv in _EVERY_COMMAND:
+            assert run_cli(argv)[0] == 0, argv
+    sigma = (-1.0, 1.0, 65)
+    assert {sigma, (0.0, np.pi, 65), (0.0, np.pi, 33), (-4, 4, 9)} <= set(handed)
+    assert any(start < -1.0 and count > 65 for start, _, count in handed)
+    assert all(len(ids) == 1 for ids in handed.values()), handed
+    assert {id(grid) for grid in sampled} == handed[sigma]
+
+
+def test_shared_grid_arrays_are_read_only(empty):
+    grid = shared_grid(-1.0, 1.0, 33)
+    assert shared_grid(-1, 1, 33) is grid
+    assert numerics.period_extension(1.0, 33, 0) is grid
+    assert shared_grid(0.0, 1.0, 33) is not shared_grid(-0.0, 1.0, 33)
+    for held in (grid.nodes(), grid.text_words(), grid.weights(),
+                 numerics.quadrature_weights(grid)):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0] = 0
+    assert grid.nodes() is grid.nodes() and grid.weights() is grid.weights()
+    assert grid.held_bytes() == 33 * 8 * 2 + 33 * 6 * 8
+
+
+def test_a_second_dfun_on_one_grid_formats_no_node(empty, monkeypatch):
+    # the y column's words are built by the first dfun on the grid; a dfun
+    # of another generator formats its D column alone
+    formatted = []
+    words = numerics._text_words
+
+    def counting(values):
+        formatted.append(np.size(values))
+        return words(values)
+
+    monkeypatch.setattr(numerics, "_text_words", counting)
+    outputs = []
+    for gen in ("bspline:m=2", "gauss:width=1.3"):
+        formatted.clear()
+        outputs.append(run_cli(["dfun", "--gen", gen, "--dgrid", "1025"]))
+        assert outputs[-1][0] == 0
+        assert formatted == ([1025, 1025] if gen == "bspline:m=2" else [1025])
+    # a fresh state prints the same bytes
+    for gen, got in zip(("bspline:m=2", "gauss:width=1.3"), outputs):
+        _empty_caches()
+        assert run_cli(["dfun", "--gen", gen, "--dgrid", "1025"]) == got
+
+
+def test_the_grid_table_keeps_its_byte_bound(empty, monkeypatch):
+    # a 65-node grid's nodes are 520 bytes and its words 3120: two grids'
+    # nodes fit under 1200 bytes, three do not, and words do not fit at all
+    monkeypatch.setattr(numerics, "_GRID_BYTES", 1200)
+
+    def held() -> int:
+        return sum(g.held_bytes() for g in numerics._GRIDS.values())
+
+    a, b, c = (shared_grid(-s, s, 65) for s in (1.0, 2.0, 3.0))
+    for grid in (a, b):                     # a grid that builds is used
+        grid.nodes()
+    assert list(numerics._GRIDS.values()) == [c, a, b] and held() == 1040
+    c.nodes()                               # a, the oldest, goes
+    assert list(numerics._GRIDS.values()) == [b, c] and held() == 1040
+    shared_grid(-2.0, 2.0, 65)              # b is now the newest
+    assert list(numerics._GRIDS.values()) == [c, b]
+    # a grid that outgrows the bound leaves the table, and still works
+    words = b.text_words()
+    assert list(numerics._GRIDS.values()) == [c] and held() <= 1200
+    assert csv_text(b) == csv_text(b.nodes()) and b.text_words() is words
+    assert shared_grid(-2.0, 2.0, 65) is not b
 
 
 def test_the_gram_oracle_reads_nothing_from_the_space_cache(monkeypatch):
@@ -181,18 +292,20 @@ _families = st.sampled_from(["bspline:m=0", "bspline:m=1", "bspline:m=2",
 _signals = st.sampled_from(["gauss:width=0.8", "gauss:width=1.1", "sinc",
                             "bspline:m=1", "bspline:m=2"])
 _calls = st.tuples(
-    st.sampled_from(["project", "besterr", "dfun", "riesz"]), _families,
+    st.sampled_from(["project", "besterr", "dfun", "riesz", "zak"]), _families,
     st.sampled_from(["1.0", "2.0", "1.41421356", "1.414214"]),
     st.sampled_from(["33", "65", "129"]), st.sampled_from(["1e-8", "1e-10"]),
-    _signals, st.booleans())
+    _signals, st.booleans(), st.sampled_from(["1", "4", "8", "16"]))
 
 
 def _argv(call) -> list:
-    command, gen, sigma, dgrid, tol, f, whole_band = call
+    command, gen, sigma, dgrid, tol, f, whole_band, jrange = call
     argv = [command, "--gen", gen, "--sigma", sigma, "--dgrid", dgrid, "--tol", tol]
     half = repr(float(sigma) / 2)
+    if command == "zak":
+        argv[-3] = "17"     # a 17 x 17 mesh keeps a draw short
     if command == "project":
-        argv += ["--f", f, "--jrange", "4", "--rho", sigma if whole_band else half]
+        argv += ["--f", f, "--jrange", jrange, "--rho", sigma if whole_band else half]
     elif command == "besterr":
         argv += ["--f", f, "--sweep", f"rho={half},{sigma}"]
     return argv
