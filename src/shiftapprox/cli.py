@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import MissingTimeDomainError, ShiftSpaceError, TruncationError
 from .generator import (Generator, is_file_spec, parse_generator_spec,
-                        time_extent)
+                        shift_range, time_extent)
 from .numerics import (Grid, SampledFunction, csv_join, csv_text,
                        read_samples_csv, shared_grid)
 from .shiftspace import (DEFAULT_GRID_COUNT, Signal, best_approx_error_sq,
@@ -276,7 +276,8 @@ def _time_samples(gen_f: Generator, gen: Generator, sigma: float) -> SampledFunc
     every shift of B on an even node, a Simpson panel edge.
 
     The window is f's `time_extent` rounded out to multiples of
-    ``h = pi/sigma``; the step is ``h/(2 q 2^k)``, with q from
+    ``h = pi/sigma`` (`shift_range`, which refuses a window of more
+    shifts than it allows); the step is ``h/(2 q 2^k)``, with q from
     `_knot_denominator` and k the least that makes it at most a
     `_ORACLE_STEPS`-th of the window.
     """
@@ -289,8 +290,8 @@ def _time_samples(gen_f: Generator, gen: Generator, sigma: float) -> SampledFunc
             "radius") from exc
     if gen_f.time_domain is None:
         raise MissingTimeDomainError(f"signal {gen_f.label!r} has no time domain")
+    first, last = shift_range(lo, hi, sigma)
     h = np.pi / sigma
-    first, last = math.floor(lo / h), math.ceil(hi / h)
     per_shift = 2 * _knot_denominator((gen_f, gen), sigma)
     while (last - first) * per_shift < _ORACLE_STEPS:
         per_shift *= 2
@@ -368,14 +369,10 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
     else:
         runs = [(cfg.sigma, values)]
     lines = ["param,error_sq"]
-    # a file: generator does not depend on sigma: it is built once per sweep
-    fixed = (parse_generator_spec(cfg.generator_spec)
-             if is_file_spec(cfg.generator_spec) else None)
     for sigma, rhos in runs:
-        gen = (fixed if fixed is not None
-               else parse_generator_spec(cfg.generator_spec,
-                                         default_sigma=sigma))
-        # a file: input is parsed once per process (`read_samples_csv`)
+        # a file: input is parsed once per process (`read_samples_csv`), and
+        # a file: generator, which does not depend on sigma, is one object
+        gen = parse_generator_spec(cfg.generator_spec, default_sigma=sigma)
         signal = _load_signal(cfg.f_spec, sigma)
         grid = shared_grid(-sigma, sigma, cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,

@@ -33,13 +33,18 @@ one `Generator` per argument tuple and hand that object to every caller
 (the last `_SHARED_GENERATORS` tuples of each family are kept), so the
 arrays `spectral` keeps per generator serve every request on that space.
 A generator is immutable: its fields are frozen, its spline coefficients
-and tables read-only.  A ``file`` generator is built anew on every parse.
+and tables read-only.  `parse_generator_spec` hands out one ``file``
+generator per parsed content object and spec text, for as long as that
+content lives (the CSV cache of `read_samples_csv` holds it), so a file
+read again unchanged serves the same space.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
@@ -68,8 +73,14 @@ _HORNER_BLOCK = 8192
 #: ``|B| <= TIME_EPS`` beyond a declared `Generator.time_radius`: sums over
 #: the shifts that reach a window are exact to rounding
 TIME_EPS = 1e-16
+#: most shifts a window of multiples of pi/sigma holds (`shift_range`)
+_SHIFT_CAP = 1_000_000
 #: argument tuples per family whose generator is kept and shared
 _SHARED_GENERATORS = 1024
+#: parsed content of a ``file`` spec -> {spec text: its generator}; an entry
+#: goes with its content
+_FILE_GENERATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_FILE_GENERATORS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +198,24 @@ def time_extent(gen: Generator) -> Tuple[float, float, bool]:
     raise TruncationError(
         f"generator {gen.label!r} declares neither compact support nor a "
         "time tail radius: its shifts cannot be cut off in time")
+
+
+def shift_range(lo: float, hi: float, sigma: float) -> Tuple[int, int]:
+    """``(floor(lo/h), ceil(hi/h))`` for the shift step ``h = pi/sigma``:
+    the multiples of h that cover ``[lo, hi]``.  Raises `TruncationError`,
+    before any work is spent on them, where h is not a positive finite
+    double (sigma below ``pi`` over the largest double, or infinite) or
+    where they number more than ``_SHIFT_CAP``."""
+    h = math.pi / sigma
+    if not 0 < h < math.inf:
+        raise TruncationError(
+            f"sigma={sigma:g}: the shift step pi/sigma overflows a double")
+    first, last = lo / h, hi / h
+    if not last - first <= _SHIFT_CAP:
+        raise TruncationError(
+            f"sigma={sigma:g}: [{lo:g}, {hi:g}] spans {last - first:g} shift "
+            f"steps pi/sigma = {h:g}, more than the {_SHIFT_CAP} a window holds")
+    return math.floor(first), math.ceil(last)
 
 
 @functools.lru_cache(maxsize=None)
@@ -502,12 +531,22 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
     Formats: ``bspline:m=<int>,sigma=<r>``, ``gauss:width=<r>``,
     ``sinc:sigma=<r>``, ``file:<path>``.  Omitted sigma falls back to
     ``default_sigma``; bad family parameters raise one `ValueError`.
+    A ``file`` spec returns one generator per content object that
+    `read_samples_csv` hands out and spec text: an unchanged file parses to
+    the same generator, a rewritten one to a new generator.
     """
     text = text.strip()
     if is_file_spec(text):
         loaded = read_samples_csv(text[len("file:"):])
-        build = spectrum_generator if isinstance(loaded, SampledSpectrum) else sampled_generator
-        return build(loaded, label=text)
+        with _FILE_GENERATORS_LOCK:
+            gen = _FILE_GENERATORS.get(loaded, {}).get(text)
+        if gen is None:
+            build = (spectrum_generator if isinstance(loaded, SampledSpectrum)
+                     else sampled_generator)
+            gen = build(loaded, label=text)
+            with _FILE_GENERATORS_LOCK:
+                gen = _FILE_GENERATORS.setdefault(loaded, {}).setdefault(text, gen)
+        return gen
     name, _, rest = text.partition(":")
     known = {"bspline": ("m", "sigma"), "gauss": ("width",), "sinc": ("sigma",)}
     if name not in known:

@@ -71,6 +71,9 @@ class Grid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.start) and np.isfinite(self.stop)):
             raise InvalidGridError("grid endpoints must be finite")
+        if not np.isfinite(self.stop - self.start):
+            raise InvalidGridError(
+                f"grid span [{self.start}, {self.stop}] overflows a double")
         if not self.start < self.stop:
             raise InvalidGridError(
                 f"grid needs start < stop, got [{self.start}, {self.stop}]")
@@ -220,9 +223,14 @@ def _check_samples(grid: Grid, values: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Complex time-domain samples on a uniform grid."""
+    """Complex time-domain samples on a uniform grid.
+
+    Hashed and compared by identity, like `generator.Generator`: the
+    spectrum `shiftspace` transforms from read-only samples is kept per
+    samples object (held by weak reference) in the space cache.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -231,9 +239,10 @@ class SampledFunction:
         object.__setattr__(self, "values", _check_samples(self.grid, self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSpectrum:
-    """Complex frequency-domain samples on a uniform grid."""
+    """Complex frequency-domain samples on a uniform grid, hashed and
+    compared by identity like `SampledFunction`."""
 
     grid: Grid
     values: np.ndarray
@@ -564,7 +573,7 @@ _POWERS = np.array([_power_of_ten(16 - x)
 def _scaled(a: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``a * 10**(16 - x)`` as a double ``big`` plus a small ``rest``: Dekker's
     exact product of a with 10**p's head, then a times its tail."""
-    hi, lo, bh, bl = _POWERS[:, x + _POWER_OFFSET]
+    hi, lo, bh, bl = np.take(_POWERS, x + _POWER_OFFSET, axis=1)
     big = a * hi
     ah, al = _split(a)
     err = ((ah * bh - big) + ah * bl + al * bh) + al * bl
@@ -611,7 +620,7 @@ def _text_words(values: np.ndarray) -> np.ndarray:
     for i, group in enumerate((g1, g2, g3, g4)):
         words[:, 1 + i] = _QUAD[group]
     words[:, 5] = _EXPONENT[x + _EXPONENT_SPAN]
-    words &= _MASK[18 * notation + digits]
+    words &= np.take(_MASK, 18 * notation + digits, axis=0)
     rows = words.view(np.uint8)
     for i in fallback.tolist():
         text = b"%.17g" % float(v[i])

@@ -23,6 +23,7 @@ radius then splits its energy in one vectorised pass over the rows of
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -36,7 +37,7 @@ from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
                        add_quadrature_weights, fourier_transform_sampled,
                        is_period_extension, period_extension,
                        quadrature_weights, resolved_band, shared_grid)
-from .spectral import (EPSILON_D, PeriodizedSpectrum, envelope_order,
+from .spectral import (EPSILON_D, PeriodizedSpectrum, _kept, envelope_order,
                        lattice_spectrum, periodize, require_period_grid)
 
 _RHO_RTOL = 1e-12
@@ -472,6 +473,19 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
     windows, and each doubling passes the spectrum so far as the ``inner``
     of `fourier_transform_sampled`, which transforms the new left and
     right windows in one batched FFT and keeps the inner values.
+
+    The spectrum depends on the samples, sigma and ``grid.count`` alone.
+    For samples whose values are read-only and own their memory (every
+    ``file:`` parse), it is kept per (samples object, sigma, count) in the
+    space cache (`spectral._kept`), read-only: a repeat on the same samples
+    gets the bytes of its first transform.  Writable samples, or a
+    read-only view of memory that may be written, are transformed on every
+    call, so a change to them is always seen.  The transform is read
+    through this module's name `fourier_transform_sampled`, and an entry
+    belongs to the function bound there when it was made (held by weak
+    reference): a transform bound in its place, say a tracer's wrapper,
+    makes and reads entries of its own, so it is called for every spectrum
+    it has not itself made.
     """
     n = grid.count
     band = resolved_band(f.grid.step)
@@ -481,15 +495,22 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
             f"time step dx={f.grid.step:.6g} resolves the band |y| <= "
             f"{band:.6g}, short of the 3*sigma = {3.0 * sigma:.6g} that three "
             "period windows need: sample f more finely")
-    windows, spec = 1, None
-    while True:
-        freq = period_extension(sigma, n, windows)
-        spec = fourier_transform_sampled(f, freq, inner=spec)
-        power = np.abs(spec.values) ** 2
-        outer = power[:n - 1].sum() + power[freq.count - n + 1:].sum()
-        if outer <= _MASS_TOL * max(power.sum(), 1e-300) or windows >= limit:
-            return spec
-        windows = min(2 * windows, limit)
+
+    def build() -> Tuple[np.ndarray, SampledSpectrum]:
+        windows, spec = 1, None
+        while True:
+            freq = period_extension(sigma, n, windows)
+            spec = fourier_transform_sampled(f, freq, inner=spec)
+            power = np.abs(spec.values) ** 2
+            outer = power[:n - 1].sum() + power[freq.count - n + 1:].sum()
+            if outer <= _MASS_TOL * max(power.sum(), 1e-300) or windows >= limit:
+                return spec.values, spec
+            windows = min(2 * windows, limit)
+
+    if f.values.flags.writeable or f.values.base is not None:
+        return build()[1]
+    transform = weakref.ref(fourier_transform_sampled)
+    return _kept(f, ("spectrum", transform, float(sigma), n), build)[1]
 
 
 def _signal_windows(gen_f: Generator, gen: Generator, sigma: float,

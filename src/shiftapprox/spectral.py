@@ -32,12 +32,15 @@ the omitted mass meets tol (`lattice_truncation`), reported as
 nodes, the seam, hold the limit of D from inside the period.
 
 D and the conjugate spectrum a fold multiplies f-hat by (`lattice_spectrum`)
-belong to the space, not to the signal: each is computed once per
-generator object and grid and kept, read-only, in one least-recently-used
-cache of at most ``_SPACE_BYTES`` bytes of arrays (`numerics.lru_store`).
-An entry holds its generator by weak reference: it neither keeps the
-generator alive nor serves a later object at the same address, so a
-generator built anew (a ``file`` one, on every parse) misses.  A kept
+belong to the space: each is computed once per generator object and grid.
+The spectrum of read-only time samples on its period extension
+(`shiftspace._spectrum_of`) depends on the samples, sigma and the grid's
+node count alone: it is computed once per samples object.  All three are
+kept, read-only, in one least-recently-used cache of at most
+``_SPACE_BYTES`` bytes of arrays (`numerics.lru_store`), through `_kept`.
+An entry holds its owner, the generator or the samples, by weak reference:
+it neither keeps the owner alive nor serves a later object at the same
+address, so a generator or samples object built anew misses.  A kept
 value is the bytes a fresh computation gives.
 """
 
@@ -72,7 +75,8 @@ _CLASS_CAP = 4096
 _RATIO_RTOL = 1e-12
 #: steps of `_hurwitz_zeta`'s direct sum before its Euler-Maclaurin tail
 _ZETA_STEPS = 9
-#: bound on the bytes of the arrays `periodize` and `lattice_spectrum` keep
+#: bound on the bytes of the arrays `_kept` holds: D, the fold's B-hat and
+#: the spectra of time samples
 _SPACE_BYTES = 32 * 2 ** 20
 _SPACES: "OrderedDict[tuple, tuple]" = OrderedDict()
 _SPACES_LOCK = threading.Lock()
@@ -413,11 +417,14 @@ def poisson_energy(acorr: np.ndarray, sigma: float, y: np.ndarray) -> np.ndarray
     return values / (4.0 * np.pi * sigma)
 
 
-def _kept(gen: Generator, key: tuple, build: Callable[[], tuple]) -> tuple:
-    """The entry ``build()`` of the space of ``gen`` under ``key``, from the
-    space cache or built and kept there; its first item is an array, made
-    read-only, whose bytes count against ``_SPACE_BYTES``."""
-    key = (weakref.ref(gen),) + key
+def _kept(owner: object, key: tuple, build: Callable[[], tuple]) -> tuple:
+    """The entry ``build()`` of ``owner``, a generator or time samples,
+    under ``key``, from the space cache or built and kept there.  Its first
+    item is an array, made read-only, whose bytes count against
+    ``_SPACE_BYTES``.  ``owner`` is held by weak reference, as is any
+    object ``key`` names by `weakref.ref`; an entry any of whose referents
+    has died is dropped at the next store."""
+    key = (weakref.ref(owner),) + key
     with _SPACES_LOCK:
         entry = _SPACES.get(key)
         if entry is not None:
@@ -426,7 +433,8 @@ def _kept(gen: Generator, key: tuple, build: Callable[[], tuple]) -> tuple:
     entry = build()
     entry[0].flags.writeable = False
     with _SPACES_LOCK:
-        for dead in [k for k in _SPACES if k[0]() is None]:
+        for dead in [k for k in _SPACES if any(
+                isinstance(r, weakref.ref) and r() is None for r in k)]:
             del _SPACES[dead]
         lru_store(_SPACES, key, entry, _SPACE_BYTES, lambda e: e[0].nbytes)
     return entry

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InvalidGridError, MissingTimeDomainError, TruncationError
 from .generator import (Generator, generator_l2_norm_sq, shift_autocorrelation,
-                        time_extent)
+                        shift_range, time_extent)
 from .numerics import (TWO_PI, Grid, chunk_slices, quadrature_weights,
                        shared_grid)
 from .spectral import lattice_energy, lattice_sum, poisson_energy, poisson_lags
@@ -98,11 +98,10 @@ class PropertyReport:
 def _time_window(gen: Generator, sigma: float, xmin: float,
                  xmax: float) -> Tuple[int, int]:
     """Index range of the shifts whose `time_extent` reaches [xmin, xmax],
-    one more on either side."""
-    h = np.pi / sigma
+    one more on either side; `TruncationError` past `shift_range`'s cap."""
     lo, hi, _ = time_extent(gen)
-    return (int(np.floor((xmin - hi) / h)) - 1,
-            int(np.ceil((xmax - lo) / h)) + 1)
+    first, last = shift_range(xmin - hi, xmax - lo, sigma)
+    return first - 1, last + 1
 
 
 def _is_mesh(x: np.ndarray, y: np.ndarray) -> bool:

@@ -17,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -140,6 +141,39 @@ def test_parameters_past_the_double_range_exit_2_with_one_line(argv, name, capsy
     err = capsys.readouterr().err
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zak", "--gen", "gauss:width=1", "--sigma", "1e308"],
+    ["validate", "--gen", "gauss:width=1", "--sigma", "1e308"],
+    ["compare", "--gen", "gauss:width=1", "--f", "gauss:width=1",
+     "--sigma", "1e308"],
+])
+def test_sigma_at_the_top_of_the_double_range_exits_1_with_one_line(argv, capsys):
+    # a generator whose constants do not read sigma passes the spec check;
+    # the shifts by pi/sigma that reach its time window, and the period's
+    # span, pass the double range: one error line, where an OverflowError
+    # traceback was
+    rc, out = run_cli(argv + ["--dgrid", "9"])
+    err = capsys.readouterr().err
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("gen", ["sinc", "gauss:width=1"])
+def test_sigma_at_the_bottom_of_the_double_range_exits_1_at_once(gen):
+    # pi/1e-308 overflows a double: the oracle's window of shift multiples
+    # held none, and its step halved without end
+    argv = ["compare", "--gen", gen, "--f", "gauss:width=1", "--sigma", "1e-308",
+            "--sweep", "jrange=1", "--dgrid", "9"]
+    src = str(Path(shiftapprox.__file__).resolve().parent.parent)
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "shiftapprox", *argv],
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=env_path))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (b"error: sigma=1e-308: the shift step pi/sigma "
+                           b"overflows a double\n")
 
 
 @pytest.mark.parametrize("spec", [
@@ -566,7 +600,8 @@ def test_besterr_on_time_samples_recovers_no_coefficients(tmp_path):
 def test_besterr_sigma_sweep_builds_a_file_generator_once(tmp_path, monkeypatch):
     # time samples as the generator: their spline does not depend on
     # sigma, so a four-sigma sweep builds it once, and each row is the row
-    # of a run at that sigma alone
+    # of a run at that sigma alone.  The single runs have built the one
+    # generator of the parsed file: the sweep starts from an empty table
     path = tmp_path / "gen-x.csv"
     x = np.linspace(-8.0, 8.0, 513)
     write_samples_csv(str(path), SampledFunction(
@@ -586,6 +621,7 @@ def test_besterr_sigma_sweep_builds_a_file_generator_once(tmp_path, monkeypatch)
         return build(samples, **kwargs)
 
     monkeypatch.setattr(generator, "sampled_generator", counting)
+    monkeypatch.setattr(generator, "_FILE_GENERATORS", weakref.WeakKeyDictionary())
     rc, out = run_cli(base + ["--sweep", "sigma=0.5,1,1.5,2"])
     assert rc == 0
     assert len(calls) == 1
@@ -606,9 +642,9 @@ def test_time_samples_too_coarse_for_three_windows_exit_1(tmp_path, capsys):
 
 
 def test_besterr_sigma_sweep_parses_each_file_once(tmp_path, monkeypatch):
-    # a file's samples do not depend on sigma: the sweep reads the generator
-    # file once and the signal file at every sigma, and the parsed-file
-    # cache parses each of them once, whatever the number of sigmas
+    # a file's samples do not depend on sigma: the sweep reads both files
+    # at every sigma, and the parsed-file cache parses each of them once,
+    # whatever the number of sigmas
     gen_path, f_path = tmp_path / "gen.csv", tmp_path / "f.csv"
     _tabulated_gaussian(gen_path)
     gauss = parse_generator_spec("gauss:width=1")

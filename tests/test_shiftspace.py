@@ -734,6 +734,26 @@ def test_time_sample_spectrum_matches_the_one_shot_doubling(name):
     assert np.max(np.abs(spec.values[rows] - direct)) <= 1e-14 * top
 
 
+@pytest.mark.parametrize("name", sorted(time_sample_shapes()))
+def test_read_only_samples_keep_the_bytes_of_a_fresh_transform(name, monkeypatch):
+    # read-only samples that own their memory are transformed once per
+    # sigma and node count; the kept spectrum is read-only and has the
+    # bytes of writable samples' spectrum, which is transformed every call
+    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
+    f, sigma, n = time_sample_shapes()[name]
+    values = f.values.copy()
+    values.flags.writeable = False
+    frozen = SampledFunction(f.grid, values)
+    grid = Grid(-sigma, sigma, n)
+    kept = _spectrum_of(frozen, sigma, grid)
+    assert _spectrum_of(frozen, sigma, grid) is kept
+    assert not kept.values.flags.writeable
+    fresh = _spectrum_of(f, sigma, grid)
+    assert fresh is not _spectrum_of(f, sigma, grid)
+    assert fresh.grid == kept.grid
+    assert fresh.values.tobytes() == kept.values.tobytes()
+
+
 def test_time_sample_spectrum_builds_one_chirp_plan(monkeypatch):
     # three windows, then five and nine: three transforms, one plan
     f, sigma, n = time_sample_shapes()["241-onto-257-sigma1"]

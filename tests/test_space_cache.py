@@ -1,12 +1,14 @@
-"""The space cache: one generator per family spec, D and the fold's B-hat
-kept per generator and grid, one shared grid per (start, stop, count), and
-the bytes of fresh runs.
+"""The space cache: one generator per family spec and per parsed file, D
+and the fold's B-hat kept per generator and grid, the spectrum of time
+samples kept per samples object, one shared grid per (start, stop, count),
+and the bytes of fresh runs.
 
-`spectral` keeps D (`periodize`) and the conjugate spectrum a fold reads
-(`lattice_spectrum`) in one least-recently-used cache bounded in bytes;
-`numerics` keeps the period grids, their extensions, node text and Simpson
-rows in another (`shared_grid`).  Every reuse must print what a process
-that starts empty prints.
+`spectral` keeps D (`periodize`), the conjugate spectrum a fold reads
+(`lattice_spectrum`) and the transform of read-only time samples
+(`shiftspace._spectrum_of`) in one least-recently-used cache bounded in
+bytes; `numerics` keeps the period grids, their extensions, node text and
+Simpson rows in another (`shared_grid`).  Every reuse must print what a
+process that starts empty prints.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import gc
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -21,11 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftapprox import cli, generator, numerics, oracle, spectral, zak
+from shiftapprox import (cli, generator, numerics, oracle, shiftspace,
+                         spectral, zak)
 from shiftapprox.generator import (CardinalSpline, bandlimited_generator,
                                    bspline_generator, gaussian_generator,
                                    parse_generator_spec, spline_generator)
-from shiftapprox.numerics import Grid, csv_text, shared_grid
+from shiftapprox.numerics import (Grid, SampledFunction, csv_text,
+                                  read_samples_csv, shared_grid,
+                                  write_samples_csv)
 from shiftapprox.shiftspace import project
 from shiftapprox.spectral import lattice_spectrum, periodize
 
@@ -34,19 +40,25 @@ from helpers import fixed_gaussian_samples, run_cli
 
 def _empty_caches() -> None:
     """The state of a fresh process: no shared generator, no kept space,
-    no shared grid."""
+    no shared grid, no parsed file."""
     spectral._SPACES.clear()
     numerics._GRIDS.clear()
+    numerics._CACHE.clear()
+    numerics._PATHS.clear()
+    generator._FILE_GENERATORS.clear()
     for build in (generator._bspline, generator._gaussian, generator._bandlimited):
         build.cache_clear()
 
 
 @pytest.fixture
 def empty(monkeypatch):
-    """A space cache and a grid table of their own, empty, with the
-    generator memos cleared."""
+    """A space cache, a grid table, a CSV cache and a file-generator table
+    of their own, empty, with the generator memos cleared."""
     monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
     monkeypatch.setattr(numerics, "_GRIDS", OrderedDict())
+    monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    monkeypatch.setattr(numerics, "_PATHS", {})
+    monkeypatch.setattr(generator, "_FILE_GENERATORS", weakref.WeakKeyDictionary())
     _empty_caches()
 
 
@@ -237,6 +249,145 @@ def test_the_grid_table_keeps_its_byte_bound(empty, monkeypatch):
     assert list(numerics._GRIDS.values()) == [c] and held() <= 1200
     assert csv_text(b) == csv_text(b.nodes()) and b.text_words() is words
     assert shared_grid(-2.0, 2.0, 65) is not b
+
+
+def _transforms(monkeypatch) -> list:
+    """The frequency grids `shiftspace` transforms time samples onto, one
+    entry per call of `fourier_transform_sampled` from now on."""
+    grids = []
+    transform = numerics.fourier_transform_sampled
+
+    def counting(f, freq, inner=None):
+        grids.append(freq)
+        return transform(f, freq, inner)
+
+    monkeypatch.setattr(shiftspace, "fourier_transform_sampled", counting)
+    return grids
+
+
+def _file_runs(path) -> list:
+    f = ["--f", f"file:{path}", "--dgrid", "129"]
+    return [["project", "--gen", "bspline:m=1", *f, "--jrange", "8"],
+            ["project", "--gen", "bspline:m=2", *f, "--jrange", "8"],
+            ["project", "--gen", "sinc", *f, "--rho", "0.6", "--jrange", "8"],
+            ["besterr", "--gen", "bspline:m=2", *f, "--sweep", "rho=0.25,0.5,1"],
+            ["compare", "--gen", "bspline:m=3", *f, "--sweep", "jrange=4,8"]]
+
+
+def test_a_time_sample_file_is_transformed_once(empty, tmp_path, monkeypatch):
+    # three projects onto three spaces, a besterr sweep and a compare read
+    # the file's spectrum at one sigma and dgrid: the first transforms it
+    # (three windows, then the doublings), the others transform nothing
+    path = tmp_path / "f-x.csv"
+    write_samples_csv(str(path), fixed_gaussian_samples())
+    grids = _transforms(monkeypatch)
+    warm = []
+    for i, argv in enumerate(_file_runs(path)):
+        grids.clear()
+        warm.append(run_cli(argv))
+        assert warm[-1][0] == 0, argv
+        assert bool(grids) == (i == 0), argv
+    # each prints the bytes of a fresh state, which transforms again
+    for argv, got in zip(_file_runs(path), warm):
+        _empty_caches()
+        grids.clear()
+        assert run_cli(argv) == got, argv
+        assert grids, argv
+
+
+def test_a_rewritten_time_sample_file_is_transformed_again(empty, tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "f-x.csv"
+    samples = fixed_gaussian_samples()
+    write_samples_csv(str(path), samples)
+    grids = _transforms(monkeypatch)
+    argv = _file_runs(path)[0]
+    first = run_cli(argv)
+    assert first[0] == 0 and grids
+    grids.clear()
+    write_samples_csv(str(path), SampledFunction(samples.grid, 2.0 * samples.values))
+    second = run_cli(argv)
+    assert second[0] == 0 and grids
+    assert second != first
+    _empty_caches()
+    assert run_cli(argv) == second
+
+
+def test_kept_spectra_are_read_only_and_keep_the_byte_bound(empty, tmp_path,
+                                                          monkeypatch):
+    # the 513 samples' spectrum at 129 nodes and sigma 1 folds 9 windows:
+    # 1153 nodes, 18448 bytes.  Under a 20000-byte bound one spectrum is
+    # kept at a time, with D (1032 bytes) beside it
+    monkeypatch.setattr(spectral, "_SPACE_BYTES", 20000)
+    paths = [tmp_path / f"f{i}-x.csv" for i in range(3)]
+    samples = fixed_gaussian_samples()
+    for i, path in enumerate(paths):
+        write_samples_csv(str(path), SampledFunction(samples.grid,
+                                                     (1.0 + i) * samples.values))
+    grid = shared_grid(-1.0, 1.0, 129)
+    for path in paths:
+        f = read_samples_csv(str(path))
+        spec = shiftspace._spectrum_of(f, 1.0, grid)
+        assert shiftspace._spectrum_of(f, 1.0, grid) is spec
+        assert spec.grid.count == 1153 and not spec.values.flags.writeable
+        with pytest.raises(ValueError):
+            spec.values[0] = 0
+        assert [key[0]() for key in spectral._SPACES
+                if key[1] == "spectrum"] == [f]
+        assert _kept_bytes() <= 20000
+        # B-hat of the fold (18448 bytes) and D join and push out the oldest
+        assert run_cli(["besterr", "--gen", "bspline:m=2", "--f", f"file:{path}",
+                        "--dgrid", "129"])[0] == 0
+        assert _kept_bytes() <= 20000
+
+
+def test_a_writable_signal_is_transformed_on_every_call(empty, monkeypatch):
+    # a caller's writable samples, or a read-only view of them, may change
+    # between calls: each call transforms them and sees the change
+    grids = _transforms(monkeypatch)
+    gen, grid = bspline_generator(2, 1.0), shared_grid(-1.0, 1.0, 129)
+    f = fixed_gaussian_samples()
+    assert f.values.flags.writeable
+    view = f.values.view()
+    view.flags.writeable = False
+    g = SampledFunction(f.grid, view)
+    errors = []
+    for signal in (f, f, g, g):
+        grids.clear()
+        errors.append(shiftspace.best_approx_error_sq(signal, gen, 1.0, 1.0,
+                                                      grid=grid))
+        assert grids
+    assert len(set(errors)) == 1
+    f.values[:] *= 2.0
+    for signal in (f, g):
+        assert shiftspace.best_approx_error_sq(signal, gen, 1.0, 1.0, grid=grid) \
+            == pytest.approx(4.0 * errors[0], rel=1e-12)
+    assert not [key for key in spectral._SPACES if key[1] == "spectrum"]
+
+
+def test_one_file_generator_per_parsed_content(empty, tmp_path):
+    # an unchanged file parses to one generator, its space kept once; a
+    # rewritten file is new content and a new generator; the generator
+    # lives no longer than the parsed content the CSV cache holds
+    path = tmp_path / "gen-x.csv"
+    samples = fixed_gaussian_samples()
+    write_samples_csv(str(path), samples)
+    spec = f"file:{path}"
+    gen = parse_generator_spec(spec)
+    assert parse_generator_spec(spec, default_sigma=2.0) is gen
+    assert parse_generator_spec(f"  {spec} ") is gen
+    grid = shared_grid(-1.0, 1.0, 33)
+    assert periodize(parse_generator_spec(spec), 1.0, grid).values is \
+        periodize(gen, 1.0, grid).values
+    write_samples_csv(str(path), SampledFunction(samples.grid, 2.0 * samples.values))
+    regen = parse_generator_spec(spec)
+    assert regen is not gen and parse_generator_spec(spec) is regen
+    assert len(generator._FILE_GENERATORS) == 2
+    numerics._CACHE.clear()
+    numerics._PATHS.clear()
+    gc.collect()
+    assert len(generator._FILE_GENERATORS) == 0
+    assert parse_generator_spec(spec) is not regen
 
 
 def test_the_gram_oracle_reads_nothing_from_the_space_cache(monkeypatch):
