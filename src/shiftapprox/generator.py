@@ -34,16 +34,16 @@ one `Generator` per argument tuple and hand that object to every caller
 arrays `spectral` keeps per generator serve every request on that space.
 A generator is immutable: its fields are frozen, its spline coefficients
 and tables read-only.  `parse_generator_spec` hands out one ``file``
-generator per parsed content object and spec text, for as long as that
-content lives (the CSV cache of `read_samples_csv` holds it), so a file
-read again unchanged serves the same space.
+generator per parsed content object and spec text from the process's
+keeper (`numerics.keep`), which holds the content by weak reference and
+drops the generator once that content has died, so a file read again
+unchanged serves the same space.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +56,7 @@ from .numerics import (
     TWO_PI,
     SampledFunction,
     SampledSpectrum,
+    keep,
     make_uniform_grid,
     quadrature_weights,
     read_samples_csv,
@@ -77,10 +78,6 @@ TIME_EPS = 1e-16
 _SHIFT_CAP = 1_000_000
 #: argument tuples per family whose generator is kept and shared
 _SHARED_GENERATORS = 1024
-#: parsed content of a ``file`` spec -> {spec text: its generator}; an entry
-#: goes with its content
-_FILE_GENERATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_FILE_GENERATORS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +301,8 @@ def spline_generator(spline: CardinalSpline, label: str) -> Generator:
     else:  # the Gram row reversed: entry j is r_{count - 1 - j}
         amplitude, shape = 1.0, _cardinal_spline(coeffs, order)
         gram = _cardinal_spline(np.correlate(coeffs, coeffs, "full")[::-1], 2 * order)
-    weight, scale = step * abs(amplitude) ** 2, (step / TWO_PI) * amplitude
+    # a Python float's square raises OverflowError where numpy's would warn
+    weight, scale = step * float(abs(amplitude)) ** 2, (step / TWO_PI) * amplitude
 
     def time_domain(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -397,13 +395,20 @@ def gaussian_generator(width: float) -> Generator:
 @functools.lru_cache(maxsize=_SHARED_GENERATORS)
 @_in_range("width")
 def _gaussian(w: float) -> Generator:
+    # a square past the double range is inf, and exp(-inf) the 0 it stands for
     def spectrum(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return (w / math.sqrt(TWO_PI)) * np.exp(-0.5 * (w * y) ** 2) + 0.0j
+        with np.errstate(over="ignore"):
+            return (w / math.sqrt(TWO_PI)) * np.exp(-0.5 * (w * y) ** 2) + 0.0j
 
     def time_domain(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * (x / w) ** 2) + 0.0j
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * (x / w) ** 2) + 0.0j
+
+    def autocorrelation(tau: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return w * math.sqrt(math.pi) * np.exp(-tau * tau / (4.0 * w * w))
 
     # |spectrum(y)| (1+y)^p peaks where w^2 y (1+y) = p
     p = 40.0
@@ -416,8 +421,7 @@ def _gaussian(w: float) -> Generator:
         decay_constant=c_fit,
         time_domain=time_domain,
         time_radius=w * math.sqrt(2.0 * math.log(1.0 / TIME_EPS)),
-        autocorrelation=lambda tau: (
-            w * math.sqrt(math.pi) * np.exp(-tau * tau / (4.0 * w * w))),
+        autocorrelation=autocorrelation,
     )
 
 
@@ -532,21 +536,18 @@ def parse_generator_spec(text: str, default_sigma: float = 1.0) -> Generator:
     ``sinc:sigma=<r>``, ``file:<path>``.  Omitted sigma falls back to
     ``default_sigma``; bad family parameters raise one `ValueError`.
     A ``file`` spec returns one generator per content object that
-    `read_samples_csv` hands out and spec text: an unchanged file parses to
-    the same generator, a rewritten one to a new generator.
+    `read_samples_csv` hands out and spec text (`keep`, sized by its spline
+    coefficients): an unchanged file parses to the same generator, a
+    rewritten one to a new generator.
     """
     text = text.strip()
     if is_file_spec(text):
         loaded = read_samples_csv(text[len("file:"):])
-        with _FILE_GENERATORS_LOCK:
-            gen = _FILE_GENERATORS.get(loaded, {}).get(text)
-        if gen is None:
-            build = (spectrum_generator if isinstance(loaded, SampledSpectrum)
-                     else sampled_generator)
-            gen = build(loaded, label=text)
-            with _FILE_GENERATORS_LOCK:
-                gen = _FILE_GENERATORS.setdefault(loaded, {}).setdefault(text, gen)
-        return gen
+        build = (spectrum_generator if isinstance(loaded, SampledSpectrum)
+                 else sampled_generator)
+        return keep(("file generator", weakref.ref(loaded), text),
+                    lambda: build(loaded, label=text),
+                    lambda gen: gen.spline.coeffs.nbytes if gen.spline else 0)
     name, _, rest = text.partition(":")
     known = {"bspline": ("m", "sigma"), "gauss": ("width",), "sinc": ("sigma",)}
     if name not in known:

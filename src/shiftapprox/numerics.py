@@ -7,13 +7,14 @@ Conventions used throughout the package:
 
 so that ``norm(f)**2 == 2*pi*norm(fhat)**2``.  All reductions go through
 `numpy.sum`, whose pairwise accumulation is deterministic for a fixed shape,
-so repeated runs produce identical bytes.  Every function here is pure but
-`read_samples_csv`, which caches what it parsed; the types are frozen
+so repeated runs produce identical bytes.  The types are frozen
 dataclasses and safe to share between threads as long as the caller does not
 mutate the value arrays.  A grid builds its nodes, their ``%.17g`` words
-and its Simpson row once, on first use, and keeps them read-only; the
-period grids and their extensions come from one shared, byte-bounded
-table (`shared_grid`).
+and its Simpson row once, on first use, and keeps them read-only.  Every
+function here is pure but the keeper's: `keep` holds what the process
+reuses, in one least-recently-used table under one byte bound (the shared
+grids, parsed CSV content, and for `generator` and `spectral` file
+generators, D, the fold's B-hat and time-sample spectra).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import math
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Hashable, Iterable, List, NamedTuple,
+from typing import (Any, Callable, Iterable, List, NamedTuple,
                     Optional, Sequence, TextIO, Tuple, Union)
 
 import numpy as np
@@ -85,7 +87,7 @@ class Grid:
 
     def _held(self, name: str, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The array ``name``, built on first use and kept read-only; a
-        shared grid then holds more bytes, so its table checks its bound."""
+        shared grid then holds more bytes, so the keeper checks its bound."""
         held = self.__dict__.get(name)
         if held is None:
             held = build()
@@ -125,15 +127,71 @@ def make_uniform_grid(start: float, stop: float, count: int) -> Grid:
     return Grid(float(start), float(stop), count)
 
 
-#: bound on the bytes of nodes, words and Simpson rows the shared grids keep
-_GRID_BYTES = 4 * 2 ** 20
-_GRIDS: "OrderedDict[tuple, Grid]" = OrderedDict()
-_GRIDS_LOCK = threading.Lock()
+# ---------------------------------------------------------------------------
+# The keeper: what the process reuses, in one table under one byte bound
+
+#: bound on the bytes of everything `keep` holds together
+_KEPT_BYTES = 100 * 2 ** 20
+#: key -> (value, size) of what the process keeps, least recently used
+#: first; a key's first item names the kind of value
+_KEPT: "OrderedDict[tuple, Tuple[Any, Callable[[Any], int]]]" = OrderedDict()
+_KEPT_LOCK = threading.Lock()
+
+
+def keep(key: tuple, build: Callable[[], Any], size: Callable[[Any], int]) -> Any:
+    """The value kept under ``key``, or ``build()``, kept there.
+
+    ``key``'s first item names the kind of value ("grid", "csv", ...); an
+    item may name an object by `weakref.ref`, and an entry whose referent
+    has died is dropped at the next store.  ``build`` runs outside the
+    lock; the first value stored under a key wins a race.  ``size(value)``,
+    read at every store, is the bytes a value holds: least-recently-used
+    entries go while the sizes pass ``_KEPT_BYTES``; a larger value is
+    handed out but not kept.
+    """
+    with _KEPT_LOCK:
+        value = _hit(key)
+    if value is None:
+        value = build()
+        with _KEPT_LOCK:
+            value = _store(key, value, size)
+    return value
+
+
+def _hit(key: tuple) -> Any:
+    """The value kept under ``key``, now the most recently used, or None;
+    the caller holds ``_KEPT_LOCK``, as for `_store`."""
+    entry = _KEPT.get(key)
+    if entry is None:
+        return None
+    _KEPT.move_to_end(key)
+    return entry[0]
+
+
+def _store(key: tuple, value: Any, size: Callable[[Any], int]) -> Any:
+    """Keep ``value`` under ``key`` unless one is kept there, and return
+    the one kept; then hold the keeper to its bound, and drop every path
+    whose content went."""
+    for dead in [k for k in _KEPT if any(
+            isinstance(r, weakref.ref) and r() is None for r in k)]:
+        del _KEPT[dead]
+    value, size = _KEPT.setdefault(key, (value, size))
+    if size(value) > _KEPT_BYTES:
+        del _KEPT[key]
+    else:
+        _KEPT.move_to_end(key)
+    total = sum(sized(v) for v, sized in _KEPT.values())
+    while total > _KEPT_BYTES:
+        _, (old, sized) = _KEPT.popitem(last=False)
+        total -= sized(old)
+    for path in [p for p, (_, k) in _PATHS.items() if k not in _KEPT]:
+        del _PATHS[path]
+    return value
 
 
 def _grid_key(start: float, stop: float, count: int) -> tuple:
     # the signs tell -0.0 from 0.0, which print apart
-    return (start, stop, count, math.copysign(1.0, start),
+    return ("grid", start, stop, count, math.copysign(1.0, start),
             math.copysign(1.0, stop))
 
 
@@ -144,33 +202,22 @@ def shared_grid(start: float, stop: float, count: int) -> Grid:
     Every period grid, its extensions (`period_extension`), zak's cell
     grids and project's index column come from here, so each is built
     once per process with whatever it has been asked for: its nodes, their
-    ``%.17g`` words and its Simpson row, all read-only.  The grids live in
-    one least-recently-used table whose kept arrays stay within
-    ``_GRID_BYTES`` (`lru_store`, checked again whenever a grid builds one);
-    a grid dropped from it keeps working, and the next call builds anew.
-    A grid's arrays are the bytes a fresh grid builds.
+    ``%.17g`` words and its Simpson row, all read-only.  A grid is kept
+    (`keep`), its size the arrays it holds, stored again whenever it
+    builds one; a grid dropped keeps working, and the next call builds
+    anew.  A grid's arrays are the bytes a fresh grid builds.
     """
     key = _grid_key(float(start), float(stop), int(count))
-    with _GRIDS_LOCK:
-        grid = _GRIDS.get(key)
-        if grid is not None:
-            _GRIDS.move_to_end(key)
-            return grid
-    grid = Grid(key[0], key[1], key[2])
-    with _GRIDS_LOCK:
-        # a racing call may have stored its own: the first one wins
-        grid = _GRIDS.setdefault(key, grid)
-        lru_store(_GRIDS, key, grid, _GRID_BYTES, Grid.held_bytes)
-    return grid
+    return keep(key, lambda: Grid(key[1], key[2], key[3]), Grid.held_bytes)
 
 
 def _grid_grew(grid: Grid) -> None:
-    """Hold the shared-grid table to its bound after ``grid`` built an
-    array, if ``grid`` is the one the table shares."""
+    """Hold the keeper to its bound after ``grid`` built an array, if
+    ``grid`` is the one it shares."""
     key = _grid_key(grid.start, grid.stop, grid.count)
-    with _GRIDS_LOCK:
-        if _GRIDS.get(key) is grid:
-            lru_store(_GRIDS, key, grid, _GRID_BYTES, Grid.held_bytes)
+    with _KEPT_LOCK:
+        if _hit(key) is grid:
+            _store(key, grid, Grid.held_bytes)
 
 
 def covering_windows(radius: float, sigma: float) -> int:
@@ -229,7 +276,7 @@ class SampledFunction:
 
     Hashed and compared by identity, like `generator.Generator`: the
     spectrum `shiftspace` transforms from read-only samples is kept per
-    samples object (held by weak reference) in the space cache.
+    samples object (held by weak reference) in the keeper (`keep`).
     """
 
     grid: Grid
@@ -723,33 +770,8 @@ def write_samples_csv(dest: Union[str, TextIO],
             fh.close()
 
 
-def lru_store(cache: "OrderedDict", key: Hashable, value: Any, budget: int,
-              size: Callable[[Any], int]) -> List[Hashable]:
-    """Keep ``value`` under ``key`` as the most recently used entry of
-    ``cache``, then drop the least recently used entries while the
-    ``size`` of the entries kept passes ``budget`` bytes; returns the keys
-    dropped.  A value larger than ``budget`` is not kept, nor is what
-    ``key`` held before.  The caller holds the cache's lock.
-    """
-    if size(value) > budget:
-        return [key] if cache.pop(key, None) is not None else []
-    cache[key] = value
-    cache.move_to_end(key)
-    total = sum(size(v) for v in cache.values())
-    dropped = []
-    while total > budget:
-        gone, old = cache.popitem(last=False)
-        total -= size(old)
-        dropped.append(gone)
-    return dropped
-
-
-#: bound on the total ``values.nbytes`` that `read_samples_csv` keeps
-_CACHE_BYTES = 64 * 2 ** 20
-_CACHE: "OrderedDict[bytes, SampledFunction | SampledSpectrum]" = OrderedDict()
-#: path -> (fstat signature, content key) of a file read unchanged
-_PATHS: "dict[str, Tuple[_Signature, bytes]]" = {}
-_CACHE_LOCK = threading.Lock()
+#: path -> (fstat signature, keeper key) of a file read unchanged
+_PATHS: "dict[str, Tuple[_Signature, tuple]]" = {}
 #: a file changed within this many ns of a read may be rewritten inside the
 #: same timestamp tick, keeping its signature: it is not recorded by path.
 #: 2 s is FAT's timestamp granularity, the coarsest in common use
@@ -786,45 +808,45 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     at any path and whatever its modification time, is parsed once per
     process and the validated value is returned again.  Its ``values`` are
     read-only, so an in-place write raises instead of changing later
-    reads.  Failures are not cached, and the least recently read entries
-    are dropped once the cached ``values``, with the arrays their grids
-    have built for a caller (`Grid.held_bytes`), exceed ``_CACHE_BYTES``.
-    A file object is parsed on every call and not cached.
+    reads.  The content is kept (`keep`), its size its ``values`` and the
+    arrays its grid has built (`Grid.held_bytes`); failures are not.  A
+    file object is parsed on every call and not kept.
 
-    Beside that content cache a path table keeps, per path, the
+    Beside the content a path index, ``_PATHS``, keeps per path the
     ``os.fstat`` signature of the open file (device, inode, size, mtime and
     ctime in ns; taken after the open, where NFS close-to-open consistency
-    revalidates it) and the content key read.  A read whose signature
-    matches, while that content is still cached, returns it without
-    reading or hashing a byte.  A read records its path only when the
-    signature is unchanged across the read and the file's last change,
+    revalidates it) and the content's keeper key.  A read whose signature
+    matches, while that content is still kept, returns it without reading
+    or hashing a byte.  A read records its path only when the signature is
+    unchanged across the read and the file's last change,
     ``max(mtime, ctime)``, lies more than ``_RACY_NS`` (2 s) before the
     read began.  So a file changed in the last 2 s (a same-size rewrite
     inside one timestamp tick keeps its signature), one dated in the future
     or changed during the read, a rewritten or replaced file and a path
-    whose content was dropped are read and hashed again.  Both tables live
-    in the process: a subprocess per call gains nothing from them.
+    whose content was dropped, by whichever store, are read and hashed
+    again.  Both live in the process: a subprocess per call gains nothing
+    from them.
     """
     if not isinstance(src, str):
         return _parse_samples(src.readline(), src)
     began = time.time_ns()
     with open(src, "rb") as fh:
         seen = _signature(fh)
-        with _CACHE_LOCK:
+        with _KEPT_LOCK:
             known = _PATHS.get(src)
-            if known is not None and known[0] == seen and known[1] in _CACHE:
-                _CACHE.move_to_end(known[1])
-                return _CACHE[known[1]]
+            loaded = _hit(known[1]) if known and known[0] == seen else None
+        if loaded is not None:
+            return loaded
         raw = fh.read()
         settled = (_signature(fh) == seen
                    and began - max(seen.mtime_ns, seen.ctime_ns) > _RACY_NS)
-    key = hashlib.sha256(raw).digest()
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            _CACHE.move_to_end(key)
-            if settled:
-                _PATHS[src] = (seen, key)
-            return _CACHE[key]
+    key = ("csv", hashlib.sha256(raw).digest())
+    with _KEPT_LOCK:
+        loaded = _hit(key)
+        if loaded is not None and settled:
+            _PATHS[src] = (seen, key)
+    if loaded is not None:
+        return loaded
     if not raw.isascii():
         at = next(i for i, byte in enumerate(raw) if byte > 0x7F)
         raise InvalidGridError(f"{src}: byte {raw[at]:#04x} at offset {at} "
@@ -834,20 +856,11 @@ def read_samples_csv(src: Union[str, TextIO]) -> SampledFunction | SampledSpectr
     del raw  # the parse holds the byte lines alone
     loaded = _parse_samples(header.decode("ascii"), body)
     loaded.values.flags.writeable = False
-    with _CACHE_LOCK:
-        for gone in lru_store(_CACHE, key, loaded, _CACHE_BYTES, _held_bytes):
-            # no path outlives the content it names
-            for path in [p for p, (_, k) in _PATHS.items() if k == gone]:
-                del _PATHS[path]
-        if settled and key in _CACHE:
+    with _KEPT_LOCK:
+        loaded = _store(key, loaded, lambda c: c.values.nbytes + c.grid.held_bytes())
+        if settled and key in _KEPT:
             _PATHS[src] = (seen, key)
     return loaded
-
-
-def _held_bytes(loaded: SampledFunction | SampledSpectrum) -> int:
-    """The bytes a cached parse holds: its values, and the arrays its grid
-    has built (`Grid.held_bytes`)."""
-    return loaded.values.nbytes + loaded.grid.held_bytes()
 
 
 def _holds_row(line: Union[str, bytes]) -> bool:
@@ -881,7 +894,7 @@ def _parse_samples(header: str, body: Iterable) -> SampledFunction | SampledSpec
         raise InvalidGridError(_TOO_FEW_ROWS)
     nodes = data[:, 0]
     grid = make_uniform_grid(nodes[0], nodes[-1], len(nodes))
-    # the nodes of `Grid.nodes`, not kept by the grid a cached parse holds
+    # the nodes of `Grid.nodes`, not kept by the grid a kept parse holds
     drift = np.max(np.abs(nodes - np.linspace(grid.start, grid.stop, grid.count)))
     if drift > UNIFORM_SPACING_RTOL * grid.span():
         raise InvalidGridError(

@@ -296,7 +296,7 @@ def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
     windows its grid covers; a spectrum on exactly that extension (time
     samples' transform, an aligned file) is read as it is.  The extension
     is the shared grid (`period_extension`), so its nodes are built once
-    for f-hat and B-hat.  B-hat comes from the space cache
+    for f-hat and B-hat.  B-hat comes from the keeper
     (`lattice_spectrum`).  The seam nodes are
     extrapolated only when B's spectral support or an analytic f's is an
     odd multiple of sigma (`_jumps_at_seam`); every other fold is raw.
@@ -476,11 +476,11 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
 
     The spectrum depends on the samples, sigma and ``grid.count`` alone.
     For samples whose values are read-only and own their memory (every
-    ``file:`` parse), it is kept per (samples object, sigma, count) in the
-    space cache (`spectral._kept`), read-only: a repeat on the same samples
-    gets the bytes of its first transform.  Writable samples, or a
-    read-only view of memory that may be written, are transformed on every
-    call, so a change to them is always seen.  The transform is read
+    ``file:`` parse), it is kept per (samples object, sigma, count) as a
+    "spectrum" in the keeper (`spectral._kept`), read-only: a repeat on the
+    same samples gets the bytes of its first transform.  Writable samples,
+    or a read-only view of memory that may be written, are transformed on
+    every call, so a change to them is always seen.  The transform is read
     through this module's name `fourier_transform_sampled`, and an entry
     belongs to the function bound there when it was made (held by weak
     reference): a transform bound in its place, say a tracer's wrapper,

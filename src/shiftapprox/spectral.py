@@ -36,20 +36,18 @@ belong to the space: each is computed once per generator object and grid.
 The spectrum of read-only time samples on its period extension
 (`shiftspace._spectrum_of`) depends on the samples, sigma and the grid's
 node count alone: it is computed once per samples object.  All three are
-kept, read-only, in one least-recently-used cache of at most
-``_SPACE_BYTES`` bytes of arrays (`numerics.lru_store`), through `_kept`.
-An entry holds its owner, the generator or the samples, by weak reference:
-it neither keeps the owner alive nor serves a later object at the same
-address, so a generator or samples object built anew misses.  A kept
-value is the bytes a fresh computation gives.
+kept, read-only, in the process's keeper (`numerics.keep`), through
+`_kept`, under the kinds "D", "fold" and "spectrum".  An entry holds its
+owner, the generator or the samples, by weak reference: it neither keeps
+the owner alive nor serves a later object at the same address, so a
+generator or samples object built anew misses.  A kept value is the bytes
+a fresh computation gives.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
@@ -58,7 +56,7 @@ import numpy as np
 
 from .errors import InvalidGridError, TruncationError
 from .generator import CardinalSpline, Generator, shift_autocorrelation, time_extent
-from .numerics import TWO_PI, Grid, chunk_slices, lru_store, period_extension
+from .numerics import TWO_PI, Grid, chunk_slices, keep, period_extension
 
 #: nodes where D falls at or below this threshold are treated as a vanishing
 #: periodization (guarded in downstream divisions)
@@ -75,11 +73,6 @@ _CLASS_CAP = 4096
 _RATIO_RTOL = 1e-12
 #: steps of `_hurwitz_zeta`'s direct sum before its Euler-Maclaurin tail
 _ZETA_STEPS = 9
-#: bound on the bytes of the arrays `_kept` holds: D, the fold's B-hat and
-#: the spectra of time samples
-_SPACE_BYTES = 32 * 2 ** 20
-_SPACES: "OrderedDict[tuple, tuple]" = OrderedDict()
-_SPACES_LOCK = threading.Lock()
 #: ``B_2j/(2j)!`` for j = 1..12, the Bernoulli terms of that tail (DLMF Table 24.2.1)
 _BERNOULLI = tuple(Fraction(b) / math.factorial(2 * j) for j, b in enumerate(
     ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510",
@@ -419,32 +412,22 @@ def poisson_energy(acorr: np.ndarray, sigma: float, y: np.ndarray) -> np.ndarray
 
 def _kept(owner: object, key: tuple, build: Callable[[], tuple]) -> tuple:
     """The entry ``build()`` of ``owner``, a generator or time samples,
-    under ``key``, from the space cache or built and kept there.  Its first
-    item is an array, made read-only, whose bytes count against
-    ``_SPACE_BYTES``.  ``owner`` is held by weak reference, as is any
-    object ``key`` names by `weakref.ref`; an entry any of whose referents
-    has died is dropped at the next store."""
-    key = (weakref.ref(owner),) + key
-    with _SPACES_LOCK:
-        entry = _SPACES.get(key)
-        if entry is not None:
-            _SPACES.move_to_end(key)
-            return entry
-    entry = build()
-    entry[0].flags.writeable = False
-    with _SPACES_LOCK:
-        for dead in [k for k in _SPACES if any(
-                isinstance(r, weakref.ref) and r() is None for r in k)]:
-            del _SPACES[dead]
-        lru_store(_SPACES, key, entry, _SPACE_BYTES, lambda e: e[0].nbytes)
-    return entry
+    under ``key``, whose first item names its kind, from the keeper or
+    built and kept there.  Its first item is an array, made read-only,
+    whose bytes are its size.  ``owner`` is held by weak reference."""
+    def frozen() -> tuple:
+        entry = build()
+        entry[0].flags.writeable = False
+        return entry
+    return keep((key[0], weakref.ref(owner), *key[1:]), frozen,
+                lambda entry: entry[0].nbytes)
 
 
 def lattice_spectrum(gen: Generator, sigma: float, count: int,
                      windows: int) -> np.ndarray:
     """``conj(spectrum)`` on ``period_extension(sigma, count, windows)``, the
     factor a fold multiplies f-hat by; read-only, and kept per (generator,
-    sigma, count, windows) in the space cache.  A miss samples B-hat on the
+    sigma, count, windows) in the keeper.  A miss samples B-hat on the
     nodes of the shared extension grid, which the fold's f-hat reads too."""
     def build() -> tuple:
         grid = period_extension(sigma, count, windows)
@@ -467,7 +450,7 @@ def periodize(gen: Generator, sigma: float, grid: Grid,
     ``4 eps max(sigma, S)`` inside, so every ``y + 2 nu sigma`` at that edge
     is inside too.  `lattice_sum` may raise `TruncationError`.
 
-    D is kept per (generator, sigma, grid, tol) in the space cache, its
+    D is kept per (generator, sigma, grid, tol) in the keeper, its
     values read-only.
     """
     require_period_grid(grid, sigma)

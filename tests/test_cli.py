@@ -17,7 +17,7 @@ import os
 import re
 import subprocess
 import sys
-import weakref
+import warnings
 from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -174,6 +174,40 @@ def test_sigma_at_the_bottom_of_the_double_range_exits_1_at_once(gen):
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr == (b"error: sigma=1e-308: the shift step pi/sigma "
                            b"overflows a double\n")
+
+
+_EDGE_COMMANDS = {
+    "dfun": [], "riesz": [], "zak": [], "validate": [],
+    "project": ["--f", "gauss:width=1", "--jrange", "1"],
+    "besterr": ["--f", "gauss:width=1"],
+    "compare": ["--f", "gauss:width=1", "--sweep", "jrange=1"],
+}
+#: argv whose overflow at the bottom of the double range is zak's own
+#: (its time window and Phi mesh), not a generator's
+_ZAK_OVERFLOWS = {
+    ("zak", "gauss:width=1", "2e-308"), ("validate", "gauss:width=1", "1e-300"),
+    ("validate", "gauss:width=1", "1e-200"), ("validate", "gauss:width=1", "2e-308"),
+    ("validate", "sinc", "2e-308"),
+}
+
+
+@pytest.mark.parametrize("command,gen,sigma", [
+    (command, gen, sigma) for command in _EDGE_COMMANDS
+    for gen in ("gauss:width=1", "bspline:m=1", "sinc")
+    for sigma in ("1e300", "1e-300", "1e200", "1e-200", "1e155", "2e-308")
+    if (command, gen, sigma) not in _ZAK_OVERFLOWS])
+def test_extreme_sigma_leaks_no_runtime_warning(command, gen, sigma, capsys):
+    # a Gaussian's square past the double range is inf, whose exp is the 0
+    # printed; a B-spline whose constants overflow is refused by exception
+    argv = [command, "--gen", gen, "--sigma", sigma, "--dgrid", "9",
+            *_EDGE_COMMANDS[command]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), err
+    if gen == "bspline:m=1" and float(sigma) >= 1e155:
+        assert (rc, out) == (2, "") and "out of range" in err, err
 
 
 @pytest.mark.parametrize("spec", [
@@ -621,7 +655,8 @@ def test_besterr_sigma_sweep_builds_a_file_generator_once(tmp_path, monkeypatch)
         return build(samples, **kwargs)
 
     monkeypatch.setattr(generator, "sampled_generator", counting)
-    monkeypatch.setattr(generator, "_FILE_GENERATORS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
+    monkeypatch.setattr(numerics, "_PATHS", {})
     rc, out = run_cli(base + ["--sweep", "sigma=0.5,1,1.5,2"])
     assert rc == 0
     assert len(calls) == 1
@@ -652,7 +687,8 @@ def test_besterr_sigma_sweep_parses_each_file_once(tmp_path, monkeypatch):
     argv = ["besterr", "--gen", f"file:{gen_path}", "--f", f"file:{f_path}",
             "--dgrid", "65", "--sweep", "sigma=1,1.5,2"]
     _, want = run_cli(argv)
-    monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
+    monkeypatch.setattr(numerics, "_PATHS", {})
     headers = []
     parse = numerics._parse_samples
 
@@ -679,7 +715,7 @@ def test_besterr_sigma_sweep_hashes_a_settled_file_once(tmp_path, monkeypatch):
         rc_one, one = run_cli(base + ["--sigma", sigma])
         assert rc_one == 0
         singles.extend(_rows(one)[1:])
-    monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
     monkeypatch.setattr(numerics, "_PATHS", {})
     monkeypatch.setattr(numerics, "_RACY_NS", -3600 * 10 ** 9)
     digests = []

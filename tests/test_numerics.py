@@ -456,11 +456,16 @@ def test_csv_without_rows_raises_without_a_warning(text, tmp_path):
 _PARSE = numerics._parse_samples
 
 
+def _kept_bytes() -> int:
+    """The sizes of everything the keeper holds."""
+    return sum(size(value) for value, size in numerics._KEPT.values())
+
+
 @pytest.fixture
 def parses(monkeypatch):
-    """An empty cache and path table, and the (header, body) pairs the
+    """An empty keeper and path index, and the (header, body) pairs the
     parse function got."""
-    monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
     monkeypatch.setattr(numerics, "_PATHS", {})
     seen = []
     parse = numerics._parse_samples
@@ -588,7 +593,7 @@ def test_bad_csv_file_raises_on_every_read(tmp_path, parses, digests, settled):
         with pytest.raises(InvalidGridError):
             read_samples_csv(str(path))
     assert len(parses) == 3 and len(digests) == 3
-    assert not numerics._CACHE and not numerics._PATHS
+    assert not numerics._KEPT and not numerics._PATHS
 
 
 def test_a_file_changed_within_the_racy_window_is_hashed_again(
@@ -674,7 +679,7 @@ def test_csv_cache_drops_least_recently_read_past_its_bound(
     # 65 complex values are 1040 bytes: two fit under the bound, three do
     # not.  A path whose content was dropped leaves the path table with it
     # and is read and hashed anew
-    monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 2500)
     for i in range(3):
         _samples_file(tmp_path / f"{i}.csv", 20 + i)
     read_samples_csv(str(tmp_path / "0.csv"))
@@ -682,7 +687,7 @@ def test_csv_cache_drops_least_recently_read_past_its_bound(
     read_samples_csv(str(tmp_path / "0.csv"))       # 1 is now the oldest
     read_samples_csv(str(tmp_path / "2.csv"))
     assert len(parses) == 3 and len(digests) == 3
-    assert sum(v.values.nbytes for v in numerics._CACHE.values()) <= 2500
+    assert _kept_bytes() <= 2500
     assert sorted(numerics._PATHS) == [str(tmp_path / f"{i}.csv") for i in (0, 2)]
     read_samples_csv(str(tmp_path / "0.csv"))
     read_samples_csv(str(tmp_path / "2.csv"))
@@ -702,20 +707,20 @@ def test_csv_cache_counts_the_grid_nodes_a_parse_holds(
         tmp_path, parses, settled, monkeypatch):
     # a grid keeps its nodes once read: 65 of them are 520 bytes more on
     # the 1040 of a parse's values, so two parses no longer fit under 2500
-    monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 2500)
     for i in range(2):
         _samples_file(tmp_path / f"{i}.csv", 40 + i)
     first = read_samples_csv(str(tmp_path / "0.csv"))
     assert first.grid.nodes() is first.grid.nodes()
     read_samples_csv(str(tmp_path / "1.csv"))
-    assert len(numerics._CACHE) == 1
+    assert len(numerics._KEPT) == 1
     assert sorted(numerics._PATHS) == [str(tmp_path / "1.csv")]
 
 
 def test_csv_cache_under_concurrent_reads(tmp_path, parses, settled, monkeypatch):
     # threads that share the cache and the path table, with a bound that
     # evicts on most reads
-    monkeypatch.setattr(numerics, "_CACHE_BYTES", 2500)
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 2500)
     want = [_samples_file(tmp_path / f"{i}.csv", 30 + i) for i in range(4)]
     errors = []
 
@@ -741,8 +746,8 @@ def test_csv_cache_under_concurrent_reads(tmp_path, parses, settled, monkeypatch
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sum(v.values.nbytes for v in numerics._CACHE.values()) <= 2500
-    assert all(key in numerics._CACHE for _, key in numerics._PATHS.values())
+    assert _kept_bytes() <= 2500
+    assert all(key in numerics._KEPT for _, key in numerics._PATHS.values())
 
 
 def test_csv_file_objects_are_not_cached(parses):
@@ -750,4 +755,13 @@ def test_csv_file_objects_are_not_cached(parses):
     first = read_samples_csv(io.StringIO(text))
     second = read_samples_csv(io.StringIO(text))
     assert len(parses) == 2 and first is not second
-    assert not numerics._CACHE and not numerics._PATHS
+    assert not numerics._KEPT and not numerics._PATHS
+
+
+def test_a_64_window_extension_at_the_default_dgrid_stays_shared(monkeypatch):
+    # its nodes alone are 4 227 080 bytes, and the one bound holds them
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
+    grid = numerics.period_extension(1.0, 4097, 64)
+    assert grid.nodes().nbytes == 4_227_080
+    assert numerics.period_extension(1.0, 4097, 64) is grid
+    assert _kept_bytes() == 4_227_080

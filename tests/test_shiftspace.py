@@ -419,7 +419,7 @@ def test_a_radius_sweep_builds_its_band_rows_once(monkeypatch):
     assert one["rows"] == sweep["rows"] == 1
     assert sweep["nodes"] <= one["nodes"]
     arrays.clear()
-    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())  # D reads them too
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())  # D reads them too
     project(f, gen, 2.0, 1.3, grid=grid, j_range=8)
     assert len(arrays) == 6 and all(a is arrays[0] for a in arrays)
 
@@ -739,7 +739,7 @@ def test_read_only_samples_keep_the_bytes_of_a_fresh_transform(name, monkeypatch
     # read-only samples that own their memory are transformed once per
     # sigma and node count; the kept spectrum is read-only and has the
     # bytes of writable samples' spectrum, which is transformed every call
-    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
     f, sigma, n = time_sample_shapes()[name]
     values = f.values.copy()
     values.flags.writeable = False

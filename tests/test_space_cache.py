@@ -1,14 +1,15 @@
-"""The space cache: one generator per family spec and per parsed file, D
-and the fold's B-hat kept per generator and grid, the spectrum of time
-samples kept per samples object, one shared grid per (start, stop, count),
-and the bytes of fresh runs.
+"""The keeper: one generator per family spec and per parsed file, D and
+the fold's B-hat kept per generator and grid, the spectrum of time samples
+kept per samples object, one shared grid per (start, stop, count), and the
+bytes of fresh runs.
 
-`spectral` keeps D (`periodize`), the conjugate spectrum a fold reads
+`numerics.keep` holds the period grids, their extensions, node text and
+Simpson rows (`shared_grid`), parsed CSV content (`read_samples_csv`),
+file generators, D (`periodize`), the conjugate spectrum a fold reads
 (`lattice_spectrum`) and the transform of read-only time samples
-(`shiftspace._spectrum_of`) in one least-recently-used cache bounded in
-bytes; `numerics` keeps the period grids, their extensions, node text and
-Simpson rows in another (`shared_grid`).  Every reuse must print what a
-process that starts empty prints.
+(`shiftspace._spectrum_of`) in one least-recently-used table under one
+byte bound.  Every reuse must print what a process that starts empty
+prints.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import gc
 import sys
 import threading
-import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -41,33 +41,37 @@ from helpers import fixed_gaussian_samples, run_cli
 def _empty_caches() -> None:
     """The state of a fresh process: no shared generator, no kept space,
     no shared grid, no parsed file."""
-    spectral._SPACES.clear()
-    numerics._GRIDS.clear()
-    numerics._CACHE.clear()
+    numerics._KEPT.clear()
     numerics._PATHS.clear()
-    generator._FILE_GENERATORS.clear()
     for build in (generator._bspline, generator._gaussian, generator._bandlimited):
         build.cache_clear()
 
 
 @pytest.fixture
 def empty(monkeypatch):
-    """A space cache, a grid table, a CSV cache and a file-generator table
-    of their own, empty, with the generator memos cleared."""
-    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
-    monkeypatch.setattr(numerics, "_GRIDS", OrderedDict())
-    monkeypatch.setattr(numerics, "_CACHE", OrderedDict())
+    """A keeper and a path index of their own, empty, with the generator
+    memos cleared."""
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
     monkeypatch.setattr(numerics, "_PATHS", {})
-    monkeypatch.setattr(generator, "_FILE_GENERATORS", weakref.WeakKeyDictionary())
     _empty_caches()
 
 
 def _kept_bytes() -> int:
-    return sum(entry[0].nbytes for entry in spectral._SPACES.values())
+    """The sizes of everything the keeper holds, every kind together."""
+    return sum(size(value) for value, size in numerics._KEPT.values())
+
+
+def _kinds() -> list:
+    return [key[0] for key in numerics._KEPT]
+
+
+def _kept_of(kind: str) -> list:
+    return [value for key, (value, _) in numerics._KEPT.items() if key[0] == kind]
 
 
 def _kept_generators() -> list:
-    return [key[0]() for key in spectral._SPACES]
+    """The owners of the entries `spectral._kept` made."""
+    return [key[1]() for key in numerics._KEPT if key[0] in ("D", "fold", "spectrum")]
 
 
 def test_family_specs_share_one_generator(empty):
@@ -82,7 +86,7 @@ def test_family_specs_share_one_generator(empty):
     grid = Grid(start=-1.0, stop=1.0, count=33)
     da, db = periodize(a, 1.0, grid), periodize(b, 1.0, grid)
     assert not np.array_equal(da.values, db.values)
-    assert len(spectral._SPACES) == 2
+    assert _kinds() == ["D", "D"]
 
 
 def test_shared_arrays_are_read_only(empty):
@@ -100,7 +104,7 @@ def test_shared_arrays_are_read_only(empty):
 
 def test_space_cache_keeps_its_byte_bound(empty, monkeypatch):
     # a D on 65 nodes is 520 bytes: two fit under 1200, three do not
-    monkeypatch.setattr(spectral, "_SPACE_BYTES", 1200)
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 1200)
     grid = Grid(start=-1.0, stop=1.0, count=65)
     a, b, c = (bspline_generator(m, 1.0) for m in (1, 2, 3))
     periodize(a, 1.0, grid)
@@ -126,6 +130,108 @@ def test_a_dead_generator_leaves_the_cache(empty):
     gc.collect()
     periodize(bspline_generator(1, 1.0), 1.0, grid)
     assert _kept_generators() == [bspline_generator(1, 1.0)]
+
+
+def _frozen_samples() -> SampledFunction:
+    """`fixed_gaussian_samples` whose values are read-only and own their
+    memory, as a file parse's are: their spectrum is kept."""
+    f = fixed_gaussian_samples()
+    values = f.values.copy()
+    values.flags.writeable = False
+    return SampledFunction(f.grid, values)
+
+
+def test_one_bound_covers_every_kind(empty, tmp_path, monkeypatch):
+    # two parses of 65 values (1040 bytes each) fit under 2500 bytes; a D
+    # on 129 nodes (1032 bytes) pushes out the oldest, and the path that
+    # named it goes with it
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 2500)
+    monkeypatch.setattr(numerics, "_RACY_NS", -3600 * 10 ** 9)
+    paths = [str(tmp_path / f"{i}.csv") for i in range(2)]
+    for i, path in enumerate(paths):
+        write_samples_csv(path, SampledFunction(
+            Grid(-2.0, 2.0, 65), np.full(65, 1.0 + i, dtype=complex)))
+        read_samples_csv(path)
+    assert _kinds() == ["csv", "csv"] and sorted(numerics._PATHS) == paths
+    gen = bspline_generator(1, 1.0)
+    d = periodize(gen, 1.0, Grid(-1.0, 1.0, 129))
+    assert _kinds() == ["csv", "D"] and list(numerics._PATHS) == paths[1:]
+    assert _kept_bytes() == 2072
+    # a grid that grows pushes out what was stored before it: its nodes
+    # (1032 bytes) the last parse, its Simpson row (1032 more) the D
+    grid = shared_grid(-3.0, 3.0, 129)
+    grid.nodes()
+    assert _kinds() == ["D", "grid"] and not numerics._PATHS
+    grid.weights()
+    assert _kinds() == ["grid"] and _kept_bytes() == 2064
+    again = periodize(gen, 1.0, Grid(-1.0, 1.0, 129))
+    assert again.values is not d.values and np.array_equal(again.values, d.values)
+
+
+def test_dead_owners_leave_the_keeper_at_the_next_store(empty, tmp_path):
+    # a generator, a samples object and parsed content are held by weak
+    # reference: once dead, their entries go at the next store, and dead
+    # content takes its file generator and its spectrum with it
+    path = tmp_path / "f-x.csv"
+    write_samples_csv(str(path), fixed_gaussian_samples())
+    grid = shared_grid(-1.0, 1.0, 129)
+    user = spline_generator(CardinalSpline(np.array([1.0, 0.5]), 3, np.pi, -3.0),
+                            label="user")
+    periodize(user, 1.0, grid)
+    samples = _frozen_samples()
+    shiftspace._spectrum_of(samples, 1.0, grid)
+    loaded = read_samples_csv(str(path))
+    gen = parse_generator_spec(f"file:{path}")
+    shiftspace._spectrum_of(loaded, 1.0, grid)
+    kept = _kinds()
+    assert kept.count("spectrum") == 2 and kept.count("D") == 1
+    assert "file generator" in kept and "csv" in kept
+    for key in [key for key in numerics._KEPT if key[0] == "csv"]:
+        del numerics._KEPT[key]
+    del user, samples, loaded, gen
+    gc.collect()
+    assert _kinds().count("spectrum") == 2   # dead, not yet dropped
+    shared_grid(-2.0, 2.0, 9)               # the next store
+    assert not {"D", "spectrum", "file generator", "csv"} & set(_kinds())
+
+
+def test_an_entry_over_the_bound_is_handed_out_but_not_kept(empty, tmp_path,
+                                                            monkeypatch):
+    # under 1100 bytes: a 257-node grid's nodes, a 129-value parse, the
+    # coefficients of a 65-sample spline (whose parse, 1040 bytes, fits), a
+    # D on 257 nodes, a fold's B-hat and a kept spectrum are each too large
+    # to keep; each is handed out, and the next call builds it anew
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 1100)
+    grid = shared_grid(-1.0, 1.0, 257)
+    assert grid.nodes().size == 257 and "grid" not in _kinds()
+    assert shared_grid(-1.0, 1.0, 257) is not grid
+
+    big = str(tmp_path / "big.csv")
+    write_samples_csv(big, SampledFunction(Grid(-2.0, 2.0, 129),
+                                           np.ones(129, dtype=complex)))
+    assert read_samples_csv(big) is not read_samples_csv(big)
+    assert "csv" not in _kinds()
+
+    spline_file = str(tmp_path / "gen-x.csv")
+    rng = np.random.default_rng(7)
+    write_samples_csv(spline_file, SampledFunction(
+        Grid(-2.0, 2.0, 65), rng.standard_normal(65) + 0j))
+    gen = parse_generator_spec(f"file:{spline_file}")
+    assert gen.spline.coeffs.nbytes > 1100
+    assert parse_generator_spec(f"file:{spline_file}") is not gen
+    assert "csv" in _kinds() and "file generator" not in _kinds()
+
+    space = bspline_generator(2, 1.0)
+    wide = Grid(-1.0, 1.0, 257)
+    assert periodize(space, 1.0, wide).values is not periodize(space, 1.0, wide).values
+    fold = lattice_spectrum(space, 1.0, 257, 1)
+    assert lattice_spectrum(space, 1.0, 257, 1) is not fold
+    samples = _frozen_samples()
+    spec = shiftspace._spectrum_of(samples, 1.0, shared_grid(-1.0, 1.0, 129))
+    again = shiftspace._spectrum_of(samples, 1.0, shared_grid(-1.0, 1.0, 129))
+    assert again is not spec and again.values.tobytes() == spec.values.tobytes()
+    assert not {"D", "fold", "spectrum"} & set(_kinds())
+    assert _kept_bytes() <= 1100
 
 
 def test_a_missed_fold_samples_b_on_the_nodes_of_f(empty, monkeypatch):
@@ -231,22 +337,19 @@ def test_a_second_dfun_on_one_grid_formats_no_node(empty, monkeypatch):
 def test_the_grid_table_keeps_its_byte_bound(empty, monkeypatch):
     # a 65-node grid's nodes are 520 bytes and its words 3120: two grids'
     # nodes fit under 1200 bytes, three do not, and words do not fit at all
-    monkeypatch.setattr(numerics, "_GRID_BYTES", 1200)
-
-    def held() -> int:
-        return sum(g.held_bytes() for g in numerics._GRIDS.values())
-
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 1200)
+    held = _kept_bytes
     a, b, c = (shared_grid(-s, s, 65) for s in (1.0, 2.0, 3.0))
     for grid in (a, b):                     # a grid that builds is used
         grid.nodes()
-    assert list(numerics._GRIDS.values()) == [c, a, b] and held() == 1040
+    assert _kept_of("grid") == [c, a, b] and held() == 1040
     c.nodes()                               # a, the oldest, goes
-    assert list(numerics._GRIDS.values()) == [b, c] and held() == 1040
+    assert _kept_of("grid") == [b, c] and held() == 1040
     shared_grid(-2.0, 2.0, 65)              # b is now the newest
-    assert list(numerics._GRIDS.values()) == [c, b]
-    # a grid that outgrows the bound leaves the table, and still works
+    assert _kept_of("grid") == [c, b]
+    # a grid that outgrows the bound leaves the keeper, and still works
     words = b.text_words()
-    assert list(numerics._GRIDS.values()) == [c] and held() <= 1200
+    assert _kept_of("grid") == [c] and held() <= 1200
     assert csv_text(b) == csv_text(b.nodes()) and b.text_words() is words
     assert shared_grid(-2.0, 2.0, 65) is not b
 
@@ -318,7 +421,7 @@ def test_kept_spectra_are_read_only_and_keep_the_byte_bound(empty, tmp_path,
     # the 513 samples' spectrum at 129 nodes and sigma 1 folds 9 windows:
     # 1153 nodes, 18448 bytes.  Under a 20000-byte bound one spectrum is
     # kept at a time, with D (1032 bytes) beside it
-    monkeypatch.setattr(spectral, "_SPACE_BYTES", 20000)
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 20000)
     paths = [tmp_path / f"f{i}-x.csv" for i in range(3)]
     samples = fixed_gaussian_samples()
     for i, path in enumerate(paths):
@@ -332,8 +435,8 @@ def test_kept_spectra_are_read_only_and_keep_the_byte_bound(empty, tmp_path,
         assert spec.grid.count == 1153 and not spec.values.flags.writeable
         with pytest.raises(ValueError):
             spec.values[0] = 0
-        assert [key[0]() for key in spectral._SPACES
-                if key[1] == "spectrum"] == [f]
+        assert [key[1]() for key in numerics._KEPT
+                if key[0] == "spectrum"] == [f]
         assert _kept_bytes() <= 20000
         # B-hat of the fold (18448 bytes) and D join and push out the oldest
         assert run_cli(["besterr", "--gen", "bspline:m=2", "--f", f"file:{path}",
@@ -362,7 +465,7 @@ def test_a_writable_signal_is_transformed_on_every_call(empty, monkeypatch):
     for signal in (f, g):
         assert shiftspace.best_approx_error_sq(signal, gen, 1.0, 1.0, grid=grid) \
             == pytest.approx(4.0 * errors[0], rel=1e-12)
-    assert not [key for key in spectral._SPACES if key[1] == "spectrum"]
+    assert "spectrum" not in _kinds()
 
 
 def test_one_file_generator_per_parsed_content(empty, tmp_path):
@@ -382,11 +485,13 @@ def test_one_file_generator_per_parsed_content(empty, tmp_path):
     write_samples_csv(str(path), SampledFunction(samples.grid, 2.0 * samples.values))
     regen = parse_generator_spec(spec)
     assert regen is not gen and parse_generator_spec(spec) is regen
-    assert len(generator._FILE_GENERATORS) == 2
-    numerics._CACHE.clear()
+    assert _kinds().count("file generator") == 2
+    for key in [key for key in numerics._KEPT if key[0] == "csv"]:
+        del numerics._KEPT[key]
     numerics._PATHS.clear()
     gc.collect()
-    assert len(generator._FILE_GENERATORS) == 0
+    shared_grid(-2.0, 2.0, 9)               # the next store drops them
+    assert "file generator" not in _kinds()
     assert parse_generator_spec(spec) is not regen
 
 
@@ -409,7 +514,7 @@ def test_threads_projecting_onto_one_space_print_serial_bytes(
         empty, tmp_path, monkeypatch):
     # six threads race on the first D and B-hat of one space, and on a bound
     # that keeps about one B-hat: each prints a serial run's bytes
-    monkeypatch.setattr(spectral, "_SPACE_BYTES", 48 * 1024)
+    monkeypatch.setattr(numerics, "_KEPT_BYTES", 48 * 1024)
     widths = (0.8, 0.9, 1.0, 1.1, 1.2, 1.3)
     rcs = {}
 

@@ -5,7 +5,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from shiftapprox import spectral, zak
+from shiftapprox import numerics, spectral, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (Generator, gaussian_generator, sampled_generator,
                                    shift_autocorrelation)
@@ -362,7 +362,7 @@ def test_periodization_and_pairing_read_one_lag_count(monkeypatch):
     # for the same lags: the exact count of a declared support.  The space
     # cache starts empty, so every D here is computed
     asked = []
-    monkeypatch.setattr(spectral, "_SPACES", OrderedDict())
+    monkeypatch.setattr(numerics, "_KEPT", OrderedDict())
 
     def recorded(gen, sigma, max_lag, *args):
         asked.append(max_lag)
