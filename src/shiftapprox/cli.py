@@ -31,8 +31,7 @@ checks (`_config`).
 
 A ``--f`` signal is a ``file:`` CSV (time samples or a spectrum) or a spec
 handed on as the generator itself: `shiftspace` decides how far its
-spectrum is taken; compare's oracle gets its samples over `time_extent`,
-on a grid through the knots of f and of B's shifts (`_time_samples`).
+spectrum is taken, and `oracle.compare` how it is sampled in time.
 
 Output is CSV only (plots are downstream concerns); identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 numerical failure,
@@ -46,16 +45,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MissingTimeDomainError, ShiftSpaceError, TruncationError
-from .generator import (Generator, is_file_spec, parse_generator_spec,
-                        shift_range, time_extent)
-from .numerics import (Grid, SampledFunction, csv_join, csv_text,
-                       read_samples_csv, shared_grid)
+from .errors import ShiftSpaceError
+from .generator import is_file_spec, parse_generator_spec
+from .numerics import csv_join, csv_text, read_samples_csv, shared_grid
 from .shiftspace import (DEFAULT_GRID_COUNT, Signal, best_approx_error_sq,
                          project, rho_in_band)
 from .spectral import periodize, riesz_bounds
@@ -64,10 +60,6 @@ from .zak import phi_field, verify_phi_properties
 
 _SWEEPABLE = {"besterr": ("sigma", "rho"), "compare": ("jrange",)}
 _DEFAULT_COMPARE_RANGES = (8, 16, 32, 64)
-#: a signal sampled for compare's oracle has at least this many steps
-_ORACLE_STEPS = 4096
-#: largest denominator of a spline knot ratio `_knot_denominator` reads
-_KNOT_DENOMINATOR = 64
 
 
 @dataclass(frozen=True)
@@ -257,51 +249,6 @@ def _load_signal(text: str, sigma: float) -> Signal:
     return parse_generator_spec(text, default_sigma=sigma)
 
 
-def _knot_denominator(gens: Sequence[Generator], sigma: float) -> int:
-    """Least common denominator q of ``sigma step/pi`` and ``sigma origin/pi``
-    over the splines among gens: their knots ``origin + j step`` all fall on
-    multiples of ``pi/(sigma q)``.  A ratio more than 1e-12 (relative) from
-    every fraction of denominator up to `_KNOT_DENOMINATOR` counts as 1."""
-    q = 1
-    for spline in (gen.spline for gen in gens if gen.spline is not None):
-        for ratio in (sigma * spline.step / np.pi, sigma * spline.origin / np.pi):
-            near = Fraction(ratio).limit_denominator(_KNOT_DENOMINATOR)
-            if abs(near - ratio) <= 1e-12 * abs(ratio):
-                q = math.lcm(q, near.denominator)
-    return q
-
-
-def _time_samples(gen_f: Generator, gen: Generator, sigma: float) -> SampledFunction:
-    """f sampled in time for compare's oracle, with every knot of f and of
-    every shift of B on an even node, a Simpson panel edge.
-
-    The window is f's `time_extent` rounded out to multiples of
-    ``h = pi/sigma`` (`shift_range`, which refuses a window of more
-    shifts than it allows); the step is ``h/(2 q 2^k)``, with q from
-    `_knot_denominator` and k the least that makes it at most a
-    `_ORACLE_STEPS`-th of the window.
-    """
-    try:
-        lo, hi, _ = time_extent(gen_f)
-    except TruncationError as exc:
-        raise TruncationError(
-            f"signal {gen_f.label!r} has no time window to sample for the "
-            "oracle: it declares neither compact support nor a time tail "
-            "radius") from exc
-    if gen_f.time_domain is None:
-        raise MissingTimeDomainError(f"signal {gen_f.label!r} has no time domain")
-    first, last = shift_range(lo, hi, sigma)
-    h = np.pi / sigma
-    per_shift = 2 * _knot_denominator((gen_f, gen), sigma)
-    while (last - first) * per_shift < _ORACLE_STEPS:
-        per_shift *= 2
-    grid = Grid(start=first * h, stop=last * h,
-                count=(last - first) * per_shift + 1)
-    return SampledFunction(grid=grid,
-                           values=np.asarray(gen_f.time_domain(grid.nodes()),
-                                             dtype=np.complex128))
-
-
 def _run_dfun(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
@@ -383,20 +330,10 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
 
 def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
-    signal, spectrum = _load_signal(cfg.f_spec, cfg.sigma), None
-    if isinstance(signal, Generator):
-        # the oracle integrates in time; the formula side folds f-hat on
-        # the --dgrid period grid, as besterr does
-        signal, spectrum = _time_samples(signal, gen, cfg.sigma), signal
-    if not isinstance(signal, SampledFunction):
-        raise ShiftSpaceError(
-            "compare needs time-domain samples of f (the oracle integrates "
-            "against the shifts in time); provide a time-sampled CSV or a "
-            "generator spec with a time-domain form")
+    signal = _load_signal(cfg.f_spec, cfg.sigma)
     ranges = list(cfg.sweep[1] if cfg.sweep else _DEFAULT_COMPARE_RANGES)
     grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
-    report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol,
-                     f_spectrum=spectrum, grid=grid)
+    report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol, grid=grid)
     rows = report.rows
     lines = ["j_range,oracle_residual,formula_error,gap", csv_text(
         [r.j_range for r in rows], [r.oracle_residual for r in rows],

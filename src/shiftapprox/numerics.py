@@ -232,25 +232,24 @@ def resolved_band(step: float) -> float:
     return 0.45 * np.pi / step
 
 
-def _extension_span(sigma: float, count: int, windows: int) -> Tuple[float, int]:
-    """Edge and node count of `period_extension`."""
-    return (2.0 * windows + 1.0) * sigma, (count - 1) * (2 * windows + 1) + 1
-
-
 def period_extension(sigma: float, count: int, windows: int) -> Grid:
     """The period grid ``[-sigma, sigma]`` of ``count`` nodes continued over
     ``2*windows + 1`` periods, so that every period is a slice of it: the
     shared grid (`shared_grid`), so a fold samples f-hat on nodes built
     once."""
-    edge, nodes = _extension_span(sigma, count, windows)
-    return shared_grid(-edge, edge, nodes)
+    edge = (2.0 * windows + 1.0) * sigma
+    return shared_grid(-edge, edge, (count - 1) * (2 * windows + 1) + 1)
 
 
-def is_period_extension(grid: Grid, sigma: float, count: int, windows: int) -> bool:
-    """Whether ``grid`` is ``period_extension(sigma, count, windows)``, node
-    for node."""
-    edge, nodes = _extension_span(sigma, count, windows)
-    return (grid.start, grid.stop, grid.count) == (-edge, edge, nodes)
+def subgrid_offset(inner: Grid, outer: Grid) -> Optional[int]:
+    """Index of the node of ``outer`` (or of its continuation) that
+    ``inner`` starts on, to 1e-6 of a step, when the two steps agree to
+    1e-9; None otherwise."""
+    offset = (inner.start - outer.start) / outer.step
+    lo = int(round(offset))
+    if abs(inner.step - outer.step) <= 1e-9 * outer.step and abs(offset - lo) <= 1e-6:
+        return lo
+    return None
 
 
 def chunk_slices(total: int, points: int) -> List[slice]:
@@ -397,12 +396,9 @@ def _chirp_plan(grid: Grid, dy: float, size: int) -> _ChirpPlan:
 
 def _inner_slice(inner: Grid, freq: Grid) -> slice:
     """The nodes of ``freq`` that ``inner`` lies on; `GridMismatchError`
-    unless it is a sub-grid of the same step."""
-    offset = (inner.start - freq.start) / freq.step
-    lo = int(round(offset))
-    if not (abs(inner.step - freq.step) <= 1e-9 * freq.step
-            and abs(offset - lo) <= 1e-6
-            and 0 <= lo <= freq.count - inner.count):
+    unless it is a sub-grid of the same step (`subgrid_offset`)."""
+    lo = subgrid_offset(inner, freq)
+    if lo is None or not 0 <= lo <= freq.count - inner.count:
         raise GridMismatchError(
             f"inner grid [{inner.start}, {inner.stop}] x {inner.count} is not "
             f"a sub-grid of [{freq.start}, {freq.stop}] x {freq.count}")

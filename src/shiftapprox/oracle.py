@@ -9,18 +9,23 @@ end-to-end consistency check.
 
 The Gram matrix is Toeplitz (entry depends on j - k only) and tiny, so the
 normal-equation solve with a condition monitor is preferred over an
-orthogonal factorization of a dense design matrix.
+orthogonal factorization of a dense design matrix.  The oracle integrates
+in time, so this module samples an analytic f (`_time_samples`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MissingTimeDomainError, SingularGramError
-from .generator import Generator, shift_autocorrelation
+from .errors import (MissingTimeDomainError, ShiftSpaceError,
+                     SingularGramError, TruncationError)
+from .generator import (Generator, shift_autocorrelation, shift_range,
+                        time_extent)
 from .numerics import (Grid, SampledFunction, chunk_slices, l2_norm_sq,
                        quadrature_weights)
 from .shiftspace import Signal, best_approx_error_sq
@@ -28,6 +33,10 @@ from .shiftspace import Signal, best_approx_error_sq
 from .shiftspace import project  # noqa: F401
 
 _CONDITION_LIMIT = 1e12
+#: a signal sampled for the oracle has at least this many steps
+_ORACLE_STEPS = 4096
+#: largest denominator of a spline knot ratio `_knot_denominator` reads
+_KNOT_DENOMINATOR = 64
 
 
 @dataclass(frozen=True)
@@ -63,12 +72,57 @@ def gram_matrix(gen: Generator, sigma: float, j_range: int) -> GramSystem:
                       condition_estimate=condition)
 
 
+def _knot_denominator(gens: Sequence[Generator], sigma: float) -> int:
+    """Least common denominator q of ``sigma step/pi`` and ``sigma origin/pi``
+    over the splines among gens: their knots ``origin + j step`` all fall on
+    multiples of ``pi/(sigma q)``.  A ratio more than 1e-12 (relative) from
+    every fraction of denominator up to `_KNOT_DENOMINATOR` counts as 1."""
+    q = 1
+    for spline in (gen.spline for gen in gens if gen.spline is not None):
+        for ratio in (sigma * spline.step / np.pi, sigma * spline.origin / np.pi):
+            near = Fraction(ratio).limit_denominator(_KNOT_DENOMINATOR)
+            if abs(near - ratio) <= 1e-12 * abs(ratio):
+                q = math.lcm(q, near.denominator)
+    return q
+
+
+def _time_samples(gen_f: Generator, gen: Generator, sigma: float) -> SampledFunction:
+    """f sampled in time for the oracle, with every knot of f and of every
+    shift of B on an even node, a Simpson panel edge.
+
+    The window is f's `time_extent` rounded out to multiples of
+    ``h = pi/sigma`` (`shift_range`, which refuses a window of more
+    shifts than it allows); the step is ``h/(2 q 2^k)``, with q from
+    `_knot_denominator` and k the least that makes it at most a
+    `_ORACLE_STEPS`-th of the window.
+    """
+    try:
+        lo, hi, _ = time_extent(gen_f)
+    except TruncationError as exc:
+        raise TruncationError(
+            f"signal {gen_f.label!r} has no time window to sample for the "
+            "oracle: it declares neither compact support nor a time tail "
+            "radius") from exc
+    if gen_f.time_domain is None:
+        raise MissingTimeDomainError(f"signal {gen_f.label!r} has no time domain")
+    first, last = shift_range(lo, hi, sigma)
+    h = np.pi / sigma
+    per_shift = 2 * _knot_denominator((gen_f, gen), sigma)
+    while (last - first) * per_shift < _ORACLE_STEPS:
+        per_shift *= 2
+    grid = Grid(start=first * h, stop=last * h,
+                count=(last - first) * per_shift + 1)
+    return SampledFunction(grid=grid,
+                           values=np.asarray(gen_f.time_domain(grid.nodes()),
+                                             dtype=np.complex128))
+
+
 def _shift_inner_products(f: SampledFunction, gen: Generator, sigma: float,
                           j_range: int) -> np.ndarray:
     """``<f, B(. - j h)>`` by quadrature on f's own grid.
 
-    The caller is responsible for sampling f on a window wide enough that
-    every retained shift is fully integrated.
+    f's window must be wide enough that every retained shift is fully
+    integrated, as the window `_time_samples` gives is.
     """
     x = f.grid.nodes()
     weighted = quadrature_weights(f.grid) * f.values
@@ -80,15 +134,6 @@ def _shift_inner_products(f: SampledFunction, gen: Generator, sigma: float,
         rhs[sl] = (np.conj(gen.time_domain(shifts))
                    * weighted[np.newaxis, :]).sum(axis=1)
     return rhs
-
-
-def _check_condition(system: GramSystem) -> None:
-    condition = system.condition_estimate
-    if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
-        raise SingularGramError(
-            f"Gram matrix condition {condition:.3g} at j_range="
-            f"{system.j_range} exceeds {_CONDITION_LIMIT:.0e}; truncated "
-            "shift system is numerically singular")
 
 
 def _by_magnitude(j_range: int) -> np.ndarray:
@@ -110,7 +155,12 @@ def _eliminate(system: GramSystem, rhs: np.ndarray,
     larger one's.  Summing the nonnegative |y_k|^2 in order makes the
     residuals nonincreasing in floating point as in exact arithmetic.
     """
-    _check_condition(system)
+    condition = system.condition_estimate
+    if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
+        raise SingularGramError(
+            f"Gram matrix condition {condition:.3g} at j_range="
+            f"{system.j_range} exceeds {_CONDITION_LIMIT:.0e}; truncated "
+            "shift system is numerically singular")
     order = _by_magnitude(system.j_range)
     work = system.gram[np.ix_(order, order)].astype(np.complex128)
     y = rhs[order].astype(np.complex128)
@@ -173,20 +223,19 @@ class ComparisonReport:
     consistent: bool
 
 
-def compare(f: SampledFunction, gen: Generator, sigma: float,
+def compare(f: Signal, gen: Generator, sigma: float,
             j_range_list: Sequence[int], tol: float = 1e-8,
-            f_spectrum: Optional[Signal] = None,
             grid: Optional[Grid] = None) -> ComparisonReport:
     """Oracle residuals against the exact-formula error at rho = sigma.
 
-    The formula side is `best_approx_error_sq` at rho = sigma on the period
-    grid ``grid`` (default as there), evaluated once: it does not depend on
-    j_range.  The oracle side factors one Gram matrix, after one
-    inner-product pass, at the largest requested range, and reads each
-    smaller range's residual off its leading block (see `_eliminate`).
-    ``f_spectrum`` optionally hands the formula side f in another form, a
-    spectrum or an analytic f as a `Generator` (see `project`), in place of
-    the quadrature transform of the time samples.
+    f is any input `project` takes but a spectrum, which the oracle cannot
+    integrate in time: time samples are read as they are, and an analytic
+    f is sampled first (`_time_samples`).  The formula side is
+    `best_approx_error_sq` of f at rho = sigma on the period grid ``grid``
+    (default as there), evaluated once: it does not depend on j_range.  The
+    oracle side factors one Gram matrix, after one inner-product pass, at
+    the largest requested range, and reads each smaller range's residual
+    off its leading block (see `_eliminate`).
 
     A report is consistent when every gap (oracle minus formula) is
     nonnegative within rounding: the finite span is a subspace, so its
@@ -195,24 +244,25 @@ def compare(f: SampledFunction, gen: Generator, sigma: float,
     ranges = sorted(set(int(j) for j in j_range_list))
     if not ranges or ranges[0] < 0:
         raise ValueError("j_range_list must hold nonnegative integers")
-    formula = best_approx_error_sq(f if f_spectrum is None else f_spectrum,
-                                   gen, sigma, rho=sigma, tol=tol, grid=grid)
+    samples = _time_samples(f, gen, sigma) if isinstance(f, Generator) else f
+    if not isinstance(samples, SampledFunction):
+        raise ShiftSpaceError(
+            "compare needs time-domain samples of f (the oracle integrates "
+            "against the shifts in time); provide a time-sampled CSV or a "
+            "generator spec with a time-domain form")
+    formula = best_approx_error_sq(f, gen, sigma, rho=sigma, tol=tol, grid=grid)
 
     j_top = ranges[-1]
-    norm_sq = l2_norm_sq(f)
+    norm_sq = l2_norm_sq(samples)
     # the top system's residuals over its leading ranges are those each
     # range's own solve gives, bit for bit (see `_eliminate`)
     _, _, residuals = _eliminate(gram_matrix(gen, sigma, j_top),
-                                 _shift_inner_products(f, gen, sigma, j_top),
+                                 _shift_inner_products(samples, gen, sigma, j_top),
                                  norm_sq)
 
-    rows = []
-    for j in ranges:
-        residual = float(residuals[2 * j])
-        rows.append(ComparisonRow(j_range=j, oracle_residual=residual,
-                                  formula_error=formula,
-                                  gap=residual - formula))
+    found = [float(residuals[2 * j]) for j in ranges]
+    rows = tuple(ComparisonRow(j_range=j, oracle_residual=r, formula_error=formula,
+                               gap=r - formula) for j, r in zip(ranges, found))
     slack = 1e-9 * max(1.0, norm_sq)
-    consistent = all(row.gap >= -slack for row in rows)
-    return ComparisonReport(sigma=float(sigma), rows=tuple(rows),
-                            consistent=consistent)
+    return ComparisonReport(sigma=float(sigma), rows=rows,
+                            consistent=all(row.gap >= -slack for row in rows))

@@ -35,8 +35,8 @@ from .generator import Generator, _interp_complex
 from .numerics import (Grid, SampledFunction, SampledSpectrum, TWO_PI,
                        chunk_slices, covering_windows,
                        add_quadrature_weights, fourier_transform_sampled,
-                       is_period_extension, period_extension,
-                       quadrature_weights, resolved_band, shared_grid)
+                       period_extension, quadrature_weights, resolved_band,
+                       shared_grid, subgrid_offset)
 from .spectral import (EPSILON_D, PeriodizedSpectrum, _kept, envelope_order,
                        lattice_spectrum, periodize, require_period_grid)
 
@@ -287,53 +287,58 @@ class _FoldResult:
     captured: np.ndarray      # |bracket|^2 / D at live nodes
 
 
-def _fold(f: Union[SampledSpectrum, Generator], gen: Generator, sigma: float,
-          grid: Grid, tol: float) -> _FoldResult:
-    """Fold f-hat against B-hat over the windows f-hat covers.
+_Extended = Tuple[np.ndarray, int, Optional[float]]
 
-    An analytic f is sampled on the nodes of the windows its support or
-    decay envelope needs (`_signal_windows`), and a spectrum is laid on the
-    windows its grid covers; a spectrum on exactly that extension (time
-    samples' transform, an aligned file) is read as it is.  The extension
-    is the shared grid (`period_extension`), so its nodes are built once
-    for f-hat and B-hat.  B-hat comes from the keeper
-    (`lattice_spectrum`).  The seam nodes are
-    extrapolated only when B's spectral support or an analytic f's is an
-    odd multiple of sigma (`_jumps_at_seam`); every other fold is raw.
+
+def _on_extension(f: Signal, gen: Generator, sigma: float, grid: Grid,
+                  tol: float) -> _Extended:
+    """f-hat on ``period_extension(sigma, grid.count, windows)``, the
+    windows, and f's declared spectral support (for `_jumps_at_seam`).
+
+    An analytic f is sampled on the windows `_signal_windows` gives.  A
+    spectrum, a file's or that of time samples (`_spectrum_of`), covers its
+    own windows: read as it is on exactly that extension, copied when its
+    nodes are nodes of it (`subgrid_offset`), interpolated otherwise.
     """
     n = grid.count
-    step = grid.step
     if isinstance(f, Generator):
-        f_support = f.spectral_support
         windows = _signal_windows(f, gen, sigma, tol)
-    else:
-        f_support = None
-        windows = covering_windows(max(abs(f.grid.start), abs(f.grid.stop)),
-                                   sigma)
-
-    if isinstance(f, SampledSpectrum) and is_period_extension(f.grid, sigma, n, windows):
-        fvals = f.values
-    elif isinstance(f, Generator):
         full = period_extension(sigma, n, windows)
         # validated as a spectrum sample: finite, held as complex128
-        fvals = SampledSpectrum(grid=full, values=f.spectrum(full.nodes())).values
-    else:
-        full = period_extension(sigma, n, windows)
-        m = full.count
-        fg = f.grid
-        offset = (fg.start - full.start) / step
-        aligned = (abs(fg.step - step) <= 1e-9 * step
-                   and abs(offset - round(offset)) <= 1e-6)
-        fvals = np.zeros(m, dtype=np.complex128)
-        if aligned:
-            i0 = int(round(offset))
-            src_lo = max(0, -i0)
-            src_hi = min(fg.count, m - i0)
-            if src_hi > src_lo:
-                fvals[i0 + src_lo:i0 + src_hi] = f.values[src_lo:src_hi]
-        else:
-            fvals = _interp_complex(fg.nodes(), f.values)(full.nodes())
+        values = SampledSpectrum(grid=full, values=f.spectrum(full.nodes())).values
+        return values, windows, f.spectral_support
+    if isinstance(f, SampledFunction):
+        f = _spectrum_of(f, sigma, grid)
+    fg = f.grid
+    windows = covering_windows(max(abs(fg.start), abs(fg.stop)), sigma)
+    # the extension starts windows periods of n - 1 steps before the grid
+    i0 = subgrid_offset(fg, grid)
+    if i0 is not None:
+        i0 += windows * (n - 1)
+        if i0 == 0 and fg.count == (n - 1) * (2 * windows + 1) + 1:
+            return f.values, windows, None
+    full = period_extension(sigma, n, windows)
+    if i0 is None:
+        return _interp_complex(fg.nodes(), f.values)(full.nodes()), windows, None
+    values = np.zeros(full.count, dtype=np.complex128)
+    src_lo, src_hi = max(0, -i0), min(fg.count, full.count - i0)
+    if src_hi > src_lo:
+        values[i0 + src_lo:i0 + src_hi] = f.values[src_lo:src_hi]
+    return values, windows, None
 
+
+def _fold(fhat: _Extended, gen: Generator, sigma: float, grid: Grid,
+          tol: float) -> _FoldResult:
+    """Fold f-hat, given on an extension of ``grid`` (`_on_extension`),
+    against B-hat over its windows.
+
+    The extension is the shared grid (`period_extension`) and B-hat comes
+    from the keeper (`lattice_spectrum`).  The seam nodes are extrapolated
+    only when B's spectral support or f's is an odd multiple of sigma
+    (`_jumps_at_seam`); every other fold is raw.
+    """
+    n = grid.count
+    fvals, windows, f_support = fhat
     spec_full = lattice_spectrum(gen, sigma, n, windows)
     bracket = np.zeros(n, dtype=np.complex128)
     energy = np.zeros(n)
@@ -373,14 +378,11 @@ def _energy_split(f: Signal, gen: Generator,
 
     ``projection_norm_sq = 2 pi integral_{-rho}^{rho} |bracket|^2 / D`` and
     ``error_sq = 2 pi integral |fhat|^2 - projection_norm_sq``, each clamped
-    at zero, with both integrals on the same nodes.  Time samples are first
-    transformed on aligned extensions of the base grid; `_fold` samples an
-    analytic f on the one extension it folds.
+    at zero, with both integrals on the same nodes.  f-hat is laid on one
+    extension of the base grid (`_on_extension`) and folded there.
 
-    The fold is raw, spectrally accurate for a smooth periodic integrand,
-    unless B's spectral support or an analytic f's declares a jump on the
-    seam (`_jumps_at_seam`); then both seam nodes are extrapolated.  Time
-    samples (whose transform is entire) and spectrum files declare none.
+    The fold extrapolates its seam nodes only under a declared jump
+    (`_fold`); time samples and spectrum files declare none.
 
     Cauchy-Schwarz bounds the captured integrand node-wise by the energy.
     Inside the period, and on the seam of a raw fold, that holds
@@ -397,9 +399,7 @@ def _energy_split(f: Signal, gen: Generator,
     if grid is None:
         grid = shared_grid(-sigma, sigma, DEFAULT_GRID_COUNT)
     require_period_grid(grid, sigma)
-    if isinstance(f, SampledFunction):
-        f = _spectrum_of(f, sigma, grid)
-    fold = _fold(f, gen, sigma, grid, tol)
+    fold = _fold(_on_extension(f, gen, sigma, grid, tol), gen, sigma, grid, tol)
     total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
     band, weights = _band_rows(grid, rhos)
     active = band & fold.live
@@ -425,15 +425,16 @@ def _energy_split(f: Signal, gen: Generator,
         guard_mass=guard_mass)
 
 
-def zeta_transform(f_spec: SampledSpectrum, gen: Generator, sigma: float,
-                   grid: Grid, tol: float = 1e-8) -> ZetaFunction:
+def zeta_transform(f: Signal, gen: Generator, sigma: float, grid: Grid,
+                   tol: float = 1e-8) -> ZetaFunction:
     """The folded-spectrum transform of f on one period.
 
-    Nodes where D is at or below the division guard contribute zero; their
-    discarded bracket mass is visible through ``project``.
+    f is any input `project` takes, and the values are those of its zeta at
+    rho = sigma.  Nodes where D is at or below the division guard contribute
+    zero; their discarded bracket mass is visible through ``project``.
     """
     require_period_grid(grid, sigma)
-    fold = _fold(f_spec, gen, sigma, grid, tol)
+    fold = _fold(_on_extension(f, gen, sigma, grid, tol), gen, sigma, grid, tol)
     return ZetaFunction(sigma=float(sigma), rho=float(sigma), grid=grid,
                         values=fold.zeta, zero_set_enforced=False)
 

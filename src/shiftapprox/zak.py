@@ -35,12 +35,14 @@ worse than an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import InvalidGridError, MissingTimeDomainError, TruncationError
+from .errors import (InvalidGridError, MissingTimeDomainError,
+                     ShiftSpaceError, TruncationError)
 from .generator import (Generator, generator_l2_norm_sq, shift_autocorrelation,
                         shift_range, time_extent)
 from .numerics import (TWO_PI, Grid, chunk_slices, quadrature_weights,
@@ -98,9 +100,14 @@ class PropertyReport:
 def _time_window(gen: Generator, sigma: float, xmin: float,
                  xmax: float) -> Tuple[int, int]:
     """Index range of the shifts whose `time_extent` reaches [xmin, xmax],
-    one more on either side; `TruncationError` past `shift_range`'s cap."""
+    one more on either side; `TruncationError` past `shift_range`'s cap or
+    where x moved by a shift of the range passes the largest double."""
     lo, hi, _ = time_extent(gen)
     first, last = shift_range(xmin - hi, xmax - lo, sigma)
+    j = max(1 - first, last + 1)
+    if not max(abs(xmin), abs(xmax)) + j * (math.pi / sigma) < math.inf:
+        raise TruncationError(f"sigma={sigma:g}: x in [{xmin:g}, {xmax:g}] "
+                              f"moved by {j} shifts pi/sigma overflows a double")
     return first - 1, last + 1
 
 
@@ -247,7 +254,8 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
     "ok" when its residual is within max(budget, tol * scale), where
     scale = max(1, ||B||^2 / (2 sigma)) is the size of the cell integral,
     "fail" otherwise, and "skipped" when a representation refuses to
-    evaluate.
+    evaluate.  A residual or budget that is not finite (at a small enough
+    sigma the cell integral of |Phi|^2 overflows) raises `ShiftSpaceError`.
     """
     if resolution < 9 or resolution % 2 == 0:
         raise ValueError(f"resolution must be odd and >= 9, got {resolution}")
@@ -259,6 +267,10 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
     scale = max(1.0, norm_sq / (2.0 * sigma))
 
     def graded(name: str, residual: float, budget: float) -> PropertyCheck:
+        if not (math.isfinite(residual) and math.isfinite(budget)):
+            raise ShiftSpaceError(
+                f"{name} at sigma={sigma:g} cannot be graded: its residual "
+                f"{residual:g} or budget {budget:g} is not finite")
         ok = residual <= max(budget, tol * scale)
         return PropertyCheck(name=name, residual=residual, budget=budget,
                              status="ok" if ok else "fail")
@@ -278,8 +290,10 @@ def verify_phi_properties(gen: Generator, sigma: float, resolution: int = 257,
         # Phi1: cell integral of |Phi|^2 against ||B||^2 / (2 sigma)
         half_xs, half_ys, half_wx, half_hy = _cell_mesh(sigma, resolution // 2 + 1)
         half, _, _ = fn(half_xs, half_ys)
-        cell = float((np.abs(base) ** 2 * wx).sum() * hy)
-        half_cell = float((np.abs(half) ** 2 * half_wx).sum() * half_hy)
+        # an overflow leaves an infinite residual, which `graded` refuses
+        with np.errstate(over="ignore"):
+            cell = float((np.abs(base) ** 2 * wx).sum() * hy)
+            half_cell = float((np.abs(half) ** 2 * half_wx).sum() * half_hy)
         quad_budget = abs(cell - half_cell) * 1.1
         residual = abs(cell - norm_sq / (2.0 * sigma))
         budget = quad_budget + 2.0 * tol * scale + 1e-10

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import math
 from contextlib import redirect_stdout
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +43,13 @@ from shiftapprox.numerics import (
     Grid,
     SampledFunction,
     SampledSpectrum,
+    l2_norm_sq,
     make_uniform_grid,
     quadrature_weights,
 )
-from shiftapprox.shiftspace import _fold, zeta_of_coeffs
+from shiftapprox.oracle import ComparisonReport, compare
+from shiftapprox.shiftspace import (_fold, _on_extension, best_approx_error_sq,
+                                    zeta_of_coeffs)
 
 
 def spline(m: int, sigma: float = 1.0) -> Generator:
@@ -194,6 +197,20 @@ def knot_aligned_gaussian(sigma: float, windows: int = 4
     return f, fs
 
 
+def oracle_gaps(f: SampledFunction, fs: SampledSpectrum, gen: Generator,
+                sigma: float, ranges: Sequence[int]
+                ) -> Tuple[ComparisonReport, float, List[float], bool]:
+    """compare's oracle rows on the samples f, each against the formula
+    error of `best_approx_error_sq` on f's spectrum fs at rho = sigma: the
+    report, that error, the gaps (oracle minus formula), and whether every
+    gap clears compare's rounding slack ``1e-9 max(1, ||f||^2)``."""
+    report = compare(f, gen, sigma, ranges)
+    formula = best_approx_error_sq(fs, gen, sigma, sigma)
+    gaps = [row.oracle_residual - formula for row in report.rows]
+    slack = 1e-9 * max(1.0, l2_norm_sq(f))
+    return report, formula, gaps, all(gap >= -slack for gap in gaps)
+
+
 def analytic_gaussian_spectrum(sigma: float, windows: int = 4,
                                per_window: int = 4096) -> SampledSpectrum:
     edge = (2 * windows + 1) * sigma
@@ -337,7 +354,7 @@ def reference_energy_split(fs: SampledSpectrum, gen: Generator, sigma: float,
     ``(active, projection_norm_sq, error_sq, guard_mass, zeta)`` per radius,
     zeta being the band-limited transform.  The fold is the library's own:
     only the split that follows it is under test."""
-    fold = _fold(fs, gen, sigma, grid, tol)
+    fold = _fold(_on_extension(fs, gen, sigma, grid, tol), gen, sigma, grid, tol)
     total_energy = float(TWO_PI * (quadrature_weights(grid) * fold.energy).sum())
     seam = [0, -1]
     splits = []

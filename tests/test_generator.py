@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftapprox import cli, zak
+from shiftapprox import oracle, zak
 from shiftapprox.errors import InvalidGridError, TruncationError
 from shiftapprox.generator import (
     TIME_EPS,
@@ -502,5 +502,5 @@ def test_extent_readers_keep_their_windows(name, sigma):
                                 sigma, 3)
     closed = [gen.autocorrelation(d * math.pi / sigma) for d in range(4)]
     assert seen == [] and got.tolist() == closed
-    grid = cli._time_samples(gen, gen, sigma).grid
+    grid = oracle._time_samples(gen, gen, sigma).grid
     assert (grid.start, grid.stop, grid.count) == signal_grid

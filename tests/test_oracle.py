@@ -12,10 +12,11 @@ from shiftapprox.generator import (Generator, gaussian_generator,
 from shiftapprox.numerics import SampledFunction, make_uniform_grid, \
     quadrature_weights
 from shiftapprox.oracle import compare, gram_matrix, ls_project
-from shiftapprox import synthesize
+from shiftapprox import oracle, synthesize
 
 from helpers import (analytic_gaussian_spectrum, band_member_spectrum,
-                     knot_aligned_gaussian, random_expansion, sinc_gen, spline)
+                     knot_aligned_gaussian, oracle_gaps, random_expansion,
+                     sinc_gen, spline)
 
 
 def test_gram_structure_and_conditioning():
@@ -173,22 +174,22 @@ def test_comparison_gaps_vanish_for_a_member():
     grid = make_uniform_grid(-9.0 * h, 9.0 * h, 18 * 256 + 1)
     f = synthesize(exp, gen, grid)
     fs = band_member_spectrum(gen, 1.0, exp.coeffs, windows=40)
-    report = compare(f, gen, 1.0, [4, 6], f_spectrum=fs)
-    assert report.consistent
-    for row in report.rows:
-        assert abs(row.gap) <= 1e-8
+    _, _, gaps, consistent = oracle_gaps(f, fs, gen, 1.0, [4, 6])
+    assert consistent
+    for gap in gaps:
+        assert abs(gap) <= 1e-8
 
 
 def test_comparison_converges_for_a_gaussian():
     f, fs = knot_aligned_gaussian(1.0)
     gen = spline(1, 1.0)
-    report = compare(f, gen, 1.0, [4, 8, 16], f_spectrum=fs)
-    assert report.consistent
+    report, _, gaps, consistent = oracle_gaps(f, fs, gen, 1.0, [4, 8, 16])
+    assert consistent
     residuals = [row.oracle_residual for row in report.rows]
     assert residuals == sorted(residuals, reverse=True)
     slack = 1e-9 * max(1.0, math.sqrt(math.pi))
-    for row in report.rows:
-        assert row.gap >= -slack
+    for row, gap in zip(report.rows, gaps):
+        assert gap >= -slack
         assert row.formula_error == report.rows[0].formula_error
         # each range solves with the central block of the top Gram matrix,
         # which is the matrix the range builds on its own
@@ -201,9 +202,9 @@ def test_converged_residuals_never_rise_at_rounding_level(m, sigma):
     # let the j_range 64 row rise over the 32 row by a few ulps of ||f||^2
     # (m = 1 under an LU solve, m = 2 under a LAPACK Cholesky), while the
     # leading-block factorization repeats it
-    f, fs = knot_aligned_gaussian(sigma)
+    f, _ = knot_aligned_gaussian(sigma)
     gen = spline(m, sigma)
-    report = compare(f, gen, sigma, [8, 16, 32, 64], f_spectrum=fs)
+    report = compare(f, gen, sigma, [8, 16, 32, 64])
     residuals = [row.oracle_residual for row in report.rows]
     assert residuals == sorted(residuals, reverse=True)
     assert residuals[-1] == residuals[-2]
@@ -215,18 +216,22 @@ def test_comparison_holds_when_the_spline_and_lattice_sigma_differ():
     # a hat built at sigma_B = 2 on the sigma = 1 lattice: the Gram matrix
     # reads the closed-form autocorrelation at the lattice's lags pi d
     f, fs = knot_aligned_gaussian(2.0)
-    report = compare(f, spline(1, 2.0), 1.0, [8, 16], f_spectrum=fs)
-    assert report.consistent
-    for row in report.rows:
-        assert abs(row.gap) <= 1e-8 * row.formula_error
+    _, formula, gaps, consistent = oracle_gaps(f, fs, spline(1, 2.0), 1.0, [8, 16])
+    assert consistent
+    for gap in gaps:
+        assert abs(gap) <= 1e-8 * formula
 
 
-def test_comparison_flags_an_inconsistent_formula():
-    # doubling the claimed spectrum quadruples the formula error while the
-    # oracle still sees the true samples: the negative gap must be flagged
+def test_comparison_flags_an_inconsistent_formula(monkeypatch):
+    # a formula side that reads a doubled spectrum quadruples the formula
+    # error while the oracle still sees the true samples: the negative gap
+    # must be flagged
     f, fs = knot_aligned_gaussian(1.0)
     doubled = type(fs)(grid=fs.grid, values=2.0 * fs.values)
-    report = compare(f, spline(1, 1.0), 1.0, [8], f_spectrum=doubled)
+    formula = oracle.best_approx_error_sq
+    monkeypatch.setattr(oracle, "best_approx_error_sq",
+                        lambda _, *args, **kwargs: formula(doubled, *args, **kwargs))
+    report = compare(f, spline(1, 1.0), 1.0, [8])
     assert not report.consistent
     assert report.rows[0].gap < 0.0
 

@@ -21,10 +21,11 @@ from shiftapprox.generator import (Generator, gaussian_generator,
 from shiftapprox import numerics, shiftspace, spectral
 from shiftapprox.numerics import Grid, SampledFunction, SampledSpectrum, \
     fourier_transform_sampled, make_uniform_grid, period_extension, \
-    resolved_band
+    read_samples_csv, resolved_band, write_samples_csv
 from shiftapprox.oracle import _shift_inner_products
 from shiftapprox.shiftspace import (_MASS_TOL, ShiftExpansion, ZetaFunction,
-                                    _band_rows, _fold, _spectrum_of,
+                                    _band_rows, _fold, _on_extension,
+                                    _spectrum_of,
                                     best_approx_error_sq,
                                     coeffs_from_zeta,
                                     plancherel_inner, plancherel_norm_sq,
@@ -219,6 +220,26 @@ def test_zeta_transform_recovers_member_symbol():
     # extrapolated seam bracket left 1.1e-8 there)
     err = np.abs(zeta.values - ref) / np.max(np.abs(ref))
     assert np.max(err) < 1e-9
+
+
+def test_zeta_transform_reads_every_signal_as_project_does(tmp_path):
+    # time samples, a spectrum file on the fold's own extension, a spectrum
+    # off its nodes and an analytic f: each gives the values of project's
+    # zeta at rho = sigma, bit for bit.  Time samples were once read as if
+    # they were a spectrum, zeta(0) = 1.0 where project's is 0.39894
+    gen, grid = spline(2, 1.0), Grid(-1.0, 1.0, 1025)
+    x = np.linspace(-8.6, 8.6, 513)
+    samples = SampledFunction(Grid(-8.6, 8.6, 513), np.exp(-0.5 * x * x) + 0j)
+    path = tmp_path / "spectrum.csv"
+    write_samples_csv(str(path), analytic_gaussian_spectrum(1.0, 4, 1024))
+    aligned = read_samples_csv(str(path))
+    assert aligned.grid == period_extension(1.0, grid.count, 4)
+    unaligned = analytic_gaussian_spectrum(1.0, 4, 1000)
+    for f in (samples, aligned, unaligned, gaussian_generator(1.0)):
+        want = project(f, gen, 1.0, 1.0, grid=grid).zeta.values
+        got = zeta_transform(f, gen, 1.0, grid).values
+        assert got.tobytes() == want.tobytes(), type(f).__name__
+    assert got[grid.count // 2] == pytest.approx(0.39894, abs=1e-5)
 
 
 def test_projection_recovers_member():
@@ -607,7 +628,8 @@ def test_fold_of_the_generator_with_itself_is_the_periodization():
         order, bound = lattice_order(gen, sigma, 1e-8, 2)
         full = period_extension(sigma, grid.count, order)
         fs = SampledSpectrum(grid=full, values=gen.spectrum(full.nodes()))
-        fold = _fold(fs, gen, sigma, grid, tol=1e-8)
+        fhat = _on_extension(fs, gen, sigma, grid, 1e-8)
+        fold = _fold(fhat, gen, sigma, grid, tol=1e-8)
         direct = sum(np.abs(gen.spectrum(y + 2.0 * sigma * k)) ** 2
                      for k in range(-order, order + 1))
         b = fold.bracket[1:-1]
@@ -629,7 +651,8 @@ def test_folded_bracket_is_cauchy_schwarz_dominated():
         fs = bump_spectrum_signal(rng, sigma)
         for count in (2049, 257):
             grid = Grid(start=-sigma, stop=sigma, count=count)
-            fold = _fold(fs, gen, sigma, grid, tol=1e-8)
+            fhat = _on_extension(fs, gen, sigma, grid, 1e-8)
+            fold = _fold(fhat, gen, sigma, grid, tol=1e-8)
             cross = np.abs(fold.bracket[1:-1]) ** 2
             bound = fold.density.values[1:-1] * fold.energy[1:-1]
             assert np.all(cross <= bound * (1.0 + 1e-12)), (gen.label, count)
