@@ -217,8 +217,8 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         if not values or (name == "jrange" and min(values) < 0):
             _usage_error(f"--sweep values in {ns.sweep!r} must be " + (
                 "nonnegative integers" if name == "jrange" else "numbers"))
-        if name == "sigma" and ns.rho is not None:
-            _usage_error("--rho cannot be fixed while sweeping sigma")
+        if name in ("sigma", "rho") and ns.rho is not None:
+            _usage_error(f"--rho cannot be fixed while sweeping {name}")
         # a swept value is checked by the rule of its flag
         for v in values:
             if name == "sigma" and not 0 < v < math.inf:

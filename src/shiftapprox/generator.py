@@ -594,8 +594,9 @@ def shift_autocorrelation(gen: Generator, sigma: float, max_lag: int) -> np.ndar
     """
     h = np.pi / sigma
     if gen.autocorrelation is not None:
-        return np.asarray(gen.autocorrelation(np.arange(max_lag + 1) * h),
-                          dtype=np.complex128)
+        # lag 0 is 0 also where the step pi/sigma overflows to inf
+        lags = np.r_[0.0, np.arange(1, max_lag + 1) * h]
+        return np.asarray(gen.autocorrelation(lags), dtype=np.complex128)
     if gen.spectral_support is not None:
         out = np.zeros(max_lag + 1, dtype=np.complex128)
         count = max(4097, 64 * max_lag + 1)

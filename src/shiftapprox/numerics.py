@@ -34,7 +34,7 @@ from typing import (Any, Callable, Iterable, List, NamedTuple,
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidGridError
+from .errors import InvalidGridError
 
 TWO_PI = 2.0 * np.pi
 
@@ -368,7 +368,7 @@ def _chirp_plan(grid: Grid, dy: float, size: int) -> _ChirpPlan:
     """The `_ChirpPlan` of ``grid`` onto frequency nodes of step ``dy`` in
     FFTs of ``size`` points, on blocks of the ``size - grid.count + 1``
     nodes they hold: built once and shared by every transform of the same
-    grids and size, the base and the rings of one doubling among them.
+    grids and size, the extensions of one doubling among them.
     The plan used last is kept: a request transforms one set of time
     samples, its signal's (a time-sample generator is read in closed form).
 
@@ -394,31 +394,13 @@ def _chirp_plan(grid: Grid, dy: float, size: int) -> _ChirpPlan:
     return plan
 
 
-def _inner_slice(inner: Grid, freq: Grid) -> slice:
-    """The nodes of ``freq`` that ``inner`` lies on; `GridMismatchError`
-    unless it is a sub-grid of the same step (`subgrid_offset`)."""
-    lo = subgrid_offset(inner, freq)
-    if lo is None or not 0 <= lo <= freq.count - inner.count:
-        raise GridMismatchError(
-            f"inner grid [{inner.start}, {inner.stop}] x {inner.count} is not "
-            f"a sub-grid of [{freq.start}, {freq.stop}] x {freq.count}")
-    return slice(lo, lo + inner.count)
-
-
-def fourier_transform_sampled(f: SampledFunction, freq: Grid,
-                              inner: Optional[SampledSpectrum] = None
-                              ) -> SampledSpectrum:
+def fourier_transform_sampled(f: SampledFunction, freq: Grid) -> SampledSpectrum:
     """Quadrature Fourier transform of time samples, by blocked chirp-z.
 
     Evaluates ``(1/2pi) * sum_j w_j f(x_j) exp(-i x_j y)`` at every node of
     ``freq``, with the weights ``w`` of `integrate`.  Accuracy requires the
     time grid to resolve the oscillation ``exp(-i x y)`` at the largest
     requested ``|y|`` (keep ``f.grid.step * max|y|`` well below 1).
-
-    ``inner``, a transform of the same samples on a sub-grid of ``freq``
-    of the same step, is kept: its values come back bit for bit and only
-    the nodes either side of it are transformed.  So a spectrum grows by
-    rings of period windows without transforming the inner windows again.
 
     Both grids are uniform, so on a block of ``L`` frequency nodes
     ``y_b + l dy``, with ``y_b`` its middle node, ``x_c`` the middle time
@@ -435,14 +417,13 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid,
     the ``L = size - n + 1`` nodes it holds, the fewest blocks at that
     size.  Centred, the chirp phases stay below ``theta (n + L)^2 / 8``, so
     the result matches the direct sum to its own phase rounding,
-    ``eps * max|x| * max|y| * sum|c|``.  Each run of wanted nodes (all of
-    ``freq``, or the two sides of ``inner``) is cut into blocks of ``L``
-    from its first node, the last one cut short; a rest of one node, such
-    as the last node of an extension whose ``m - 1`` is a multiple of
+    ``eps * max|x| * max|y| * sum|c|``.  ``freq`` is cut into blocks of
+    ``L`` from its first node, the last one cut short; a rest of one node,
+    such as the last node of an extension whose ``m - 1`` is a multiple of
     ``L``, is a direct sum rather than an FFT row of one node.  All blocks
     go through one batched power-of-two FFT against a kernel built once
-    for the pair of grids and the size (`_chirp_plan`), so the rings of a
-    doubling reuse the base's plan: cost
+    for the pair of grids and the size (`_chirp_plan`), so the extensions
+    of a doubling share one plan: cost
     ``O((freq.count + f.grid.count) log f.grid.count)``, memory
     ``O(freq.count + f.grid.count)``.
 
@@ -451,39 +432,20 @@ def fourier_transform_sampled(f: SampledFunction, freq: Grid,
     SampledSpectrum
         Transform values on ``freq``.
     """
-    m = freq.count
-    out = np.empty(m, dtype=np.complex128)
-    runs = [(0, m)]
-    if inner is not None:
-        kept = _inner_slice(inner.grid, freq)
-        out[kept] = inner.values
-        runs = [(0, kept.start), (kept.stop, m)]
-    if all(lo == hi for lo, hi in runs):
-        return SampledSpectrum(grid=freq, values=out)
-    n = f.grid.count
+    m, n = freq.count, f.grid.count
     plan = _chirp_plan(f.grid, freq.step, _fft_size(n, min(n, m)))
     block = plan.size - n + 1
-    cuts, direct = [], []
-    for lo, hi in runs:
-        if (hi - lo) % block == 1:
-            hi -= 1
-            direct.append(hi)
-        if hi > lo:
-            cuts.append((lo, hi, np.arange(lo, hi, block)))
-    if cuts:
-        first = np.concatenate([starts for _, _, starts in cuts])
-        y = freq.start + (first + plan.half) * freq.step
+    out = np.empty(m, dtype=np.complex128)
+    blocked = m - 1 if m % block == 1 else m   # a rest of one node is direct
+    if blocked:
+        y = freq.start + (np.arange(0, blocked, block) + plan.half) * freq.step
         heads = np.exp(np.outer(y, plan.nodes) * (-1j)) * (f.values * plan.chirped)
         conv = np.fft.ifft(np.fft.fft(heads, n=plan.size) * plan.kernel)
-        rows = (conv[:, :block] * plan.post).reshape(-1)
-        done = 0
-        for lo, hi, starts in cuts:
-            out[lo:hi] = rows[done:done + hi - lo]
-            done += starts.size * block
-    if direct:
-        y = freq.start + np.array(direct) * freq.step
-        out[direct] = (np.exp(np.outer(y, plan.nodes) * (-1j))
-                       * (f.values * plan.weights)).sum(axis=1)
+        out[:blocked] = (conv[:, :block] * plan.post).reshape(-1)[:blocked]
+    if blocked < m:
+        y = freq.start + np.array([blocked]) * freq.step
+        out[blocked:] = (np.exp(np.outer(y, plan.nodes) * (-1j))
+                         * (f.values * plan.weights)).sum(axis=1)
     return SampledSpectrum(grid=freq, values=out)
 
 

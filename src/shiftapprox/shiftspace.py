@@ -295,10 +295,11 @@ def _on_extension(f: Signal, gen: Generator, sigma: float, grid: Grid,
     """f-hat on ``period_extension(sigma, grid.count, windows)``, the
     windows, and f's declared spectral support (for `_jumps_at_seam`).
 
-    An analytic f is sampled on the windows `_signal_windows` gives.  A
-    spectrum, a file's or that of time samples (`_spectrum_of`), covers its
-    own windows: read as it is on exactly that extension, copied when its
-    nodes are nodes of it (`subgrid_offset`), interpolated otherwise.
+    An analytic f is sampled on the windows `_signal_windows` gives.  Time
+    samples are transformed onto exactly such an extension (`_spectrum_of`),
+    read as it is.  A spectrum file covers its own windows: copied when its
+    nodes are nodes of the extension (`subgrid_offset`), interpolated
+    otherwise.
     """
     n = grid.count
     if isinstance(f, Generator):
@@ -308,18 +309,17 @@ def _on_extension(f: Signal, gen: Generator, sigma: float, grid: Grid,
         values = SampledSpectrum(grid=full, values=f.spectrum(full.nodes())).values
         return values, windows, f.spectral_support
     if isinstance(f, SampledFunction):
-        f = _spectrum_of(f, sigma, grid)
+        spec = _spectrum_of(f, sigma, grid)
+        # 2 * windows + 1 periods of n - 1 steps
+        return spec.values, (spec.grid.count - 1) // (2 * n - 2), None
     fg = f.grid
     windows = covering_windows(max(abs(fg.start), abs(fg.stop)), sigma)
+    full = period_extension(sigma, n, windows)
     # the extension starts windows periods of n - 1 steps before the grid
     i0 = subgrid_offset(fg, grid)
-    if i0 is not None:
-        i0 += windows * (n - 1)
-        if i0 == 0 and fg.count == (n - 1) * (2 * windows + 1) + 1:
-            return f.values, windows, None
-    full = period_extension(sigma, n, windows)
     if i0 is None:
         return _interp_complex(fg.nodes(), f.values)(full.nodes()), windows, None
+    i0 += windows * (n - 1)
     values = np.zeros(full.count, dtype=np.complex128)
     src_lo, src_hi = max(0, -i0), min(fg.count, full.count - i0)
     if src_hi > src_lo:
@@ -470,10 +470,9 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
     spectrum.  Samples that do not resolve the three windows
     ``[-3 sigma, 3 sigma]`` raise `ResolutionError`.
 
-    Each period window is transformed once: the first call covers three
-    windows, and each doubling passes the spectrum so far as the ``inner``
-    of `fourier_transform_sampled`, which transforms the new left and
-    right windows in one batched FFT and keeps the inner values.
+    Each step transforms its whole extension, three windows first, so the
+    spectrum is `fourier_transform_sampled` on the extension it ends on,
+    bit for bit; the steps share one chirp plan.
 
     The spectrum depends on the samples, sigma and ``grid.count`` alone.
     For samples whose values are read-only and own their memory (every
@@ -498,10 +497,10 @@ def _spectrum_of(f: SampledFunction, sigma: float, grid: Grid) -> SampledSpectru
             "period windows need: sample f more finely")
 
     def build() -> Tuple[np.ndarray, SampledSpectrum]:
-        windows, spec = 1, None
+        windows = 1
         while True:
             freq = period_extension(sigma, n, windows)
-            spec = fourier_transform_sampled(f, freq, inner=spec)
+            spec = fourier_transform_sampled(f, freq)
             power = np.abs(spec.values) ** 2
             outer = power[:n - 1].sum() + power[freq.count - n + 1:].sum()
             if outer <= _MASS_TOL * max(power.sum(), 1e-300) or windows >= limit:

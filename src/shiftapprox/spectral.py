@@ -99,7 +99,11 @@ class RieszReport:
 
 def require_period_grid(grid: Grid, sigma: float) -> None:
     """Raise unless ``grid`` spans exactly one period ``[-sigma, sigma]`` in
-    an odd node count, as Simpson's rule over the whole period needs."""
+    an odd node count, as Simpson's rule over the whole period needs, of a
+    shift space whose step ``pi/sigma`` is a double."""
+    if sigma > 0 and math.pi / float(sigma) == math.inf:
+        raise InvalidGridError(
+            f"sigma={sigma:g}: the shift step pi/sigma overflows a double")
     tol = _SPAN_RTOL * max(1.0, sigma)
     if (abs(grid.start + sigma) > tol or abs(grid.stop - sigma) > tol
             or grid.count % 2 == 0):
@@ -121,7 +125,7 @@ def envelope_order(coef: float, q: float, sigma: float, tol: float) -> float:
         return np.inf
     try:
         edge = (coef / (tol * sigma * (q - 1.0))) ** (1.0 / (q - 1.0))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the divisor may underflow
         return np.inf
     return 0.5 * ((edge - 1.0) / sigma + 1.0)
 

@@ -84,6 +84,8 @@ _TAIL = re.compile(r"\Anorm_sq=(\S+) error_sq=(\S+) guard_mass=(\S+)\Z")
     ["besterr", "--gen", "sinc", "--f", "gauss:width=1", "--sweep", "rho=a,b"],
     ["besterr", "--gen", "sinc", "--f", "gauss:width=1",
      "--sweep", "sigma=1,2", "--rho", "0.5"],
+    ["besterr", "--gen", "bspline:m=2", "--f", "gauss:width=1",
+     "--rho", "0.5", "--sweep", "rho=0.25,1"],
     ["compare", "--gen", "bspline:m=1", "--f", "gauss:width=1",
      "--sweep", "rho=1"],
     # flags a command does not read, and J values that are not integers
@@ -214,7 +216,8 @@ _EDGE_COMMANDS = {
 @pytest.mark.parametrize("command,gen,sigma", [
     (command, gen, sigma) for command in _EDGE_COMMANDS
     for gen in ("gauss:width=1", "bspline:m=1", "sinc")
-    for sigma in ("1e300", "1e-300", "1e200", "1e-200", "1e155", "2e-308")])
+    for sigma in ("1e300", "1e-300", "1e200", "1e-200", "1e155", "2e-308",
+                  "1e-308", "5e-324")])
 def test_extreme_sigma_leaks_no_runtime_warning(command, gen, sigma, capsys):
     # a Gaussian's square past the double range is inf, whose exp is the 0
     # printed; a B-spline whose constants overflow is refused by exception

@@ -796,29 +796,29 @@ def test_time_sample_spectrum_builds_one_chirp_plan(monkeypatch):
 
 
 @pytest.mark.parametrize("count, n, size, rows", [
-    # 385-node period (384 = 3 * 2^7), blocks of 768: 1153 nodes in two
-    # rows, then two sides of 384 and two of 768 nodes in one row each
-    (257, 385, 1024, 6),
-    # blocks of 272: 769 nodes in three rows, sides of 256 in one row each
-    # and sides of 512 in two
-    (241, 257, 512, 9),
-    # blocks of 768: 12289 nodes in 16 rows and one direct node, sides of
-    # 4096 in six rows each and sides of 8192 in eleven
-    (257, 4097, 1024, 50),
+    # 385-node period (384 = 3 * 2^7), blocks of 768: extensions of 1153,
+    # 1921 and 3457 nodes in 2, 3 and 5 rows
+    (257, 385, 1024, 10),
+    # blocks of 272: 769, 1281 and 2305 nodes in 3, 5 and 9 rows
+    (241, 257, 512, 17),
+    # blocks of 768: 12289 nodes in 16 rows and one direct node, 20481 in
+    # 27 rows, 36865 in 48 rows and one direct node
+    (257, 4097, 1024, 91),
 ])
 def test_time_sample_spectrum_spends_the_fewest_fft_rows(
         monkeypatch, count, n, size, rows):
-    # each side of a ring is cut into the fewest blocks the FFT size of
-    # 2 * count - 1 points or more holds, and the kernel is transformed
-    # once: fewer FFT points than one transform of each extension
+    # each extension of the doubling is cut into the fewest blocks the FFT
+    # size of 2 * count - 1 points or more holds, and the kernel is
+    # transformed once for all three; transformed one by one, each
+    # extension spends the same rows and a kernel of its own
     grid = Grid(-8.6, 8.6, count)
     f = SampledFunction(grid, np.exp(-0.5 * grid.nodes() ** 2) + 0j)
     grids, points = [], []
     transform, fft = numerics.fourier_transform_sampled, np.fft.fft
 
-    def recording(f, freq, inner=None):
+    def recording(f, freq):
         grids.append(freq)
-        return transform(f, freq, inner)
+        return transform(f, freq)
 
     def counting(a, *args, **kwargs):
         out = fft(a, *args, **kwargs)
@@ -834,7 +834,7 @@ def test_time_sample_spectrum_spends_the_fewest_fft_rows(
     for freq in grids:
         numerics._chirp_plan.cache_clear()
         transform(f, freq)
-    assert sum(points) > (rows + 1) * size
+    assert sum(points) == (rows + 3) * size
 
 
 def test_time_samples_too_coarse_for_three_windows_raise():

@@ -360,9 +360,9 @@ def _transforms(monkeypatch) -> list:
     grids = []
     transform = numerics.fourier_transform_sampled
 
-    def counting(f, freq, inner=None):
+    def counting(f, freq):
         grids.append(freq)
-        return transform(f, freq, inner)
+        return transform(f, freq)
 
     monkeypatch.setattr(shiftspace, "fourier_transform_sampled", counting)
     return grids
