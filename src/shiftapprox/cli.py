@@ -34,8 +34,14 @@ handed on as the generator itself: `shiftspace` decides how far its
 spectrum is taken, and `oracle.compare` how it is sampled in time.
 
 Output is CSV only (plots are downstream concerns); identical invocations
-produce byte-identical output.  Exit codes: 0 success, 1 numerical failure,
-2 usage error (a bad flag or spec parameter).
+produce byte-identical output.  A runner returns its lines with its numeric
+tables as column tuples between them, and `run` formats every table of the
+command in one `numerics.csv_tables` call: one ``%.17g`` pass per command,
+its values counted over all its tables against
+`numerics.NUMPY_TEXT_VALUES` (a crossover measured warm).  zak formats its
+axes and each distinct magnitude itself (`_signed_17g`, `csv_join`), and
+riesz and validate print f-strings.  Exit codes: 0 success, 1 numerical
+failure, 2 usage error (a bad flag or spec parameter).
 """
 
 from __future__ import annotations
@@ -45,13 +51,14 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ShiftSpaceError
 from .generator import is_file_spec, parse_generator_spec
-from .numerics import csv_join, csv_text, read_samples_csv, shared_grid
+from .numerics import (Column, csv_join, csv_tables, csv_text, read_samples_csv,
+                       shared_grid)
 from .shiftspace import (DEFAULT_GRID_COUNT, Signal, best_approx_error_sq,
                          project, rho_in_band)
 from .spectral import periodize, riesz_bounds
@@ -60,6 +67,10 @@ from .zak import phi_field, verify_phi_properties
 
 _SWEEPABLE = {"besterr": ("sigma", "rho"), "compare": ("jrange",)}
 _DEFAULT_COMPARE_RANGES = (8, 16, 32, 64)
+
+#: what a runner prints, in order: lines, and numeric tables as column
+#: tuples, which `run` formats in one writer call; and the exit status
+_Output = Tuple[List[Union[str, Tuple[Column, ...]]], int]
 
 
 @dataclass(frozen=True)
@@ -249,14 +260,14 @@ def _load_signal(text: str, sigma: float) -> Signal:
     return parse_generator_spec(text, default_sigma=sigma)
 
 
-def _run_dfun(cfg: RunConfig) -> Tuple[List[str], int]:
+def _run_dfun(cfg: RunConfig) -> _Output:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     dv = periodize(gen, cfg.sigma, grid, tol=cfg.tol)
-    return ["y,D", csv_text(grid, dv.values)], 0
+    return ["y,D", (grid, dv.values)], 0
 
 
-def _run_riesz(cfg: RunConfig) -> Tuple[List[str], int]:
+def _run_riesz(cfg: RunConfig) -> _Output:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     report = riesz_bounds(periodize(gen, cfg.sigma, grid, tol=cfg.tol))
@@ -279,7 +290,7 @@ def _signed_17g(values: np.ndarray) -> List[str]:
     return texts.tolist()
 
 
-def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
+def _run_zak(cfg: RunConfig) -> _Output:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     x_grid = shared_grid(0.0, np.pi / cfg.sigma, cfg.dgrid)
     y_grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
@@ -291,7 +302,7 @@ def _run_zak(cfg: RunConfig) -> Tuple[List[str], int]:
         _signed_17g(values.real), _signed_17g(values.imag))], 0
 
 
-def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
+def _run_project(cfg: RunConfig) -> _Output:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     signal = _load_signal(cfg.f_spec, cfg.sigma)
     grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
@@ -300,22 +311,21 @@ def _run_project(cfg: RunConfig) -> Tuple[List[str], int]:
     coeffs, zeta = result.coeffs.coeffs, result.zeta.values
     # the indices -J..J are the nodes of a grid of step 1
     j = result.coeffs.j_max
-    return ["j,re,im",
-            csv_text(shared_grid(-j, j, 2 * j + 1), coeffs.real, coeffs.imag),
-            "y,re,im", csv_text(grid, zeta.real, zeta.imag),
+    return ["j,re,im", (shared_grid(-j, j, 2 * j + 1), coeffs.real, coeffs.imag),
+            "y,re,im", (grid, zeta.real, zeta.imag),
             f"norm_sq={result.projection_norm_sq:.17g} "
             f"error_sq={result.error_sq:.17g} "
             f"guard_mass={result.guard_mass:.17g}"], 0
 
 
-def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
+def _run_besterr(cfg: RunConfig) -> _Output:
     # one fold per sigma; the param column is rho (a sigma sweep sets rho)
     name, values = cfg.sweep or ("rho", (cfg.rho,))
     if name == "sigma":
         runs = [(v, (v,)) for v in values]
     else:
         runs = [(cfg.sigma, values)]
-    lines = ["param,error_sq"]
+    lines: list = ["param,error_sq"]
     for sigma, rhos in runs:
         # a file: input is parsed once per process (`read_samples_csv`), and
         # a file: generator, which does not depend on sigma, is one object
@@ -324,18 +334,18 @@ def _run_besterr(cfg: RunConfig) -> Tuple[List[str], int]:
         grid = shared_grid(-sigma, sigma, cfg.dgrid)
         errors = best_approx_error_sq(signal, gen, sigma, rhos,
                                       tol=cfg.tol, grid=grid)
-        lines.append(csv_text(rhos, errors))
+        lines.append((rhos, errors))
     return lines, 0
 
 
-def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
+def _run_compare(cfg: RunConfig) -> _Output:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     signal = _load_signal(cfg.f_spec, cfg.sigma)
     ranges = list(cfg.sweep[1] if cfg.sweep else _DEFAULT_COMPARE_RANGES)
     grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     report = compare(signal, gen, cfg.sigma, ranges, tol=cfg.tol, grid=grid)
     rows = report.rows
-    lines = ["j_range,oracle_residual,formula_error,gap", csv_text(
+    lines = ["j_range,oracle_residual,formula_error,gap", (
         [r.j_range for r in rows], [r.oracle_residual for r in rows],
         [r.formula_error for r in rows], [r.gap for r in rows])]
     if not report.consistent:
@@ -345,7 +355,7 @@ def _run_compare(cfg: RunConfig) -> Tuple[List[str], int]:
     return lines, 0
 
 
-def _run_validate(cfg: RunConfig) -> Tuple[List[str], int]:
+def _run_validate(cfg: RunConfig) -> _Output:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     report = verify_phi_properties(gen, cfg.sigma, resolution=cfg.dgrid,
                                    tol=cfg.tol)
@@ -364,8 +374,10 @@ _RUNNERS = {"dfun": _run_dfun, "riesz": _run_riesz, "zak": _run_zak,
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit status."""
-    lines, status = _RUNNERS[config.command](config)
-    text = "\n".join([*lines, ""])
+    blocks, status = _RUNNERS[config.command](config)
+    tables = iter(csv_tables(*(b for b in blocks if not isinstance(b, str))))
+    text = "\n".join([b if isinstance(b, str) else next(tables) for b in blocks]
+                     + [""])
     if config.output_path is None:
         sys.stdout.write(text)
     else:

@@ -59,7 +59,7 @@ class Grid:
     The grid builds three arrays on first use and keeps each, read-only,
     for every later call: ``nodes()``, by `numpy.linspace`, which
     reproduces the endpoints exactly; ``text_words()``, the ``%.17g``
-    words of the nodes that `csv_text` copies for a grid column; and
+    words of the nodes that `csv_tables` copies for a grid column; and
     ``weights()``, the Simpson row of `quadrature_weights`.  `shared_grid`
     hands out one grid per (start, stop, count), so what one request
     builds the next reads.
@@ -466,16 +466,17 @@ def _table(columns: Sequence[Sequence]) -> str:
     return "\n".join([",".join(["%.17g"] * width)] * count) % tuple(flat)
 
 
-#: tables of at least this many values, over all their columns, are
-#: formatted in numpy, smaller ones by Python's row template: for one to four
-#: columns of doubles the two cost about the same near 320 values, and from
-#: 384 values numpy takes at most 0.97 of the time (x86-64, numpy 2.4,
-#: median of 101 alternating calls)
+#: `csv_tables` calls of at least this many values, counted over all the
+#: columns of all their tables, are formatted in numpy in one pass per call
+#: (a CLI command makes one call), smaller ones by Python's row template:
+#: for one to four columns of doubles the two cost about the same near 320
+#: values, and from 384 values numpy takes at most 0.97 of the time
+#: (x86-64, numpy 2.4, median of 101 alternating calls, measured warm)
 NUMPY_TEXT_VALUES = 384
 
-#: most values in one numpy formatting pass: past about 4 096 values one
-#: pass ran slower than passes over row blocks (2 049 x 3 and 4 097 x 3
-#: tables), so a larger table is cut into blocks of about equal size
+#: most data values in one numpy formatting pass: past about 4 096 values
+#: one pass ran slower than passes over row blocks (2 049 x 3 and
+#: 4 097 x 3 tables), so a larger call is cut into blocks of about equal size
 _PASS_VALUES = 4096
 
 # A value's text is laid out in six 8-byte words, written whole:
@@ -587,7 +588,7 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _text_words(values: np.ndarray) -> np.ndarray:
     """``%.17g`` of each value as (n, 6) words whose zero bytes are padding,
-    the last byte of each row left zero for a separator (see `csv_text`)."""
+    the last byte of each row left zero for a separator (see `csv_tables`)."""
     v = np.asarray(values, dtype=np.float64)
     a = np.abs(v)
     zero = a == 0.0
@@ -634,28 +635,34 @@ def _text_words(values: np.ndarray) -> np.ndarray:
     return words
 
 
-def csv_text(*columns: Union[Grid, np.ndarray, Sequence[float]]) -> str:
-    """``%.17g`` CSV lines of equal-length numeric columns, joined by
-    newlines without a trailing one.
+#: a column of a table `csv_tables` formats: a grid stands for its nodes
+Column = Union[Grid, np.ndarray, Sequence[float]]
 
-    This is the one writer of every numeric table the package prints.
-    ``%.17g`` round-trips every double, and the text is byte-identical to
+
+def csv_tables(*tables: Sequence[Column]) -> List[str]:
+    """``%.17g`` CSV text of each table, a sequence of equal-length numeric
+    columns, its lines joined by newlines without a trailing one.
+
+    This is the one writer of every numeric table the package prints, and
+    a command hands every table it prints to one call.  ``%.17g``
+    round-trips every double, and the text is byte-identical to
     ``",".join(format(v, ".17g") for v in row)`` row by row, ints, signed
     zeros and non-finite values included.  A column may be a `Grid`,
     which stands for its nodes: the grid formats them once and keeps the
     words (`Grid.text_words`), so a table on a shared grid formats its data
     columns alone.
 
-    A table of fewer than `NUMPY_TEXT_VALUES` values, counted over all its
-    columns, is read through ``tolist()`` (a grid's nodes too) and rendered
-    by one ``%`` over a repeated row template.  A larger one is formatted
-    in numpy in one pass: its data columns are converted to float64, as
-    ``%.17g`` converts an int, and stacked row by row into one array, whose
-    words go into the (rows, columns, words) table beside the grid
-    columns' words, and the separators are set on that table, so the numpy
-    kernel's fixed cost is paid once per table, not once per column.  A
-    table of more than `_PASS_VALUES` values takes one such pass per block
-    of rows, the blocks of about equal size.
+    A call of fewer than `NUMPY_TEXT_VALUES` values, counted over all the
+    columns of all its tables, reads each table through ``tolist()`` (a
+    grid's nodes too) and renders it by one ``%`` over a repeated row
+    template.  A larger call is formatted in numpy in one pass: the data
+    columns of every table are written row by row into one float64 array,
+    the tables one after another (an int converts as ``%.17g`` converts
+    it), whose words go into each table's (rows, columns, words) table
+    beside its grid columns' words; the separators are set on that table.
+    So the numpy kernel's fixed cost is paid once per call, not once per
+    table or column.  A call of more than `_PASS_VALUES` data values takes
+    one such pass per block of that array, the blocks of about equal size.
     With x = floor(log10 |v|), corrected once where the scaled
     value leaves [1e16, 1e17), the digits are N = round(|v| 10**(16 - x)).
     The product is a double-double: Dekker's exact TwoProduct (Veltkamp
@@ -672,35 +679,56 @@ def csv_text(*columns: Union[Grid, np.ndarray, Sequence[float]]) -> str:
     Digits come from four-digit lookup tables, trailing zeros are dropped,
     and ``%g``'s rule picks exponent form for x < -4 or x >= 17.
     """
-    grids = [i for i, c in enumerate(columns) if isinstance(c, Grid)]
-    first = columns[0]
-    width, count = len(columns), first.count if isinstance(first, Grid) else len(first)
-    if width * count < NUMPY_TEXT_VALUES:
-        return _table([(c.nodes() if isinstance(c, Grid) else np.asarray(c)).tolist()
-                       for c in columns])
-    data = [i for i in range(width) if i not in grids]
-    table = (np.stack([np.asarray(columns[i], dtype=np.float64) for i in data],
-                      axis=1) if data else None)
-    separators = np.full(width, _SEPARATOR[b","])
-    separators[-1] = _SEPARATOR[b"\n"]
-    passes = -(-count * width // _PASS_VALUES)
-    step = -(-count // passes)
-    text = []
-    for lo in range(0, count, step):
-        rows = min(step, count - lo)
-        if grids:
-            words = np.empty((rows, width, _WORDS), dtype=np.uint64)
-            for i in grids:
-                words[:, i] = columns[i].text_words()[lo:lo + rows]
-            if data:
-                words[:, data] = _text_words(table[lo:lo + rows].ravel()).reshape(
-                    rows, len(data), _WORDS)
+    shapes = [(len(t), t[0].count if isinstance(t[0], Grid) else len(t[0]))
+              for t in tables]
+    if sum([width * count for width, count in shapes]) < NUMPY_TEXT_VALUES:
+        return [_table([(c.nodes() if isinstance(c, Grid) else np.asarray(c)).tolist()
+                        for c in table]) for table in tables]
+    data = [[i for i, c in enumerate(t) if not isinstance(c, Grid)] for t in tables]
+    values = np.empty(sum([count * len(d) for (_, count), d in zip(shapes, data)]))
+    at = 0
+    for table, (_, count), d in zip(tables, shapes, data):
+        rows = values[at:at + count * len(d)].reshape(count, len(d))
+        for k, i in enumerate(d):
+            rows[:, k] = table[i]
+        at += rows.size
+    passes = -(-values.size // _PASS_VALUES)
+    if passes < 2:
+        words = _text_words(values)
+    else:
+        step = -(-values.size // passes)
+        words = np.concatenate([_text_words(values[lo:lo + step])
+                                for lo in range(0, values.size, step)])
+    texts, at = [], 0
+    for table, (width, count), d in zip(tables, shapes, data):
+        own = words[at:at + count * len(d)].reshape(count, len(d), _WORDS)
+        at += count * len(d)
+        if len(d) < width:
+            cells = np.empty((count, width, _WORDS), dtype=np.uint64)
+            for i, c in enumerate(table):
+                if isinstance(c, Grid):
+                    cells[:, i] = c.text_words()
+            cells[:, d] = own
         else:
-            words = _text_words(table[lo:lo + rows].ravel()).reshape(
-                rows, width, _WORDS)
-        words[..., -1] |= separators
-        text.append(words.tobytes().translate(None, b"\0"))
-    return b"".join(text)[:-1].decode("ascii")
+            cells = own
+        cells[..., -1] |= _separators(width)
+        texts.append(cells.tobytes().translate(None, b"\0")[:-1].decode("ascii"))
+    return texts
+
+
+@functools.lru_cache(maxsize=16)
+def _separators(width: int) -> np.ndarray:
+    """The separator of each column of a row, set in its words' last byte."""
+    out = np.full(width, _SEPARATOR[b","])
+    out[-1] = _SEPARATOR[b"\n"]
+    out.flags.writeable = False
+    return out
+
+
+def csv_text(*columns: Column) -> str:
+    """``%.17g`` CSV lines of equal-length numeric columns, joined by
+    newlines without a trailing one: the one-table case of `csv_tables`."""
+    return csv_tables(columns)[0]
 
 
 def csv_join(*columns: Sequence[str]) -> str:

@@ -922,6 +922,13 @@ _PINNED_OUTPUT = {
                            "2f47f8c38fd753f254e97ed81873acd9c557b67bf7d893b86c2ecabf3150afec"),
     "zak_spline_long_table": (["--gen", "bspline:m=2", "--dgrid", "129"],
                               "7f6c5d6efd9e7745d23b3489a75f84401f64189816cc32a8a9d98b8bd6d416ed"),
+    # recorded with one writer call per table, before a command came to
+    # format all its tables in one call: the 17 x 3 coefficient block took
+    # Python's row template and the 129 x 3 zeta block numpy.  In one call
+    # the 438 values take numpy together
+    "project_member_shape": (["--gen", "bspline:m=2", "--f", "gauss:width=1",
+                              "--dgrid", "129", "--jrange", "8"],
+                             "95cbd2327c20ea9a708c954aa54ec0660a845ae9488eafe63a42909ddeadbca2"),
 }
 
 
@@ -933,6 +940,31 @@ def test_output_bytes_are_pinned(case):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
     if case.endswith("_long_table"):
         assert out.count("\n") > NUMPY_TEXT_VALUES + 1
+
+
+@pytest.mark.parametrize("argv,values", [
+    (["dfun", "--gen", "bspline:m=2"], 2 * 4097),
+    (["project", "--gen", "bspline:m=2", "--f", "gauss:width=1",
+      "--dgrid", "2049"], 3 * 129 + 3 * 2049),
+    (["besterr", "--gen", "bspline:m=2", "--f", "gauss:width=1",
+      "--dgrid", "257", "--sweep", "sigma=0.5,1,2"], 3 * 2)])
+def test_a_command_formats_its_tables_in_one_pass(monkeypatch, argv, values):
+    # every table a command prints goes through one writer call: with the
+    # grids' node words built by a first run, a second run formats at most
+    # one numpy block of _PASS_VALUES per block of its values
+    first = run_cli(argv)
+    passes = []
+    words = numerics._text_words
+
+    def counting(v):
+        passes.append(np.size(v))
+        return words(v)
+
+    monkeypatch.setattr(numerics, "_text_words", counting)
+    assert run_cli(argv) == first and first[0] == 0
+    assert len(passes) <= -(-values // numerics._PASS_VALUES)
+    assert all(n <= numerics._PASS_VALUES for n in passes)
+    assert sum(passes) <= values
 
 
 def test_a_rejected_argv_leaves_the_parser_as_it_was(capsys):

@@ -22,6 +22,7 @@ from shiftapprox.numerics import (
     SampledFunction,
     SampledSpectrum,
     csv_join,
+    csv_tables,
     csv_text,
     fourier_transform_sampled,
     integrate,
@@ -346,6 +347,44 @@ def test_csv_text_one_pass_matches_per_value_format(rows, width):
     want = reference_csv(*(c.tolist() for c in columns))
     assert csv_text(*columns) == want
     assert csv_text(*(c.tolist() for c in columns)) == want
+
+
+@pytest.mark.parametrize("first,second", [(17, 85), (17, 129), (65, 257),
+                                          (129, 2049)])
+def test_csv_tables_formats_each_table_as_csv_text(first, second):
+    # coefficient- and zeta-shaped tables of 51 + 255 values (the template
+    # for both), 51 + 387 and 195 + 771 (one under NUMPY_TEXT_VALUES alone,
+    # numpy together) and 387 + 6147 (4356 data values, past _PASS_VALUES);
+    # the second table holds values left to Python's %
+    rng = np.random.default_rng(first + second)
+    j = first // 2
+    index = make_uniform_grid(-j, j, first)
+    y = make_uniform_grid(-1.0, 1.0, second)
+    coeff = rng.standard_normal((2, first))
+    zeta = rng.choice(_AWKWARD, (2, second))
+    zeta[0, :7] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 1e15 + 0.25]
+    want = [reference_csv(index.nodes().tolist(), *coeff.tolist()),
+            reference_csv(y.nodes().tolist(), *zeta.tolist())]
+    assert csv_tables((index, *coeff), (y, *zeta)) == want
+    assert csv_tables((index.nodes(), *coeff), (y.nodes(), *zeta)) == want
+    assert [csv_text(index, *coeff), csv_text(y, *zeta)] == want
+    # a table of no rows prints nothing, and no table gives no text
+    assert csv_tables((y, *zeta), (coeff[0, :0], coeff[1, :0])) == [want[1], ""]
+    assert csv_tables() == []
+
+
+def test_csv_tables_formats_a_sweep_of_small_tables_in_one_pass(monkeypatch):
+    # 200 two-value tables, as a besterr sigma sweep prints them: 400 values
+    # take one numpy pass
+    passes = []
+    words = numerics._text_words
+    monkeypatch.setattr(numerics, "_text_words",
+                        lambda v: passes.append(np.size(v)) or words(v))
+    rows = [((float(s),), np.array([_AWKWARD[s % _AWKWARD.size]]))
+            for s in range(200)]
+    assert csv_tables(*rows) == [reference_csv(*(np.asarray(c).tolist() for c in r))
+                                 for r in rows]
+    assert passes == [400]
 
 
 @pytest.mark.parametrize("start,stop,count", [
