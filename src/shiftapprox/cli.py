@@ -38,10 +38,12 @@ produce byte-identical output.  A runner returns its lines with its numeric
 tables as column tuples between them, and `run` formats every table of the
 command in one `numerics.csv_tables` call: one ``%.17g`` pass per command,
 its values counted over all its tables against
-`numerics.NUMPY_TEXT_VALUES` (a crossover measured warm).  zak formats its
-axes and each distinct magnitude itself (`_signed_17g`, `csv_join`), and
-riesz and validate print f-strings.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error (a bad flag or spec parameter).
+`numerics.NUMPY_TEXT_VALUES` (a crossover measured warm).  zak prints its
+mesh by `numerics.csv_mesh`: each distinct magnitude formatted once, a
+negative value's sign set in its text's sign byte, and the rows laid out
+a block of x rows at a time.  riesz and validate print f-strings.  Exit
+codes: 0 success, 1 numerical failure, 2 usage error (a bad flag or spec
+parameter).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from .errors import ShiftSpaceError
 from .generator import is_file_spec, parse_generator_spec
-from .numerics import (Column, csv_join, csv_tables, csv_text, read_samples_csv,
+from .numerics import (Column, csv_mesh, csv_tables, read_samples_csv,
                        shared_grid)
 from .shiftspace import (DEFAULT_GRID_COUNT, Signal, best_approx_error_sq,
                          project, rho_in_band)
@@ -275,31 +277,12 @@ def _run_riesz(cfg: RunConfig) -> _Output:
             f"class={report.classification}"], 0
 
 
-def _signed_17g(values: np.ndarray) -> List[str]:
-    """``%.17g`` of each value, each distinct magnitude formatted once.
-
-    The Phi mesh repeats its magnitudes: on the symmetric y grid
-    Phi(x, -y) = conj Phi(x, y).  ``'%.17g' % -v == '-' + '%.17g' % v``,
-    signed zeros included, and a nan prints without its sign, so the
-    text is exact for any values; the mirror only sets how much is saved.
-    """
-    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
-    texts = np.array(csv_text(magnitudes).split("\n"), dtype=object)[inverse]
-    negative = np.signbit(values) & ~np.isnan(values)
-    texts[negative] = "-" + texts[negative]
-    return texts.tolist()
-
-
 def _run_zak(cfg: RunConfig) -> _Output:
     gen = parse_generator_spec(cfg.generator_spec, default_sigma=cfg.sigma)
     x_grid = shared_grid(0.0, np.pi / cfg.sigma, cfg.dgrid)
     y_grid = shared_grid(-cfg.sigma, cfg.sigma, cfg.dgrid)
     field = phi_field(gen, cfg.sigma, x_grid, y_grid, tol=cfg.tol)
-    values = field.values.ravel()  # row-major: x outer, y inner
-    xs, ys = (csv_text(g).split("\n") for g in (x_grid, y_grid))
-    return ["x,y,re,im", csv_join(
-        [x for x in xs for _ in ys], ys * len(xs),
-        _signed_17g(values.real), _signed_17g(values.imag))], 0
+    return ["x,y,re,im", csv_mesh(x_grid, y_grid, field.values)], 0
 
 
 def _run_project(cfg: RunConfig) -> _Output:

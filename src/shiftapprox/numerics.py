@@ -627,12 +627,28 @@ def _text_words(values: np.ndarray) -> np.ndarray:
         words[:, 1 + i] = _QUAD[group]
     words[:, 5] = _EXPONENT[x + _EXPONENT_SPAN]
     words &= np.take(_MASK, 18 * notation + digits, axis=0)
-    rows = words.view(np.uint8)
-    for i in fallback.tolist():
-        text = b"%.17g" % float(v[i])
+    _print_rows(words.view(np.uint8), fallback, v)
+    return words
+
+
+def _print_rows(rows: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """Python's ``%.17g`` of ``values[i]`` from byte 0 of the zeroed byte
+    row ``rows[i]``, for each i of ``index``."""
+    for i in index.tolist():
+        text = b"%.17g" % float(values[i])
         rows[i] = 0
         rows[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return words
+
+
+def _pass_words(values: np.ndarray) -> np.ndarray:
+    """`_text_words` of a float64 array in one pass per block of at most
+    `_PASS_VALUES` values, the blocks of about equal size."""
+    passes = -(-values.size // _PASS_VALUES)
+    if passes < 2:
+        return _text_words(values)
+    step = -(-values.size // passes)
+    return np.concatenate([_text_words(values[lo:lo + step])
+                           for lo in range(0, values.size, step)])
 
 
 #: a column of a table `csv_tables` formats: a grid stands for its nodes
@@ -643,8 +659,9 @@ def csv_tables(*tables: Sequence[Column]) -> List[str]:
     """``%.17g`` CSV text of each table, a sequence of equal-length numeric
     columns, its lines joined by newlines without a trailing one.
 
-    This is the one writer of every numeric table the package prints, and
-    a command hands every table it prints to one call.  ``%.17g``
+    This is the writer of every numeric table the package prints but the
+    Phi mesh, which `csv_mesh` lays out from the same words, and a command
+    hands every table it prints to one call.  ``%.17g``
     round-trips every double, and the text is byte-identical to
     ``",".join(format(v, ".17g") for v in row)`` row by row, ints, signed
     zeros and non-finite values included.  A column may be a `Grid`,
@@ -692,13 +709,7 @@ def csv_tables(*tables: Sequence[Column]) -> List[str]:
         for k, i in enumerate(d):
             rows[:, k] = table[i]
         at += rows.size
-    passes = -(-values.size // _PASS_VALUES)
-    if passes < 2:
-        words = _text_words(values)
-    else:
-        step = -(-values.size // passes)
-        words = np.concatenate([_text_words(values[lo:lo + step])
-                                for lo in range(0, values.size, step)])
+    words = _pass_words(values)
     texts, at = [], 0
     for table, (width, count), d in zip(tables, shapes, data):
         own = words[at:at + count * len(d)].reshape(count, len(d), _WORDS)
@@ -731,10 +742,63 @@ def csv_text(*columns: Column) -> str:
     return csv_tables(columns)[0]
 
 
-def csv_join(*columns: Sequence[str]) -> str:
-    """Equal-length columns of already formatted strings as `csv_text`
-    lays them out, for tables whose columns repeat their values."""
-    return "\n".join(map(",".join, zip(*columns)))
+def csv_mesh(x_grid: Grid, y_grid: Grid, values: np.ndarray) -> str:
+    """``%.17g`` CSV lines ``x,y,re,im`` of a complex mesh of shape
+    (x_grid.count, y_grid.count), x outer and y inner, joined by newlines
+    without a trailing one: the text `csv_text` prints for the repeated x
+    nodes, the tiled y nodes, re and im, built without a string per value.
+
+    A mesh repeats its magnitudes (the Phi mesh is conjugate-symmetric on a
+    symmetric y grid), so each of re and im formats each distinct |v| once
+    (`_signed_rows`).  The rows are laid out a block of x rows at a time,
+    as many as hold at most `_PASS_VALUES` values, and at least one (7 x
+    rows of 129 y nodes, about 170 KB of padded words), so that a block
+    stays in cache: the y words are set once, the x words
+    (`Grid.text_words`) broadcast along y, re and im gathered from their
+    tables, the separators ORed in, and the zero bytes of the block deleted
+    by one ``translate``.
+    """
+    values = np.asarray(values).reshape(x_grid.count, y_grid.count)
+    count = y_grid.count
+    columns = [_signed_rows(part.ravel()) for part in (values.real, values.imag)]
+    x_words = x_grid.text_words()
+    rows = max(1, _PASS_VALUES // (4 * count))
+    cells = np.empty((min(rows, x_grid.count), count, 4, _WORDS), dtype=np.uint64)
+    cells[:, :, 1] = y_grid.text_words()
+    chunks = []
+    for lo in range(0, x_grid.count, rows):
+        block = cells[:min(rows, x_grid.count - lo)]
+        block[:, :, 0] = x_words[lo:lo + len(block), np.newaxis]
+        for k, (table, index) in enumerate(columns, 2):
+            block[:, :, k] = table[index[lo * count:(lo + len(block)) * count]
+                                   ].reshape(len(block), count, _WORDS)
+        block[..., -1] |= _separators(4)
+        chunks.append(block.tobytes().translate(None, b"\0"))
+    chunks[-1] = chunks[-1][:-1]
+    return b"".join(chunks).decode("ascii")
+
+
+def _signed_rows(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The words of each distinct magnitude of a column, then of its
+    negative, and the row of each value in that table.
+
+    A row of a plain magnitude holds a zero sign slot in byte 0, which its
+    negative's row sets to ``-``; a row Python's ``%`` printed (a
+    subnormal, |v| outside [1e-280, 1e280], an infinity, nan, a fraction
+    near a rounding tie) begins its text in byte 0, so its negative is
+    printed again from the signed value, and a nan's negative prints
+    ``nan``, as ``%.17g`` prints every nan.  Byte 0 is read through a uint8
+    view, whatever the byte order.  A value takes the negative's row where
+    its sign bit is set, so ``-0`` keeps its sign.
+    """
+    magnitudes, inverse = np.unique(np.abs(column), return_inverse=True)
+    words = _pass_words(magnitudes)
+    table = np.concatenate([words, words])
+    negative = table.view(np.uint8)[magnitudes.size:]
+    printed = negative[:, 0] != 0
+    negative[~printed, 0] = ord("-")
+    _print_rows(negative, np.flatnonzero(printed), -magnitudes)
+    return table, inverse.reshape(-1) + magnitudes.size * np.signbit(column)
 
 
 def write_samples_csv(dest: Union[str, TextIO],

@@ -636,6 +636,28 @@ def test_besterr_of_the_box_against_the_hat_is_exact():
     assert value == pytest.approx(4.5996108782, rel=1e-9)
 
 
+@pytest.mark.parametrize("sigma", [
+    0.1, 0.05,
+    pytest.param(0.02, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP items 9 and 11: f is cut at the 64-window cap of "
+        "shiftspace._signal_windows; prints 1.7319919640019457 against "
+        "1.7324591835989103"))),
+    pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP items 9 and 11: f is cut at the 64-window cap of "
+        "shiftspace._signal_windows; prints 1.6317479868093983 against "
+        "1.7524545175521828, 7% low")))])
+def test_besterr_of_a_gaussian_against_the_band_is_its_energy_beyond(sigma):
+    # the sinc shift space at sigma is the band [-sigma, sigma], so the best
+    # error of exp(-x**2 / 2) is its energy beyond: sqrt(pi) erfc(sigma).  At
+    # small sigma the 64 windows of 2 sigma an analytic f is folded over stop
+    # short of its spectrum, and what lies beyond is dropped without a word
+    rc, out = run_cli(["besterr", "--gen", "sinc", "--f", "gauss:width=1",
+                       "--dgrid", "257", "--sigma", str(sigma)])
+    assert rc == 0
+    value = float(_rows(out)[1].split(",")[1])
+    assert value == pytest.approx(math.sqrt(math.pi) * math.erfc(sigma), rel=1e-9)
+
+
 def test_besterr_on_time_samples_recovers_no_coefficients(tmp_path):
     # the 257-node grid cannot resolve the default --jrange 64, which
     # besterr never needs because it prints no coefficients

@@ -21,7 +21,7 @@ from shiftapprox.numerics import (
     Grid,
     SampledFunction,
     SampledSpectrum,
-    csv_join,
+    csv_mesh,
     csv_tables,
     csv_text,
     fourier_transform_sampled,
@@ -422,18 +422,35 @@ def test_power_table_holds_every_power_the_formatter_reads():
     assert -offset <= x.min() - 1 and x.max() + 1 <= offset
 
 
-def test_csv_join_lays_strings_out_as_csv_text():
-    cols = [["a", "bb", "c"], ["-0", "nan", "1e+17"]]
-    assert csv_join(*cols) == "a,-0\nbb,nan\nc,1e+17"
-    assert csv_join(["only"]) == "only"
-    # as the %s row template csv_join used to fill, empty strings included
-    cols = [["a", "", "c", ""], ["", "", "nan", "-0"], ["1e+17", "x", "", "y"]]
-    for width in (1, 2, 3):
-        for count in (0, 1, 4):
-            part = [c[:count] for c in cols[:width]]
-            template = "\n".join([",".join(["%s"] * width)] * count)
-            assert csv_join(*part) == template % tuple(
-                v for row in zip(*part) for v in row)
+_MESH_MAGNITUDES = np.array([5e-324, 1e-300, 1e300, np.inf, np.nan, 0.0, 0.5,
+                             1.0 / 3.0, 1e15 + 0.25])
+
+
+@pytest.mark.parametrize("xs,ys", [(9, 9), (129, 129), (17, 9)])
+def test_csv_mesh_prints_four_formatted_columns(monkeypatch, xs, ys):
+    # every magnitude above under both signs (a nan with and without its
+    # sign bit) in each column.  At d = 129 a block holds 7 x rows, so the
+    # last holds 3, and re has more than _PASS_VALUES distinct magnitudes
+    passes = []
+    words = numerics._text_words
+    monkeypatch.setattr(numerics, "_text_words",
+                        lambda v: passes.append(np.size(v)) or words(v))
+    rng = np.random.default_rng(xs * ys)
+    signed = np.concatenate([_MESH_MAGNITUDES, -_MESH_MAGNITUDES])
+    re, im = rng.choice(signed, (2, xs * ys))
+    re[:signed.size] = im[-signed.size:] = signed
+    if xs * ys > numerics._PASS_VALUES:
+        rest = re[signed.size:]
+        rest[:] = rng.standard_normal(rest.size) * 10.0 ** rng.integers(-20, 20, rest.size)
+        assert np.unique(np.abs(re)).size > numerics._PASS_VALUES
+    assert np.any(np.isnan(re) & np.signbit(re)) and np.any(np.isnan(re) & ~np.signbit(re))
+    mesh = np.empty((xs, ys), dtype=np.complex128)
+    mesh.real, mesh.imag = re.reshape(xs, ys), im.reshape(xs, ys)
+    x, y = make_uniform_grid(0.0, np.pi, xs), make_uniform_grid(-1.0, 1.0, ys)
+    assert csv_mesh(x, y, mesh) == reference_csv(
+        np.repeat(x.nodes(), ys).tolist(), np.tile(y.nodes(), xs).tolist(),
+        re.tolist(), im.tolist())
+    assert max(passes) <= numerics._PASS_VALUES
 
 
 def test_csv_header_selects_domain():
